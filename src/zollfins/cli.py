@@ -59,7 +59,10 @@ def atomic_write(path: Path, text: str):
 
 def thread_count(n_jobs: int) -> int:
     env = os.environ.get("ZOLLFINS_THREADS", "")
-    cap = int(env) if env.strip() else (os.cpu_count() or 1)
+    try:
+        cap = int(env) if env.strip() else (os.cpu_count() or 1)
+    except ValueError as exc:
+        raise ProfileError(f"ZOLLFINS_THREADS must be an integer, got {env!r}") from exc
     return max(1, min(cap, n_jobs))
 
 

@@ -3,16 +3,29 @@
 F(R, Theta; v) is the Minkowski gauge of the indicatrix curve at (R, Theta):
 the unique t > 0 with v/t on the curve.  It is evaluated by intersecting the
 ray through v with the signed parametric curve (bracketing plus safeguarded
-Newton); star-shapedness about the origin guarantees uniqueness whenever the
-curve is convex.  The algebraic route -- the polynomial equation in F
-obtained from the implicit indicatrix equation by substituting v -> v/F --
-is kept as an independent oracle, never as the primary evaluator, because
-the squared implicit form admits spurious sheets.
+Newton, or Newton alone from a warm start); star-shapedness about the origin
+guarantees uniqueness whenever the curve is convex.  The algebraic route --
+the polynomial equation in F obtained from the implicit indicatrix equation
+by substituting v -> v/F -- is kept as an independent oracle, never as the
+primary evaluator, because the squared implicit form admits spurious sheets.
 
-The fundamental tensor is half the velocity Hessian of F^2, by central
-finite differences with Richardson extrapolation.  The two scalar invariants
-at a surface point (r) and fiber angle (phi) reduce, because the Gauss
-curvature depends on the latitude only, to
+The geodesic spray uses the fiber geometry in closed form.  At the ray point
+P = v/F of the indicatrix, with P_u, P_uu its derivatives in the phase u
+(moduli.CurveEval.jet), dF = ell = n/(n.P) for the normal n of P_u, and the
+fundamental tensor is (Bao-Chern-Shen, An Introduction to Riemann-Finsler
+Geometry)
+
+    g = ell (x) ell + F Hess F = ell (x) ell - ell(P_uu) mu (x) mu,
+
+mu the covector with mu(P) = 0 and mu(P_u) = 1.  The chart derivatives
+follow from the R-derivatives of the curve at fixed u: F_R = -F ell(P_R),
+u_R = -mu(P_R), and dell/dR at fixed v = (d_R ell at fixed u) - ell(P_uu)
+u_R mu.  The public fundamental_tensor stays a central finite difference of
+F^2 with Richardson extrapolation: it is the independent oracle the closed
+form is tested against.
+
+The two scalar invariants at a surface point (r) and fiber angle (phi)
+reduce, because the Gauss curvature depends on the latitude only, to
 
     I = G'(r) cos(phi) / (2 (1+h(cos r)) G^{3/2}),
     J = G'(r) sin(phi) / (2 (1+h(cos r)) G^{3/2}),
@@ -41,13 +54,6 @@ from .profile import ZollProfile, curvature_x, curvature_x_prime
 #: a calibration run on the worked deformation examples (the test-suite
 #: re-derives it); do not change without re-calibrating.
 SIGMA_ROTATION = -1.0
-
-#: Relative Hessian step used by the geodesic spray.  Larger than the
-#: fundamental_tensor default because the spray needs noise-robust
-#: derivatives (root-finding noise amplifies as 1/step^2); with Richardson
-#: extrapolation the truncation bias at this step stays ~1e-6 even for the
-#: strongly deformed profiles.
-SPRAY_HESSIAN_STEP = 1e-3
 
 #: Chart half-width at which Finsler traces abort.
 CHART_ABORT = math.pi / 2 - 1e-3
@@ -92,29 +98,14 @@ def finsler_F(profile: ZollProfile, R: float, Theta: float, v) -> FinslerEval:
     return FinslerEval(R, Theta, v1, v2, F)
 
 
-def _f_value(cache, v1: float, v2: float, seed_r: float | None = None) -> float:
-    return cache.solve_ray(v1, v2, seed_r)[0]
+def _f_value(cache, v1: float, v2: float) -> float:
+    return cache.solve_ray(v1, v2)[0]
 
 
-def _f_gradient(cache, v1: float, v2: float, seed_r: float | None = None
-                ) -> tuple[float, np.ndarray]:
-    """(F, grad_v F) via the outward normal of the indicatrix at the ray point."""
-    F, r_star, branch = cache.solve_ray(v1, v2, seed_r)
-    p1, p2 = v1 / F, v2 / F
-    if abs(v1) <= 1e-9 * math.hypot(v1, v2):
-        # Glue points: the curve is symmetric about the v2 axis, so dF/dv1 = 0.
-        return F, np.array([0.0, 1.0 / p2])
-    _, _, t1, t2 = cache.point_tangent(r_star, branch)
-    n1, n2 = t2, -t1
-    denom = n1 * p1 + n2 * p2
-    return F, np.array([n1 / denom, n2 / denom])
-
-
-def _hessian_f2(cache, v: np.ndarray, h: float,
-                seed_r: float | None = None) -> np.ndarray:
+def _hessian_f2(cache, v: np.ndarray, h: float) -> np.ndarray:
     """Central 9-point finite-difference Hessian of F^2 in the fiber variables."""
     def f2(a, b):
-        return _f_value(cache, v[0] + a, v[1] + b, seed_r) ** 2
+        return _f_value(cache, v[0] + a, v[1] + b) ** 2
 
     f0 = f2(0.0, 0.0)
     d11 = (f2(h, 0) - 2 * f0 + f2(-h, 0)) / (h * h)
@@ -293,50 +284,71 @@ def unit_direction(profile: ZollProfile, R: float, Theta: float,
     return raw / F
 
 
-def _spray_rhs(profile: ZollProfile, state: np.ndarray,
-               dstep: float = 1e-4) -> np.ndarray:
-    """(Rdot, Thetadot, vRdot, vThetadot) of the geodesic spray of F^2/2.
+def _fiber_geometry(curve, v1: float, v2: float, seed_r: float | None = None):
+    """F, the ray root and the closed-form fiber terms at (curve.R, v).
 
-    The fiber Hessian comes from central differences of F^2 (Richardson at
-    twice the step); chart derivatives use that F is Theta-independent, so
-    only d/dR terms survive:
+    With P the ray point on the indicatrix and P_u, P_uu its phase jet
+    (CurveEval.jet), ell = dF = n/(n.P) for the normal n = (P_u2, -P_u1), and
+    mu = (-P2, P1)/(P x P_u) is the covector with mu(P) = 0, mu(P_u) = 1.
+    Then (Bao-Chern-Shen, An Introduction to Riemann-Finsler Geometry)
 
-        g vdot = (1/2) dR(F^2) e_R - (1/2) vR * dR(grad_v F^2).
+        g = ell (x) ell - ell(P_uu) mu (x) mu,
+        F_R = -F ell(P_R),   u_R = -mu(P_R),
+        dell/dR = (d_R ell at fixed u) - ell(P_uu) u_R mu,
 
-    All offset ray solves are warm-started from the base solve.  R is clamped
-    just inside the chart so that trial stages that overshoot the termination
-    event stay evaluable; accepted solution points never reach the clamp.
+    where dell/dR is taken at fixed v.  Returns
+    (F, r_star, (g11, g12, g22), F_R, ell, dell/dR).
     """
-    R_raw, theta, w1, w2 = state
+    F, r_star, branch = curve.solve_ray(v1, v2, seed_r)
+    (p1, p2), (t1, t2), (a1, a2), (b1, b2), (d1, d2) = curve.jet(
+        curve.phase(r_star, branch))
+    n_dot_p = t2 * p1 - t1 * p2
+    l1, l2 = t2 / n_dot_p, -t1 / n_dot_p
+    m1, m2 = -p2 / n_dot_p, p1 / n_dot_p          # P x P_u = n.P
+    curv = l1 * a1 + l2 * a2                      # ell(P_uu) < 0 on a convex curve
+    g = (l1 * l1 - curv * m1 * m1, l1 * l2 - curv * m1 * m2,
+         l2 * l2 - curv * m2 * m2)
+    F_R = -F * (l1 * b1 + l2 * b2)
+    u_R = -(m1 * b1 + m2 * b2)
+    # d_R of n/(n.P) at fixed u, with d_R n = (P_uR2, -P_uR1).
+    dn_dot_p = (d2 * p1 - d1 * p2 + t2 * b1 - t1 * b2) / n_dot_p
+    dl1 = (d2 - t2 * dn_dot_p) / n_dot_p - curv * u_R * m1
+    dl2 = (-d1 + t1 * dn_dot_p) / n_dot_p - curv * u_R * m2
+    return F, r_star, g, F_R, (l1, l2), (dl1, dl2)
+
+
+def _spray_rhs(profile: ZollProfile, state: np.ndarray,
+               seed_r: float | None = None) -> tuple[np.ndarray, float]:
+    """(Rdot, Thetadot, vRdot, vThetadot) of the geodesic spray of F^2/2,
+    and the ray root that seeds the next call.
+
+    F does not depend on Theta, so only d/dR terms survive in the
+    Euler-Lagrange equation of F^2/2:
+
+        g vdot = F F_R e_R - vR (F_R ell + F dell/dR),
+
+    with g, F_R, ell = dF and dell/dR (at fixed v) in closed form from the
+    indicatrix jet (see _fiber_geometry); one ray solve per call, warm-started
+    from ``seed_r``.  R is clamped just inside the chart so that trial stages
+    that overshoot the termination event stay evaluable; accepted solution
+    points never reach the clamp.
+    """
+    R_raw, theta, w1, w2 = state.tolist()
     r_lim = math.pi / 2 - 8e-4
     R = min(max(R_raw, -r_lim), r_lim)
-    cache = curve_cache(profile, R)
-    _, r_base, _ = cache.solve_ray(w1, w2)
-    v = np.array([w1, w2])
-    vn = float(np.hypot(w1, w2))
-    h = SPRAY_HESSIAN_STEP * vn
-    hess = (4.0 * _hessian_f2(cache, v, h, r_base)
-            - _hessian_f2(cache, v, 2 * h, r_base)) / 3.0
-    g = 0.5 * hess
-
-    cache_p = curve_eval(profile, R + dstep)
-    cache_m = curve_eval(profile, R - dstep)
-    fp, grad_p = _f_gradient(cache_p, w1, w2, r_base)
-    fm, grad_m = _f_gradient(cache_m, w1, w2, r_base)
-    d_r_f2 = (fp * fp - fm * fm) / (2 * dstep)
-    d_r_grad_f2 = (2 * fp * grad_p - 2 * fm * grad_m) / (2 * dstep)
-
-    rhs = 0.5 * np.array([d_r_f2, 0.0]) - 0.5 * w1 * d_r_grad_f2
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[0, 1]
+    F, r_star, (g11, g12, g22), F_R, (l1, l2), (dl1, dl2) = _fiber_geometry(
+        curve_eval(profile, R), w1, w2, seed_r)
+    rhs1 = F * F_R - w1 * (F_R * l1 + F * dl1)
+    rhs2 = -w1 * (F_R * l2 + F * dl2)
+    det = g11 * g22 - g12 * g12
     if det <= 0:
         if abs(R_raw) > CHART_ABORT:
             # Overshooting trial stage past the termination event: the step
             # will be cut back there, so any finite value serves.
-            return np.array([w1, w2, 0.0, 0.0])
+            return np.array([w1, w2, 0.0, 0.0]), r_star
         raise StepFailureError(f"fundamental tensor not positive definite at R={R}")
-    vdot = np.array([g[1, 1] * rhs[0] - g[0, 1] * rhs[1],
-                     -g[0, 1] * rhs[0] + g[0, 0] * rhs[1]]) / det
-    return np.array([w1, w2, vdot[0], vdot[1]])
+    return np.array([w1, w2, (g22 * rhs1 - g12 * rhs2) / det,
+                     (g11 * rhs2 - g12 * rhs1) / det]), r_star
 
 
 def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
@@ -351,7 +363,7 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     """
     R0, Theta0 = float(start[0]), float(start[1])
     v0 = np.asarray(v0, dtype=float)
-    f0 = finsler_F(profile, R0, Theta0, v0).F
+    f0, r0, _ = curve_cache(profile, R0).solve_ray(float(v0[0]), float(v0[1]))
     if abs(f0 - 1.0) > 1e-6:
         raise DomainError(f"initial velocity must be F-unit; F(v0) = {f0}")
     if abs(R0) >= CHART_ABORT:
@@ -359,9 +371,12 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
 
     n = max(16, int(round(samples_per_period * t_end / (2 * math.pi)))) + 1
     t_eval = np.linspace(0.0, t_end, n)
+    seed = r0          # ray root of the latest RHS call, warm-starts the next
 
     def rhs(t, yv):
-        return _spray_rhs(profile, yv)
+        nonlocal seed
+        out, seed = _spray_rhs(profile, yv, seed)
+        return out
 
     def chart_event(t, yv):
         return CHART_ABORT - abs(yv[0])
@@ -372,16 +387,18 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
                     method="DOP853", rtol=tol, atol=tol * 1e-2,
                     t_eval=t_eval, events=chart_event, max_step=0.25)
     if sol.status == 1:  # chart exit
-        trace = _trace_from_solution(profile, sol, tol, complete=False)
+        trace = _trace_from_solution(profile, sol, tol, r0, complete=False)
         raise ChartExitError(
             f"geodesic reached |R| = {CHART_ABORT:.6f} at t = {sol.t[-1]:.6f}",
             partial_trace=trace)
     if sol.status != 0 or not sol.success:
         raise StepFailureError(f"Finsler geodesic integration failed: {sol.message}")
-    return _trace_from_solution(profile, sol, tol, complete=True)
+    return _trace_from_solution(profile, sol, tol, r0, complete=True)
 
 
-def _trace_from_solution(profile, sol, tol, complete) -> FinslerTrace:
+def _trace_from_solution(profile, sol, tol, seed_r, complete) -> FinslerTrace:
+    """The trace with F re-evaluated on every row, each ray solve seeded by
+    the previous row's root (``seed_r`` for the first)."""
     t = sol.t
     y = sol.y
     if not complete and sol.t_events and len(sol.t_events[0]):
@@ -391,10 +408,10 @@ def _trace_from_solution(profile, sol, tol, complete) -> FinslerTrace:
             t = np.append(t, t_ev)
             y = np.hstack([y, sol.y_events[0][-1][:, None]])
     rr, th, w1, w2 = y
-    fvals = np.array([
-        _f_value(curve_cache(profile, float(rr[k])), float(w1[k]), float(w2[k]))
-        for k in range(len(t))
-    ])
+    fvals = np.empty(len(t))
+    for k in range(len(t)):
+        fvals[k], seed_r, _ = curve_eval(profile, float(rr[k])).solve_ray(
+            float(w1[k]), float(w2[k]), seed_r)
     return FinslerTrace(t.copy(), rr.copy(), th.copy(), w1.copy(), w2.copy(),
                         fvals, tol, complete)
 

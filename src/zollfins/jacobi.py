@@ -101,14 +101,16 @@ def _phase(c: float, r: float) -> float:
 # -- the h'' integral Psi -----------------------------------------------------
 
 @lru_cache(maxsize=512)
-def _s_poly_coeffs(profile: ZollProfile, c: float) -> tuple[float, ...]:
+def _s_poly_coeffs(profile: ZollProfile, c: float,
+                   d_dq: bool = False) -> tuple[float, ...]:
     """Coefficients (in w = (sin^2 r - c^2)/cos^2 r_c) of the reduced sum S with
 
         Psi(r) = y^3 * S(w),
         S(w) = sum_k b_{2k+1} q^k sum_{p=0}^{k} (-1)^p C(k,p) w^p / (2p+3),
 
     q = cos^2 r_c and b the coefficient list of h''.  Exact antiderivative of
-    the Psi integrand for polynomial h.
+    the Psi integrand for polynomial h.  With ``d_dq`` the coefficients of
+    dS/dq at fixed w are returned instead (q^k replaced by k q^(k-1)).
     """
     b = profile.hpp_coeffs()
     if not b:
@@ -116,9 +118,12 @@ def _s_poly_coeffs(profile: ZollProfile, c: float) -> tuple[float, ...]:
     q = math.cos(turning_latitude(c)) ** 2
     coeffs = [0.0] * len(b)
     qk = 1.0
+    dqk = 0.0
     for k, bk in enumerate(b):
+        weight = dqk if d_dq else qk
         for p in range(k + 1):
-            coeffs[p] += bk * qk * ((-1) ** p) * comb(k, p) / (2 * p + 3)
+            coeffs[p] += bk * weight * ((-1) ** p) * comb(k, p) / (2 * p + 3)
+        dqk = (k + 1) * qk
         qk *= q
     return tuple(coeffs)
 

@@ -460,6 +460,16 @@ def _horner(coeffs: tuple[float, ...], u: float) -> float:
     return acc
 
 
+def _horner_jet(coeffs: tuple[float, ...], w: float) -> tuple[float, float, float]:
+    """(p, p', p'') of the polynomial with ascending ``coeffs`` at w."""
+    p = dp = ddp = 0.0
+    for a in reversed(coeffs):
+        ddp = ddp * w + 2.0 * dp
+        dp = dp * w + p
+        p = p * w + a
+    return p, dp, ddp
+
+
 class CurveEval:
     """Scalar closed-form evaluation of the indicatrix at one chart value.
 
@@ -521,6 +531,62 @@ class CurveEval:
         v1d = branch * sr * x / y * self.inv_cos
         v2d = (sr * n_of_x - sr * x * psi / y) * self.inv_q
         return v1, v2, v1d, v2d
+
+    def phase(self, r: float, branch: int) -> float:
+        """Signed phase u of the curve point (r, branch): cos r = cos R cos|u|,
+        branch = sign(u)."""
+        return branch * math.atan2(math.sqrt(self._y2(r)), math.cos(r))
+
+    def jet(self, u: float):
+        """(P, P_u, P_uu, P_R, P_uR) of the curve in the signed phase u.
+
+        With cos r = cos R cos u, branch = sign(u), x = cos R cos u,
+        q = cos^2 R and s = sin^2 u the curve reads
+
+            v1 = sin u,
+            v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s; q)],
+
+        so v1 does not depend on R and the jet is regular at the glue points
+        u = 0 and u = +-pi.  R-derivatives are taken at fixed u.  Each entry
+        is a (v1, v2) pair.
+        """
+        cos_r, sin_r, q = self.cos_R, self.c, self.q
+        cu, su = math.cos(u), math.sin(u)
+        x = cos_r * cu
+        x_u, x_uu = -cos_r * su, -x
+        x_r, x_ur = -sin_r * cu, sin_r * su
+        q_r = -2.0 * sin_r * cos_r
+        s = su * su
+        s_u, s_uu = 2.0 * su * cu, 2.0 * (cu * cu - s)
+
+        x2 = x * x
+        h = x * _horner(self.ca, x2)
+        hp, hp_w, hp_ww = _horner_jet(self.cb, x2)
+        # h' is a polynomial in w = x^2: h'' = 2x dh'/dw, h''' = 2 dh'/dw + 4w d2h'/dw2.
+        hpp = 2.0 * x * hp_w
+        hppp = 2.0 * hp_w + 4.0 * x2 * hp_ww
+        a = (1.0 + h) * x
+        a_x = 1.0 + h + x * hp
+        a_xx = 2.0 * hp + x * hpp
+        sv, sv_s, sv_ss = _horner_jet(self.sc, s)
+        sq, sq_s, _ = _horner_jet(_s_poly_coeffs(self.profile, self.c, d_dq=True), s)
+        t = s * s * sv                                   # T = s^2 S
+        t_s = 2.0 * s * sv + s * s * sv_s
+        t_ss = 2.0 * sv + 4.0 * s * sv_s + s * s * sv_ss
+        t_q = s * s * sq
+        t_sq = 2.0 * s * sq + s * s * sq_s
+
+        v2 = -(a / q + s * hp + q * t)
+        v2_u = -(a_x * x_u / q + s_u * hp + s * hpp * x_u + q * t_s * s_u)
+        v2_uu = -((a_xx * x_u * x_u + a_x * x_uu) / q + s_uu * hp
+                  + 2.0 * s_u * hpp * x_u + s * (hppp * x_u * x_u + hpp * x_uu)
+                  + q * (t_ss * s_u * s_u + t_s * s_uu))
+        v2_r = -(a_x * x_r / q - a * q_r / (q * q) + s * hpp * x_r
+                 + q_r * (t + q * t_q))
+        v2_ur = -((a_xx * x_r * x_u + a_x * x_ur) / q - a_x * x_u * q_r / (q * q)
+                  + s_u * hpp * x_r + s * (hppp * x_r * x_u + hpp * x_ur)
+                  + q_r * s_u * (t_s + q * t_sq))
+        return (su, v2), (cu, v2_u), (-su, v2_uu), (0.0, v2_r), (0.0, v2_ur)
 
     def endpoint_values(self) -> tuple[float, float]:
         """v2 at the glue points r_c (bottom, < 0) and pi - r_c (top, > 0)."""
@@ -598,7 +664,9 @@ class IndicatrixCurveCache(CurveEval):
         r[0], r[-1] = self.rc, math.pi - self.rc
         self.r_grid = r
         self.v2_grid = _curve_v2_array(profile, R, r)
-        self.v1_grid = np.sqrt(band_radicand(self.c, r)) / self.cos_R
+        # v1 = sin u exactly; sqrt(band_radicand) is off by ~1e-7 at the glue
+        # points near the chart rim, where asin(sin R) != |R|.
+        self.v1_grid = np.sin(u)
 
     def _bracket_solve(self, v1, v2, branch):
         from .errors import NoBracketError  # local import to avoid cycles

@@ -76,8 +76,12 @@ class ZollProfile:
 
     def _validate(self):
         coeffs = self.odd_coeffs
-        total = math.fsum(coeffs)
-        if abs(total) > COEFF_SUM_TOL:
+        try:
+            total = math.fsum(coeffs)
+        except (ValueError, OverflowError) as exc:   # inf - inf, or overflow
+            raise ProfileError(f"odd coefficients {coeffs!r} have no finite sum") from exc
+        # Written so that a NaN sum fails the test.
+        if not abs(total) <= COEFF_SUM_TOL:
             raise ProfileError(
                 f"sum of odd coefficients must vanish (h(1)=0); got {total:.3e}"
             )
@@ -94,7 +98,7 @@ class ZollProfile:
             lo, hi = float(xs[i]), float(xs[i + 1])
             x_ext = _bisect_root(self.h_prime, lo, hi)
             worst = max(worst, abs(float(self.h(x_ext))))
-        if worst >= 1.0:
+        if not worst < 1.0:
             raise ProfileError(f"|h| must stay below 1 on [-1,1]; max |h| = {worst}")
 
     # -- basic queries -----------------------------------------------------
@@ -120,7 +124,8 @@ class ZollProfile:
     # -- evaluation (vectorized; Horner in x^2) -----------------------------
 
     def _check_domain(self, x):
-        if np.max(np.abs(x)) > 1.0 + X_DOMAIN_TOL:
+        # Written so that NaN fails the test (no separate isfinite pass).
+        if not np.max(np.abs(x)) <= 1.0 + X_DOMAIN_TOL:
             raise DomainError(f"profile argument outside [-1, 1]: {x!r}")
 
     def h(self, x):
@@ -206,7 +211,7 @@ def curvature_x_prime(profile: ZollProfile, x):
 def gauss_curvature(profile: ZollProfile, r):
     """Gauss curvature G(r) of the surface at latitude r in [0, pi]."""
     r = np.asarray(r, dtype=float)
-    if np.min(r) < -X_DOMAIN_TOL or np.max(r) > math.pi + X_DOMAIN_TOL:
+    if not (np.min(r) >= -X_DOMAIN_TOL and np.max(r) <= math.pi + X_DOMAIN_TOL):
         raise DomainError(f"latitude outside [0, pi]: {r!r}")
     out = curvature_x(profile, np.cos(r))
     return out if np.ndim(out) else float(out)

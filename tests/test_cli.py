@@ -42,6 +42,19 @@ def test_bad_profile_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_profile_exit_1(tmp_path, capsys):
+    for h in ("nan,nan", "inf,-inf"):
+        assert main([f"--h={h}", "--out", str(tmp_path), "curvature"]) == 1
+        assert "error" in capsys.readouterr().err
+
+
+def test_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("ZOLLFINS_THREADS", "abc")
+    assert main(["--h", "0.25,-0.25", "--out", str(tmp_path), "indicatrix",
+                 "--R", "0.3"]) == 1
+    assert "ZOLLFINS_THREADS" in capsys.readouterr().err
+
+
 # -- indicatrix --------------------------------------------------------------------
 
 def test_indicatrix_outputs(tmp_path):

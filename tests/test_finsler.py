@@ -147,6 +147,56 @@ def test_tensor_not_positive_definite_for_bad_profile(bad_curvature):
     assert eig_min < 0
 
 
+def _closed_form_geometry(prof, R, v):
+    from zollfins.finsler import _fiber_geometry
+    from zollfins.moduli import curve_eval
+    return _fiber_geometry(curve_eval(prof, R), float(v[0]), float(v[1]))
+
+
+#: Directions for the tensor comparisons, the v1 = 0 glue rays included.
+TENSOR_DIRECTIONS = [(math.cos(a), math.sin(a))
+                     for a in np.linspace(0.0, 2 * math.pi, 13)[:-1]] \
+    + [(0.0, 1.0), (0.0, -0.7), (1e-12, -1.0)]
+
+
+def test_closed_form_tensor_round_sphere(sphere):
+    for R in (-0.9, 0.0, 0.7, 1.4):
+        for v in TENSOR_DIRECTIONS:
+            g11, g12, g22 = _closed_form_geometry(sphere, R, v)[2]
+            assert abs(g11 - 1.0) < 1e-14
+            assert abs(g12) < 1e-14
+            assert abs(g22 - math.cos(R) ** 2) < 1e-14
+
+
+def test_closed_form_tensor_matches_difference_oracle(ex1_strong, ex2):
+    """The closed-form tensor against the Richardson finite-difference
+    Hessian behind fundamental_tensor (whose own noise is ~4e-5)."""
+    for prof in (ex1_strong, ex2):
+        for R in (-0.8, 0.2, 1.2):
+            for v in TENSOR_DIRECTIONS:
+                g11, g12, g22 = _closed_form_geometry(prof, R, v)[2]
+                oracle = fundamental_tensor(prof, R, 0.0, v).tensor()
+                closed = np.array([[g11, g12], [g12, g22]])
+                assert np.abs(closed - oracle).max() < 1e-4 * np.abs(oracle).max()
+
+
+def test_closed_form_chart_derivatives(ex1_strong, ex2):
+    """F_R and dell/dR at fixed v against central differences in R of F and
+    of ell = dF."""
+    dR = 1e-5
+    for prof in (ex1_strong, ex2):
+        for R in (-0.8, 0.3, 1.2):
+            for v in ((0.4, -0.7), (-1.0, 0.3), (0.0, 1.0), (0.2, 0.9)):
+                F, _, _, F_R, _, dl = _closed_form_geometry(prof, R, v)
+                plus = _closed_form_geometry(prof, R + dR, v)
+                minus = _closed_form_geometry(prof, R - dR, v)
+                assert F_R == pytest.approx((plus[0] - minus[0]) / (2 * dR),
+                                            abs=1e-8 * F)
+                for i in (0, 1):
+                    fd = (plus[4][i] - minus[4][i]) / (2 * dR)
+                    assert dl[i] == pytest.approx(fd, abs=1e-7 * max(1.0, abs(fd)))
+
+
 def test_tensor_guards(ex1):
     with pytest.raises(DomainError):
         fundamental_tensor(ex1, 0.3, 0.0, (0.0, 0.0))
@@ -341,6 +391,62 @@ def test_flow_enumerates_directions_at_fixed_point(sphere, ex1_strong):
             th_mirrored = (2 * Th0 - float(trace.Theta[k])) % (2 * math.pi)
             diff = (th_mirrored - th_pred + math.pi) % (2 * math.pi) - math.pi
             assert abs(diff) < 2e-6
+
+
+def test_full_period_point_pencil(sphere, ex1_strong, ex2):
+    """Over a whole period 2*pi, the Finsler geodesic through the chart point
+    of (p, phi0) runs through the chart points of the pencil of surface
+    geodesics through p, at unit angular rate (see the test above for the
+    reflected longitude).  The pencil is computed by quadrature in
+    coords_of_geodesic, independently of the spray."""
+    from zollfins import GeodesicState, coords_of_geodesic, indicatrix_regularized
+
+    r_p, th_p, phi0 = 1.1, 0.7, 0.9
+    for prof in (sphere, ex1_strong, ex2):
+        def chart_of_direction(phi):
+            c = math.sin(phi) * math.sin(r_p)
+            eps = +1 if math.cos(phi) >= 0 else -1
+            pt = coords_of_geodesic(prof, GeodesicState(r_p, th_p, c, eps))
+            return pt.R, pt.Theta
+
+        R0, Th0 = chart_of_direction(phi0)
+        s = indicatrix_regularized(prof, R0, r_p, +1)
+        trace = finsler_geodesic(prof, (R0, Th0), np.array([s.v1, s.v2]),
+                                 2 * math.pi, tol=1e-9, samples_per_period=256)
+        assert trace.complete and trace.t[-1] == pytest.approx(2 * math.pi)
+        for k in range(0, len(trace.t), 4):
+            r_pred, th_pred = chart_of_direction(phi0 + float(trace.t[k]))
+            assert abs(float(trace.R[k]) - r_pred) < 1e-8
+            th_mirrored = (2 * Th0 - float(trace.Theta[k])) % (2 * math.pi)
+            diff = (th_mirrored - th_pred + math.pi) % (2 * math.pi) - math.pi
+            assert abs(diff) < 1e-8
+
+
+def test_trace_near_chart_rim(ex1):
+    """A geodesic that tops out at chart latitude 1.56, 0.011 below the
+    abort latitude: the start direction is the one through the surface point
+    at latitude 1.56 with the largest Clairaut constant."""
+    from zollfins import indicatrix_regularized
+
+    s = indicatrix_regularized(ex1, 0.0, 1.56, +1)
+    trace = finsler_geodesic(ex1, (0.0, 0.0), np.array([s.v1, s.v2]),
+                             2 * math.pi, tol=1e-9)
+    assert trace.complete
+    assert float(trace.R.max()) == pytest.approx(1.56, abs=1e-6)
+    assert chart_distance((float(trace.R[-1]), float(trace.Theta[-1])),
+                          (0.0, 0.0)) <= 1e-6
+    assert np.abs(trace.F - 1.0).max() <= 1e-8
+
+
+def test_cold_ray_solve_near_glue_point_at_rim(ex1):
+    """A cold solve of a nearly vertical ray close to the chart rim, where
+    asin(sin R) and |R| differ in the last digits: F matches the vertical
+    ray's value up to the O(v1^2) term (dF/dv1 = 0 on the v2 axis)."""
+    R = 1.5600000100725198
+    for v1 in (5.551681485291282e-07, -5.551681485291282e-07, 3e-9):
+        F = finsler_F(ex1, R, 0.0, (v1, -92.87593661420159)).F
+        F_axis = finsler_F(ex1, R, 0.0, (0.0, -92.87593661420159)).F
+        assert F == pytest.approx(F_axis, rel=1e-9)
 
 
 def test_chart_coordinates_match_spherical_trig(sphere):

@@ -316,3 +316,55 @@ def test_coords_meridian_limit(ex1_strong):
                                 GeodesicState(math.pi / 2, 0.3, c, +1))
         assert abs(pt.Theta - target) < bound
         assert pt.R == pytest.approx(math.asin(c), abs=1e-15)
+
+
+# -- the phase jet behind the closed-form Finsler tensor ----------------------------
+
+def _point_at_phase(prof, R, u):
+    """Curve point at signed phase u through CurveEval.point (latitude route)."""
+    from zollfins.moduli import CurveEval
+    r = math.acos(math.cos(R) * math.cos(u))
+    return np.array(CurveEval(prof, R).point(r, +1 if u >= 0 else -1))
+
+
+@pytest.mark.parametrize("R", [-0.9, 0.0, 0.3, 1.2])
+def test_phase_jet_matches_central_differences(all_good, R):
+    from zollfins.moduli import CurveEval
+    d1, d2 = 1e-5, 1e-4
+    for prof in all_good:
+        curve = CurveEval(prof, R)
+        for u in (-2.5, -0.7, 0.4, 1.3, 2.9):
+            p, p_u, p_uu, p_r, p_ur = (np.array(e) for e in curve.jet(u))
+            scale = max(1.0, float(np.abs(p).max()))
+
+            def pt(du, dr):
+                return _point_at_phase(prof, R + dr, u + du)
+
+            fd_u = (pt(d1, 0) - pt(-d1, 0)) / (2 * d1)
+            fd_r = (pt(0, d1) - pt(0, -d1)) / (2 * d1)
+            fd_uu = (pt(d2, 0) - 2 * pt(0, 0) + pt(-d2, 0)) / d2 ** 2
+            fd_ur = (pt(d2, d2) - pt(d2, -d2) - pt(-d2, d2) + pt(-d2, -d2)) / (4 * d2 ** 2)
+            assert np.abs(p - pt(0, 0)).max() < 1e-13 * scale
+            assert np.abs(p_u - fd_u).max() < 1e-7 * scale
+            assert np.abs(p_r - fd_r).max() < 1e-7 * scale
+            assert np.abs(p_uu - fd_uu).max() < 1e-5 * scale
+            assert np.abs(p_ur - fd_ur).max() < 1e-5 * scale
+
+
+def test_phase_jet_regular_at_glue_points(ex2):
+    """The jet is finite at u = 0 and u = pi, lands on the glue points, and
+    mirrors across the v2 axis under u -> -u."""
+    from zollfins.moduli import CurveEval
+    curve = CurveEval(ex2, 0.8)
+    bottom, top = curve.endpoint_values()
+    for u, end in ((0.0, bottom), (math.pi, top)):
+        jet = np.array(curve.jet(u))
+        assert np.all(np.isfinite(jet))
+        assert jet[0][1] == pytest.approx(end, rel=1e-14)
+        assert abs(jet[1][1]) < 1e-12          # horizontal tangent on the axis
+    for u in (0.3, 2.0):
+        plus, minus = np.array(curve.jet(u)), np.array(curve.jet(-u))
+        # P(-u) = M P(u) with M = diag(-1, 1); odd u-derivatives pick up -1.
+        parity = np.array([1.0, -1.0, 1.0, 1.0, -1.0])[:, None]
+        mirrored = parity * plus * np.array([-1.0, 1.0])
+        assert np.allclose(minus, mirrored, rtol=1e-14, atol=1e-15)

@@ -44,6 +44,14 @@ def test_large_amplitude_rejected():
         ZollProfile((3.0, -3.0))
 
 
+@pytest.mark.parametrize("coeffs", [(math.nan, math.nan), (math.nan,),
+                                    (math.inf, -math.inf), (math.inf,),
+                                    (1e308, 1e308)])
+def test_non_finite_coefficients_rejected(coeffs):
+    with pytest.raises(ProfileError):
+        ZollProfile(coeffs)
+
+
 def test_bad_curvature_profile_still_constructs(bad_curvature):
     # |h| < 1 holds for eps = 0.6; only the curvature sign degrades.
     assert bad_curvature.odd_coeffs == (0.6, -0.6)
@@ -81,6 +89,11 @@ def test_domain_error():
         eval_h(prof, 1.001)
     with pytest.raises(DomainError):
         eval_h_derivs(prof, -1.1)
+    for x in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(DomainError):
+            eval_h(prof, x)
+        with pytest.raises(DomainError):
+            gauss_curvature(prof, x)
 
 
 def test_derivative_values(ex1, ex2):
