@@ -13,8 +13,8 @@ verify      run the cross-module verification suites; exit 3 if any check
 
 All numeric output uses 17 significant digits; files are written atomically
 (temp file + rename), and repeated runs with the same configuration produce
-byte-identical outputs.  ZOLLFINS_THREADS caps the thread pool used for
-per-R parallel work.
+byte-identical outputs.  Indicatrix curves are built one chart value after
+another: the work is interpreter-bound, so threads do not overlap it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -55,15 +54,6 @@ def atomic_write(path: Path, text: str):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def thread_count(n_jobs: int) -> int:
-    env = os.environ.get("ZOLLFINS_THREADS", "")
-    try:
-        cap = int(env) if env.strip() else (os.cpu_count() or 1)
-    except ValueError as exc:
-        raise ProfileError(f"ZOLLFINS_THREADS must be an integer, got {env!r}") from exc
-    return max(1, min(cap, n_jobs))
 
 
 # -- output writers -------------------------------------------------------------
@@ -152,13 +142,9 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
         return 1
     r_values = args.R
     samples = max(16, args.samples)
-
-    def build(r_value):
-        return moduli.indicatrix_curve(profile, r_value, samples)
-
     try:
-        with ThreadPoolExecutor(max_workers=thread_count(len(r_values))) as pool:
-            curves = list(pool.map(build, r_values))
+        curves = [moduli.indicatrix_curve(profile, r_value, samples)
+                  for r_value in r_values]
     except ConvexityViolation as exc:
         print(f"convexity violation: {exc}")
         return 2

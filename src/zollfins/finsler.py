@@ -2,9 +2,10 @@
 
 F(R, Theta; v) is the Minkowski gauge of the indicatrix curve at (R, Theta):
 the unique t > 0 with v/t on the curve.  It is evaluated by intersecting the
-ray through v with the signed parametric curve (bracketing plus safeguarded
-Newton, or Newton alone from a warm start); star-shapedness about the origin
-guarantees uniqueness whenever the curve is convex.  The algebraic route --
+ray through v with the curve in its signed phase u (moduli.CurveEval:
+bracketing plus safeguarded Newton, or Newton alone from a warm start);
+star-shapedness about the origin guarantees uniqueness whenever the curve
+is convex.  The algebraic route --
 the polynomial equation in F obtained from the implicit indicatrix equation
 by substituting v -> v/F -- is kept as an independent oracle, never as the
 primary evaluator, because the squared implicit form admits spurious sheets.
@@ -91,10 +92,7 @@ class InvariantPair:
 def finsler_F(profile: ZollProfile, R: float, Theta: float, v) -> FinslerEval:
     """The induced norm of the tangent vector v at chart point (R, Theta)."""
     v1, v2 = float(v[0]), float(v[1])
-    if v1 == 0.0 and v2 == 0.0:
-        raise DomainError("F is evaluated on nonzero vectors only")
-    cache = curve_cache(profile, R)
-    F, _, _ = cache.solve_ray(v1, v2)
+    F, _ = curve_cache(profile, R).solve_ray(v1, v2)
     return FinslerEval(R, Theta, v1, v2, F)
 
 
@@ -284,8 +282,8 @@ def unit_direction(profile: ZollProfile, R: float, Theta: float,
     return raw / F
 
 
-def _fiber_geometry(curve, v1: float, v2: float, seed_r: float | None = None):
-    """F, the ray root and the closed-form fiber terms at (curve.R, v).
+def _fiber_geometry(curve, v1: float, v2: float, seed_u: float | None = None):
+    """F, the phase root and the closed-form fiber terms at (curve.R, v).
 
     With P the ray point on the indicatrix and P_u, P_uu its phase jet
     (CurveEval.jet), ell = dF = n/(n.P) for the normal n = (P_u2, -P_u1), and
@@ -297,11 +295,10 @@ def _fiber_geometry(curve, v1: float, v2: float, seed_r: float | None = None):
         dell/dR = (d_R ell at fixed u) - ell(P_uu) u_R mu,
 
     where dell/dR is taken at fixed v.  Returns
-    (F, r_star, (g11, g12, g22), F_R, ell, dell/dR).
+    (F, u_star, (g11, g12, g22), F_R, ell, dell/dR).
     """
-    F, r_star, branch = curve.solve_ray(v1, v2, seed_r)
-    (p1, p2), (t1, t2), (a1, a2), (b1, b2), (d1, d2) = curve.jet(
-        curve.phase(r_star, branch))
+    F, u_star = curve.solve_ray(v1, v2, seed_u)
+    (p1, p2), (t1, t2), (a1, a2), (b1, b2), (d1, d2) = curve.jet(u_star)
     n_dot_p = t2 * p1 - t1 * p2
     l1, l2 = t2 / n_dot_p, -t1 / n_dot_p
     m1, m2 = -p2 / n_dot_p, p1 / n_dot_p          # P x P_u = n.P
@@ -314,13 +311,13 @@ def _fiber_geometry(curve, v1: float, v2: float, seed_r: float | None = None):
     dn_dot_p = (d2 * p1 - d1 * p2 + t2 * b1 - t1 * b2) / n_dot_p
     dl1 = (d2 - t2 * dn_dot_p) / n_dot_p - curv * u_R * m1
     dl2 = (-d1 + t1 * dn_dot_p) / n_dot_p - curv * u_R * m2
-    return F, r_star, g, F_R, (l1, l2), (dl1, dl2)
+    return F, u_star, g, F_R, (l1, l2), (dl1, dl2)
 
 
 def _spray_rhs(profile: ZollProfile, state: np.ndarray,
-               seed_r: float | None = None) -> tuple[np.ndarray, float]:
+               seed_u: float | None = None) -> tuple[np.ndarray, float]:
     """(Rdot, Thetadot, vRdot, vThetadot) of the geodesic spray of F^2/2,
-    and the ray root that seeds the next call.
+    and the phase root of the ray, which seeds the next call.
 
     F does not depend on Theta, so only d/dR terms survive in the
     Euler-Lagrange equation of F^2/2:
@@ -329,15 +326,15 @@ def _spray_rhs(profile: ZollProfile, state: np.ndarray,
 
     with g, F_R, ell = dF and dell/dR (at fixed v) in closed form from the
     indicatrix jet (see _fiber_geometry); one ray solve per call, warm-started
-    from ``seed_r``.  R is clamped just inside the chart so that trial stages
+    from ``seed_u``.  R is clamped just inside the chart so that trial stages
     that overshoot the termination event stay evaluable; accepted solution
     points never reach the clamp.
     """
     R_raw, theta, w1, w2 = state.tolist()
     r_lim = math.pi / 2 - 8e-4
     R = min(max(R_raw, -r_lim), r_lim)
-    F, r_star, (g11, g12, g22), F_R, (l1, l2), (dl1, dl2) = _fiber_geometry(
-        curve_eval(profile, R), w1, w2, seed_r)
+    F, u_star, (g11, g12, g22), F_R, (l1, l2), (dl1, dl2) = _fiber_geometry(
+        curve_eval(profile, R), w1, w2, seed_u)
     rhs1 = F * F_R - w1 * (F_R * l1 + F * dl1)
     rhs2 = -w1 * (F_R * l2 + F * dl2)
     det = g11 * g22 - g12 * g12
@@ -345,10 +342,10 @@ def _spray_rhs(profile: ZollProfile, state: np.ndarray,
         if abs(R_raw) > CHART_ABORT:
             # Overshooting trial stage past the termination event: the step
             # will be cut back there, so any finite value serves.
-            return np.array([w1, w2, 0.0, 0.0]), r_star
+            return np.array([w1, w2, 0.0, 0.0]), u_star
         raise StepFailureError(f"fundamental tensor not positive definite at R={R}")
     return np.array([w1, w2, (g22 * rhs1 - g12 * rhs2) / det,
-                     (g11 * rhs2 - g12 * rhs1) / det]), r_star
+                     (g11 * rhs2 - g12 * rhs1) / det]), u_star
 
 
 def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
@@ -363,7 +360,7 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     """
     R0, Theta0 = float(start[0]), float(start[1])
     v0 = np.asarray(v0, dtype=float)
-    f0, r0, _ = curve_cache(profile, R0).solve_ray(float(v0[0]), float(v0[1]))
+    f0, u0 = curve_cache(profile, R0).solve_ray(float(v0[0]), float(v0[1]))
     if abs(f0 - 1.0) > 1e-6:
         raise DomainError(f"initial velocity must be F-unit; F(v0) = {f0}")
     if abs(R0) >= CHART_ABORT:
@@ -371,7 +368,7 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
 
     n = max(16, int(round(samples_per_period * t_end / (2 * math.pi)))) + 1
     t_eval = np.linspace(0.0, t_end, n)
-    seed = r0          # ray root of the latest RHS call, warm-starts the next
+    seed = u0          # phase root of the latest RHS call, warm-starts the next
 
     def rhs(t, yv):
         nonlocal seed
@@ -387,18 +384,18 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
                     method="DOP853", rtol=tol, atol=tol * 1e-2,
                     t_eval=t_eval, events=chart_event, max_step=0.25)
     if sol.status == 1:  # chart exit
-        trace = _trace_from_solution(profile, sol, tol, r0, complete=False)
+        trace = _trace_from_solution(profile, sol, tol, u0, complete=False)
         raise ChartExitError(
             f"geodesic reached |R| = {CHART_ABORT:.6f} at t = {sol.t[-1]:.6f}",
             partial_trace=trace)
     if sol.status != 0 or not sol.success:
         raise StepFailureError(f"Finsler geodesic integration failed: {sol.message}")
-    return _trace_from_solution(profile, sol, tol, r0, complete=True)
+    return _trace_from_solution(profile, sol, tol, u0, complete=True)
 
 
-def _trace_from_solution(profile, sol, tol, seed_r, complete) -> FinslerTrace:
+def _trace_from_solution(profile, sol, tol, seed_u, complete) -> FinslerTrace:
     """The trace with F re-evaluated on every row, each ray solve seeded by
-    the previous row's root (``seed_r`` for the first)."""
+    the previous row's phase root (``seed_u`` for the first)."""
     t = sol.t
     y = sol.y
     if not complete and sol.t_events and len(sol.t_events[0]):
@@ -410,8 +407,8 @@ def _trace_from_solution(profile, sol, tol, seed_r, complete) -> FinslerTrace:
     rr, th, w1, w2 = y
     fvals = np.empty(len(t))
     for k in range(len(t)):
-        fvals[k], seed_r, _ = curve_eval(profile, float(rr[k])).solve_ray(
-            float(w1[k]), float(w2[k]), seed_r)
+        fvals[k], seed_u = curve_eval(profile, float(rr[k])).solve_ray(
+            float(w1[k]), float(w2[k]), seed_u)
     return FinslerTrace(t.copy(), rr.copy(), th.copy(), w1.copy(), w2.copy(),
                         fvals, tol, complete)
 

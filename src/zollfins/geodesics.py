@@ -49,8 +49,9 @@ DEFAULT_SAMPLES_PER_PERIOD = 512
 
 def turning_latitude(c: float) -> float:
     """r_c = arcsin|c|, the extremal latitude reached by a geodesic."""
-    if abs(c) > 1.0 + 1e-12:
-        raise DomainError(f"Clairaut constant |c|={abs(c)} exceeds 1")
+    # Written so that NaN fails the test (min(1.0, nan) would be 1.0).
+    if not abs(c) <= 1.0 + 1e-12:
+        raise DomainError(f"Clairaut constant |c|={abs(c)} outside [0, 1]")
     return math.asin(min(1.0, abs(c)))
 
 
@@ -81,8 +82,8 @@ class GeodesicState:
     def __post_init__(self):
         if self.sign not in (-1, +1):
             raise DomainError(f"sign must be +-1, got {self.sign}")
-        if abs(self.c) > 1.0 + 1e-12:
-            raise DomainError(f"|c| = {abs(self.c)} exceeds 1")
+        if not abs(self.c) <= 1.0 + 1e-12:       # NaN fails too
+            raise DomainError(f"|c| = {abs(self.c)} outside [0, 1]")
         if abs(self.c) > math.sin(self.r) + 1e-12:
             raise BandError(
                 f"state unreachable: |c|={abs(self.c)} > sin r={math.sin(self.r)}"
@@ -212,7 +213,6 @@ class GeodesicTrace:
 
 def _phase_from_state(state: GeodesicState) -> float:
     """Initial phase u0 with cos u0 = cos r0 / cos r_c and sign(sin u0) = sign."""
-    rc = turning_latitude(state.c)
     y = math.sqrt(band_radicand(state.c, state.r))
     return math.atan2(state.sign * y, math.cos(state.r))
 

@@ -24,7 +24,24 @@ gives the everywhere-regular form
     v2 = -[ (1+h(x)) x + (sin^2 r - c^2) h'(x) + y Psi(r) ] / cos^2 R,
 
 with x = cos r, y = sqrt(sin^2 r - c^2) and Psi the smooth h'' integral of
-the jacobi module.  For polynomial h, expanding Psi in closed form turns the
+the jacobi module.
+
+The latitude has a square-root branch point at the glue points r_c and
+pi - r_c, where the two branches meet on the v2 axis.  The signed phase u,
+with cos r = cos R cos u and branch = sign(u), removes it: y = cos R |sin u|
+and
+
+    v1 = sin u,   v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s)],
+
+with x = cos R cos u, q = cos^2 R, s = sin^2 u and Psi = y^3 S(s) in closed
+form; u = 0 is the bottom glue point, u = +-pi the top one.  This is the
+one production parametrization: CurveEval.v2_du evaluates v2 and dv2/du,
+and the ray solver, its bracket grid, indicatrix_curve and the phase jet of
+the Finsler spray all build on it.  A ray within 1e-9 of the v2 axis is
+resolved to u = 0 or pi directly.  The latitude forms (parametric,
+regularized, curvature) stay as the independent reference routes.
+
+For polynomial h, expanding Psi in closed form turns the
 curve into the implicit algebraic equation
 
     (v2 + P(v1^2))^2 = (1 - v1^2) / cos^2 R,
@@ -83,7 +100,7 @@ class ModuliPoint:
     Theta: float
 
     def __post_init__(self):
-        if abs(self.R) >= math.pi / 2:
+        if not abs(self.R) < math.pi / 2:
             raise DomainError(f"|R| = {abs(self.R)} reaches the chart poles")
 
 
@@ -100,7 +117,8 @@ class IndicatrixSample:
 
 
 def _check_chart(R: float):
-    if abs(R) >= math.pi / 2 - CHART_GUARD:
+    # Written so that NaN fails the test.
+    if not abs(R) < math.pi / 2 - CHART_GUARD:
         raise DomainError(f"chart coordinate |R| = {abs(R)} too close to pi/2")
 
 
@@ -206,34 +224,6 @@ def indicatrix_regularized(profile: ZollProfile, R: float, r: float,
     return IndicatrixSample(R, Theta, branch, r, branch * y / math.cos(R), v2)
 
 
-def _curve_v2_array(profile: ZollProfile, R: float, r: np.ndarray) -> np.ndarray:
-    """Vectorized regularized v2 over an array of latitudes."""
-    c = math.sin(R)
-    q = math.cos(R) ** 2
-    x = np.cos(r)
-    y2 = band_radicand(c, r)
-    y = np.sqrt(y2)
-    psi = np.asarray(hpp_integral(profile, c, r))
-    return -((1.0 + profile.h(x)) * x + y2 * profile.h_prime(x) + y * psi) / q
-
-
-def _curve_tangent_arrays(profile: ZollProfile, R: float, r: np.ndarray,
-                          branch: int) -> tuple[np.ndarray, np.ndarray]:
-    """d(v1)/dr and d(v2)/dr along one branch (vectorized, closed form)."""
-    c = math.sin(R)
-    q = math.cos(R) ** 2
-    x = np.cos(r)
-    sr = np.sin(r)
-    y2 = band_radicand(c, r)
-    y = np.sqrt(y2)
-    hp = profile.h_prime(x)
-    n_of_x = 1.0 + profile.h(x) - x * hp
-    psi = np.asarray(hpp_integral(profile, c, r))
-    v1d = branch * sr * x / (y * math.cos(R))
-    v2d = sr * n_of_x / q - sr * x * psi / (q * y)
-    return v1d, v2d
-
-
 def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
                          branch: int = +1) -> tuple[float, float]:
     """Both sides of the indicatrix curvature identity, computed independently.
@@ -278,9 +268,10 @@ def indicatrix_curve(profile: ZollProfile, R: float, samples: int = 256,
                      Theta: float = 0.0) -> list[IndicatrixSample]:
     """The full indicatrix as a closed polyline traversed once.
 
-    Branch +1 sweeps r from r_c to pi - r_c (sampled uniformly in the phase
-    variable, which spaces points evenly around the turning regions), branch
-    -1 returns along the mirrored arc.  The polyline is checked to wind once
+    Branch +1 sweeps the phase u uniformly from 0 to pi (r from r_c to
+    pi - r_c, with points spaced evenly around the turning regions), branch
+    -1 returns along the mirrored arc.  Both glue samples lie on the v2 axis
+    exactly (v1 = sin u = 0).  The polyline is checked to wind once
     around the origin with strictly monotone polar angle -- for a curve
     symmetric about the v2 axis and containing the origin this is exactly
     simplicity plus star-shapedness, and it fails when convexity is lost.
@@ -289,12 +280,12 @@ def indicatrix_curve(profile: ZollProfile, R: float, samples: int = 256,
     if samples < 16:
         raise DomainError(f"need at least 16 samples, got {samples}")
     rc = abs(R)
-    cos_rc = math.cos(rc)
     u = np.linspace(0.0, math.pi, samples)
-    r = np.arccos(np.clip(cos_rc * np.cos(u), -1.0, 1.0))
+    cu, v1_plus = np.cos(u), np.sin(u)
+    v1_plus[-1] = 0.0                   # sin(float(pi)) is 1.2e-16, not 0
+    v2 = CurveEval(profile, R).v2_du(cu, v1_plus)[0]
+    r = np.arccos(np.clip(math.cos(R) * cu, -1.0, 1.0))
     r[0], r[-1] = rc, math.pi - rc
-    v2 = _curve_v2_array(profile, R, r)
-    v1_plus = np.sqrt(band_radicand(math.sin(R), r)) / math.cos(R)
 
     out: list[IndicatrixSample] = []
     for k in range(samples):
@@ -473,85 +464,67 @@ def _horner_jet(coeffs: tuple[float, ...], w: float) -> tuple[float, float, floa
 class CurveEval:
     """Scalar closed-form evaluation of the indicatrix at one chart value.
 
-    Pure-python kernels (no array overhead): these sit in the innermost loop
-    of the norm evaluation and of the geodesic spray.
+    The curve is parametrized by the signed phase u in [-pi, pi]: cos r =
+    cos R cos u, branch = sign(u), v1 = sin u and v2 from ``v2_du``.  Both
+    components are smooth through the glue points u = 0 (bottom) and
+    u = +-pi (top), where the latitude form has a square-root branch point.
+    Ray solves return the phase root.  Rays within 1e-9 of vertical resolve
+    to u = 0 or pi directly: the curve is symmetric about the v2 axis, so
+    the glue points are exact extrema of the ray angle, and the root of a
+    nearly vertical ray at the top can lie beyond float(pi).
+
+    Scalar calls run on plain floats (no array overhead): they sit in the
+    innermost loop of the norm evaluation and of the geodesic spray.
     """
 
-    __slots__ = ("profile", "R", "c", "rc", "cos_R", "q", "inv_cos", "inv_q",
-                 "ca", "cb", "sc")
+    __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc")
 
     def __init__(self, profile: ZollProfile, R: float):
         _check_chart(R)
         self.profile = profile
         self.R = R
         self.c = math.sin(R)
-        self.rc = abs(R)
         self.cos_R = math.cos(R)
         self.q = self.cos_R ** 2
-        self.inv_cos = 1.0 / self.cos_R
         self.inv_q = 1.0 / self.q
-        a = profile.odd_coeffs
-        self.ca = a
-        self.cb = tuple((2 * k + 1) * a[k] for k in range(len(a)))
+        self.ca = profile.odd_coeffs
+        self.cb = profile.hp_table
         self.sc = _s_poly_coeffs(profile, self.c)
 
-    # r_c and pi - r_c bracket the latitude band.
-    def band(self) -> tuple[float, float]:
-        return self.rc, math.pi - self.rc
+    def v2_du(self, cu, su):
+        """(v2, dv2/du) at the phase with cosine cu and sine su.
 
-    def _y2(self, r: float) -> float:
-        val = math.sin(r - self.rc) * math.sin((math.pi - self.rc) - r)
-        return val if val > 0.0 else 0.0
+        With x = cos R cos u, q = cos^2 R and s = sin^2 u,
 
-    def point(self, r: float, branch: int) -> tuple[float, float]:
-        x = math.cos(r)
+            v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s; q)],
+
+        S the reduced h'' sum of jacobi._s_poly_coeffs.  Arithmetic only, so
+        cu and su may be floats or numpy arrays alike.
+        """
+        q, cos_r = self.q, self.cos_R
+        x = cos_r * cu
         x2 = x * x
-        y2 = self._y2(r)
-        y = math.sqrt(y2)
-        h = x * _horner(self.ca, x2) if self.ca else 0.0
-        hp = _horner(self.cb, x2) if self.cb else 0.0
-        psi = y2 * y * _horner(self.sc, y2 * self.inv_q) if self.sc else 0.0
-        v2 = -((1.0 + h) * x + y2 * hp + y * psi) * self.inv_q
-        return branch * y * self.inv_cos, v2
-
-    def point_tangent(self, r: float, branch: int):
-        """(v1, v2, dv1/dr, dv2/dr); requires interior r (y > 0)."""
-        x = math.cos(r)
-        sr = math.sin(r)
-        x2 = x * x
-        y2 = self._y2(r)
-        y = math.sqrt(y2)
-        h = x * _horner(self.ca, x2) if self.ca else 0.0
-        hp = _horner(self.cb, x2) if self.cb else 0.0
-        s_val = _horner(self.sc, y2 * self.inv_q) if self.sc else 0.0
-        psi = y2 * y * s_val
-        n_of_x = 1.0 + h - x * hp
-        v1 = branch * y * self.inv_cos
-        v2 = -((1.0 + h) * x + y2 * hp + y * psi) * self.inv_q
-        v1d = branch * sr * x / y * self.inv_cos
-        v2d = (sr * n_of_x - sr * x * psi / y) * self.inv_q
-        return v1, v2, v1d, v2d
-
-    def phase(self, r: float, branch: int) -> float:
-        """Signed phase u of the curve point (r, branch): cos r = cos R cos|u|,
-        branch = sign(u)."""
-        return branch * math.atan2(math.sqrt(self._y2(r)), math.cos(r))
+        s = su * su
+        h = x * _horner(self.ca, x2)
+        hp, hp_w, _ = _horner_jet(self.cb, x2)
+        sv, sv_s, _ = _horner_jet(self.sc, s)
+        v2 = -((1.0 + h) * x * self.inv_q + s * hp + q * s * s * sv)
+        # d/du with x_u = -cos R sin u, s_u = 2 sin u cos u, h'' = 2x dh'/dw.
+        v2_u = su * (cos_r * ((1.0 + h + x * hp) * self.inv_q + 2.0 * s * x * hp_w)
+                     - 2.0 * cu * (hp + q * s * (2.0 * sv + s * sv_s)))
+        return v2, v2_u
 
     def jet(self, u: float):
         """(P, P_u, P_uu, P_R, P_uR) of the curve in the signed phase u.
 
-        With cos r = cos R cos u, branch = sign(u), x = cos R cos u,
-        q = cos^2 R and s = sin^2 u the curve reads
-
-            v1 = sin u,
-            v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s; q)],
-
-        so v1 does not depend on R and the jet is regular at the glue points
-        u = 0 and u = +-pi.  R-derivatives are taken at fixed u.  Each entry
-        is a (v1, v2) pair.
+        v1 = sin u does not depend on R, and the jet is regular at the glue
+        points u = 0 and u = +-pi.  P and P_u come from ``v2_du``; the other
+        entries differentiate the same expression, R-derivatives at fixed u.
+        Each entry is a (v1, v2) pair.
         """
         cos_r, sin_r, q = self.cos_R, self.c, self.q
         cu, su = math.cos(u), math.sin(u)
+        v2, v2_u = self.v2_du(cu, su)
         x = cos_r * cu
         x_u, x_uu = -cos_r * su, -x
         x_r, x_ur = -sin_r * cu, sin_r * su
@@ -576,8 +549,6 @@ class CurveEval:
         t_q = s * s * sq
         t_sq = 2.0 * s * sq + s * s * sq_s
 
-        v2 = -(a / q + s * hp + q * t)
-        v2_u = -(a_x * x_u / q + s_u * hp + s * hpp * x_u + q * t_s * s_u)
         v2_uu = -((a_xx * x_u * x_u + a_x * x_uu) / q + s_uu * hp
                   + 2.0 * s_u * hpp * x_u + s * (hppp * x_u * x_u + hpp * x_uu)
                   + q * (t_ss * s_u * s_u + t_s * s_uu))
@@ -589,143 +560,133 @@ class CurveEval:
         return (su, v2), (cu, v2_u), (-su, v2_uu), (0.0, v2_r), (0.0, v2_ur)
 
     def endpoint_values(self) -> tuple[float, float]:
-        """v2 at the glue points r_c (bottom, < 0) and pi - r_c (top, > 0)."""
-        return self.point(self.rc, +1)[1], self.point(math.pi - self.rc, +1)[1]
+        """v2 at the glue points u = 0 (bottom, < 0) and u = pi (top, > 0)."""
+        return self.v2_du(1.0, 0.0)[0], self.v2_du(-1.0, 0.0)[0]
 
-    def newton_ray(self, v1: float, v2: float, branch: int, r0: float,
-                   iters: int = 24):
-        """Newton solve of cross(v, P(r)) = 0 from a warm start; None on failure."""
-        lo, hi = self.band()
-        margin = 1e-12 * math.pi
-        lo += margin
-        hi -= margin
-        r = min(max(r0, lo), hi)
-        scale = math.hypot(v1, v2)
+    def newton_ray(self, v1: float, v2: float, u0: float, iters: int = 24):
+        """Newton solve of cross(v, P(u)) = 0 on the half-curve u in [0, pi]
+        (v1 > 0) from a warm start u0; (scale, u_star) or None on failure."""
+        u = min(max(u0, 0.0), math.pi)
         for _ in range(iters):
-            p1, p2, t1, t2 = self.point_tangent(r, branch)
-            g = v1 * p2 - v2 * p1
-            gp = v1 * t2 - v2 * t1
-            if gp == 0.0:
+            su, cu = math.sin(u), math.cos(u)
+            p2, t2 = self.v2_du(cu, su)
+            slope = v1 * t2 - v2 * cu
+            if slope == 0.0:
                 return None
-            step = g / gp
-            r_new = min(max(r - step, lo), hi)
-            if abs(r_new - r) <= 1e-14 * (1.0 + abs(r)):
-                r = r_new
+            u_new = min(max(u - (v1 * p2 - v2 * su) / slope, 0.0), math.pi)
+            if abs(u_new - u) <= 1e-14 * (1.0 + u):
+                u = u_new
                 break
-            r = r_new
-        p1, p2 = self.point(r, branch)
+            u = u_new
+        p1 = math.sin(u)
+        p2 = self.v2_du(math.cos(u), p1)[0]
         dot = v1 * p1 + v2 * p2
         rad = math.hypot(p1, p2)
-        if dot <= 0.0 or abs(v1 * p2 - v2 * p1) > 1e-11 * scale * rad:
+        if dot <= 0.0 or abs(v1 * p2 - v2 * p1) > 1e-11 * math.hypot(v1, v2) * rad:
             return None
-        return dot / (rad * rad), r
+        return dot / (rad * rad), u
 
-    def solve_ray(self, v1: float, v2: float, seed_r: float | None = None
-                  ) -> tuple[float, float, int]:
+    def solve_ray(self, v1: float, v2: float, seed_u: float | None = None
+                  ) -> tuple[float, float]:
         """Crossing of the ray through (v1, v2) with the curve.
 
-        Returns (scale, r_star, branch) with (v1, v2) = scale * point.  The
-        near-vertical rays resolve to the glue points directly (the curve is
-        symmetric about the v2 axis, so they are exact extrema of the ray
-        angle).  A warm start, when supplied, skips the bracket scan.
+        Returns (scale, u_star) with (v1, v2) = scale * P(u_star).  A warm
+        start, when supplied, skips the bracket scan.  Both solves run on the
+        ray mirrored onto v1 > 0, i.e. on u in [0, pi], and the mirror image
+        of P(u) is P(-u); the seed is mirrored with it, so a root that just
+        crossed the v2 axis still seeds the next solve well.
         """
         norm = math.hypot(v1, v2)
-        if norm == 0.0:
-            raise DomainError("the zero vector has no ray")
-        bottom, top = self.endpoint_values()
+        if not 0.0 < norm < math.inf:    # NaN fails as well
+            raise DomainError(f"no ray through ({v1}, {v2}): need a finite nonzero vector")
         if abs(v1) <= 1e-9 * norm:
+            bottom, top = self.endpoint_values()
             if v2 < 0:
-                return v2 / bottom, self.rc, +1
-            return v2 / top, math.pi - self.rc, +1
-        branch = +1 if v1 > 0 else -1
-        if seed_r is not None:
-            hit = self.newton_ray(v1, v2, branch, seed_r)
+                return v2 / bottom, 0.0
+            return v2 / top, math.pi
+        sign = 1.0 if v1 > 0 else -1.0
+        if seed_u is not None:
+            hit = self.newton_ray(sign * v1, v2, abs(seed_u))
             if hit is not None:
-                return hit[0], hit[1], branch
-        return self._bracket_solve(v1, v2, branch)
+                return hit[0], sign * hit[1]
+        scale, u_star = self._bracket_solve(sign * v1, v2)
+        return scale, sign * u_star
 
-    def _bracket_solve(self, v1, v2, branch):
+    def _bracket_solve(self, v1, v2):
         # Cold solves delegate to the sampled cache at the same chart value.
-        return curve_cache(self.profile, self.R)._bracket_solve(v1, v2, branch)
+        return curve_cache(self.profile, self.R)._bracket_solve(v1, v2)
 
 
 class IndicatrixCurveCache(CurveEval):
     """CurveEval plus a phase-uniform sampling used for cold bracket scans."""
 
-    __slots__ = ("r_grid", "v1_grid", "v2_grid")
+    __slots__ = ("u_grid", "v1_grid", "v2_grid")
 
     GRID = 96
 
     def __init__(self, profile: ZollProfile, R: float):
         super().__init__(profile, R)
-        cos_rc = math.cos(self.rc)
-        u = np.linspace(0.0, math.pi, self.GRID)
-        r = np.arccos(np.clip(cos_rc * np.cos(u), -1.0, 1.0))
-        r[0], r[-1] = self.rc, math.pi - self.rc
-        self.r_grid = r
-        self.v2_grid = _curve_v2_array(profile, R, r)
-        # v1 = sin u exactly; sqrt(band_radicand) is off by ~1e-7 at the glue
-        # points near the chart rim, where asin(sin R) != |R|.
-        self.v1_grid = np.sin(u)
+        self.u_grid = np.linspace(0.0, math.pi, self.GRID)
+        self.v1_grid = np.sin(self.u_grid)
+        self.v2_grid = self.v2_du(np.cos(self.u_grid), self.v1_grid)[0]
 
-    def _bracket_solve(self, v1, v2, branch):
+    def _bracket_solve(self, v1, v2):
+        """Cold solve on the half-curve u in [0, pi] (v1 > 0): scan the grid
+        for sign changes of the cross product, refine each, and keep the
+        farthest crossing on the ray's side."""
         from .errors import NoBracketError  # local import to avoid cycles
 
-        p1 = branch * self.v1_grid
-        cross = v1 * self.v2_grid - v2 * p1
-        dots = v1 * p1 + v2 * self.v2_grid
+        cross = v1 * self.v2_grid - v2 * self.v1_grid
+        dots = v1 * self.v1_grid + v2 * self.v2_grid
         sign_change = np.nonzero((np.sign(cross[:-1]) * np.sign(cross[1:]) <= 0)
                                  & ((dots[:-1] > 0) | (dots[1:] > 0)))[0]
         best = None
         for i in sign_change:
-            r_star = self._refine(v1, v2, branch,
-                                  float(self.r_grid[i]), float(self.r_grid[i + 1]))
-            p = self.point(r_star, branch)
-            dot = v1 * p[0] + v2 * p[1]
+            u = self._refine(v1, v2, float(self.u_grid[i]), float(self.u_grid[i + 1]))
+            p1 = math.sin(u)
+            p2 = self.v2_du(math.cos(u), p1)[0]
+            dot = v1 * p1 + v2 * p2
             if dot <= 0:
                 continue
-            rad2 = p[0] * p[0] + p[1] * p[1]
+            rad2 = p1 * p1 + p2 * p2
             if best is None or rad2 > best[0]:
-                best = (rad2, r_star, p)
+                best = (rad2, dot, u)
         if best is None:
             raise NoBracketError(
-                f"ray through ({v1}, {v2}) misses the indicatrix at R={self.R}")
-        rad2, r_star, p = best
-        return (v1 * p[0] + v2 * p[1]) / rad2, r_star, branch
+                f"ray through (+-{v1}, {v2}) misses the indicatrix at R={self.R}")
+        rad2, dot, u = best
+        return dot / rad2, u
 
-    def _refine(self, v1, v2, branch, lo, hi, iters=80):
-        """Safeguarded Newton on cross(v, P(r)) = 0 inside the bracket [lo, hi]."""
-        def g(r):
-            p = self.point(r, branch)
-            return v1 * p[1] - v2 * p[0]
+    def _refine(self, v1, v2, lo, hi, iters=80):
+        """Safeguarded Newton on cross(v, P(u)) = 0 inside the bracket [lo, hi]."""
+        def g(u):
+            su, cu = math.sin(u), math.cos(u)
+            p2, t2 = self.v2_du(cu, su)
+            return v1 * p2 - v2 * su, v1 * t2 - v2 * cu
 
-        glo = g(lo)
-        r = 0.5 * (lo + hi)
-        margin = 1e-12 * math.pi
+        glo = g(lo)[0]
+        u = 0.5 * (lo + hi)
         for _ in range(iters):
-            gr = g(r)
-            if gr == 0.0:
-                return r
-            if (glo < 0) == (gr < 0):
-                lo, glo = r, gr
+            gu, slope = g(u)
+            if gu == 0.0:
+                return u
+            if (glo < 0) == (gu < 0):
+                lo, glo = u, gu
             else:
-                hi = r
+                hi = u
             step_ok = False
-            r_int = min(max(r, self.rc + margin), math.pi - self.rc - margin)
-            _, _, t1, t2 = self.point_tangent(r_int, branch)
-            slope = v1 * t2 - v2 * t1
             if slope != 0.0:
-                r_new = r - gr / slope
-                if lo < r_new < hi:
-                    if abs(r_new - r) < 1e-15 * (1.0 + abs(r)):
-                        return r_new
-                    r = r_new
+                u_new = u - gu / slope
+                if lo < u_new < hi:
+                    if abs(u_new - u) < 1e-15 * (1.0 + u):
+                        return u_new
+                    u = u_new
                     step_ok = True
             if not step_ok:
-                r = 0.5 * (lo + hi)
-            if hi - lo < 4e-16 * (1.0 + abs(r)):
-                return r
-        return r
+                u = 0.5 * (lo + hi)
+            if hi - lo < 4e-16 * (1.0 + u):
+                return u
+        return u
 
 
 @lru_cache(maxsize=512)

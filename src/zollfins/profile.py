@@ -14,7 +14,7 @@ everywhere; both are enforced at construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -51,9 +51,22 @@ class ZollProfile:
     """Coefficients (a_1, a_3, ...) of the odd deformation polynomial h."""
 
     odd_coeffs: tuple[float, ...]
+    #: Derived once from odd_coeffs, outside eq/hash: the coefficients in
+    #: w = x^2 of h'(x) and of h''(x)/x, and the polyval arrays of h/x, h'
+    #: and h''/x (a single zero for an identically vanishing polynomial).
+    hp_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    hpp_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, odd_coeffs: Iterable[float] = ()):
-        object.__setattr__(self, "odd_coeffs", tuple(float(a) for a in odd_coeffs))
+        a = tuple(float(ak) for ak in odd_coeffs)
+        hp = tuple((2 * k + 1) * a[k] for k in range(len(a)))
+        hpp = tuple(2.0 * (k + 1) * (2 * k + 3) * a[k + 1] for k in range(len(a) - 1))
+        object.__setattr__(self, "odd_coeffs", a)
+        object.__setattr__(self, "hp_table", hp)
+        object.__setattr__(self, "hpp_table", hpp)
+        object.__setattr__(self, "_arrays",
+                           tuple(np.asarray(t or (0.0,)) for t in (a, hp, hpp)))
         self._validate()
 
     # -- construction -----------------------------------------------------
@@ -118,8 +131,7 @@ class ZollProfile:
 
         b_{2k+1} = 2(k+1)(2k+3) a_{2k+3}.
         """
-        a = self.odd_coeffs
-        return tuple(2.0 * (k + 1) * (2 * k + 3) * a[k + 1] for k in range(len(a) - 1))
+        return self.hpp_table
 
     # -- evaluation (vectorized; Horner in x^2) -----------------------------
 
@@ -131,32 +143,20 @@ class ZollProfile:
     def h(self, x):
         self._check_domain(x)
         x = np.asarray(x, dtype=float)
-        out = x * np.polynomial.polynomial.polyval(x * x, self._c(0))
+        out = x * np.polynomial.polynomial.polyval(x * x, self._arrays[0])
         return out if out.ndim else float(out)
 
     def h_prime(self, x):
         self._check_domain(x)
         x = np.asarray(x, dtype=float)
-        out = np.polynomial.polynomial.polyval(x * x, self._c(1))
+        out = np.polynomial.polynomial.polyval(x * x, self._arrays[1])
         return out if out.ndim else float(out)
 
     def h_second(self, x):
         self._check_domain(x)
         x = np.asarray(x, dtype=float)
-        out = x * np.polynomial.polynomial.polyval(x * x, self._c(2))
+        out = x * np.polynomial.polynomial.polyval(x * x, self._arrays[2])
         return out if out.ndim else float(out)
-
-    def _c(self, which: int) -> np.ndarray:
-        a = self.odd_coeffs
-        if not a:
-            return np.zeros(1)
-        if which == 0:
-            return np.asarray(a)
-        if which == 1:
-            return np.asarray([(2 * k + 1) * a[k] for k in range(len(a))])
-        if len(a) == 1:
-            return np.zeros(1)
-        return np.asarray([2 * (k + 1) * (2 * k + 3) * a[k + 1] for k in range(len(a) - 1)])
 
 
 def _bisect_root(f, lo: float, hi: float, iters: int = 80) -> float:

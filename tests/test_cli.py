@@ -48,11 +48,17 @@ def test_non_finite_profile_exit_1(tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
-def test_bad_thread_count_exit_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZOLLFINS_THREADS", "abc")
-    assert main(["--h", "0.25,-0.25", "--out", str(tmp_path), "indicatrix",
-                 "--R", "0.3"]) == 1
-    assert "ZOLLFINS_THREADS" in capsys.readouterr().err
+def test_non_finite_arguments_exit_1(tmp_path, capsys):
+    """NaN or infinite numbers on the command line end in a typed error:
+    exit 1, a message, no traceback."""
+    for argv in (["geodesic", "--side", "zoll", "--c=nan"],
+                 ["geodesic", "--side", "zoll", "--c=nan", "--r0", "1.0"],
+                 ["geodesic", "--side", "finsler", "--dir=nan"],
+                 ["geodesic", "--side", "finsler", "--start=nan,0"],
+                 ["indicatrix", "--R=inf"]):
+        assert main(["--h", "0.25,-0.25", "--out", str(tmp_path)] + argv) == 1, argv
+        err = capsys.readouterr().err
+        assert "error" in err and "Traceback" not in err, argv
 
 
 # -- indicatrix --------------------------------------------------------------------
@@ -183,8 +189,7 @@ def test_unknown_config_key(tmp_path):
     assert main(["--config", str(cfg), "curvature"]) == 1
 
 
-def test_byte_determinism(tmp_path, monkeypatch):
-    monkeypatch.setenv("ZOLLFINS_THREADS", "2")
+def test_byte_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
         assert main(["--h", "0.45,-0.45", "--out", str(out), "indicatrix",

@@ -62,9 +62,19 @@ def test_zero_vector_rejected(ex1):
         finsler_F(ex1, 0.3, 0.0, (0.0, 0.0))
 
 
+def test_non_finite_vector_rejected(ex1):
+    """A NaN or infinite component gives no ray: DomainError, not a
+    NoBracketError (NaN) or a finite F (inf)."""
+    for v in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)):
+        with pytest.raises(DomainError):
+            finsler_F(ex1, 0.3, 0.0, v)
+
+
 def test_chart_guard(ex1):
     with pytest.raises(DomainError):
         finsler_F(ex1, math.pi / 2 - 1e-9, 0.0, (1.0, 0.0))
+    with pytest.raises(DomainError):
+        finsler_F(ex1, math.nan, 0.0, (1.0, 0.0))
 
 
 # -- the algebraic oracle -----------------------------------------------------------
@@ -308,13 +318,12 @@ def test_trace_apex_matches_correspondence(ex1):
     the indicatrix curve crosses the v2 = 0 axis: the trajectory enumerates
     the unit vectors at one fixed surface point, and the largest reachable
     |R| is the turning latitude of the steepest of those directions."""
-    from zollfins.moduli import curve_cache
+    from zollfins.moduli import indicatrix_regularized
     R0 = 1.4
-    cache = curve_cache(ex1, R0)
     lo, hi = R0, math.pi - R0
     for _ in range(60):         # bisect v2(r) = 0 across the band
         mid = 0.5 * (lo + hi)
-        if cache.point(mid, +1)[1] > 0:
+        if indicatrix_regularized(ex1, R0, mid, +1).v2 > 0:
             hi = mid
         else:
             lo = mid

@@ -35,6 +35,17 @@ def test_turning_latitude():
         turning_latitude(1.1)
 
 
+def test_non_finite_clairaut_constant_rejected(ex1):
+    """NaN fails the |c| <= 1 checks instead of slipping through min(1, nan),
+    which made closure_integrals(p, nan) return (pi, nan)."""
+    with pytest.raises(DomainError):
+        turning_latitude(math.nan)
+    with pytest.raises(DomainError):
+        closure_integrals(ex1, math.nan)
+    with pytest.raises(DomainError):
+        GeodesicState(1.0, 0.0, math.nan, +1)
+
+
 def test_state_validation():
     GeodesicState(math.pi / 2, 0.0, 1.0, +1)
     with pytest.raises(BandError):

@@ -321,10 +321,11 @@ def test_coords_meridian_limit(ex1_strong):
 # -- the phase jet behind the closed-form Finsler tensor ----------------------------
 
 def _point_at_phase(prof, R, u):
-    """Curve point at signed phase u through CurveEval.point (latitude route)."""
-    from zollfins.moduli import CurveEval
+    """Curve point at signed phase u through the latitude-form regularized
+    route, independent of the phase kernel."""
     r = math.acos(math.cos(R) * math.cos(u))
-    return np.array(CurveEval(prof, R).point(r, +1 if u >= 0 else -1))
+    s = indicatrix_regularized(prof, R, r, +1 if u >= 0 else -1)
+    return np.array([s.v1, s.v2])
 
 
 @pytest.mark.parametrize("R", [-0.9, 0.0, 0.3, 1.2])
@@ -368,3 +369,28 @@ def test_phase_jet_regular_at_glue_points(ex2):
         parity = np.array([1.0, -1.0, 1.0, 1.0, -1.0])[:, None]
         mirrored = parity * plus * np.array([-1.0, 1.0])
         assert np.allclose(minus, mirrored, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("R", [0.3, 1.2, 1.5600000100725198])
+def test_ray_root_lies_on_ray_near_glue_points(all_good, R):
+    """Nearly vertical rays: the phase root the solver returns is the jet
+    point the spray uses, to rounding.  A root found in the latitude and
+    converted to u was off by up to 1.4e-8 rad here."""
+    from zollfins.moduli import curve_cache
+    for prof in all_good:
+        curve = curve_cache(prof, R)
+        for v1 in (1e-3, 1e-5, 1e-7, 3e-9):
+            for v1s, v2 in ((v1, 1.0), (v1, -1.0), (-v1, 1.0), (-v1, -1.0)):
+                _, u_star = curve.solve_ray(v1s, v2)
+                p1, p2 = curve.jet(u_star)[0]
+                angle = math.atan2(abs(v1s * p2 - v2 * p1), v1s * p1 + v2 * p2)
+                assert angle <= 1e-14, (v1s, v2, angle)
+
+
+def test_indicatrix_curve_glue_samples_on_axis():
+    """Both glue samples sit on the v2 axis, also near the chart rim where
+    asin(sin R) and |R| differ in the last digits."""
+    from zollfins import example1
+    curve = indicatrix_curve(example1(0.25), 1.5600000100725198, 64)
+    assert curve[0].v1 == 0.0
+    assert curve[63].v1 == 0.0
