@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -100,7 +99,6 @@ def _phase(c: float, r: float) -> float:
 
 # -- the h'' integral Psi -----------------------------------------------------
 
-@lru_cache(maxsize=512)
 def _s_poly_coeffs(profile: ZollProfile, c: float,
                    d_dq: bool = False) -> tuple[float, ...]:
     """Coefficients (in w = (sin^2 r - c^2)/cos^2 r_c) of the reduced sum S with

@@ -83,7 +83,7 @@ from .geodesics import GeodesicState, band_radicand, turning_latitude
 from .jacobi import (EQUATOR_GUARD, _s_poly_coeffs, curvature_integral,
                      curvature_integral_full, curvature_integral_tail,
                      hpp_integral, hpp_integral_quad)
-from .profile import ZollProfile, curvature_x
+from .profile import ZollProfile, curvature_x, horner, horner_jet
 from .quadrature import gl_refined
 
 TWO_PI = 2.0 * math.pi
@@ -444,23 +444,6 @@ def implicit_residual(profile: ZollProfile, R: float, v1, v2):
 
 # -- fast closed-form curve evaluation (shared with the finsler module) ---------
 
-def _horner(coeffs: tuple[float, ...], u: float) -> float:
-    acc = 0.0
-    for a in reversed(coeffs):
-        acc = acc * u + a
-    return acc
-
-
-def _horner_jet(coeffs: tuple[float, ...], w: float) -> tuple[float, float, float]:
-    """(p, p', p'') of the polynomial with ascending ``coeffs`` at w."""
-    p = dp = ddp = 0.0
-    for a in reversed(coeffs):
-        ddp = ddp * w + 2.0 * dp
-        dp = dp * w + p
-        p = p * w + a
-    return p, dp, ddp
-
-
 class CurveEval:
     """Scalar closed-form evaluation of the indicatrix at one chart value.
 
@@ -505,9 +488,9 @@ class CurveEval:
         x = cos_r * cu
         x2 = x * x
         s = su * su
-        h = x * _horner(self.ca, x2)
-        hp, hp_w, _ = _horner_jet(self.cb, x2)
-        sv, sv_s, _ = _horner_jet(self.sc, s)
+        h = x * horner(self.ca, x2)
+        hp, hp_w, _ = horner_jet(self.cb, x2)
+        sv, sv_s, _ = horner_jet(self.sc, s)
         v2 = -((1.0 + h) * x * self.inv_q + s * hp + q * s * s * sv)
         # d/du with x_u = -cos R sin u, s_u = 2 sin u cos u, h'' = 2x dh'/dw.
         v2_u = su * (cos_r * ((1.0 + h + x * hp) * self.inv_q + 2.0 * s * x * hp_w)
@@ -533,16 +516,16 @@ class CurveEval:
         s_u, s_uu = 2.0 * su * cu, 2.0 * (cu * cu - s)
 
         x2 = x * x
-        h = x * _horner(self.ca, x2)
-        hp, hp_w, hp_ww = _horner_jet(self.cb, x2)
+        h = x * horner(self.ca, x2)
+        hp, hp_w, hp_ww = horner_jet(self.cb, x2)
         # h' is a polynomial in w = x^2: h'' = 2x dh'/dw, h''' = 2 dh'/dw + 4w d2h'/dw2.
         hpp = 2.0 * x * hp_w
         hppp = 2.0 * hp_w + 4.0 * x2 * hp_ww
         a = (1.0 + h) * x
         a_x = 1.0 + h + x * hp
         a_xx = 2.0 * hp + x * hpp
-        sv, sv_s, sv_ss = _horner_jet(self.sc, s)
-        sq, sq_s, _ = _horner_jet(_s_poly_coeffs(self.profile, self.c, d_dq=True), s)
+        sv, sv_s, sv_ss = horner_jet(self.sc, s)
+        sq, sq_s, _ = horner_jet(_s_poly_coeffs(self.profile, self.c, d_dq=True), s)
         t = s * s * sv                                   # T = s^2 S
         t_s = 2.0 * s * sv + s * s * sv_s
         t_ss = 2.0 * sv + 4.0 * s * sv_s + s * s * sv_ss

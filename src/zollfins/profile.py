@@ -133,30 +133,57 @@ class ZollProfile:
         """
         return self.hpp_table
 
-    # -- evaluation (vectorized; Horner in x^2) -----------------------------
+    # -- evaluation (Horner in x^2) --------------------------------------------
+    # A Python float takes plain scalar Horner on the tables, array input
+    # numpy polyval on the same coefficients; both give the same bits.
 
     def _check_domain(self, x):
         # Written so that NaN fails the test (no separate isfinite pass).
-        if not np.max(np.abs(x)) <= 1.0 + X_DOMAIN_TOL:
+        bound = abs(x) if type(x) is float else np.max(np.abs(x))
+        if not bound <= 1.0 + X_DOMAIN_TOL:
             raise DomainError(f"profile argument outside [-1, 1]: {x!r}")
 
     def h(self, x):
         self._check_domain(x)
+        if type(x) is float:
+            return x * horner(self.odd_coeffs, x * x)
         x = np.asarray(x, dtype=float)
         out = x * np.polynomial.polynomial.polyval(x * x, self._arrays[0])
         return out if out.ndim else float(out)
 
     def h_prime(self, x):
         self._check_domain(x)
+        if type(x) is float:
+            return horner(self.hp_table, x * x)
         x = np.asarray(x, dtype=float)
         out = np.polynomial.polynomial.polyval(x * x, self._arrays[1])
         return out if out.ndim else float(out)
 
     def h_second(self, x):
         self._check_domain(x)
+        if type(x) is float:
+            return x * horner(self.hpp_table, x * x)
         x = np.asarray(x, dtype=float)
         out = x * np.polynomial.polynomial.polyval(x * x, self._arrays[2])
         return out if out.ndim else float(out)
+
+
+def horner(coeffs: tuple[float, ...], w):
+    """The polynomial with ascending ``coeffs`` at w (a float or an array)."""
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * w + a
+    return acc
+
+
+def horner_jet(coeffs: tuple[float, ...], w):
+    """(p, p', p'') of the polynomial with ascending ``coeffs`` at w."""
+    p = dp = ddp = 0.0
+    for a in reversed(coeffs):
+        ddp = ddp * w + 2.0 * dp
+        dp = dp * w + p
+        p = p * w + a
+    return p, dp, ddp
 
 
 def _bisect_root(f, lo: float, hi: float, iters: int = 80) -> float:

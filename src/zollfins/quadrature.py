@@ -1,13 +1,17 @@
 """Gauss-Legendre quadrature helpers.
 
 Everything here is deterministic: fixed node sets, a fixed escalation
-ladder, no randomness.  Integrands are expected to accept ndarray input.
+ladder, no randomness.  Integrands take an ndarray of nodes and must act
+elementwise: :func:`gl_refined` passes the nodes of all its panels in one
+flat array, in a single call.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -81,37 +85,56 @@ def gl_refined(
     peak just beyond (or at) a refined endpoint.  Panel widths halve toward
     the refined end, so every panel sees the nearest singularity at a distance
     comparable to its own width and fixed-order Gauss-Legendre converges to
-    machine precision on each panel.
+    machine precision on each panel.  Refining both ends splits [a, b] at its
+    midpoint and refines each half toward its own end.
+
+    The Gauss-Legendre nodes of all panels go to ``f`` in one flat array, in
+    a single call, so ``f`` must act elementwise.  The panel estimates are
+    then added one by one in panel order, outward from the unrefined end
+    (each half on its own when both ends are refined).
     """
     if a == b:
         return 0.0
     if b < a:
         return -gl_refined(f, b, a, refine_a=refine_b, refine_b=refine_a,
                            order=order, min_width=min_width)
-    if refine_a and refine_b:
-        mid = 0.5 * (a + b)
-        return (gl_refined(f, a, mid, refine_a=True, order=order, min_width=min_width)
-                + gl_refined(f, mid, b, refine_b=True, order=order, min_width=min_width))
     if not (refine_a or refine_b):
         return gl_fixed(f, a, b, order)
+    if refine_a and refine_b:
+        mid = 0.5 * (a + b)
+        pieces = [_dyadic_panels(a, mid, False, min_width),
+                  _dyadic_panels(mid, b, True, min_width)]
+    else:
+        pieces = [_dyadic_panels(a, b, refine_b, min_width)]
 
+    lo, hi = np.concatenate(pieces).T
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x, w = _leggauss(order)
+    nodes = mid[:, None] + half[:, None] * x
+    estimates = iter((half * (f(nodes.ravel()).reshape(nodes.shape) @ w)).tolist())
+    total = 0.0
+    for piece in pieces:
+        total += reduce(operator.add, islice(estimates, len(piece)), 0.0)
+    return total
+
+
+def _dyadic_panels(a: float, b: float, toward_b: bool, min_width: float) -> np.ndarray:
+    """(left, right) rows of the panels that refine [a, b] toward one end.
+
+    The breakpoints sit at the fractions 0.5**k of the length from the
+    refined end, k = 1 .. levels; the rows run outward from the unrefined
+    end.  Panels of zero width (rounding, far from the origin) are dropped.
+    """
+    if a == b:
+        return np.empty((0, 2))
     length = b - a
     levels = max(4, int(math.ceil(math.log2(length / min_width))))
-    # Breakpoints accumulate toward the refined endpoint.
-    fracs = [0.5 ** k for k in range(1, levels + 1)]
-    total = 0.0
-    if refine_b:
-        left = a
-        for frac in fracs:
-            right = b - length * frac
-            total += gl_fixed(f, left, right, order)
-            left = right
-        total += gl_fixed(f, left, b, order)
+    offsets = length * 0.5 ** np.arange(1, levels + 1)
+    if toward_b:
+        cuts = np.concatenate(([a], b - offsets, [b]))
+        edges = np.column_stack((cuts[:-1], cuts[1:]))
     else:
-        right = b
-        for frac in fracs:
-            left = a + length * frac
-            total += gl_fixed(f, left, right, order)
-            right = left
-        total += gl_fixed(f, a, right, order)
-    return total
+        cuts = np.concatenate(([b], a + offsets, [a]))
+        edges = np.column_stack((cuts[1:], cuts[:-1]))
+    return edges[edges[:, 0] != edges[:, 1]]

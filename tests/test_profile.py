@@ -96,6 +96,25 @@ def test_domain_error():
             gauss_curvature(prof, x)
 
 
+@pytest.mark.parametrize("method", ["h", "h_prime", "h_second"])
+def test_float_path_matches_array_path(sphere, ex1, ex2, method):
+    xs = np.linspace(-1.0, 1.0, 1001)
+    for prof in (sphere, ex1, ex2):
+        f = getattr(prof, method)
+        scalar = [f(float(x)) for x in xs]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(np.array(scalar), f(xs))
+
+
+@pytest.mark.parametrize("method", ["h", "h_prime", "h_second"])
+def test_float_path_domain_error(ex1, method):
+    f = getattr(ex1, method)
+    for x in (math.nan, 1.0 + 2e-12, -1.0 - 2e-12, math.inf):
+        with pytest.raises(DomainError):
+            f(x)
+    assert f(1.0 + 0.5e-12) == f(np.array([1.0 + 0.5e-12]))[0]
+
+
 def test_derivative_values(ex1, ex2):
     hp, hpp = eval_h_derivs(ex1, 0.0)
     assert hp == pytest.approx(0.25, abs=1e-15)       # eps (1 - 3 x^2) at 0

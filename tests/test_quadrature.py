@@ -1,0 +1,137 @@
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from zollfins import example1, example2, turning_latitude
+from zollfins.jacobi import _phase, curvature_integral, curvature_integral_tail
+from zollfins.quadrature import gl_fixed, gl_refined
+
+
+def serial_refined(f, a, b, refine_a=False, refine_b=False, order=48, min_width=1e-13):
+    """Oracle: one gl_fixed call per dyadic panel, added in loop order."""
+    if a == b:
+        return 0.0
+    if b < a:
+        return -serial_refined(f, b, a, refine_b, refine_a, order, min_width)
+    if refine_a and refine_b:
+        mid = 0.5 * (a + b)
+        return (serial_refined(f, a, mid, True, False, order, min_width)
+                + serial_refined(f, mid, b, False, True, order, min_width))
+    if not (refine_a or refine_b):
+        return gl_fixed(f, a, b, order)
+    length = b - a
+    levels = max(4, int(math.ceil(math.log2(length / min_width))))
+    fracs = [0.5 ** k for k in range(1, levels + 1)]
+    total = 0.0
+    if refine_b:
+        left = a
+        for frac in fracs:
+            right = b - length * frac
+            total += gl_fixed(f, left, right, order)
+            left = right
+        total += gl_fixed(f, left, b, order)
+    else:
+        right = b
+        for frac in fracs:
+            left = a + length * frac
+            total += gl_fixed(f, left, right, order)
+            right = left
+        total += gl_fixed(f, a, right, order)
+    return total
+
+
+A, B, GAP = 0.2, 1.3, 1e-9
+
+
+def double_poles(u):
+    """Double poles GAP beyond both ends of [A, B], times a smooth factor."""
+    return np.cos(u) * (1.0 / (B + GAP - u) ** 2 + 1.0 / (u - A + GAP) ** 2)
+
+
+CASES = [
+    (A, B, True, False),
+    (A, B, False, True),
+    (A, B, True, True),
+    (B, A, True, False),
+    (B, A, False, True),
+    (B, A, True, True),
+    (A, A, False, True),
+    (A, A, True, True),
+]
+
+
+@pytest.mark.parametrize("a, b, refine_a, refine_b", CASES)
+def test_gl_refined_matches_serial_panel_loop(a, b, refine_a, refine_b):
+    for order in (48, 64):
+        got = gl_refined(double_poles, a, b, refine_a=refine_a, refine_b=refine_b,
+                         order=order)
+        want = serial_refined(double_poles, a, b, refine_a, refine_b, order)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_gl_refined_exact_double_pole():
+    # int_a^b du / (p - u)^2 = 1/(p - b) - 1/(p - a), with p the float pole;
+    # p - b and p - a are exact in floating point.  The pole stays 1e-3 away,
+    # as in the curvature integral near the equator: rounding the nodes to
+    # floats near a closer pole costs more than the rule's own error.
+    pole = B + 1e-3
+    exact = 1.0 / (pole - B) - 1.0 / (pole - A)
+    got = gl_refined(lambda u: 1.0 / (pole - u) ** 2, A, B, refine_b=True)
+    assert got == pytest.approx(exact, rel=1e-13)
+    got = gl_refined(lambda u: 1.0 / (pole - u) ** 2, B, A, refine_a=True)
+    assert got == pytest.approx(-exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("a, b, refine_a, refine_b", CASES[:6])
+def test_gl_refined_calls_integrand_once(a, b, refine_a, refine_b):
+    calls = []
+
+    def counting(u):
+        calls.append(u.shape)
+        return double_poles(u)
+
+    gl_refined(counting, a, b, refine_a=refine_a, refine_b=refine_b)
+    assert len(calls) == 1
+    assert len(calls[0]) == 1 and calls[0][0] % 48 == 0
+
+
+# -- the curvature integral Phi against a 30-digit reference ---------------------
+
+def mp_phi(profile, c, u_lo, u_hi):
+    """int of [(1 + h(z)) - z h'(z)] / (cos r_c cos u)^2, z = cos r_c cos u, at 30
+    digits, over the same float phase interval the double route integrates."""
+    with mpmath.workdps(30):
+        coeffs = [mpmath.mpf(a) for a in profile.odd_coeffs]
+        cos_rc = mpmath.mpf(math.cos(turning_latitude(c)))
+
+        def f(u):
+            z = cos_rc * mpmath.cos(u)
+            h = sum(a * z ** (2 * k + 1) for k, a in enumerate(coeffs))
+            hp = sum((2 * k + 1) * a * z ** (2 * k) for k, a in enumerate(coeffs))
+            return (1 + h - z * hp) / (cos_rc * mpmath.cos(u)) ** 2
+
+        lo, hi = mpmath.mpf(u_lo), mpmath.mpf(u_hi)
+        # Break points halve their distance toward the double pole at pi/2.
+        steps = [(hi - lo) * mpmath.mpf(2) ** -k for k in range(1, 13)]
+        if hi < mpmath.pi / 2:
+            inner = [hi - s for s in steps]
+        else:
+            inner = [lo + s for s in steps]
+        return mpmath.quad(f, sorted([lo, hi] + inner))
+
+
+@pytest.mark.parametrize("profile", [example1(0.25), example2()], ids=["ex1", "ex2"])
+@pytest.mark.parametrize("c", [0.3, 0.7])
+@pytest.mark.parametrize("gap", [1e-3, 2e-4])
+def test_curvature_integral_matches_mpmath(profile, c, gap):
+    r = math.pi / 2 - gap
+    want = mp_phi(profile, c, 0.0, _phase(c, r))
+    got = curvature_integral(profile, c, r)
+    assert abs(got - float(want)) <= 1e-13 * abs(float(want))
+
+    r = math.pi / 2 + gap
+    want = mp_phi(profile, c, _phase(c, r), math.pi)
+    got = curvature_integral_tail(profile, c, r)
+    assert abs(got - float(want)) <= 1e-13 * abs(float(want))
