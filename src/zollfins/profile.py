@@ -52,11 +52,9 @@ class ZollProfile:
 
     odd_coeffs: tuple[float, ...]
     #: Derived once from odd_coeffs, outside eq/hash: the coefficients in
-    #: w = x^2 of h'(x) and of h''(x)/x, and the polyval arrays of h/x, h'
-    #: and h''/x (a single zero for an identically vanishing polynomial).
+    #: w = x^2 of h'(x) and of h''(x)/x.
     hp_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
     hpp_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, odd_coeffs: Iterable[float] = ()):
         a = tuple(float(ak) for ak in odd_coeffs)
@@ -65,8 +63,6 @@ class ZollProfile:
         object.__setattr__(self, "odd_coeffs", a)
         object.__setattr__(self, "hp_table", hp)
         object.__setattr__(self, "hpp_table", hpp)
-        object.__setattr__(self, "_arrays",
-                           tuple(np.asarray(t or (0.0,)) for t in (a, hp, hpp)))
         self._validate()
 
     # -- construction -----------------------------------------------------
@@ -133,44 +129,36 @@ class ZollProfile:
         """
         return self.hpp_table
 
-    # -- evaluation (Horner in x^2) --------------------------------------------
-    # A Python float takes plain scalar Horner on the tables, array input
-    # numpy polyval on the same coefficients; both give the same bits.
+    # -- evaluation (Horner in x^2, on a float or an array) --------------------
 
     def _check_domain(self, x):
+        """x as a float (any scalar input) or a float array, checked in [-1, 1]."""
+        if type(x) is not float:
+            x = np.asarray(x, dtype=float)
+            if not x.ndim:
+                x = float(x)
         # Written so that NaN fails the test (no separate isfinite pass).
         bound = abs(x) if type(x) is float else np.max(np.abs(x))
         if not bound <= 1.0 + X_DOMAIN_TOL:
             raise DomainError(f"profile argument outside [-1, 1]: {x!r}")
+        return x
 
     def h(self, x):
-        self._check_domain(x)
-        if type(x) is float:
-            return x * horner(self.odd_coeffs, x * x)
-        x = np.asarray(x, dtype=float)
-        out = x * np.polynomial.polynomial.polyval(x * x, self._arrays[0])
-        return out if out.ndim else float(out)
+        x = self._check_domain(x)
+        return x * horner(self.odd_coeffs, x * x)
 
     def h_prime(self, x):
-        self._check_domain(x)
-        if type(x) is float:
-            return horner(self.hp_table, x * x)
-        x = np.asarray(x, dtype=float)
-        out = np.polynomial.polynomial.polyval(x * x, self._arrays[1])
-        return out if out.ndim else float(out)
+        x = self._check_domain(x)
+        return horner(self.hp_table, x * x)
 
     def h_second(self, x):
-        self._check_domain(x)
-        if type(x) is float:
-            return x * horner(self.hpp_table, x * x)
-        x = np.asarray(x, dtype=float)
-        out = x * np.polynomial.polynomial.polyval(x * x, self._arrays[2])
-        return out if out.ndim else float(out)
+        x = self._check_domain(x)
+        return x * horner(self.hpp_table, x * x)
 
 
 def horner(coeffs: tuple[float, ...], w):
     """The polynomial with ascending ``coeffs`` at w (a float or an array)."""
-    acc = 0.0
+    acc = 0.0 * w
     for a in reversed(coeffs):
         acc = acc * w + a
     return acc

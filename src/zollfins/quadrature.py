@@ -9,9 +9,7 @@ flat array, in a single call.
 from __future__ import annotations
 
 import math
-import operator
-from functools import lru_cache, reduce
-from itertools import islice
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -90,8 +88,8 @@ def gl_refined(
 
     The Gauss-Legendre nodes of all panels go to ``f`` in one flat array, in
     a single call, so ``f`` must act elementwise.  The panel estimates are
-    then added one by one in panel order, outward from the unrefined end
-    (each half on its own when both ends are refined).
+    then added one by one in panel order: outward from the unrefined end, or,
+    when both ends are refined, the left half's panels and then the right's.
     """
     if a == b:
         return 0.0
@@ -102,20 +100,19 @@ def gl_refined(
         return gl_fixed(f, a, b, order)
     if refine_a and refine_b:
         mid = 0.5 * (a + b)
-        pieces = [_dyadic_panels(a, mid, False, min_width),
-                  _dyadic_panels(mid, b, True, min_width)]
+        edges = np.concatenate((_dyadic_panels(a, mid, False, min_width),
+                                _dyadic_panels(mid, b, True, min_width)))
     else:
-        pieces = [_dyadic_panels(a, b, refine_b, min_width)]
+        edges = _dyadic_panels(a, b, refine_b, min_width)
 
-    lo, hi = np.concatenate(pieces).T
+    lo, hi = edges.T
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     x, w = _leggauss(order)
     nodes = mid[:, None] + half[:, None] * x
-    estimates = iter((half * (f(nodes.ravel()).reshape(nodes.shape) @ w)).tolist())
     total = 0.0
-    for piece in pieces:
-        total += reduce(operator.add, islice(estimates, len(piece)), 0.0)
+    for estimate in (half * (f(nodes.ravel()).reshape(nodes.shape) @ w)).tolist():
+        total += estimate
     return total
 
 

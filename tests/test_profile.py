@@ -104,6 +104,11 @@ def test_float_path_matches_array_path(sphere, ex1, ex2, method):
         scalar = [f(float(x)) for x in xs]
         assert all(type(v) is float for v in scalar)
         assert np.array_equal(np.array(scalar), f(xs))
+        # Same bits as numpy's polyval on the coefficient tables.
+        table, odd = {"h": (prof.odd_coeffs, True), "h_prime": (prof.hp_table, False),
+                      "h_second": (prof.hpp_table, True)}[method]
+        ref = np.polynomial.polynomial.polyval(xs * xs, np.asarray(table or (0.0,)))
+        assert np.array_equal(f(xs), xs * ref if odd else ref)
 
 
 @pytest.mark.parametrize("method", ["h", "h_prime", "h_second"])
