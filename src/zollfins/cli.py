@@ -160,16 +160,13 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
 
 def cmd_geodesic(profile: ZollProfile, args) -> int:
     out_dir = Path(args.out)
-    # The trace integrators accept a narrower tolerance window than the
-    # config contract; clamp rather than reject.
-    trace_tol = min(max(args.tol, 1e-12), 1e-4)
     if args.side == "zoll":
         c = args.c[0] if args.c else 0.5
         r0 = args.r0 if args.r0 is not None else \
             (math.pi / 2 if abs(c) >= 1.0 else geodesics.turning_latitude(c))
         state = geodesics.GeodesicState(r0, args.theta0, c, +1)
         trace = geodesics.integrate_geodesic(profile, state, args.t_end,
-                                             tol=trace_tol,
+                                             tol=args.tol,
                                              samples_per_period=args.samples)
         path = out_dir / "geodesic_zoll.csv"
         atomic_write(path, zoll_trace_csv(trace))
@@ -180,7 +177,7 @@ def cmd_geodesic(profile: ZollProfile, args) -> int:
     v0 = finsler.unit_direction(profile, start[0], start[1], args.direction)
     try:
         trace = finsler.finsler_geodesic(profile, start, v0, args.t_end,
-                                         tol=max(trace_tol, 1e-9),
+                                         tol=max(args.tol, 1e-9),
                                          samples_per_period=args.samples)
     except ChartExitError as exc:
         trace = exc.partial_trace
@@ -228,7 +225,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
                         help="odd profile coefficients, ascending, e.g. 0.25,-0.25")
     parser.add_argument("--out", default=default, help="output directory")
     parser.add_argument("--tol", type=float, default=default,
-                        help="integrator tolerance (1e-12 .. 1e-2)")
+                        help="integrator tolerance (1e-12 .. 1e-4); "
+                             "Finsler traces use at least 1e-9")
     parser.add_argument("--samples", type=int, default=default,
                         help="sample count / trace density (>= 16)")
     parser.add_argument("--config", default=default,
@@ -309,8 +307,9 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
-    if not 1e-12 <= args.tol <= 1e-2:
-        raise ProfileError(f"tolerance {args.tol} outside [1e-12, 1e-2]")
+    lo, hi = geodesics.TOL_RANGE
+    if not lo <= args.tol <= hi:
+        raise ProfileError(f"tolerance {args.tol} outside [{lo:g}, {hi:g}]")
     if args.samples < 16:
         raise ProfileError(f"sample count {args.samples} below 16")
     return args

@@ -96,14 +96,10 @@ def finsler_F(profile: ZollProfile, R: float, Theta: float, v) -> FinslerEval:
     return FinslerEval(R, Theta, v1, v2, F)
 
 
-def _f_value(cache, v1: float, v2: float) -> float:
-    return cache.solve_ray(v1, v2)[0]
-
-
 def _hessian_f2(cache, v: np.ndarray, h: float) -> np.ndarray:
     """Central 9-point finite-difference Hessian of F^2 in the fiber variables."""
     def f2(a, b):
-        return _f_value(cache, v[0] + a, v[1] + b) ** 2
+        return cache.solve_ray(v[0] + a, v[1] + b)[0] ** 2
 
     f0 = f2(0.0, 0.0)
     d11 = (f2(h, 0) - 2 * f0 + f2(-h, 0)) / (h * h)
@@ -113,7 +109,7 @@ def _hessian_f2(cache, v: np.ndarray, h: float) -> np.ndarray:
 
 
 def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
-                       step: float = 1e-5, richardson: bool = True) -> FinslerEval:
+                       step: float = 1e-5) -> FinslerEval:
     """g_ij = (1/2) d^2(F^2)/dv_i dv_j by central differences at step*|v|.
 
     The result is symmetric by construction.  Richardson extrapolation at
@@ -127,11 +123,9 @@ def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
     if not 1e-12 < h < 0.2 * vn:
         raise DomainError(f"degenerate finite-difference step {h}")
     cache = curve_cache(profile, R)
-    hess = _hessian_f2(cache, v, h)
-    if richardson:
-        hess = (4.0 * hess - _hessian_f2(cache, v, 2 * h)) / 3.0
+    hess = (4.0 * _hessian_f2(cache, v, h) - _hessian_f2(cache, v, 2 * h)) / 3.0
     g = 0.5 * hess
-    F = _f_value(cache, v[0], v[1])
+    F = cache.solve_ray(v[0], v[1])[0]
     return FinslerEval(R, Theta, float(v[0]), float(v[1]), F,
                        g11=float(g[0, 0]), g12=float(g[0, 1]), g22=float(g[1, 1]))
 

@@ -30,9 +30,10 @@ with x = cos r and the smooth auxiliary integral
     Psi(r) = int_{r_c}^r sin s sqrt(sin^2 s - c^2) h''(cos s) ds,
 
 which for polynomial h has a closed form (see hpp_integral).  These
-regularized expressions are valid on the whole band and are what
-jacobi_pair evaluates; the literal 1/y1' route is kept as an independent
-cross-check on r < pi/2.
+regularized expressions are valid on the whole band.  Their brackets are
+written once, in _regular_bracket, which jacobi_pair and the regularized
+indicatrix sample (moduli.indicatrix_regularized, v2 = -c1 y2) both read;
+the literal 1/y1' route is kept as an independent cross-check on r < pi/2.
 
 y2 is even under t -> -t and y1 odd, so y2 at a given latitude does not
 depend on the branch while y1, y2' flip sign with it.
@@ -199,16 +200,27 @@ def curvature_integral_full(profile: ZollProfile, c: float) -> float:
     bridge stays independent of the polynomial antiderivative.
     """
     rc = turning_latitude(c)
-    cos_rc = math.cos(rc)
-
-    def integrand(u):
-        return np.sin(u) ** 2 * profile.h_second(cos_rc * np.cos(u))
-
-    psi_total, _ = gl_adaptive(integrand, 0.0, math.pi)
-    return -psi_total
+    return -hpp_integral_quad(profile, c, math.pi - rc) / math.cos(rc) ** 2
 
 
 # -- the Jacobi pair -----------------------------------------------------------
+
+def _regular_bracket(profile: ZollProfile, c: float, r: float):
+    """(x, y, 1 + h, B, D) at latitude r: x = cos r, y = sqrt(sin^2 r - c^2)
+    and the regularized brackets of y2 and y2' (Psi in closed form),
+
+        B = (1 + h(x)) x + y^2 h'(x) + y Psi(r),
+        D = (1 + h(x)) y - x y h'(x) - x Psi(r).
+    """
+    x = math.cos(r)
+    y2 = float(band_radicand(c, r))
+    y = math.sqrt(y2)
+    one_h = 1.0 + profile.h(x)
+    hp = profile.h_prime(x)
+    psi = float(hpp_integral(profile, c, r))
+    return (x, y, one_h, one_h * x + y2 * hp + y * psi,
+            one_h * y - x * y * hp - x * psi)
+
 
 def jacobi_pair(profile: ZollProfile, c: float, r: float, sign: int = +1
                 ) -> JacobiPair:
@@ -222,18 +234,9 @@ def jacobi_pair(profile: ZollProfile, c: float, r: float, sign: int = +1
         raise DomainError(f"branch sign must be +-1, got {sign}")
     c1 = c1_coefficient(profile, c)
     q = math.cos(turning_latitude(c)) ** 2
-    x = math.cos(r)
-    y2_rad = float(band_radicand(c, r))
-    y = math.sqrt(y2_rad)
-    one_h = 1.0 + profile.h(x)
-    hp = profile.h_prime(x)
-    psi = float(hpp_integral(profile, c, r))
-
-    y1 = sign * c1 * y
-    y1p = c1 * x / one_h
-    val_y2 = (one_h * x + y2_rad * hp + y * psi) / (c1 * q)
-    val_y2p = -sign * (one_h * y - x * y * hp - x * psi) / (c1 * one_h * q)
-    return JacobiPair(y1, y1p, val_y2, val_y2p)
+    x, y, one_h, b, d = _regular_bracket(profile, c, r)
+    return JacobiPair(sign * c1 * y, c1 * x / one_h, b / (c1 * q),
+                      -sign * d / (c1 * one_h * q))
 
 
 def jacobi_pair_direct(profile: ZollProfile, c: float, r: float) -> JacobiPair:

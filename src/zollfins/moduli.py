@@ -24,7 +24,9 @@ gives the everywhere-regular form
     v2 = -[ (1+h(x)) x + (sin^2 r - c^2) h'(x) + y Psi(r) ] / cos^2 R,
 
 with x = cos r, y = sqrt(sin^2 r - c^2) and Psi the smooth h'' integral of
-the jacobi module.
+the jacobi module.  The bracket is the one of the normalized Jacobi field
+y2 (the indicatrix is (y1/(c1 cos R), -c1 y2)), and indicatrix_regularized
+reads it from jacobi._regular_bracket.
 
 The latitude has a square-root branch point at the glue points r_c and
 pi - r_c, where the two branches meet on the v2 axis.  The signed phase u,
@@ -38,8 +40,10 @@ form; u = 0 is the bottom glue point, u = +-pi the top one.  This is the
 one production parametrization: CurveEval.v2_du evaluates v2 and dv2/du,
 and the ray solver, its bracket grid, indicatrix_curve and the phase jet of
 the Finsler spray all build on it.  A ray within 1e-9 of the v2 axis is
-resolved to u = 0 or pi directly.  The latitude forms (parametric,
-regularized, curvature) stay as the independent reference routes.
+resolved to u = 0 or pi directly.  The curvature identity of
+indicatrix_curvature reads the same jet, so it checks the code the spray
+uses.  The latitude forms (the parametric quadrature and the regularized
+Jacobi bracket) stay as the independent reference routes.
 
 For polynomial h, expanding Psi in closed form turns the
 curve into the implicit algebraic equation
@@ -79,10 +83,11 @@ from math import comb
 import numpy as np
 
 from .errors import BandError, ConvexityViolation, DomainError
-from .geodesics import GeodesicState, band_radicand, turning_latitude
-from .jacobi import (EQUATOR_GUARD, _s_poly_coeffs, curvature_integral,
-                     curvature_integral_full, curvature_integral_tail,
-                     hpp_integral, hpp_integral_quad)
+from .geodesics import (GeodesicState, _phase_from_state, band_radicand,
+                        turning_latitude)
+from .jacobi import (EQUATOR_GUARD, _regular_bracket, _s_poly_coeffs,
+                     curvature_integral, curvature_integral_full,
+                     curvature_integral_tail)
 from .profile import ZollProfile, curvature_x, horner, horner_jet
 from .quadrature import gl_refined
 
@@ -155,8 +160,7 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
         theta_turn = state.theta
     else:
         cos_rc = math.cos(rc)
-        y = math.sqrt(band_radicand(c, state.r))
-        u0 = math.atan2(state.sign * y, math.cos(state.r))
+        u0 = _phase_from_state(state)
         c2 = c * c
 
         def dtheta_du(u):
@@ -175,18 +179,17 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
 # -- parametric and regularized samples ----------------------------------------
 
 def indicatrix_parametric(profile: ZollProfile, R: float, r: float,
-                          branch: int = +1, Theta: float = 0.0,
-                          equator_guard: float = EQUATOR_GUARD) -> IndicatrixSample:
+                          branch: int = +1, Theta: float = 0.0) -> IndicatrixSample:
     """Indicatrix sample from the direct quadrature of the curvature integral.
 
     Below the equator Phi(r) is a plain (panel-refined) quadrature; above it
     the finite part is bridged over the pole as Phi_full - tail(r), with both
-    pieces quadratures.  Within ``equator_guard`` of r = pi/2 the evaluation
-    is dispatched to the regularized form, where the cancellation between
+    pieces quadratures.  Within EQUATOR_GUARD of r = pi/2 the evaluation is
+    dispatched to the regularized form, where the cancellation between
     1/cos r terms would otherwise cost precision.
     """
     _check_sample_args(R, r, branch)
-    if abs(r - math.pi / 2) < equator_guard:
+    if abs(r - math.pi / 2) < EQUATOR_GUARD:
         return indicatrix_regularized(profile, R, r, branch, Theta=Theta)
     c = math.sin(R)
     y = math.sqrt(band_radicand(c, r))
@@ -200,65 +203,40 @@ def indicatrix_parametric(profile: ZollProfile, R: float, r: float,
 
 
 def indicatrix_regularized(profile: ZollProfile, R: float, r: float,
-                           branch: int = +1, Theta: float = 0.0,
-                           psi_method: str = "closed") -> IndicatrixSample:
-    """Indicatrix sample from the everywhere-regular v2 expression.
-
-    The h'' integral Psi is taken in closed form for the polynomial profile
-    by default; ``psi_method="quad"`` switches to quadrature (slower, used by
-    cross-checks).
+                           branch: int = +1, Theta: float = 0.0) -> IndicatrixSample:
+    """Indicatrix sample from the everywhere-regular v2 = -B / cos^2 R, with B
+    the regularized bracket of the Jacobi field y2 (jacobi._regular_bracket).
     """
     _check_sample_args(R, r, branch)
-    c = math.sin(R)
-    q = math.cos(R) ** 2
-    x = math.cos(r)
-    y2 = float(band_radicand(c, r))
-    y = math.sqrt(y2)
-    if psi_method == "closed":
-        psi = float(hpp_integral(profile, c, r))
-    elif psi_method == "quad":
-        psi = hpp_integral_quad(profile, c, r)
-    else:
-        raise DomainError(f"unknown psi_method {psi_method!r}")
-    v2 = -((1.0 + profile.h(x)) * x + y2 * profile.h_prime(x) + y * psi) / q
-    return IndicatrixSample(R, Theta, branch, r, branch * y / math.cos(R), v2)
+    _, y, _, b, _ = _regular_bracket(profile, math.sin(R), r)
+    return IndicatrixSample(R, Theta, branch, r, branch * y / math.cos(R),
+                            -b / math.cos(R) ** 2)
 
 
 def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
                          branch: int = +1) -> tuple[float, float]:
     """Both sides of the indicatrix curvature identity, computed independently.
 
-    Left: k = (v1'' v2' - v2'' v1') / (v1' v2 - v2' v1) from analytic
-    r-derivatives of the curve.  Right: (dt/dr)^2 G(r).  Strict positivity of
-    either side over the band certifies strong convexity; the two sides
-    agreeing certifies the curvature identity itself.  Turning points are
-    excluded (dt/dr diverges there).
+    Left: the curvature k = cross(P_r, P_rr) / cross(P, P_r) of the curve in
+    the latitude r, read from the phase jet that the Finsler spray uses
+    (CurveEval.jet at cos u = cos r / cos R, sign u = branch):
+    k = cross(P_u, P_uu) / cross(P, P_u) * (du/dr)^2 with du/dr = sin r / y.
+    Right: (dt/dr)^2 G(r).  Strict positivity of either side over the band
+    certifies strong convexity; the two sides agreeing certifies the
+    curvature identity itself.  Turning points are excluded (dt/dr diverges
+    there).
     """
     _check_sample_args(R, r, branch)
-    c = math.sin(R)
     rc = abs(R)
     if min(r - rc, math.pi - rc - r) < 1e-6:
         raise DomainError("indicatrix curvature is singular at the turning points")
-    q = math.cos(R) ** 2
     x = math.cos(r)
     sr = math.sin(r)
-    y2 = float(band_radicand(c, r))
-    y = math.sqrt(y2)
-    one_h = 1.0 + profile.h(x)
-    hp = profile.h_prime(x)
-    n_of_x = one_h - x * hp
-    psi = float(hpp_integral(profile, c, r))
-    cos2r = math.cos(2.0 * r)
-
-    v1 = branch * y / math.cos(R)
-    v2 = -((one_h) * x + y2 * hp + y * psi) / q
-    v1d = branch * sr * x / (y * math.cos(R))
-    v1dd = branch * (cos2r * y2 - (sr * x) ** 2) / (y ** 3 * math.cos(R))
-    v2d = sr * n_of_x / q - sr * x * psi / (q * y)
-    v2dd = x * n_of_x / q - (cos2r * y2 - (sr * x) ** 2) * psi / (q * y ** 3)
-
-    left = (v1dd * v2d - v2dd * v1d) / (v1d * v2 - v2d * v1)
-    right = (one_h * sr / y) ** 2 * float(curvature_x(profile, x))
+    y = math.sqrt(float(band_radicand(math.sin(R), r)))
+    (p1, p2), (t1, t2), (a1, a2), _, _ = CurveEval(profile, R).jet(
+        math.atan2(branch * y, x))
+    left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * (sr / y) ** 2
+    right = ((1.0 + profile.h(x)) * sr / y) ** 2 * float(curvature_x(profile, x))
     return left, right
 
 

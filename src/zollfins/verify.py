@@ -73,8 +73,7 @@ def _band_interior(R, n):
     return np.linspace(rc + 1e-3, math.pi - rc - 1e-3, n)
 
 
-def run_verification(prof: ZollProfile, samples: int = 64,
-                     tol_scale: float = 1.0) -> VerificationReport:
+def run_verification(prof: ZollProfile, samples: int = 64) -> VerificationReport:
     rep = VerificationReport(prof.odd_coeffs)
 
     # 1. Positive Gauss curvature (with witness).

@@ -222,13 +222,16 @@ def test_tolerance_bounds(tmp_path):
                  "curvature"]) == 1
 
 
-def test_geodesic_tolerance_clamped(tmp_path):
-    # The config contract admits tolerances up to 1e-2; the integrators cap
-    # at 1e-4, and the subcommand clamps rather than rejects.
+def test_geodesic_tolerance_outside_trace_range_exit_1(tmp_path, capsys):
+    # --tol accepts exactly the integrators' range 1e-12 .. 1e-4; a value
+    # above it is rejected up front instead of being clamped.
     code = main(["--h", "0.25,-0.25", "--out", str(tmp_path), "--tol", "1e-3",
                  "geodesic", "--side", "zoll", "--c", "0.3", "--t-end", "1.0"])
-    assert code == 0
-    assert (tmp_path / "geodesic_zoll.csv").exists()
+    assert code == 1
+    assert "tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "geodesic_zoll.csv").exists()
+    assert main(["--h", "0.25,-0.25", "--out", str(tmp_path), "--tol", "1e-4",
+                 "geodesic", "--side", "zoll", "--c", "0.3", "--t-end", "1.0"]) == 0
 
 
 def test_indicatrix_csv_rows_satisfy_octic(tmp_path):

@@ -135,6 +135,33 @@ def test_hpp_integral_closed_vs_quadrature(ex1_strong, ex2):
                 closed = float(hpp_integral(prof, c, float(r)))
                 quad = hpp_integral_quad(prof, c, float(r))
                 assert closed == pytest.approx(quad, abs=1e-13)
+    # Chart value R = 0.6, on both sides of the equator.
+    for r in (1.0, 1.8, 2.4):
+        closed = float(hpp_integral(ex2, math.sin(0.6), r))
+        assert closed == pytest.approx(hpp_integral_quad(ex2, math.sin(0.6), r),
+                                       abs=1e-13)
+
+
+@pytest.mark.parametrize("R", [0.0, 0.3, -0.7, 1.2])
+def test_jacobi_pair_matches_phase_kernel(all_good, R):
+    """The indicatrix is (y1/(c1 cos R), -c1 y2): jacobi_pair's regularized
+    latitude form against the phase kernel CurveEval.v2_du, with
+    y2 = -v2/c1 and y2' = -(dv2/du)/(c1 (1 + h)) since dt/du = 1 + h."""
+    from zollfins.moduli import CurveEval
+    c = math.sin(R)
+    for prof in all_good:
+        curve = CurveEval(prof, R)
+        c1 = c1_coefficient(prof, c)
+        for r in interior(c, 15):
+            x = math.cos(r)
+            y = math.sqrt(math.sin(r - abs(R)) * math.sin(math.pi - abs(R) - r))
+            for sign in (+1, -1):
+                u = math.atan2(sign * y, x)
+                v2, v2_u = curve.v2_du(math.cos(u), math.sin(u))
+                pair = jacobi_pair(prof, c, float(r), sign)
+                assert pair.y2 == pytest.approx(-v2 / c1, rel=1e-13, abs=1e-13)
+                assert pair.y2_prime == pytest.approx(
+                    -v2_u / (c1 * (1.0 + prof.h(x))), rel=1e-13, abs=1e-13)
 
 
 def test_curvature_integral_bridge(ex2):

@@ -8,7 +8,7 @@ from zollfins import (BandError, ConvexityViolation, DomainError,
                       implicit_polynomial, implicit_residual,
                       indicatrix_curvature, indicatrix_curve,
                       indicatrix_parametric, indicatrix_regularized,
-                      integrate_geodesic, turning_latitude)
+                      integrate_geodesic, jacobi_pair, turning_latitude)
 
 TWO_PI = 2 * math.pi
 
@@ -115,13 +115,18 @@ def test_parametric_matches_regularized(all_good, R):
                 assert abs(a.v2 - b.v2) < 1e-10
 
 
-def test_regularized_quadrature_backend(ex2):
-    for r in (1.0, 1.8, 2.4):
-        a = indicatrix_regularized(ex2, 0.6, r, +1)
-        b = indicatrix_regularized(ex2, 0.6, r, +1, psi_method="quad")
-        assert a.v2 == pytest.approx(b.v2, abs=1e-13)
+@pytest.mark.parametrize("R", [math.pi / 2 - 1.2e-6, -(math.pi / 2 - 1.2e-6)])
+def test_regularized_sample_at_chart_rim(ex1, R):
+    """The regularized sample works wherever the chart does, even where the
+    normalized Jacobi pair of the same geodesic (|c| >= 1 - 1e-12) is refused."""
+    for branch in (+1, -1):
+        s = indicatrix_regularized(ex1, R, math.pi / 2, branch)
+        assert s.v1 == branch * 0.9999858549674917
+        assert s.v2 == -0.25003544999134336
+    assert indicatrix_regularized(ex1, R, abs(R), +1).v2 == -833333.5832670478
+    assert indicatrix_regularized(ex1, R, math.pi - abs(R), -1).v2 == 833333.0831820028
     with pytest.raises(DomainError):
-        indicatrix_regularized(ex2, 0.6, 1.0, +1, psi_method="nope")
+        jacobi_pair(ex1, math.sin(R), math.pi / 2)
 
 
 def test_sample_domain_guards(ex1):
@@ -203,17 +208,24 @@ def test_curvature_sides_round_sphere(sphere):
 
 
 def test_curvature_sides_agree(ex1):
-    kl, kr = indicatrix_curvature(ex1, 0.4, 1.0, +1)
-    assert abs(kl - kr) / max(abs(kl), abs(kr)) < 1e-6
+    k_ref = indicatrix_curvature(ex1, 0.4, 1.0, +1)[0]
+    for R in (0.4, -0.4):
+        for branch in (+1, -1):
+            kl, kr = indicatrix_curvature(ex1, R, 1.0, branch)
+            assert abs(kl - kr) / max(abs(kl), abs(kr)) < 1e-6
+            # The curve at -R is the curve at R; the branches mirror each other.
+            assert kl == pytest.approx(k_ref, rel=1e-13)
 
 
 def test_strong_convexity_certificate(ex1_strong):
-    for R in (0.2, 0.8, 1.3):
+    for R in (0.2, 0.8, 1.3, -0.8):
         for r in band_grid(R, 60)[1:-1]:
             if min(r - abs(R), math.pi - abs(R) - r) < 1e-5:
                 continue
-            kl, kr = indicatrix_curvature(ex1_strong, R, float(r), +1)
-            assert kl > 0 and kr > 0
+            for branch in (+1, -1):
+                kl, kr = indicatrix_curvature(ex1_strong, R, float(r), branch)
+                assert kl > 0 and kr > 0
+                assert abs(kl - kr) / max(kl, kr, 1.0) < 1e-12
 
 
 def test_negative_curvature_found_for_bad_profile(bad_curvature):
