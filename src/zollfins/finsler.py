@@ -23,7 +23,9 @@ follow from the R-derivatives of the curve at fixed u: F_R = -F ell(P_R),
 u_R = -mu(P_R), and dell/dR at fixed v = (d_R ell at fixed u) - ell(P_uu)
 u_R mu.  The public fundamental_tensor stays a central finite difference of
 F^2 with Richardson extrapolation: it is the independent oracle the closed
-form is tested against.
+form is tested against.  It solves its centre ray once, cold, and starts
+the Newton solves of its 16 off-centre rays from that phase root; nothing
+of the closed form enters.
 
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
@@ -96,12 +98,16 @@ def finsler_F(profile: ZollProfile, R: float, Theta: float, v) -> FinslerEval:
     return FinslerEval(R, Theta, v1, v2, F)
 
 
-def _hessian_f2(cache, v: np.ndarray, h: float) -> np.ndarray:
-    """Central 9-point finite-difference Hessian of F^2 in the fiber variables."""
-    def f2(a, b):
-        return cache.solve_ray(v[0] + a, v[1] + b)[0] ** 2
+def _hessian_f2(cache, v: np.ndarray, h: float, f0: float, seed_u: float) -> np.ndarray:
+    """Central 9-point finite-difference Hessian of F^2 in the fiber variables.
 
-    f0 = f2(0.0, 0.0)
+    f0 is F^2 at v itself.  The 8 off-centre rays lie within 2h of v, so
+    their solves start Newton from ``seed_u``, the phase root of the centre
+    ray; a Newton miss falls back to the bracket scan.
+    """
+    def f2(a, b):
+        return cache.solve_ray(v[0] + a, v[1] + b, seed_u)[0] ** 2
+
     d11 = (f2(h, 0) - 2 * f0 + f2(-h, 0)) / (h * h)
     d22 = (f2(0, h) - 2 * f0 + f2(0, -h)) / (h * h)
     d12 = (f2(h, h) - f2(h, -h) - f2(-h, h) + f2(-h, -h)) / (4 * h * h)
@@ -113,7 +119,11 @@ def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
     """g_ij = (1/2) d^2(F^2)/dv_i dv_j by central differences at step*|v|.
 
     The result is symmetric by construction.  Richardson extrapolation at
-    twice the step removes the leading quadratic truncation term.
+    twice the step removes the leading quadratic truncation term.  The
+    centre ray is solved once, cold (bracket scan); its F gives f0 and the
+    returned F, and its phase root seeds the 16 off-centre solves.  The
+    seed never comes from another call, so the result depends on the
+    arguments only.
     """
     v = np.asarray(v, dtype=float)
     vn = float(np.hypot(v[0], v[1]))
@@ -123,9 +133,11 @@ def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
     if not 1e-12 < h < 0.2 * vn:
         raise DomainError(f"degenerate finite-difference step {h}")
     cache = curve_cache(profile, R)
-    hess = (4.0 * _hessian_f2(cache, v, h) - _hessian_f2(cache, v, 2 * h)) / 3.0
+    F, u0 = cache.solve_ray(v[0], v[1])
+    f0 = F * F
+    hess = (4.0 * _hessian_f2(cache, v, h, f0, u0)
+            - _hessian_f2(cache, v, 2 * h, f0, u0)) / 3.0
     g = 0.5 * hess
-    F = cache.solve_ray(v[0], v[1])[0]
     return FinslerEval(R, Theta, float(v[0]), float(v[1]), F,
                        g11=float(g[0, 0]), g12=float(g[0, 1]), g22=float(g[1, 1]))
 

@@ -168,6 +168,12 @@ TENSOR_DIRECTIONS = [(math.cos(a), math.sin(a))
                      for a in np.linspace(0.0, 2 * math.pi, 13)[:-1]] \
     + [(0.0, 1.0), (0.0, -0.7), (1e-12, -1.0)]
 
+#: The direction grid of verify's fundamental_tensor_pd check.  It holds
+#: a = pi/2 and 3pi/2, where the centre ray is resolved to a glue point
+#: (u = 0 or pi) and the off-centre rays fall on both sides of the v2 axis.
+VERIFY_DIRECTIONS = [(math.cos(a), math.sin(a))
+                     for a in np.linspace(0.0, 2 * math.pi, 25)[:-1]]
+
 
 def test_closed_form_tensor_round_sphere(sphere):
     for R in (-0.9, 0.0, 0.7, 1.4):
@@ -178,16 +184,41 @@ def test_closed_form_tensor_round_sphere(sphere):
             assert abs(g22 - math.cos(R) ** 2) < 1e-14
 
 
-def test_closed_form_tensor_matches_difference_oracle(ex1_strong, ex2):
+def test_closed_form_tensor_matches_difference_oracle(all_good):
     """The closed-form tensor against the Richardson finite-difference
-    Hessian behind fundamental_tensor (whose own noise is ~4e-5)."""
-    for prof in (ex1_strong, ex2):
-        for R in (-0.8, 0.2, 1.2):
-            for v in TENSOR_DIRECTIONS:
+    Hessian behind fundamental_tensor (whose own noise is ~4e-5), on verify's
+    fundamental_tensor_pd grid as well."""
+    for prof in all_good:
+        for R in (-0.8, 0.2, 0.7, 1.2):
+            for v in TENSOR_DIRECTIONS + VERIFY_DIRECTIONS:
                 g11, g12, g22 = _closed_form_geometry(prof, R, v)[2]
-                oracle = fundamental_tensor(prof, R, 0.0, v).tensor()
+                fe = fundamental_tensor(prof, R, 0.0, v)
+                oracle = fe.tensor()
                 closed = np.array([[g11, g12], [g12, g22]])
                 assert np.abs(closed - oracle).max() < 1e-4 * np.abs(oracle).max()
+                assert fe.F == finsler_F(prof, R, 0.0, v).F
+
+
+def test_difference_oracle_one_bracket_scan_per_call(all_good, monkeypatch):
+    """The centre ray is solved cold once; its phase root seeds the 16
+    off-centre Newton solves, none of which falls back to the bracket scan.
+    A nearly vertical centre ray goes straight to a glue point and scans
+    nothing."""
+    from zollfins.moduli import IndicatrixCurveCache
+    scans = []
+    bracket = IndicatrixCurveCache._bracket_solve
+
+    def counting(self, v1, v2):
+        scans.append((v1, v2))
+        return bracket(self, v1, v2)
+
+    monkeypatch.setattr(IndicatrixCurveCache, "_bracket_solve", counting)
+    for prof in all_good:
+        for R in (0.2, 0.7, 1.2):
+            for v in VERIFY_DIRECTIONS:
+                scans.clear()
+                fundamental_tensor(prof, R, 0.0, v)
+                assert len(scans) == (0 if abs(v[0]) <= 1e-9 else 1), (R, v)
 
 
 def test_closed_form_chart_derivatives(ex1_strong, ex2):

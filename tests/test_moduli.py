@@ -9,6 +9,7 @@ from zollfins import (BandError, ConvexityViolation, DomainError,
                       indicatrix_curvature, indicatrix_curve,
                       indicatrix_parametric, indicatrix_regularized,
                       integrate_geodesic, jacobi_pair, turning_latitude)
+from zollfins.jacobi import EQUATOR_GUARD
 
 TWO_PI = 2 * math.pi
 
@@ -113,6 +114,24 @@ def test_parametric_matches_regularized(all_good, R):
                 b = indicatrix_regularized(prof, R, float(r), branch)
                 assert a.v1 == b.v1
                 assert abs(a.v2 - b.v2) < 1e-10
+
+
+def test_parametric_branches_are_exact_mirrors(all_good):
+    """Branch -1 of the parametric sample is branch +1 with v1 negated, bit
+    for bit, below and above the equator and inside the regularized dispatch
+    window: verify's representation check samples each latitude on one
+    branch only and relies on this."""
+    for prof in all_good:
+        for R in (0.0, 0.5, -1.1):
+            for r in list(band_grid(R, 25)) + [math.pi / 2 - 0.5 * EQUATOR_GUARD,
+                                               math.pi / 2,
+                                               math.pi / 2 + 0.5 * EQUATOR_GUARD]:
+                a = indicatrix_parametric(prof, R, float(r), +1)
+                b = indicatrix_parametric(prof, R, float(r), -1)
+                assert b.branch == -1
+                assert b.v1 == -a.v1
+                assert b.v2 == a.v2
+                assert b.r == a.r
 
 
 @pytest.mark.parametrize("R", [math.pi / 2 - 1.2e-6, -(math.pi / 2 - 1.2e-6)])

@@ -1,7 +1,9 @@
 """Each verify check must be able to fail: a small fault planted in the
 production code it guards turns it to FAIL on the 0.25,-0.25 profile."""
 
-from zollfins import example1, jacobi
+import dataclasses
+
+from zollfins import example1, jacobi, moduli
 from zollfins.moduli import CurveEval
 from zollfins.verify import run_verification
 
@@ -29,3 +31,26 @@ def test_psi_fault_fails_regularization_agreement(monkeypatch):
     monkeypatch.setattr(jacobi, "hpp_integral",
                         lambda *args: closed(*args) * (1 + 1e-6))
     assert _status("regularization_agreement") == "fail"
+
+
+def test_branch_minus_fault_fails_representation_agreement(monkeypatch):
+    """Only branch -1 samples carry the fault: the check must still sample
+    that branch."""
+    parametric = moduli.indicatrix_parametric
+
+    def faulty(*args):
+        s = parametric(*args)
+        if s.branch == -1:
+            return dataclasses.replace(s, v2=s.v2 + 1e-6)
+        return s
+
+    monkeypatch.setattr(moduli, "indicatrix_parametric", faulty)
+    assert _status("representation_agreement") == "fail"
+
+
+def test_tail_fault_fails_representation_agreement(monkeypatch):
+    """The tail quadrature that bridges the parametric v2 over the pole."""
+    tail = moduli.curvature_integral_tail
+    monkeypatch.setattr(moduli, "curvature_integral_tail",
+                        lambda *args: tail(*args) * (1 + 1e-6))
+    assert _status("representation_agreement") == "fail"

@@ -1,6 +1,6 @@
 import pytest
 
-from zollfins import ZollProfile
+from zollfins import ZollProfile, moduli
 from zollfins.verify import run_verification
 
 
@@ -13,3 +13,15 @@ def test_verification_passes(coeffs):
     report = run_verification(ZollProfile.from_string(coeffs))
     failed = [c.name for c in report.checks if c.status == "fail"]
     assert report.passed, failed
+
+
+def test_verification_repeats_bit_for_bit_with_warm_caches():
+    """A second run in the same process, with the curve caches the first
+    one filled, reports the same numbers: no result may depend on what an
+    earlier call left behind."""
+    prof = ZollProfile.from_string("0.25,-0.25")
+    for cache in (moduli.curve_cache, moduli.curve_eval, moduli.implicit_polynomial):
+        cache.cache_clear()
+    cold = run_verification(prof).to_dict()
+    assert moduli.curve_cache.cache_info().currsize > 0
+    assert run_verification(prof).to_dict() == cold
