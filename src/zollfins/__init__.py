@@ -18,7 +18,8 @@ from .jacobi import (JacobiPair, jacobi_ode_check, jacobi_pair,
 from .moduli import (ImplicitIndicatrix, IndicatrixSample, ModuliPoint,
                      coords_of_geodesic, implicit_polynomial, implicit_residual,
                      indicatrix_curvature, indicatrix_curve,
-                     indicatrix_parametric, indicatrix_regularized)
+                     indicatrix_parametric, indicatrix_parametric_samples,
+                     indicatrix_regularized)
 from .profile import (SurfacePoint, ZollProfile, check_positive_curvature,
                       curvature_critical_points, curvature_fd_check, eval_h,
                       eval_h_derivs, example1, example2, gauss_curvature,

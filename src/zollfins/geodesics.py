@@ -55,16 +55,20 @@ def turning_latitude(c: float) -> float:
     return math.asin(min(1.0, abs(c)))
 
 
-def band_radicand(c: float, r) -> np.ndarray:
+def band_radicand(c: float, r, rc: float | None = None) -> np.ndarray:
     """sin^2 r - c^2 in the cancellation-free form sin(r-r_c) sin(r+r_c).
 
     The second factor is evaluated as sin(r_top - r) with r_top the rounded
     float pi - r_c, so that both turning latitudes (r_c and that same float
     r_top, which is what callers iterate to) give an exact zero.  This keeps
     the two indicatrix branches glued to machine precision; the substitution
-    of the rounded r_top costs only ~1 ulp(pi) in the radicand.
+    of the rounded r_top costs only ~1 ulp(pi) in the radicand.  ``rc``
+    replaces the turning latitude asin|c|: an indicatrix sample at chart
+    value R passes |R|, which can differ from asin(|sin R|) in the last
+    digits, so that its glue points r = |R| and pi - |R| give exact zeros.
     """
-    rc = turning_latitude(c)
+    if rc is None:
+        rc = turning_latitude(c)
     r = np.asarray(r)
     val = np.sin(r - rc) * np.sin((math.pi - rc) - r)
     return np.maximum(val, 0.0)

@@ -55,6 +55,12 @@ from .quadrature import gl_adaptive, gl_fixed, gl_refined
 #: |r - pi/2| below which callers should prefer the regularized expressions.
 EQUATOR_GUARD = 1e-3
 
+#: The Phi quadratures stop halving their panels at this fraction of the
+#: distance from the refined end to the double pole at u = pi/2.  A panel a
+#: tenth of the pole distance wide already converges to roundoff at order 48;
+#: against a 30-digit reference, floors of 0.5 .. 1 lose a digit.
+POLE_PANEL_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class JacobiPair:
@@ -93,9 +99,10 @@ def jacobi_y(profile: ZollProfile, c: float, r: float, sign: int = +1
     return sign * y, x / (1.0 + profile.h(x))
 
 
-def _phase(c: float, r: float) -> float:
-    """Ascending-branch phase u in [0, pi] with cos r = cos r_c cos u."""
-    return math.atan2(math.sqrt(band_radicand(c, r)), math.cos(r))
+def _phase(c: float, r):
+    """Ascending-branch phase u in [0, pi] with cos r = cos r_c cos u, at a
+    latitude or a 1-D array of them."""
+    return np.arctan2(np.sqrt(band_radicand(c, r)), np.cos(r))
 
 
 # -- the h'' integral Psi -----------------------------------------------------
@@ -152,7 +159,7 @@ def hpp_integral_quad(profile: ZollProfile, c: float, r: float) -> float:
     def integrand(u):
         return np.sin(u) ** 2 * profile.h_second(cos_rc * np.cos(u))
 
-    val, _ = gl_adaptive(integrand, 0.0, _phase(c, r))
+    val, _ = gl_adaptive(integrand, 0.0, float(_phase(c, r)))
     return cos_rc * cos_rc * val
 
 
@@ -168,29 +175,43 @@ def _phi_integrand(profile: ZollProfile, cos_rc: float):
     return f
 
 
-def curvature_integral(profile: ZollProfile, c: float, r: float) -> float:
+def _pole_panels(profile: ZollProfile, c: float, r, below: bool):
+    """Phase ends u_r, integrand and panel floor of the Phi quadratures at the
+    latitudes r (float or 1-D array), after the band and equator checks."""
+    r = np.asarray(r, dtype=float)
+    for rk in r.ravel().tolist():
+        _check_band(c, rk)
+        if below and rk >= math.pi / 2:
+            raise DomainError("Phi(r) diverges at r = pi/2; use the regularized forms")
+        if not below and rk <= math.pi / 2:
+            raise DomainError("tail integral requires r > pi/2")
+    u_r = _phase(c, r)
+    min_width = np.maximum(1e-13, POLE_PANEL_FRACTION * np.abs(math.pi / 2 - u_r))
+    return u_r, _phi_integrand(profile, math.cos(turning_latitude(c))), min_width
+
+
+def curvature_integral(profile: ZollProfile, c: float, r):
     """Phi(r) by direct quadrature; requires r < pi/2 (Phi blows up there).
 
     In the phase variable the integrand [(1+h(z)) - z h'(z)] / (cos r_c cos u)^2
     is analytic on [0, u_r] with a double pole at u = pi/2 just beyond the
-    interval, handled by dyadic panel refinement toward u_r.
+    interval, handled by dyadic panel refinement toward u_r down to panels of
+    POLE_PANEL_FRACTION times the distance pi/2 - u_r.  ``r`` may be a 1-D
+    array of latitudes: their panels go to the integrand in one call and an
+    array of the integrals comes back, each with the bits of its own call.
     """
-    _check_band(c, r)
-    if r >= math.pi / 2:
-        raise DomainError("Phi(r) diverges at r = pi/2; use the regularized forms")
-    rc = turning_latitude(c)
-    f = _phi_integrand(profile, math.cos(rc))
-    return gl_refined(f, 0.0, _phase(c, r), refine_b=True)
+    u_r, f, min_width = _pole_panels(profile, c, r, below=True)
+    return gl_refined(f, 0.0, u_r, refine_b=True, min_width=min_width)
 
 
-def curvature_integral_tail(profile: ZollProfile, c: float, r: float) -> float:
-    """int_r^{pi - r_c} of the Phi integrand, for r > pi/2 (pole below the range)."""
-    _check_band(c, r)
-    if r <= math.pi / 2:
-        raise DomainError("tail integral requires r > pi/2")
-    rc = turning_latitude(c)
-    f = _phi_integrand(profile, math.cos(rc))
-    return gl_refined(f, _phase(c, r), math.pi, refine_a=True)
+def curvature_integral_tail(profile: ZollProfile, c: float, r):
+    """int_r^{pi - r_c} of the Phi integrand, for r > pi/2 (pole below the range).
+
+    Panels halve toward u_r down to POLE_PANEL_FRACTION times the distance
+    u_r - pi/2 to the pole; ``r`` may be a 1-D array, as in curvature_integral.
+    """
+    u_r, f, min_width = _pole_panels(profile, c, r, below=False)
+    return gl_refined(f, u_r, math.pi, refine_a=True, min_width=min_width)
 
 
 def curvature_integral_full(profile: ZollProfile, c: float) -> float:
@@ -205,15 +226,17 @@ def curvature_integral_full(profile: ZollProfile, c: float) -> float:
 
 # -- the Jacobi pair -----------------------------------------------------------
 
-def _regular_bracket(profile: ZollProfile, c: float, r: float):
+def _regular_bracket(profile: ZollProfile, c: float, r: float, rc: float | None = None):
     """(x, y, 1 + h, B, D) at latitude r: x = cos r, y = sqrt(sin^2 r - c^2)
     and the regularized brackets of y2 and y2' (Psi in closed form),
 
         B = (1 + h(x)) x + y^2 h'(x) + y Psi(r),
         D = (1 + h(x)) y - x y h'(x) - x Psi(r).
+
+    y is taken about the turning latitude ``rc`` (see band_radicand).
     """
     x = math.cos(r)
-    y2 = float(band_radicand(c, r))
+    y2 = float(band_radicand(c, r, rc))
     y = math.sqrt(y2)
     one_h = 1.0 + profile.h(x)
     hp = profile.h_prime(x)
@@ -277,7 +300,7 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid,
     worst = 0.0
     for r in np.atleast_1d(np.asarray(r_grid, dtype=float)):
         _check_band(c, float(r))
-        u = _phase(c, float(r))
+        u = float(_phase(c, float(r)))
         du = step / float(dt_du(np.asarray(u)))
         if not du < u < math.pi - du:
             raise BandError(f"grid point {r} too close to a turning point")

@@ -180,35 +180,62 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
 
 def indicatrix_parametric(profile: ZollProfile, R: float, r: float,
                           branch: int = +1, Theta: float = 0.0) -> IndicatrixSample:
-    """Indicatrix sample from the direct quadrature of the curvature integral.
+    """Indicatrix sample from the direct quadrature of the curvature integral:
+    the one-sample call of indicatrix_parametric_samples, with its bits.
+    """
+    sample, = indicatrix_parametric_samples(profile, R, [r], [branch], Theta)
+    return sample
+
+
+def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
+                                  Theta: float = 0.0) -> list[IndicatrixSample]:
+    """Indicatrix samples at the latitudes ``rs`` on the given branches, from
+    the direct quadrature of the curvature integral, one quadrature per side.
 
     Below the equator Phi(r) is a plain (panel-refined) quadrature; above it
     the finite part is bridged over the pole as Phi_full - tail(r), with both
-    pieces quadratures.  Within EQUATOR_GUARD of r = pi/2 the evaluation is
-    dispatched to the regularized form, where the cancellation between
-    1/cos r terms would otherwise cost precision.
+    pieces quadratures.  Phi_full depends on R only and is computed once;
+    the latitudes below the equator go to one array call of
+    curvature_integral, those above it to one of curvature_integral_tail.
+    Within EQUATOR_GUARD of r = pi/2 a sample is dispatched to the
+    regularized form, where the cancellation between 1/cos r terms would
+    otherwise cost precision.  The band is taken about |R|, so the glue
+    points r = |R| and pi - |R| lie on the v2 axis exactly.
     """
-    _check_sample_args(R, r, branch)
-    if abs(r - math.pi / 2) < EQUATOR_GUARD:
-        return indicatrix_regularized(profile, R, r, branch, Theta=Theta)
+    rs = [float(r) for r in rs]
+    branches = list(branches)
+    if len(rs) != len(branches):
+        raise DomainError(f"{len(rs)} latitudes but {len(branches)} branches")
+    for r, branch in zip(rs, branches):
+        _check_sample_args(R, r, branch)
     c = math.sin(R)
-    y = math.sqrt(band_radicand(c, r))
-    x = math.cos(r)
-    if r < math.pi / 2:
-        phi = curvature_integral(profile, c, r)
-    else:
-        phi = curvature_integral_full(profile, c) - curvature_integral_tail(profile, c, r)
-    v2 = -(1.0 + profile.h(x)) / x + y * phi
-    return IndicatrixSample(R, Theta, branch, r, branch * y / math.cos(R), v2)
+    r_arr = np.array(rs)
+    near = np.abs(r_arr - math.pi / 2) < EQUATOR_GUARD
+    below = ~near & (r_arr < math.pi / 2)
+    above = ~near & (r_arr > math.pi / 2)
+    phi = np.zeros(len(rs))
+    if below.any():
+        phi[below] = curvature_integral(profile, c, r_arr[below])
+    if above.any():
+        phi[above] = (curvature_integral_full(profile, c)
+                      - curvature_integral_tail(profile, c, r_arr[above]))
+    y = np.sqrt(band_radicand(c, r_arr, abs(R)))
+    x = np.cos(r_arr)
+    v1 = (y / math.cos(R)).tolist()
+    v2 = (-(1.0 + profile.h(x)) / x + y * phi).tolist()
+    return [indicatrix_regularized(profile, R, r, branch, Theta=Theta) if is_near
+            else IndicatrixSample(R, Theta, branch, r, branch * v1k, v2k)
+            for r, branch, is_near, v1k, v2k in zip(rs, branches, near.tolist(), v1, v2)]
 
 
 def indicatrix_regularized(profile: ZollProfile, R: float, r: float,
                            branch: int = +1, Theta: float = 0.0) -> IndicatrixSample:
     """Indicatrix sample from the everywhere-regular v2 = -B / cos^2 R, with B
-    the regularized bracket of the Jacobi field y2 (jacobi._regular_bracket).
+    the regularized bracket of the Jacobi field y2 (jacobi._regular_bracket),
+    on the band about |R|.
     """
     _check_sample_args(R, r, branch)
-    _, y, _, b, _ = _regular_bracket(profile, math.sin(R), r)
+    _, y, _, b, _ = _regular_bracket(profile, math.sin(R), r, abs(R))
     return IndicatrixSample(R, Theta, branch, r, branch * y / math.cos(R),
                             -b / math.cos(R) ** 2)
 

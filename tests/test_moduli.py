@@ -7,8 +7,9 @@ from zollfins import (BandError, ConvexityViolation, DomainError,
                       GeodesicState, ModuliPoint, coords_of_geodesic,
                       implicit_polynomial, implicit_residual,
                       indicatrix_curvature, indicatrix_curve,
-                      indicatrix_parametric, indicatrix_regularized,
-                      integrate_geodesic, jacobi_pair, turning_latitude)
+                      indicatrix_parametric, indicatrix_parametric_samples,
+                      indicatrix_regularized, integrate_geodesic, jacobi_pair,
+                      turning_latitude)
 from zollfins.jacobi import EQUATOR_GUARD
 
 TWO_PI = 2 * math.pi
@@ -72,11 +73,18 @@ def test_moduli_point_validation():
 # -- parametric and regularized samples ----------------------------------------------
 
 def test_turning_point_sample(ex1_strong):
-    R = 0.8
-    s = indicatrix_parametric(ex1_strong, R, abs(R), +1)
-    assert s.v1 == 0.0
-    expected = -(1.0 + ex1_strong.h(math.cos(R))) / math.cos(R)
-    assert s.v2 == pytest.approx(expected, abs=1e-14)
+    """Both glue points lie on the v2 axis exactly, on both latitude routes,
+    also where asin(|sin R|) differs from |R| in the last digits.  v2 is
+    -(1 + h(x))/x, at the top up to the rounding of pi - |R|, which is
+    ~ulp(pi)/cos R relative."""
+    for R in (0.8, 1.2, -1.2, 1.5600000100725198):
+        for r, rel in ((abs(R), 0.0), (math.pi - abs(R), 1e-13)):
+            x = math.cos(r)
+            expected = -(1.0 + ex1_strong.h(x)) / x
+            for sample in (indicatrix_parametric, indicatrix_regularized):
+                s = sample(ex1_strong, R, r, +1)
+                assert s.v1 == 0.0
+                assert s.v2 == pytest.approx(expected, rel=rel, abs=1e-14)
 
 
 def test_round_sphere_ellipse(sphere):
@@ -116,6 +124,22 @@ def test_parametric_matches_regularized(all_good, R):
                 assert abs(a.v2 - b.v2) < 1e-10
 
 
+def test_batched_samples_match_one_sample_calls(all_good):
+    """The batched parametric samples on verify's representation grid are the
+    one-sample calls bit for bit, on both sides of the equator and inside the
+    regularized dispatch window."""
+    from zollfins.verify import R_GRID
+    for prof in all_good:
+        for R in R_GRID:
+            u = np.linspace(0.0, math.pi, 64)
+            rs = np.arccos(np.clip(math.cos(R) * np.cos(u), -1.0, 1.0))
+            rs = list(rs) + [math.pi / 2 - 0.5 * EQUATOR_GUARD]
+            branches = [(+1, -1)[k % 2] for k in range(len(rs))]
+            batch = indicatrix_parametric_samples(prof, float(R), rs, branches)
+            assert batch == [indicatrix_parametric(prof, float(R), float(r), b)
+                             for r, b in zip(rs, branches)]
+
+
 def test_parametric_branches_are_exact_mirrors(all_good):
     """Branch -1 of the parametric sample is branch +1 with v1 negated, bit
     for bit, below and above the equator and inside the regularized dispatch
@@ -137,11 +161,13 @@ def test_parametric_branches_are_exact_mirrors(all_good):
 @pytest.mark.parametrize("R", [math.pi / 2 - 1.2e-6, -(math.pi / 2 - 1.2e-6)])
 def test_regularized_sample_at_chart_rim(ex1, R):
     """The regularized sample works wherever the chart does, even where the
-    normalized Jacobi pair of the same geodesic (|c| >= 1 - 1e-12) is refused."""
+    normalized Jacobi pair of the same geodesic (|c| >= 1 - 1e-12) is refused.
+    At r = pi/2 a 40-digit reference gives v1 = 1 and v2 = -0.25004252245757697;
+    the band about |R| (not asin|sin R|) keeps both within 6e-11."""
     for branch in (+1, -1):
         s = indicatrix_regularized(ex1, R, math.pi / 2, branch)
-        assert s.v1 == branch * 0.9999858549674917
-        assert s.v2 == -0.25003544999134336
+        assert s.v1 == branch * 0.9999999999489729
+        assert s.v2 == -0.2500425224320635
     assert indicatrix_regularized(ex1, R, abs(R), +1).v2 == -833333.5832670478
     assert indicatrix_regularized(ex1, R, math.pi - abs(R), -1).v2 == 833333.0831820028
     with pytest.raises(DomainError):

@@ -36,15 +36,13 @@ def test_psi_fault_fails_regularization_agreement(monkeypatch):
 def test_branch_minus_fault_fails_representation_agreement(monkeypatch):
     """Only branch -1 samples carry the fault: the check must still sample
     that branch."""
-    parametric = moduli.indicatrix_parametric
+    parametric = moduli.indicatrix_parametric_samples
 
     def faulty(*args):
-        s = parametric(*args)
-        if s.branch == -1:
-            return dataclasses.replace(s, v2=s.v2 + 1e-6)
-        return s
+        return [dataclasses.replace(s, v2=s.v2 + 1e-6) if s.branch == -1 else s
+                for s in parametric(*args)]
 
-    monkeypatch.setattr(moduli, "indicatrix_parametric", faulty)
+    monkeypatch.setattr(moduli, "indicatrix_parametric_samples", faulty)
     assert _status("representation_agreement") == "fail"
 
 
@@ -53,4 +51,26 @@ def test_tail_fault_fails_representation_agreement(monkeypatch):
     tail = moduli.curvature_integral_tail
     monkeypatch.setattr(moduli, "curvature_integral_tail",
                         lambda *args: tail(*args) * (1 + 1e-6))
+    assert _status("representation_agreement") == "fail"
+
+
+def test_phi_integrand_fault_fails_representation_agreement(monkeypatch):
+    """The integrand of both Phi quadratures, below and above the equator."""
+    integrand = jacobi._phi_integrand
+
+    def faulty(*args):
+        f = integrand(*args)
+        return lambda u: f(u) * (1 + 1e-6)
+
+    monkeypatch.setattr(jacobi, "_phi_integrand", faulty)
+    assert _status("representation_agreement") == "fail"
+
+
+def test_phi_full_fault_fails_representation_agreement(monkeypatch):
+    """The full-band finite part that the samples above the equator share.
+    For odd h it is zero up to roundoff (the h'' integrand is odd about
+    u = pi/2), so a relative fault would not show; the fault is absolute."""
+    full = moduli.curvature_integral_full
+    monkeypatch.setattr(moduli, "curvature_integral_full",
+                        lambda *args: full(*args) + 1e-6)
     assert _status("representation_agreement") == "fail"

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from zollfins import example1, example2, turning_latitude
+from zollfins import ZollProfile, example1, example2, jacobi, moduli, turning_latitude
 from zollfins.jacobi import _phase, curvature_integral, curvature_integral_tail
 from zollfins.quadrature import gl_fixed, gl_refined
 
@@ -123,9 +123,11 @@ def mp_phi(profile, c, u_lo, u_hi):
 
 
 @pytest.mark.parametrize("profile", [example1(0.25), example2()], ids=["ex1", "ex2"])
-@pytest.mark.parametrize("c", [0.3, 0.7])
-@pytest.mark.parametrize("gap", [1e-3, 2e-4])
+@pytest.mark.parametrize("c", [0.05, 0.3, 0.7, 0.95])
+@pytest.mark.parametrize("gap", [2e-4, 1e-3, 0.02, 0.3])
 def test_curvature_integral_matches_mpmath(profile, c, gap):
+    """Panels that stop at a tenth of the pole distance keep 13 digits, from
+    next to the pole to far from it."""
     r = math.pi / 2 - gap
     want = mp_phi(profile, c, 0.0, _phase(c, r))
     got = curvature_integral(profile, c, r)
@@ -135,3 +137,49 @@ def test_curvature_integral_matches_mpmath(profile, c, gap):
     want = mp_phi(profile, c, _phase(c, r), math.pi)
     got = curvature_integral_tail(profile, c, r)
     assert abs(got - float(want)) <= 1e-13 * abs(float(want))
+
+
+def test_curvature_integral_array_matches_scalar_calls():
+    profile = example2()
+    below = np.array([0.35, 0.9, 1.4, math.pi / 2 - 1e-3])
+    above = math.pi - below
+    assert curvature_integral(profile, 0.3, below).tolist() == [
+        curvature_integral(profile, 0.3, float(r)) for r in below]
+    assert curvature_integral_tail(profile, 0.3, above).tolist() == [
+        curvature_integral_tail(profile, 0.3, float(r)) for r in above]
+
+
+def test_one_integrand_call_per_array_call(monkeypatch):
+    """Check 8's 64 samples at one chart value: one integrand call per array
+    call of the Phi quadratures, and at most a quarter of the 130,848 nodes
+    that one call per sample with 1e-13 panels took."""
+    profile = ZollProfile((1.0, -2.0, 1.0))
+    integrand = jacobi._phi_integrand
+    seen = {"nodes": 0, "integrand": 0, "array": 0}
+
+    def counting_integrand(*args):
+        f = integrand(*args)
+
+        def g(u):
+            seen["integrand"] += 1
+            seen["nodes"] += u.size
+            return f(u)
+        return g
+
+    def counting(fn):
+        def wrapped(profile, c, r):
+            seen["array"] += 1
+            assert np.ndim(r) == 1
+            return fn(profile, c, r)
+        return wrapped
+
+    monkeypatch.setattr(jacobi, "_phi_integrand", counting_integrand)
+    for name in ("curvature_integral", "curvature_integral_tail"):
+        monkeypatch.setattr(moduli, name, counting(getattr(moduli, name)))
+    R = 0.65
+    u = np.linspace(0.0, math.pi, 64)
+    rs = np.arccos(np.clip(math.cos(R) * np.cos(u), -1.0, 1.0))
+    moduli.indicatrix_parametric_samples(profile, R, rs, [(+1, -1)[k % 2] for k in range(64)])
+    assert seen["array"] == 2
+    assert seen["integrand"] == seen["array"]
+    assert seen["nodes"] <= 130848 / 4
