@@ -15,9 +15,9 @@ from .geodesics import (GeodesicState, GeodesicTrace, closure_integrals,
                         turning_latitude)
 from .jacobi import (JacobiPair, jacobi_ode_check, jacobi_pair,
                      jacobi_pair_direct, jacobi_y)
-from .moduli import (ImplicitIndicatrix, IndicatrixSample, ModuliPoint,
-                     coords_of_geodesic, implicit_polynomial, implicit_residual,
-                     indicatrix_curvature, indicatrix_curve,
+from .moduli import (ImplicitIndicatrix, IndicatrixCurve, IndicatrixSample,
+                     ModuliPoint, coords_of_geodesic, implicit_polynomial,
+                     implicit_residual, indicatrix_curvature, indicatrix_curve,
                      indicatrix_parametric, indicatrix_parametric_samples,
                      indicatrix_regularized)
 from .profile import (SurfacePoint, ZollProfile, check_positive_curvature,

@@ -13,8 +13,8 @@ verify      run the cross-module verification suites; exit 3 if any check
 
 All numeric output uses 17 significant digits; files are written atomically
 (temp file + rename), and repeated runs with the same configuration produce
-byte-identical outputs.  Indicatrix curves are built one chart value after
-another: the work is interpreter-bound, so threads do not overlap it.
+byte-identical outputs.  Indicatrix curves come as arrays, and the writers
+format each number once, column by column.
 """
 
 from __future__ import annotations
@@ -58,39 +58,49 @@ def atomic_write(path: Path, text: str):
 
 # -- output writers -------------------------------------------------------------
 
+def _column(values, spec: str = ".17g") -> list[str]:
+    return [format(x, spec) for x in np.asarray(values, dtype=float).tolist()]
+
+
+def _csv(header: str, *columns: list[str]) -> str:
+    return "\n".join([header] + [",".join(row) for row in zip(*columns)]) + "\n"
+
+
+def _curve_column(values, spec: str = ".17g", sign: str = "") -> list[str]:
+    """A column of an IndicatrixCurve, formatted on its branch +1 half only:
+    v1 > 0 there, so -v1 of the mirrored half is the same digits after a "-"."""
+    half = _column(values[:(len(values) + 2) // 2], spec)
+    return half + [sign + text for text in half[-2:0:-1]]
+
+
 def curvature_csv(xs, gs) -> str:
-    lines = ["x,G"]
-    lines += [f"{fmt(x)},{fmt(g)}" for x, g in zip(xs, gs)]
-    return "\n".join(lines) + "\n"
+    return _csv("x,G", _column(xs), _column(gs))
 
 
-def indicatrix_csv(samples) -> str:
-    lines = ["R,Theta,branch,r,v1,v2"]
-    lines += [f"{fmt(s.R)},{fmt(s.Theta)},{s.branch},{fmt(s.r)},{fmt(s.v1)},{fmt(s.v2)}"
-              for s in samples]
-    return "\n".join(lines) + "\n"
+def indicatrix_csv(curve) -> str:
+    m = len(curve)
+    return _csv("R,Theta,branch,r,v1,v2", [fmt(curve.R)] * m,
+                [fmt(curve.Theta)] * m, [str(b) for b in curve.branch.tolist()],
+                _curve_column(curve.r), _curve_column(curve.v1, sign="-"),
+                _curve_column(curve.v2))
 
 
 def zoll_trace_csv(trace) -> str:
-    lines = ["t,r,theta,c,sign"]
-    lines += [f"{fmt(t)},{fmt(r)},{fmt(th)},{fmt(c)},{sg}"
-              for t, r, th, c, sg in trace.rows()]
-    return "\n".join(lines) + "\n"
+    return _csv("t,r,theta,c,sign", _column(trace.t), _column(trace.r),
+                _column(np.remainder(trace.theta, geodesics.TWO_PI)),
+                [fmt(trace.c)] * len(trace.t), [str(s) for s in trace.sign.tolist()])
 
 
 def finsler_trace_csv(trace) -> str:
-    lines = ["t,R,Theta,vR,vTheta,F"]
-    lines += [f"{fmt(t)},{fmt(rr)},{fmt(th)},{fmt(vr)},{fmt(vt)},{fmt(f)}"
-              for t, rr, th, vr, vt, f in trace.rows()]
-    return "\n".join(lines) + "\n"
+    return _csv("t,R,Theta,vR,vTheta,F", *(_column(a) for a in (
+        trace.t, trace.R, trace.Theta, trace.vR, trace.vTheta, trace.F)))
 
 
-def indicatrices_svg(curves: list[tuple[float, list]], size: int = 640) -> str:
-    """Deterministic standalone SVG with one polyline per chart value."""
-    extent = 0.0
-    for _, samples in curves:
-        for s in samples:
-            extent = max(extent, abs(s.v1), abs(s.v2))
+def indicatrices_svg(curves: list[tuple[float, moduli.IndicatrixCurve]],
+                     size: int = 640) -> str:
+    """Deterministic standalone SVG with one polyline per IndicatrixCurve."""
+    extent = max((float(np.max(np.abs(a))) for _, curve in curves
+                  for a in (curve.v1, curve.v2)), default=0.0)
     half = math.ceil(extent * 1.08 * 20.0) / 20.0 or 1.0
     # Math orientation: y up.  viewBox spans [-half, half]^2.
     parts = [
@@ -102,12 +112,11 @@ def indicatrices_svg(curves: list[tuple[float, list]], size: int = 640) -> str:
         f'<line x1="0" y1="{-half}" x2="0" y2="{half}" '
         f'stroke="#999999" stroke-width="{half / 200}"/>',
     ]
-    for k, (r_value, samples) in enumerate(curves):
+    for k, (r_value, curve) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
-        pts = " ".join(f"{format(s.v1, '.10g')},{format(s.v2, '.10g')}"
-                       for s in samples)
-        first = samples[0]
-        pts += f" {format(first.v1, '.10g')},{format(first.v2, '.10g')}"
+        v1 = _curve_column(curve.v1, ".10g", "-")
+        v2 = _curve_column(curve.v2, ".10g")
+        pts = " ".join(f"{a},{b}" for a, b in zip(v1 + v1[:1], v2 + v2[:1]))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="{half / 100}"/>')
     parts.append("</g>")
@@ -149,9 +158,9 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
         print(f"convexity violation: {exc}")
         return 2
     out_dir = Path(args.out)
-    for r_value, samples_list in zip(r_values, curves):
+    for r_value, curve in zip(r_values, curves):
         path = out_dir / f"indicatrix_R{format(r_value, 'g')}.csv"
-        atomic_write(path, indicatrix_csv(samples_list))
+        atomic_write(path, indicatrix_csv(curve))
     atomic_write(out_dir / "indicatrices.svg",
                  indicatrices_svg(list(zip(r_values, curves)), size=args.plot_size))
     print(f"wrote {len(r_values)} curve file(s) and indicatrices.svg in {out_dir}")

@@ -274,11 +274,6 @@ class FinslerTrace:
     tol: float
     complete: bool = True
 
-    def rows(self):
-        for k in range(len(self.t)):
-            yield (float(self.t[k]), float(self.R[k]), float(self.Theta[k]),
-                   float(self.vR[k]), float(self.vTheta[k]), float(self.F[k]))
-
 
 def unit_direction(profile: ZollProfile, R: float, Theta: float,
                    angle: float) -> np.ndarray:

@@ -208,12 +208,6 @@ class GeodesicTrace:
         return GeodesicState(float(self.r[-1]), float(self.theta[-1] % TWO_PI),
                              self.c, int(self.sign[-1]))
 
-    def rows(self):
-        """Iterate CSV rows (t, r, theta, c, sign) with theta reduced mod 2*pi."""
-        for k in range(len(self.t)):
-            yield (float(self.t[k]), float(self.r[k]),
-                   float(self.theta[k] % TWO_PI), self.c, int(self.sign[k]))
-
 
 def _phase_from_state(state: GeodesicState) -> float:
     """Initial phase u0 with cos u0 = cos r0 / cos r_c and sign(sin u0) = sign."""

@@ -75,6 +75,7 @@ test, with the longitude reflected about its start.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -269,8 +270,32 @@ def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
 
 # -- the closed curve -----------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class IndicatrixCurve(Sequence):
+    """The indicatrix polyline at (R, Theta) as arrays branch, r, v1 and v2: n
+    branch +1 entries, then entries n - 2 .. 1 again on branch -1, v1 negated.
+    A read-only sequence of IndicatrixSample over the arrays (a slice is a list).
+    """
+
+    R: float
+    Theta: float
+    branch: np.ndarray
+    r: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.r)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return IndicatrixSample(self.R, self.Theta, int(self.branch[k]),
+                                float(self.r[k]), float(self.v1[k]), float(self.v2[k]))
+
+
 def indicatrix_curve(profile: ZollProfile, R: float, samples: int = 256,
-                     Theta: float = 0.0) -> list[IndicatrixSample]:
+                     Theta: float = 0.0) -> IndicatrixCurve:
     """The full indicatrix as a closed polyline traversed once.
 
     Branch +1 sweeps the phase u uniformly from 0 to pi (r from r_c to
@@ -280,30 +305,26 @@ def indicatrix_curve(profile: ZollProfile, R: float, samples: int = 256,
     around the origin with strictly monotone polar angle -- for a curve
     symmetric about the v2 axis and containing the origin this is exactly
     simplicity plus star-shapedness, and it fails when convexity is lost.
+    Returns an IndicatrixCurve of 2 * samples - 2 points.
     """
     _check_chart(R)
     if samples < 16:
         raise DomainError(f"need at least 16 samples, got {samples}")
-    rc = abs(R)
     u = np.linspace(0.0, math.pi, samples)
-    cu, v1_plus = np.cos(u), np.sin(u)
-    v1_plus[-1] = 0.0                   # sin(float(pi)) is 1.2e-16, not 0
-    v2 = CurveEval(profile, R).v2_du(cu, v1_plus)[0]
-    r = np.arccos(np.clip(math.cos(R) * cu, -1.0, 1.0))
-    r[0], r[-1] = rc, math.pi - rc
+    cu, v1p = np.cos(u), np.sin(u)
+    v1p[-1] = 0.0                       # sin(float(pi)) is 1.2e-16, not 0
+    v2p = CurveEval(profile, R).v2_du(cu, v1p)[0]
+    rp = np.arccos(np.clip(math.cos(R) * cu, -1.0, 1.0))
+    rp[0], rp[-1] = abs(R), math.pi - abs(R)
+    mirror = slice(samples - 2, 0, -1)
+    v1, v2 = np.concatenate([v1p, -v1p[mirror]]), np.concatenate([v2p, v2p[mirror]])
+    out = IndicatrixCurve(R, Theta, np.repeat([1, -1], [samples, samples - 2]),
+                          np.concatenate([rp, rp[mirror]]), v1, v2)
 
-    out: list[IndicatrixSample] = []
-    for k in range(samples):
-        out.append(IndicatrixSample(R, Theta, +1, float(r[k]),
-                                    float(v1_plus[k]), float(v2[k])))
-    for k in range(samples - 2, 0, -1):
-        out.append(IndicatrixSample(R, Theta, -1, float(r[k]),
-                                    float(-v1_plus[k]), float(v2[k])))
-
-    angles = np.unwrap(np.array([math.atan2(s.v2, s.v1) for s in out]))
+    angles = np.unwrap(np.arctan2(v2, v1))
     steps = np.diff(angles)
     total = angles[-1] - angles[0]
-    closing = (math.atan2(out[0].v2, out[0].v1) - angles[-1]) % TWO_PI
+    closing = (math.atan2(v2[0], v1[0]) - angles[-1]) % TWO_PI
     winding = (total + closing) / TWO_PI
     if np.any(steps <= 0) or abs(winding - 1.0) > 1e-6:
         bad = [out[int(i)] for i in np.nonzero(steps <= 0)[0][:8]]
@@ -313,7 +334,7 @@ def indicatrix_curve(profile: ZollProfile, R: float, samples: int = 256,
 
     # Polyline convexity: every turn of the counterclockwise traversal must
     # bend left.  sin(turn angle) < -1e-9 flags a concave arc.
-    pts = np.array([[s.v1, s.v2] for s in out])
+    pts = np.column_stack([v1, v2])
     edges = np.diff(np.vstack([pts, pts[:2]]), axis=0)
     e0, e1 = edges[:-1], edges[1:]
     turn = (e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]) \

@@ -171,9 +171,9 @@ def run_verification(prof: ZollProfile, samples: int = 64) -> VerificationReport
     if prof.is_round:
         worst = 0.0
         for R in (0.0, math.pi / 6, math.pi / 3):
-            for s in moduli.indicatrix_curve(prof, R, 500):
-                worst = max(worst, abs(s.v1 ** 2
-                                       + math.cos(R) ** 2 * s.v2 ** 2 - 1.0))
+            curve = moduli.indicatrix_curve(prof, R, 500)
+            worst = max(worst, float(np.max(np.abs(
+                curve.v1 ** 2 + math.cos(R) ** 2 * curve.v2 ** 2 - 1.0))))
         rep.add("ellipse_degeneration", worst, 1e-10)
     else:
         rep.skip("ellipse_degeneration", "profile is not the round sphere")
@@ -192,9 +192,9 @@ def run_verification(prof: ZollProfile, samples: int = 64) -> VerificationReport
     # 12. F = 1 on indicatrix samples.
     worst = 0.0
     for R in (0.0, 0.6, 1.2):
-        for s in moduli.indicatrix_curve(prof, R, 64):
-            worst = max(worst, abs(
-                finsler.finsler_F(prof, R, 0.0, (s.v1, s.v2)).F - 1.0))
+        curve = moduli.indicatrix_curve(prof, R, 64)
+        for v in zip(curve.v1.tolist(), curve.v2.tolist()):
+            worst = max(worst, abs(finsler.finsler_F(prof, R, 0.0, v).F - 1.0))
     rep.add("indicatrix_unit_norm", worst, 1e-9)
 
     # 13. Fundamental tensor positive definite over a direction grid.

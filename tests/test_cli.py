@@ -1,6 +1,10 @@
 import json
 import math
 
+import numpy as np
+import pytest
+
+from zollfins import cli
 from zollfins.cli import main
 
 
@@ -258,3 +262,97 @@ def test_verify_round_sphere(tmp_path):
     assert by_name["invariants"]["status"] == "pass"
     assert by_name["invariants"]["measured"] <= 1e-12
     assert by_name["ellipse_degeneration"]["status"] == "pass"
+
+
+# -- writers against their row-by-row reference -----------------------------------
+
+def _fmt(x):
+    return format(float(x), ".17g")
+
+
+def reference_indicatrix_csv(samples):
+    lines = ["R,Theta,branch,r,v1,v2"]
+    lines += [f"{_fmt(s.R)},{_fmt(s.Theta)},{s.branch},{_fmt(s.r)},{_fmt(s.v1)},{_fmt(s.v2)}"
+              for s in samples]
+    return "\n".join(lines) + "\n"
+
+
+def reference_zoll_trace_csv(trace):
+    lines = ["t,r,theta,c,sign"]
+    lines += [f"{_fmt(trace.t[k])},{_fmt(trace.r[k])},"
+              f"{_fmt(trace.theta[k] % (2 * math.pi))},{_fmt(trace.c)},{int(trace.sign[k])}"
+              for k in range(len(trace.t))]
+    return "\n".join(lines) + "\n"
+
+
+def reference_finsler_trace_csv(trace):
+    lines = ["t,R,Theta,vR,vTheta,F"]
+    lines += [f"{_fmt(trace.t[k])},{_fmt(trace.R[k])},{_fmt(trace.Theta[k])},"
+              f"{_fmt(trace.vR[k])},{_fmt(trace.vTheta[k])},{_fmt(trace.F[k])}"
+              for k in range(len(trace.t))]
+    return "\n".join(lines) + "\n"
+
+
+def reference_curvature_csv(xs, gs):
+    lines = ["x,G"]
+    lines += [f"{_fmt(x)},{_fmt(g)}" for x, g in zip(xs, gs)]
+    return "\n".join(lines) + "\n"
+
+
+def reference_indicatrices_svg(curves, size=640):
+    from zollfins.cli import PALETTE
+    extent = 0.0
+    for _, samples in curves:
+        for s in samples:
+            extent = max(extent, abs(s.v1), abs(s.v2))
+    half = math.ceil(extent * 1.08 * 20.0) / 20.0 or 1.0
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="{-half} {-half} {2 * half} {2 * half}">',
+        f'<g transform="scale(1,-1)">',
+        f'<line x1="{-half}" y1="0" x2="{half}" y2="0" '
+        f'stroke="#999999" stroke-width="{half / 200}"/>',
+        f'<line x1="0" y1="{-half}" x2="0" y2="{half}" '
+        f'stroke="#999999" stroke-width="{half / 200}"/>',
+    ]
+    for k, (r_value, samples) in enumerate(curves):
+        color = PALETTE[k % len(PALETTE)]
+        pts = " ".join(f"{format(s.v1, '.10g')},{format(s.v2, '.10g')}"
+                       for s in samples)
+        first = samples[0]
+        pts += f" {format(first.v1, '.10g')},{format(first.v2, '.10g')}"
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     f'stroke-width="{half / 100}"/>')
+    parts.append("</g>")
+    for k, (r_value, _) in enumerate(curves):
+        color = PALETTE[k % len(PALETTE)]
+        y = -half + (k + 1) * half / 12
+        parts.append(f'<text x="{-half + half / 20}" y="{y}" fill="{color}" '
+                     f'font-size="{half / 16}" font-family="monospace">'
+                     f'R={format(r_value, ".6g")}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("h", ["0", "0.45,-0.45", "1,-2,1"])
+def test_writers_match_row_by_row_reference(h):
+    """The column writers return the same strings as one f-string per row,
+    reading each sample through the IndicatrixCurve sequence view."""
+    from zollfins import (GeodesicState, ZollProfile, finsler_geodesic,
+                          indicatrix_curve, integrate_geodesic, unit_direction)
+    from zollfins.profile import curvature_x
+    prof = ZollProfile.from_string(h)
+    r_values = (-1.3, 0.0, 0.7, 1.5600000100725198)
+    for samples in (16, 512):
+        curves = [(R, indicatrix_curve(prof, R, samples)) for R in r_values]
+        for _, curve in curves:
+            assert cli.indicatrix_csv(curve) == reference_indicatrix_csv(curve)
+        assert cli.indicatrices_svg(curves) == reference_indicatrices_svg(curves)
+    zoll = integrate_geodesic(prof, GeodesicState(0.6, 0.3, 0.5, +1), 4 * math.pi)
+    assert cli.zoll_trace_csv(zoll) == reference_zoll_trace_csv(zoll)
+    v0 = unit_direction(prof, 0.2, 0.0, 0.9)
+    fin = finsler_geodesic(prof, (0.2, 0.0), v0, 2 * math.pi, tol=1e-9)
+    assert cli.finsler_trace_csv(fin) == reference_finsler_trace_csv(fin)
+    xs = np.linspace(-1.0, 1.0, 64)
+    gs = np.asarray(curvature_x(prof, xs))
+    assert cli.curvature_csv(xs, gs) == reference_curvature_csv(xs, gs)

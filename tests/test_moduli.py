@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from zollfins import (BandError, ConvexityViolation, DomainError,
-                      GeodesicState, ModuliPoint, coords_of_geodesic,
+                      GeodesicState, IndicatrixCurve, IndicatrixSample,
+                      ModuliPoint, coords_of_geodesic,
                       implicit_polynomial, implicit_residual,
                       indicatrix_curvature, indicatrix_curve,
                       indicatrix_parametric, indicatrix_parametric_samples,
                       indicatrix_regularized, integrate_geodesic, jacobi_pair,
                       turning_latitude)
 from zollfins.jacobi import EQUATOR_GUARD
+from zollfins.moduli import CurveEval
 
 TWO_PI = 2 * math.pi
 
@@ -387,7 +389,6 @@ def _point_at_phase(prof, R, u):
 
 @pytest.mark.parametrize("R", [-0.9, 0.0, 0.3, 1.2])
 def test_phase_jet_matches_central_differences(all_good, R):
-    from zollfins.moduli import CurveEval
     d1, d2 = 1e-5, 1e-4
     for prof in all_good:
         curve = CurveEval(prof, R)
@@ -451,3 +452,53 @@ def test_indicatrix_curve_glue_samples_on_axis():
     curve = indicatrix_curve(example1(0.25), 1.5600000100725198, 64)
     assert curve[0].v1 == 0.0
     assert curve[63].v1 == 0.0
+
+
+def test_curve_sequence_view_reads_arrays(ex2):
+    curve = indicatrix_curve(ex2, -0.7, 64, Theta=0.4)
+    assert isinstance(curve, IndicatrixCurve)
+    assert len(curve) == 126 == len(curve.r) == len(curve.v1) == len(curve.v2)
+
+    def fields(k):
+        return IndicatrixSample(curve.R, curve.Theta, int(curve.branch[k]),
+                                float(curve.r[k]), float(curve.v1[k]),
+                                float(curve.v2[k]))
+
+    assert curve[0] == fields(0) and curve[-1] == fields(125)
+    assert curve[:10] == [fields(k) for k in range(10)]
+    assert list(curve) == [fields(k) for k in range(126)]
+    assert all(type(s.v1) is float and type(s.branch) is int for s in curve)
+
+
+def _faulty_curve_eval(monkeypatch, depth, width=0.02, u0=0.5):
+    """Raise v2 by a Gaussian bump about the phase u0 in array calls of
+    CurveEval.v2_du (the ones indicatrix_curve makes).  Near the bottom of
+    the curve that moves samples toward the origin: an inward dent."""
+    v2_du = CurveEval.v2_du
+
+    def faulty(self, cu, su):
+        v2, v2_u = v2_du(self, cu, su)
+        if isinstance(su, np.ndarray):
+            v2 = v2 + depth * np.exp(-((np.arctan2(su, cu) - u0) / width) ** 2)
+        return v2, v2_u
+
+    monkeypatch.setattr(CurveEval, "v2_du", faulty)
+
+
+def test_inward_dent_fails_convexity_check(monkeypatch, ex1):
+    """A shallow dent keeps the polar angle monotone, so only the turn-sign
+    check can catch it."""
+    _faulty_curve_eval(monkeypatch, 1e-3)
+    with pytest.raises(ConvexityViolation, match="concave arcs") as excinfo:
+        indicatrix_curve(ex1, 0.4, 512)
+    report = excinfo.value.report
+    assert report and all(isinstance(s, IndicatrixSample) for s in report)
+
+
+def test_fold_fails_winding_check(monkeypatch, ex1):
+    """A deep narrow dent turns the polar angle back on its trailing edge."""
+    _faulty_curve_eval(monkeypatch, 0.2)
+    with pytest.raises(ConvexityViolation, match="star-shaped") as excinfo:
+        indicatrix_curve(ex1, 0.4, 512)
+    report = excinfo.value.report
+    assert report and all(isinstance(s, IndicatrixSample) for s in report)
