@@ -20,10 +20,9 @@ from .moduli import (ImplicitIndicatrix, IndicatrixCurve, IndicatrixSample,
                      implicit_residual, indicatrix_curvature, indicatrix_curve,
                      indicatrix_parametric, indicatrix_parametric_samples,
                      indicatrix_regularized)
-from .profile import (SurfacePoint, ZollProfile, check_positive_curvature,
-                      curvature_critical_points, curvature_fd_check, eval_h,
-                      eval_h_derivs, example1, example2, gauss_curvature,
-                      metric_coeffs, round_sphere)
+from .profile import (ZollProfile, check_positive_curvature,
+                      curvature_critical_points, curvature_fd_check, example1,
+                      example2, gauss_curvature, metric_coeffs, round_sphere)
 
 __version__ = "0.1.0"
 

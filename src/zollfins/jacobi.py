@@ -48,7 +48,7 @@ from math import comb
 import numpy as np
 
 from .errors import BandError, DomainError
-from .geodesics import band_radicand, turning_latitude
+from .geodesics import band_radicand, signed_phase, turning_latitude
 from .profile import ZollProfile, curvature_x
 from .quadrature import gl_adaptive, gl_fixed, gl_refined
 
@@ -99,12 +99,6 @@ def jacobi_y(profile: ZollProfile, c: float, r: float, sign: int = +1
     return sign * y, x / (1.0 + profile.h(x))
 
 
-def _phase(c: float, r):
-    """Ascending-branch phase u in [0, pi] with cos r = cos r_c cos u, at a
-    latitude or a 1-D array of them."""
-    return np.arctan2(np.sqrt(band_radicand(c, r)), np.cos(r))
-
-
 # -- the h'' integral Psi -----------------------------------------------------
 
 def _s_poly_coeffs(profile: ZollProfile, c: float,
@@ -114,11 +108,12 @@ def _s_poly_coeffs(profile: ZollProfile, c: float,
         Psi(r) = y^3 * S(w),
         S(w) = sum_k b_{2k+1} q^k sum_{p=0}^{k} (-1)^p C(k,p) w^p / (2p+3),
 
-    q = cos^2 r_c and b the coefficient list of h''.  Exact antiderivative of
-    the Psi integrand for polynomial h.  With ``d_dq`` the coefficients of
-    dS/dq at fixed w are returned instead (q^k replaced by k q^(k-1)).
+    q = cos^2 r_c and b_{2k+1} = hpp_table[k] the coefficients of h''.  Exact
+    antiderivative of the Psi integrand for polynomial h.  With ``d_dq`` the
+    coefficients of dS/dq at fixed w are returned instead (q^k replaced by
+    k q^(k-1)).
     """
-    b = profile.hpp_coeffs()
+    b = profile.hpp_table
     if not b:
         return ()
     q = math.cos(turning_latitude(c)) ** 2
@@ -159,7 +154,7 @@ def hpp_integral_quad(profile: ZollProfile, c: float, r: float) -> float:
     def integrand(u):
         return np.sin(u) ** 2 * profile.h_second(cos_rc * np.cos(u))
 
-    val, _ = gl_adaptive(integrand, 0.0, float(_phase(c, r)))
+    val, _ = gl_adaptive(integrand, 0.0, signed_phase(c, r))
     return cos_rc * cos_rc * val
 
 
@@ -185,7 +180,7 @@ def _pole_panels(profile: ZollProfile, c: float, r, below: bool):
             raise DomainError("Phi(r) diverges at r = pi/2; use the regularized forms")
         if not below and rk <= math.pi / 2:
             raise DomainError("tail integral requires r > pi/2")
-    u_r = _phase(c, r)
+    u_r = signed_phase(c, r)
     min_width = np.maximum(1e-13, POLE_PANEL_FRACTION * np.abs(math.pi / 2 - u_r))
     return u_r, _phi_integrand(profile, math.cos(turning_latitude(c))), min_width
 
@@ -298,9 +293,9 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid,
         return 1.0 + profile.h(cos_rc * np.cos(u))
 
     worst = 0.0
-    for r in np.atleast_1d(np.asarray(r_grid, dtype=float)):
-        _check_band(c, float(r))
-        u = float(_phase(c, float(r)))
+    rs = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    for r, u in zip(rs.tolist(), signed_phase(c, rs).tolist()):
+        _check_band(c, r)
         du = step / float(dt_du(np.asarray(u)))
         if not du < u < math.pi - du:
             raise BandError(f"grid point {r} too close to a turning point")
@@ -308,7 +303,7 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid,
         a = gl_fixed(dt_du, u_m, u, 8)   # backward time offset
         b = gl_fixed(dt_du, u, u_p, 8)   # forward time offset
         g_val = float(curvature_x(profile, math.cos(r)))
-        pair_0 = jacobi_pair(profile, c, float(r), +1)
+        pair_0 = jacobi_pair(profile, c, r, +1)
         pair_m = jacobi_pair(profile, c, math.acos(cos_rc * math.cos(u_m)), +1)
         pair_p = jacobi_pair(profile, c, math.acos(cos_rc * math.cos(u_p)), +1)
         for attr in ("y1", "y2"):

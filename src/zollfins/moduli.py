@@ -84,13 +84,12 @@ from math import comb
 import numpy as np
 
 from .errors import BandError, ConvexityViolation, DomainError
-from .geodesics import (GeodesicState, _phase_from_state, band_radicand,
-                        turning_latitude)
+from .geodesics import (GeodesicState, band_radicand, longitude_advance,
+                        signed_phase, turning_latitude)
 from .jacobi import (EQUATOR_GUARD, _regular_bracket, _s_poly_coeffs,
                      curvature_integral, curvature_integral_full,
                      curvature_integral_tail)
 from .profile import ZollProfile, curvature_x, horner, horner_jet
-from .quadrature import gl_refined
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,8 +142,9 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
     """Chart coordinates of the oriented geodesic through the given state.
 
     States not at their turning point are normalized by flowing the longitude
-    back to the turning point (a quadrature in the regular phase variable).
-    Equators (c = +-1) are the two chart poles and are rejected.
+    back to the turning point, by geodesics.longitude_advance: the round
+    sphere's part in closed form and a smooth quadrature.  Equators
+    (c = +-1) are the two chart poles and are rejected.
     """
     c = state.c
     if abs(c) >= 1.0 - 1e-12:
@@ -160,17 +160,8 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
     if abs(state.r - rc) <= 1e-12:
         theta_turn = state.theta
     else:
-        cos_rc = math.cos(rc)
-        u0 = _phase_from_state(state)
-        c2 = c * c
-
-        def dtheta_du(u):
-            z = cos_rc * np.cos(u)
-            # sin^2 r rearranged to avoid cancellation at small |c|.
-            return c * (1.0 + profile.h(z)) / (c2 + (1.0 - c2) * np.sin(u) ** 2)
-
-        advance = gl_refined(dtheta_du, 0.0, u0, refine_a=True, refine_b=True)
-        theta_turn = state.theta - advance
+        u0 = signed_phase(c, state.r, state.sign)
+        theta_turn = state.theta - longitude_advance(profile, c, u0)
 
     if c > 0:
         return ModuliPoint(rc, theta_turn % TWO_PI)
@@ -262,7 +253,7 @@ def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
     sr = math.sin(r)
     y = math.sqrt(float(band_radicand(math.sin(R), r)))
     (p1, p2), (t1, t2), (a1, a2), _, _ = CurveEval(profile, R).jet(
-        math.atan2(branch * y, x))
+        signed_phase(math.sin(R), r, branch))
     left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * (sr / y) ** 2
     right = ((1.0 + profile.h(x)) * sr / y) ** 2 * float(curvature_x(profile, x))
     return left, right

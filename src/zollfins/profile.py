@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -35,26 +36,22 @@ _SCAN_POINTS = 10_001
 
 
 @dataclass(frozen=True)
-class SurfacePoint:
-    """A point (r, theta) of the surface; the metric degenerates at r in {0, pi}."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r <= math.pi:
-            raise DomainError(f"latitude r={self.r} outside [0, pi]")
-
-
-@dataclass(frozen=True)
 class ZollProfile:
     """Coefficients (a_1, a_3, ...) of the odd deformation polynomial h."""
 
     odd_coeffs: tuple[float, ...]
     #: Derived once from odd_coeffs, outside eq/hash: the coefficients in
-    #: w = x^2 of h'(x) and of h''(x)/x.
+    #: w = x^2 of h'(x), of h''(x)/x and (below) of k(x)/x.
     hp_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
     hpp_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    #: k(x) = x sum_j m_j x^(2j) with m_j = a_1 + ... + a_(2j+1): the quotient
+    #: of h(x)/x, a polynomial in w = x^2, by 1 - w, so that
+    #: h(x) = (1 - x^2) k(x) + (sum a) x^(2n+1), with a_(2n+1) the last
+    #: coefficient.  The remainder is dropped.  It is odd, so it adds nothing
+    #: to the longitude advance Theta of a band sweep, and |sum a| <=
+    #: COEFF_SUM_TOL, so it adds less than pi * COEFF_SUM_TOL to a part of one
+    #: (geodesics.longitude_advance, the anchor of a chart point).
+    k_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, odd_coeffs: Iterable[float] = ()):
         a = tuple(float(ak) for ak in odd_coeffs)
@@ -63,6 +60,7 @@ class ZollProfile:
         object.__setattr__(self, "odd_coeffs", a)
         object.__setattr__(self, "hp_table", hp)
         object.__setattr__(self, "hpp_table", hpp)
+        object.__setattr__(self, "k_table", tuple(accumulate(a[:-1])))
         self._validate()
 
     # -- construction -----------------------------------------------------
@@ -121,13 +119,6 @@ class ZollProfile:
     @property
     def is_round(self) -> bool:
         return all(a == 0.0 for a in self.odd_coeffs)
-
-    def hpp_coeffs(self) -> tuple[float, ...]:
-        """Coefficients b_1, b_3, ... with h''(x) = sum_k b_{2k+1} x^{2k+1}.
-
-        b_{2k+1} = 2(k+1)(2k+3) a_{2k+3}.
-        """
-        return self.hpp_table
 
     # -- evaluation (Horner in x^2, on a float or an array) --------------------
 
@@ -189,16 +180,6 @@ def _bisect_root(f, lo: float, hi: float, iters: int = 80) -> float:
 
 
 # -- module-level operations ------------------------------------------------
-
-def eval_h(profile: ZollProfile, x):
-    """h(x) = sum_k a_{2k+1} x^{2k+1}, by Horner recurrence in x^2."""
-    return profile.h(x)
-
-
-def eval_h_derivs(profile: ZollProfile, x):
-    """(h'(x), h''(x)) by term-wise analytic differentiation."""
-    return profile.h_prime(x), profile.h_second(x)
-
 
 def curvature_x(profile: ZollProfile, x):
     """Gauss curvature as a function of x = cos r:

@@ -14,13 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import DomainError, QuadratureError
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
-#: Order ladder used by :func:`gl_adaptive`.  The post-substitution
-#: integrands in this package are analytic, so escalation terminates early
-#: except for sharply peaked cases (small Clairaut constants).
+#: Order ladder used by :func:`gl_adaptive`.  Its integrands in this package
+#: are analytic on the whole interval, so escalation terminates early.
 DEFAULT_ORDERS = (64, 128, 256, 512, 1024, 2048)
 
 
@@ -74,46 +73,48 @@ def gl_refined(
     *,
     refine_a: bool = False,
     refine_b: bool = False,
-    order: int = 48,
     min_width: float | np.ndarray = 1e-13,
 ) -> float | np.ndarray:
-    """Panel quadrature with dyadic refinement toward one or both endpoints.
+    """Order-48 panel quadrature over [a, b], a <= b, with dyadic refinement
+    toward the one end that ``refine_a`` or ``refine_b`` names.
 
-    Used when the integrand is analytic inside (a, b) but has a pole or sharp
-    peak just beyond (or at) a refined endpoint.  Panel widths halve toward
-    the refined end until they reach ``min_width``, so every panel sees the
-    nearest singularity at a distance comparable to its own width or more,
-    and fixed-order Gauss-Legendre converges to machine precision on each
-    panel.  A panel whose nearest pole lies a panel width away or farther
-    converges like rho^(-2 order) with rho >= 3 + sqrt(8) (Trefethen, ATAP,
-    ch. 19), so a caller that knows the pole distance d can stop at
-    ``min_width`` ~ d/10.  Refining both ends splits [a, b] at its midpoint
-    and refines each half toward its own end.
+    Used when the integrand is analytic inside (a, b) but has a pole just
+    beyond the refined end: the curvature integral Phi below and above the
+    equator.  Panel widths halve toward that end until they reach
+    ``min_width``, so every panel sees the pole at a distance comparable to
+    its own width or more, and fixed-order Gauss-Legendre converges to
+    machine precision on each panel.  A panel whose nearest pole lies a
+    panel width away or farther converges like rho^(-96) with
+    rho >= 3 + sqrt(8) (Trefethen, ATAP, ch. 19), so a caller that knows the
+    pole distance d can stop at ``min_width`` ~ d/10.
 
     ``a``, ``b`` and ``min_width`` may be 1-D arrays, broadcast together: the
     result is then the array of the integrals over the intervals [a_i, b_i].
     The Gauss-Legendre nodes of all panels of all intervals go to ``f`` in
     one flat array, in a single call, so ``f`` must act elementwise.  Each
-    interval's panel estimates are then added one by one in panel order:
-    outward from the unrefined end, or, when both ends are refined, the left
-    half's panels and then the right's.  An interval gives the same bits in a
-    batch as alone.
+    interval's panel estimates are then added one by one, outward from the
+    unrefined end, so an interval gives the same bits in a batch as alone.
+    An empty interval gives 0.
     """
+    if refine_a == refine_b:
+        raise DomainError("gl_refined refines exactly one end")
     a, b, min_width = np.broadcast_arrays(a, b, min_width)
-    pieces = [_interval_panels(ai, bi, refine_a, refine_b, wi)
+    if np.any(b < a):
+        raise DomainError("gl_refined needs a <= b")
+    pieces = [_dyadic_panels(ai, bi, refine_b, wi)
               for ai, bi, wi in zip(a.ravel().tolist(), b.ravel().tolist(),
                                     min_width.ravel().tolist())]
-    edges = np.concatenate([rows for _, rows in pieces])
+    edges = np.concatenate(pieces)
     lo, hi = edges.T
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    x, w = _leggauss(order)
+    x, w = _leggauss(48)
     nodes = mid[:, None] + half[:, None] * x
     # Only empty intervals: no call, as integrands may refuse an empty array.
     vals = f(nodes.ravel()).reshape(nodes.shape) if len(edges) else nodes
     sums = []
     start = 0
-    for sign, rows in pieces:
+    for rows in pieces:
         stop = start + len(rows)
         total = 0.0
         # One product per interval: BLAS may round a row differently with
@@ -121,27 +122,8 @@ def gl_refined(
         for estimate in (half[start:stop] * (vals[start:stop] @ w)).tolist():
             total += estimate
         start = stop
-        sums.append(sign * total)
+        sums.append(total)
     return np.array(sums) if a.ndim else sums[0]
-
-
-def _interval_panels(a: float, b: float, refine_a: bool, refine_b: bool,
-                     min_width: float) -> tuple[float, np.ndarray]:
-    """(sign, panel rows) of one interval: its integral is sign times the sum
-    of the panel integrals, in row order.  A reversed interval is refined as
-    [b, a] with the end flags swapped; an unrefined one is a single panel."""
-    sign = 1.0
-    if b < a:
-        a, b, refine_a, refine_b, sign = b, a, refine_b, refine_a, -1.0
-    if refine_a and refine_b:
-        mid = 0.5 * (a + b)
-        rows = np.concatenate((_dyadic_panels(a, mid, False, min_width),
-                               _dyadic_panels(mid, b, True, min_width)))
-    elif refine_a or refine_b:
-        rows = _dyadic_panels(a, b, refine_b, min_width)
-    else:
-        rows = np.array([[a, b]]) if a != b else np.empty((0, 2))
-    return sign, rows
 
 
 def _dyadic_panels(a: float, b: float, toward_b: bool, min_width: float) -> np.ndarray:

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from zollfins import (BandError, DomainError, GeodesicState, PoleProximityError,
-                      closure_integrals, flow_rhs, integrate_geodesic,
+                      ZollProfile, closure_integrals, flow_rhs, integrate_geodesic,
                       surface_distance, turning_latitude)
 from zollfins.geodesics import band_radicand
 
@@ -199,12 +200,40 @@ def test_closure_matches_trace(ex1):
 
 
 def test_closure_tiny_clairaut(ex1_strong):
-    """The longitude-advance integrand peaks with width ~|c|; the panel
-    branch must stay accurate far below the standard grid."""
-    for c in (1e-3, 1e-6):
+    """The raw longitude-advance integrand peaks with width ~|c|; the
+    factored form must stay accurate far below the standard grid."""
+    for c in (1e-3, 1e-6, 1e-9, -1e-12):
         t_val, th = closure_integrals(ex1_strong, c)
-        assert abs(t_val - math.pi) < 1e-12
-        assert abs(th - math.pi) < 1e-8
+        assert abs(t_val - math.pi) < 1e-13
+        assert abs(th - math.pi) < 1e-13
+
+
+def mp_theta(profile, c):
+    """Theta = int_0^pi |c| (1 + h(z)) / (c^2 + (1 - c^2) sin^2 u) du, with
+    z = sqrt(1 - c^2) cos u, at 30 digits on the raw integrand, with break
+    points at |c| 8^k from both ends, where it peaks."""
+    with mpmath.workdps(30):
+        a = [mpmath.mpf(ak) for ak in profile.odd_coeffs]
+        cm = mpmath.mpf(c)
+        cos_rc = mpmath.sqrt(1 - cm * cm)
+
+        def f(u):
+            z = cos_rc * mpmath.cos(u)
+            h = sum(ak * z ** (2 * j + 1) for j, ak in enumerate(a))
+            return abs(cm) * (1 + h) / (cm * cm + (1 - cm * cm) * mpmath.sin(u) ** 2)
+
+        steps = [abs(cm) * mpmath.mpf(8) ** k for k in range(-1, 14)]
+        steps = [s for s in steps if s < 1]
+        pts = [0] + steps + [mpmath.pi / 2] + [mpmath.pi - s for s in steps[::-1]] + [mpmath.pi]
+        return mpmath.quad(f, pts)
+
+
+@pytest.mark.parametrize("coeffs", [(0.25, -0.25), (1.0, -2.0, 1.0), (0.45, -0.45)])
+@pytest.mark.parametrize("c", [1e-3, 1e-6, 1e-9, -1e-12])
+def test_theta_matches_mpmath_raw_integrand(coeffs, c):
+    profile = ZollProfile(coeffs)
+    _, th = closure_integrals(profile, c)
+    assert abs(th - float(mp_theta(profile, c))) <= 1e-14
 
 
 def test_negative_c_reverses_longitude(ex2):

@@ -3,7 +3,7 @@ production code it guards turns it to FAIL on the 0.25,-0.25 profile."""
 
 import dataclasses
 
-from zollfins import example1, jacobi, moduli
+from zollfins import example1, geodesics, jacobi, moduli
 from zollfins.moduli import CurveEval
 from zollfins.verify import run_verification
 
@@ -74,3 +74,17 @@ def test_phi_full_fault_fails_representation_agreement(monkeypatch):
     monkeypatch.setattr(moduli, "curvature_integral_full",
                         lambda *args: full(*args) + 1e-6)
     assert _status("representation_agreement") == "fail"
+
+
+def test_time_quadrature_fault_fails_closure_integrals(monkeypatch):
+    """The quadrature behind the travel time T.  Theta = pi + |c| int k is
+    not affected: the k integral vanishes for odd k, so a relative fault in
+    it cannot show, and T carries the check."""
+    adaptive = geodesics.gl_adaptive
+
+    def faulty(*args, **kwargs):
+        value, err = adaptive(*args, **kwargs)
+        return value * (1 + 1e-7), err
+
+    monkeypatch.setattr(geodesics, "gl_adaptive", faulty)
+    assert _status("closure_integrals") == "fail"

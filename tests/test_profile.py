@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from zollfins import (DegenerateMetricError, DomainError, ProfileError,
                       ZollProfile, check_positive_curvature,
-                      curvature_critical_points, curvature_fd_check, eval_h,
-                      eval_h_derivs, example1, example2, gauss_curvature,
-                      metric_coeffs)
+                      curvature_critical_points, curvature_fd_check, example1,
+                      example2, gauss_curvature, metric_coeffs)
 from zollfins.profile import curvature_x, curvature_x_prime
 
 
@@ -60,11 +60,11 @@ def test_bad_curvature_profile_still_constructs(bad_curvature):
 # -- evaluation -------------------------------------------------------------------
 
 def test_eval_h_values(ex1, ex2):
-    assert eval_h(ex1, 0.0) == 0.0
-    assert abs(eval_h(ex1, 1.0)) <= 1e-12
-    assert abs(eval_h(ex1, -1.0)) <= 1e-12
-    assert eval_h(ex2, 0.5) == pytest.approx(brute_h(ex2.odd_coeffs, 0.5), abs=1e-15)
-    assert eval_h(ex2, 0.5) == pytest.approx(0.28125, abs=1e-15)
+    assert ex1.h(0.0) == 0.0
+    assert abs(ex1.h(1.0)) <= 1e-12
+    assert abs(ex1.h(-1.0)) <= 1e-12
+    assert ex2.h(0.5) == pytest.approx(brute_h(ex2.odd_coeffs, 0.5), abs=1e-15)
+    assert ex2.h(0.5) == pytest.approx(0.28125, abs=1e-15)
 
 
 @given(x=st.floats(min_value=-1.0, max_value=1.0))
@@ -72,26 +72,27 @@ def test_eval_h_values(ex1, ex2):
 def test_oddness_exact(x):
     # Horner in x^2 makes h(-x) == -h(x) hold bit-for-bit.
     prof = example2()
-    assert eval_h(prof, -x) == -eval_h(prof, x)
+    assert prof.h(-x) == -prof.h(x)
 
 
 @given(x=st.floats(min_value=-1.0, max_value=1.0))
 @settings(max_examples=200, deadline=None)
 def test_eval_matches_brute_force(x):
     prof = example1(0.45)
-    assert eval_h(prof, x) == pytest.approx(brute_h(prof.odd_coeffs, x),
-                                            abs=1e-14)
+    assert prof.h(x) == pytest.approx(brute_h(prof.odd_coeffs, x), abs=1e-14)
 
 
 def test_domain_error():
     prof = example1(0.25)
     with pytest.raises(DomainError):
-        eval_h(prof, 1.001)
+        prof.h(1.001)
     with pytest.raises(DomainError):
-        eval_h_derivs(prof, -1.1)
+        prof.h_prime(-1.1)
+    with pytest.raises(DomainError):
+        prof.h_second(-1.1)
     for x in (math.nan, np.array([0.5, math.nan])):
         with pytest.raises(DomainError):
-            eval_h(prof, x)
+            prof.h(x)
         with pytest.raises(DomainError):
             gauss_curvature(prof, x)
 
@@ -121,27 +122,41 @@ def test_float_path_domain_error(ex1, method):
 
 
 def test_derivative_values(ex1, ex2):
-    hp, hpp = eval_h_derivs(ex1, 0.0)
-    assert hp == pytest.approx(0.25, abs=1e-15)       # eps (1 - 3 x^2) at 0
-    assert hpp == 0.0                                  # h'' is odd
-    hp2, hpp2 = eval_h_derivs(ex2, 1.0)
-    assert hpp2 == pytest.approx(8.0, abs=1e-12)       # -12 x + 20 x^3 at 1
+    assert ex1.h_prime(0.0) == pytest.approx(0.25, abs=1e-15)  # eps (1 - 3 x^2) at 0
+    assert ex1.h_second(0.0) == 0.0                            # h'' is odd
+    assert ex2.h_second(1.0) == pytest.approx(8.0, abs=1e-12)  # -12 x + 20 x^3 at 1
 
 
 @pytest.mark.parametrize("x", np.linspace(-0.95, 0.95, 21))
 def test_derivatives_match_finite_differences(ex2, x):
     step = 1e-5
-    hp, hpp = eval_h_derivs(ex2, x)
-    fd_p = (eval_h(ex2, x + step) - eval_h(ex2, x - step)) / (2 * step)
-    fd_pp = (eval_h(ex2, x + step) - 2 * eval_h(ex2, x) + eval_h(ex2, x - step)) / step**2
-    assert hp == pytest.approx(fd_p, abs=1e-8)
-    assert hpp == pytest.approx(fd_pp, abs=1e-5)
+    fd_p = (ex2.h(x + step) - ex2.h(x - step)) / (2 * step)
+    fd_pp = (ex2.h(x + step) - 2 * ex2.h(x) + ex2.h(x - step)) / step**2
+    assert ex2.h_prime(x) == pytest.approx(fd_p, abs=1e-8)
+    assert ex2.h_second(x) == pytest.approx(fd_pp, abs=1e-5)
 
 
 def test_hpp_coeffs(ex1, ex2):
     # h'' = -6 eps x for the cubic profile, -12x + 20x^3 for the quintic.
-    assert ex1.hpp_coeffs() == (-1.5,)
-    assert ex2.hpp_coeffs() == (-12.0, 20.0)
+    assert ex1.hpp_table == (-1.5,)
+    assert ex2.hpp_table == (-12.0, 20.0)
+
+
+@pytest.mark.parametrize("coeffs", [(), (0.25, -0.25), (1.0, -2.0, 1.0), (0.45, -0.45)])
+def test_k_table_exact(coeffs):
+    """h(z) = (1 - z^2) k(z) + (sum a) z^(2n+1) holds exactly, in rational
+    arithmetic on the stored floats.  No closure check can see a fault in
+    k: Theta - pi = |c| int_0^pi k(cos r_c cos u) du vanishes for every odd
+    k, whatever its coefficients, so the table is checked here directly."""
+    prof = ZollProfile(coeffs)
+    a = [Fraction(ak) for ak in prof.odd_coeffs]
+    m = [Fraction(mk) for mk in prof.k_table]
+    assert len(m) == max(len(a) - 1, 0)
+    for z in [Fraction(j, 16) for j in range(-16, 17)] + [Fraction(0.3), Fraction(-0.77)]:
+        h = sum(ak * z ** (2 * j + 1) for j, ak in enumerate(a))
+        k = sum(mk * z ** (2 * j + 1) for j, mk in enumerate(m))
+        remainder = sum(a) * z ** (2 * len(a) - 1) if a else 0
+        assert (1 - z * z) * k + remainder == h
 
 
 # -- curvature ----------------------------------------------------------------------

@@ -4,23 +4,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from zollfins import ZollProfile, example1, example2, jacobi, moduli, turning_latitude
-from zollfins.jacobi import _phase, curvature_integral, curvature_integral_tail
+from zollfins import (DomainError, ZollProfile, example1, example2, jacobi, moduli,
+                      turning_latitude)
+from zollfins.jacobi import curvature_integral, curvature_integral_tail
 from zollfins.quadrature import gl_fixed, gl_refined
 
 
-def serial_refined(f, a, b, refine_a=False, refine_b=False, order=48, min_width=1e-13):
+def serial_refined(f, a, b, refine_b, order=48, min_width=1e-13):
     """Oracle: one gl_fixed call per dyadic panel, added in loop order."""
     if a == b:
         return 0.0
-    if b < a:
-        return -serial_refined(f, b, a, refine_b, refine_a, order, min_width)
-    if refine_a and refine_b:
-        mid = 0.5 * (a + b)
-        return (serial_refined(f, a, mid, True, False, order, min_width)
-                + serial_refined(f, mid, b, False, True, order, min_width))
-    if not (refine_a or refine_b):
-        return gl_fixed(f, a, b, order)
     length = b - a
     levels = max(4, int(math.ceil(math.log2(length / min_width))))
     fracs = [0.5 ** k for k in range(1, levels + 1)]
@@ -53,22 +46,23 @@ def double_poles(u):
 CASES = [
     (A, B, True, False),
     (A, B, False, True),
-    (A, B, True, True),
-    (B, A, True, False),
-    (B, A, False, True),
-    (B, A, True, True),
     (A, A, False, True),
-    (A, A, True, True),
 ]
 
 
 @pytest.mark.parametrize("a, b, refine_a, refine_b", CASES)
 def test_gl_refined_matches_serial_panel_loop(a, b, refine_a, refine_b):
-    for order in (48, 64):
-        got = gl_refined(double_poles, a, b, refine_a=refine_a, refine_b=refine_b,
-                         order=order)
-        want = serial_refined(double_poles, a, b, refine_a, refine_b, order)
-        assert abs(got - want) <= 1e-15 * abs(want)
+    got = gl_refined(double_poles, a, b, refine_a=refine_a, refine_b=refine_b)
+    want = serial_refined(double_poles, a, b, refine_b)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_gl_refined_refines_one_end_of_a_forward_interval():
+    for kwargs in ({}, {"refine_a": True, "refine_b": True}):
+        with pytest.raises(DomainError):
+            gl_refined(double_poles, A, B, **kwargs)
+    with pytest.raises(DomainError):
+        gl_refined(double_poles, np.array([A, B]), np.array([B, A]), refine_b=True)
 
 
 def test_gl_refined_exact_double_pole():
@@ -80,11 +74,9 @@ def test_gl_refined_exact_double_pole():
     exact = 1.0 / (pole - B) - 1.0 / (pole - A)
     got = gl_refined(lambda u: 1.0 / (pole - u) ** 2, A, B, refine_b=True)
     assert got == pytest.approx(exact, rel=1e-13)
-    got = gl_refined(lambda u: 1.0 / (pole - u) ** 2, B, A, refine_a=True)
-    assert got == pytest.approx(-exact, rel=1e-13)
 
 
-@pytest.mark.parametrize("a, b, refine_a, refine_b", CASES[:6])
+@pytest.mark.parametrize("a, b, refine_a, refine_b", CASES[:2])
 def test_gl_refined_calls_integrand_once(a, b, refine_a, refine_b):
     calls = []
 
@@ -129,12 +121,12 @@ def test_curvature_integral_matches_mpmath(profile, c, gap):
     """Panels that stop at a tenth of the pole distance keep 13 digits, from
     next to the pole to far from it."""
     r = math.pi / 2 - gap
-    want = mp_phi(profile, c, 0.0, _phase(c, r))
+    want = mp_phi(profile, c, 0.0, jacobi._pole_panels(profile, c, r, True)[0])
     got = curvature_integral(profile, c, r)
     assert abs(got - float(want)) <= 1e-13 * abs(float(want))
 
     r = math.pi / 2 + gap
-    want = mp_phi(profile, c, _phase(c, r), math.pi)
+    want = mp_phi(profile, c, jacobi._pole_panels(profile, c, r, False)[0], math.pi)
     got = curvature_integral_tail(profile, c, r)
     assert abs(got - float(want)) <= 1e-13 * abs(float(want))
 
