@@ -176,12 +176,13 @@ def invariant_flow_check(profile: ZollProfile, r: float, phi: float,
 
         dI/dphi = sigma J,   dJ/dphi = -sigma I,   sigma = SIGMA_ROTATION.
 
-    Returns the summed absolute defect; O(dphi) for exact invariants.
+    Returns the summed absolute central-difference defect; O(dphi^2).
     """
-    a = invariants_IJ(profile, r, phi)
+    a = invariants_IJ(profile, r, phi - dphi)
+    m = invariants_IJ(profile, r, phi)
     b = invariants_IJ(profile, r, phi + dphi)
-    res_i = (b.I - a.I) / dphi - SIGMA_ROTATION * a.J
-    res_j = (b.J - a.J) / dphi + SIGMA_ROTATION * a.I
+    res_i = (b.I - a.I) / (2.0 * dphi) - SIGMA_ROTATION * m.J
+    res_j = (b.J - a.J) / (2.0 * dphi) + SIGMA_ROTATION * m.I
     return abs(res_i) + abs(res_j)
 
 

@@ -10,30 +10,28 @@ is the sign of dr/dt, flipping at the turning latitudes r_c = arcsin|c| and
 pi - r_c.
 
 The square root is non-Lipschitz exactly at the turning points, so the
-integrator works in the regular phase variable u defined by
+trace is written in the regular phase variable u defined by
 
     sin^2 r = sin^2 r_c + cos^2 r_c sin^2 u   (equivalently cos r = cos r_c cos u),
 
-in which the flow is globally smooth:
-
-    du/dt     = 1 / (1 + h(cos r_c cos u)),
-    dtheta/dt = c / (1 - cos^2 r_c cos^2 u).
-
-u increases monotonically; r = arccos(cos r_c cos u) oscillates through the
-band [r_c, pi - r_c] and the sign of dr/dt is the sign of sin u, so turning
+and only u is integrated, du/dt = 1 / (1 + h(cos r_c cos u)), smooth at
+every c.  u increases monotonically; r oscillates through the band
+[r_c, pi - r_c] and the sign of dr/dt is the sign of sin u, so turning
 points need no event handling at all.  The same substitution turns the
 closure integrals into integrals of analytic functions over [0, pi].
 
-The longitude rate still peaks, with width ~|c|, where the geodesic passes
-near a pole.  Since h is odd and h(+-1) = 0, h(z) = (1 - z^2) k(z) with k
-odd (ZollProfile.k_table), and 1 - z^2 = sin^2 r at z = cos r_c cos u, so
+The longitude is a function of u.  Since h is odd and h(+-1) = 0,
+h(z) = (1 - z^2) k(z) with k odd (ZollProfile.k_table), and 1 - z^2 =
+sin^2 r at z = cos r_c cos u, so
 
     dtheta/du = c / (c^2 + (1 - c^2) sin^2 u) + c k(cos r_c cos u):
 
-the round sphere's rate, whose integral is elementary, plus a polynomial in
-cos u that is smooth at every c.  Over a band sweep u in [0, pi] the first
-part gives sign(c) pi and the second nothing, since k is odd and cos u is
-odd about u = pi/2: Theta = pi at every c (closure_integrals).
+the round sphere's rate, whose integral is elementary, plus an odd
+polynomial in cos u, whose integral is a polynomial in sin u
+(longitude_advance).  So no integrator steps through the peak of width
+~|c| that the rate has near a pole.  Over a band sweep u in [0, pi] the
+first part gives sign(c) pi and the second nothing: Theta = pi at every c
+(closure_integrals, which integrates k by quadrature as a second route).
 """
 
 from __future__ import annotations
@@ -150,8 +148,11 @@ def closure_integrals(profile: ZollProfile, c: float) -> tuple[float, float]:
     integrates to pi exactly.  k is odd and cos u is odd about u = pi/2, so
     the k integral vanishes: Theta = pi, and Theta - pi measures the
     roundoff of a smooth quadrature, not of the peak of width ~|c| that the
-    raw form has at both ends.  For c = 0 (a meridian) the formula gives the
-    geometric value pi, the jump at the pole crossing.  For c < 0 the
+    raw form has at both ends.  The k quadrature, the route that the closed
+    form of longitude_advance is tested against, starts at order 32: against
+    a 40-digit reference, numpy's order-64 rule is within 9e-16 on it and its
+    order-128 rule within 3.8e-15.  For c = 0 (a meridian) the formula gives
+    the geometric value pi, the jump at the pole crossing.  For c < 0 the
     magnitudes are returned; the sign of the actual advance is sign(c).
     """
     if abs(c) >= 1.0:
@@ -161,37 +162,40 @@ def closure_integrals(profile: ZollProfile, c: float) -> tuple[float, float]:
     def time_integrand(u):
         return 1.0 + profile.h(cos_rc * np.cos(u))
 
-    t_val, _ = gl_adaptive(time_integrand, 0.0, math.pi)
-    return t_val, math.pi + abs(c) * _k_integral(profile, c, math.pi)
-
-
-def longitude_advance(profile: ZollProfile, c: float, u: float) -> float:
-    """Longitude gained from the turning point (u = 0) to the phase u along
-    the geodesic with Clairaut constant c, 0 < |c| < 1:
-
-        sign(c) (u + atan2((1 - |c|) sin u cos u, |c| cos^2 u + sin^2 u))
-            + c int_0^u k(cos r_c cos u') du',
-
-    the exact antiderivative of the round sphere's rate c / sin^2 r plus
-    the smooth remainder (see the module docstring).
-    """
-    ac = abs(c)
-    su, cu = math.sin(u), math.cos(u)
-    round_part = u + math.atan2((1.0 - ac) * su * cu, ac * cu * cu + su * su)
-    return (round_part if c > 0 else -round_part) + c * _k_integral(profile, c, u)
-
-
-def _k_integral(profile: ZollProfile, c: float, u_end: float) -> float:
-    """int_0^u_end k(cos r_c cos u) du, by Gauss-Legendre order escalation
-    from order 32: against a 40-digit reference, numpy's order-64 rule is
-    within 9e-16 on these integrals and its order-128 rule within 3.8e-15."""
-    cos_rc = math.cos(turning_latitude(c))
-
-    def integrand(u):
+    def k_integrand(u):
         z = cos_rc * np.cos(u)
         return z * horner(profile.k_table, z * z)
 
-    return gl_adaptive(integrand, 0.0, u_end, orders=(32,) + DEFAULT_ORDERS)[0]
+    t_val, _ = gl_adaptive(time_integrand, 0.0, math.pi)
+    k_val, _ = gl_adaptive(k_integrand, 0.0, math.pi, orders=(32,) + DEFAULT_ORDERS)
+    return t_val, math.pi + abs(c) * k_val
+
+
+def longitude_advance(profile: ZollProfile, c: float, u):
+    """Longitude gained from the turning point (u = 0) to the phase u, any
+    real u, along the geodesic with Clairaut constant c, 0 < |c| < 1:
+
+        sign(c) (u + atan2((1 - |c|) sin u cos u, |c| cos^2 u + sin^2 u))
+            + c K(sin u),
+
+    the round sphere's antiderivative plus K(sin u) = int_0^u k(cos r_c
+    cos u') du' = sin u sum_i w_i sin^(2i) u.  From int_0^u cos^(2j+1) =
+    sum_i C(j, i) (-1)^i sin^(2i+1) u / (2i + 1), with m_j = k_table[j],
+
+        w_i = (-1)^i / (2i + 1) sum_{j >= i} C(j, i) m_j cos^(2j+1) r_c.
+
+    A float goes through math, an array through numpy.
+    """
+    ac = abs(c)
+    a = math.cos(turning_latitude(c))
+    m = [mj * a ** (2 * j + 1) for j, mj in enumerate(profile.k_table)]
+    w = [(-1) ** i / (2 * i + 1) * sum(math.comb(j, i) * mj for j, mj in enumerate(m))
+         for i in range(len(m))]
+    sin, cos, atan2 = ((np.sin, np.cos, np.arctan2) if isinstance(u, np.ndarray)
+                       else (math.sin, math.cos, math.atan2))
+    su, cu = sin(u), cos(u)
+    round_part = u + atan2((1.0 - ac) * su * cu, ac * cu * cu + su * su)
+    return (round_part if c > 0 else -round_part) + c * su * horner(w, su * su)
 
 
 # -- trace integration --------------------------------------------------------
@@ -238,15 +242,14 @@ def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
                        ) -> GeodesicTrace:
     """Adaptive trace of the geodesic flow over [0, t_end].
 
-    Integration runs in the regular (u, theta) variables, which keeps the
-    Clairaut relation (dtheta/dt) sin^2 r = c and the unit energy exact by
-    construction and confines r to [r_c, pi - r_c] without event detection;
-    the integrator error shows up only in the time/longitude parametrization
-    (and is what the closure tests measure).
+    Only the phase u is integrated, one ODE for every |c| < 1; r follows
+    from cos r = cos r_c cos u and theta in closed form, theta_0 +
+    longitude_advance(u) - longitude_advance(u_0), or for a meridian (c = 0)
+    a jump of pi at each pole crossing.  The Clairaut relation and the unit
+    energy hold by construction; the integrator error shows up only in the
+    phase, hence in the time parametrization (what the closure tests measure).
 
     Equators (c = +-1) are returned in closed form, never integrated.
-    Meridians (c = 0) use the u-flow for r with the longitude jumping by pi
-    at each pole crossing.
     """
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise DomainError(f"tolerance {tol} outside {TOL_RANGE}")
@@ -264,37 +267,29 @@ def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
         return GeodesicTrace(t_eval, r, theta, np.ones(n, dtype=int),
                              np.zeros(n), c, tol)
 
-    rc = turning_latitude(c)
-    cos_rc = math.cos(rc)
+    cos_rc = math.cos(turning_latitude(c))
     u0 = signed_phase(c, initial.r, initial.sign)
 
-    if c == 0.0:
-        def rhs(t, yv):
-            return [1.0 / (1.0 + profile.h(math.cos(yv[0])))]
+    def rhs(t, yv):
+        return [1.0 / (1.0 + profile.h(cos_rc * math.cos(yv[0])))]
 
-        sol = solve_ivp(rhs, (0.0, t_end), [u0], method="DOP853",
-                        rtol=tol, atol=tol * 1e-3, t_eval=t_eval, max_step=0.5)
-        if sol.status != 0 or not sol.success:
-            raise StepFailureError(f"meridian integration failed: {sol.message}")
-        u = sol.y[0]
+    # The phase carries the whole error budget of the trace.  At rtol = tol
+    # and max_step 0.5, DOP853 accepted a step that put the phase of `1,-2,1`
+    # at c = 1e-5 from u0 = 0 off by 8e-7 over 4 pi; rtol = tol / 10 with
+    # max_step 0.25 brings the return at t = 2 pi on the benchmark panel to
+    # ~3e-11 (rtol = tol alone at max_step 0.25: ~3.5e-10).
+    sol = solve_ivp(rhs, (0.0, t_end), [u0], method="DOP853", rtol=0.1 * tol,
+                    atol=tol * 1e-3, t_eval=t_eval, max_step=0.25)
+    if sol.status != 0 or not sol.success:
+        raise StepFailureError(f"geodesic integration failed: {sol.message}")
+    u = sol.y[0]
+    if c == 0.0:
         # Each pole crossing (u through a multiple of pi) flips the meridian half.
         crossings = np.floor(u / math.pi) - math.floor(u0 / math.pi)
         theta = initial.theta + math.pi * crossings
-        r = np.arccos(np.clip(np.cos(u), -1.0, 1.0))
-        return GeodesicTrace(t_eval, r, theta, _sign_of_phase(u), u, c, tol)
-
-    c2 = c * c
-
-    def rhs(t, yv):
-        z = cos_rc * math.cos(yv[0])
-        sin2_r = c2 + (1.0 - c2) * math.sin(yv[0]) ** 2   # cancellation-free
-        return [1.0 / (1.0 + profile.h(z)), c / sin2_r]
-
-    sol = solve_ivp(rhs, (0.0, t_end), [u0, initial.theta], method="DOP853",
-                    rtol=tol, atol=tol * 1e-3, t_eval=t_eval, max_step=0.5)
-    if sol.status != 0 or not sol.success:
-        raise StepFailureError(f"geodesic integration failed: {sol.message}")
-    u, theta = sol.y
+    else:
+        theta = initial.theta + (longitude_advance(profile, c, u)
+                                 - longitude_advance(profile, c, u0))
     r = np.arccos(np.clip(cos_rc * np.cos(u), -1.0, 1.0))
     return GeodesicTrace(t_eval, r, theta, _sign_of_phase(u), u, c, tol)
 

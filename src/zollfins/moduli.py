@@ -142,9 +142,8 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
     """Chart coordinates of the oriented geodesic through the given state.
 
     States not at their turning point are normalized by flowing the longitude
-    back to the turning point, by geodesics.longitude_advance: the round
-    sphere's part in closed form and a smooth quadrature.  Equators
-    (c = +-1) are the two chart poles and are rejected.
+    back to the turning point, by geodesics.longitude_advance in closed form.
+    Equators (c = +-1) are the two chart poles and are rejected.
     """
     c = state.c
     if abs(c) >= 1.0 - 1e-12:

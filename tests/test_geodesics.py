@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 
 from zollfins import (BandError, DomainError, GeodesicState, PoleProximityError,
                       ZollProfile, closure_integrals, flow_rhs, integrate_geodesic,
@@ -150,6 +150,29 @@ def test_period_and_confinement(ex1, c):
     assert trace.r.max() <= math.pi - rc + 1e-9
     # The latitude oscillation flips the radial sign twice per period.
     assert int(np.count_nonzero(np.diff(trace.sign))) == 2
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, -2.0, 1.0), (0.25, -0.25)])
+def test_phase_matches_tight_reference(coeffs):
+    """The phase carries the whole error of a trace: at the default tol it
+    stays within 1e-8 of an rtol 1e-13 solution over 4 pi, on meridians, at
+    tiny |c| (where the longitude rate peaks with width |c|) and near the
+    equator, from the turning point and from both halves of the band."""
+    profile = ZollProfile(coeffs)
+    for c in (0.0, 1e-10, 1e-5, 0.5, -0.5, 0.99, -0.99):
+        cos_rc = math.cos(turning_latitude(c))
+
+        def rate(t, u):
+            return [1.0 / (1.0 + profile.h(cos_rc * math.cos(u[0])))]
+
+        for u0 in (0.0, 1.0, -2.5):
+            sin_r = math.sqrt(c * c + (1 - c * c) * math.sin(u0) ** 2)
+            state = GeodesicState(math.atan2(sin_r, cos_rc * math.cos(u0)), 0.3,
+                                  c, -1 if u0 < 0 else +1)
+            trace = integrate_geodesic(profile, state, 4 * math.pi)
+            ref = solve_ivp(rate, (0.0, 4 * math.pi), [u0], method="DOP853",
+                            rtol=1e-13, atol=1e-14, t_eval=trace.t)
+            assert np.max(np.abs(trace.u - ref.y[0])) < 1e-8, (c, u0)
 
 
 def test_clairaut_conservation_fd(ex1_strong):

@@ -6,8 +6,8 @@ import pytest
 
 from zollfins import (BandError, ConvexityViolation, DomainError,
                       GeodesicState, IndicatrixCurve, IndicatrixSample,
-                      ModuliPoint, ZollProfile, coords_of_geodesic,
-                      implicit_polynomial, implicit_residual,
+                      ModuliPoint, ZollProfile, closure_integrals,
+                      coords_of_geodesic, implicit_polynomial, implicit_residual,
                       indicatrix_curvature, indicatrix_curve,
                       indicatrix_parametric, indicatrix_parametric_samples,
                       indicatrix_regularized, integrate_geodesic, jacobi_pair,
@@ -69,10 +69,13 @@ def test_coords_invariant_along_flow(ex1_strong, c):
         assert abs(d_theta) < 1e-8
 
 
-def mp_advance(profile, c, u0):
-    """int_0^u0 c (1 + h(z)) / (c^2 + (1 - c^2) sin^2 u) du, z = sqrt(1 - c^2) cos u,
-    u0 >= 0, at 40 digits on the raw integrand, with break points where it
-    peaks."""
+def mp_advance(profile, c, us):
+    """int_0^u c (1 + h(z)) / (c^2 + (1 - c^2) sin^2 u') du' with
+    z = sqrt(1 - c^2) cos u', at each real u in us, at 40 digits on the raw
+    integrand.  The integrals
+    run outward from 0 through the u in order, by Gauss-Legendre on pieces
+    that end at every multiple of pi, where the integrand peaks, and at
+    |c| 8^k from it."""
     with mpmath.workdps(40):
         a = [mpmath.mpf(ak) for ak in profile.odd_coeffs]
         cm = mpmath.mpf(c)
@@ -83,11 +86,19 @@ def mp_advance(profile, c, u0):
             h = sum(ak * z ** (2 * j + 1) for j, ak in enumerate(a))
             return cm * (1 + h) / (cm * cm + (1 - cm * cm) * mpmath.sin(u) ** 2)
 
-        end = mpmath.mpf(u0)
         steps = [abs(cm) * mpmath.mpf(8) ** k for k in range(-1, 8)]
-        pts = ({mpmath.mpf(0), end} | {s for s in steps if s < end}
-               | {mpmath.pi - s for s in steps if 0 < mpmath.pi - s < end})
-        return mpmath.quad(f, sorted(pts))
+        steps = [0] + [d for s in steps if s < 1 for d in (s, -s)]
+        value = {0.0: mpmath.mpf(0)}
+        for side in (+1, -1):
+            acc = prev = mpmath.mpf(0)
+            for u in sorted((u for u in us if side * u > 0), key=abs):
+                lo, hi = sorted((prev, mpmath.mpf(u)))
+                poles = range(math.floor(lo / math.pi), math.ceil(hi / math.pi) + 1)
+                pts = {lo, hi} | {k * mpmath.pi + d for k in poles for d in steps
+                                  if lo < k * mpmath.pi + d < hi}
+                acc += side * mpmath.quad(f, sorted(pts), method="gauss-legendre")
+                value[u], prev = acc, mpmath.mpf(u)
+        return [value[u] for u in us]
 
 
 @pytest.mark.parametrize("coeffs", [(0.25, -0.25), (1.0, -2.0, 1.0), (0.45, -0.45)])
@@ -96,19 +107,40 @@ def test_anchor_advance_matches_mpmath(coeffs):
     turning point, on both branches (the integrand is even in u, so the
     branch -1 advance is minus the branch +1 one), from |c| = 0.9 down to
     1e-6.  Dyadic panels on the raw integrand missed by up to 1.4e-15 on
-    this grid; the closed form with a smooth quadrature stays within 2e-16."""
+    this grid; the closed form stays within 2.3e-16."""
     profile = ZollProfile(coeffs)
     for c in (0.9, -0.3, 0.3, -1e-2, 1e-4, -1e-6):
         rc = turning_latitude(c)
         for frac in (0.02, 0.9):
             r = rc + frac * (math.pi - 2 * rc)
-            ref = float(mp_advance(profile, c, signed_phase(c, r, +1)))
+            ref = float(mp_advance(profile, c, [signed_phase(c, r, +1)])[0])
             for sign in (+1, -1):
                 advance = longitude_advance(profile, c, signed_phase(c, r, sign))
                 assert abs(advance - sign * ref) <= 1e-15
                 pt = coords_of_geodesic(profile, GeodesicState(r, 1.0, c, sign))
                 assert pt.Theta == ((1.0 - advance) % TWO_PI if c > 0
                                     else (1.0 - advance + math.pi) % TWO_PI)
+
+
+def test_longitude_advance_closed_form_matches_mpmath():
+    """The closed-form longitude at every real u: floats and arrays against
+    the raw integrand over [-3 pi, 4 pi], and at u = pi against the
+    quadrature of k in closure_integrals.  The profile 0.3 x (1 - x^2)^3
+    has a k of three terms, so every binomial of the closed form shows."""
+    profile = ZollProfile((0.3, -0.9, 0.9, -0.3))
+    us = np.linspace(-3 * math.pi, 4 * math.pi, 12)
+    for c in (0.9, -0.3, 1e-3, -1e-6):
+        ref = np.array([float(v) for v in mp_advance(profile, c, us.tolist())])
+        bound = 1e-14 * (1 + np.abs(us))
+        assert np.all(np.abs(longitude_advance(profile, c, us) - ref) <= bound)
+        floats = [longitude_advance(profile, c, float(u)) for u in us]
+        assert all(isinstance(v, float) for v in floats)
+        assert np.all(np.abs(np.array(floats) - ref) <= bound)
+        # math.pi falls short of pi by sin(math.pi), where the longitude
+        # moves at the rate (1 + h(-cos r_c)) / c.
+        rate = (1.0 + profile.h(-math.cos(turning_latitude(c)))) / c
+        half = longitude_advance(profile, c, math.pi) + math.sin(math.pi) * rate
+        assert abs(abs(half) - closure_integrals(profile, c)[1]) <= 1e-14
 
 
 def test_moduli_point_validation():

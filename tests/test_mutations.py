@@ -88,3 +88,15 @@ def test_time_quadrature_fault_fails_closure_integrals(monkeypatch):
 
     monkeypatch.setattr(geodesics, "gl_adaptive", faulty)
     assert _status("closure_integrals") == "fail"
+
+
+def test_phase_rate_fault_fails_geodesic_closure(monkeypatch):
+    """The phase ODE, the one integrated component of a Zoll geodesic: the
+    latitude and the closed-form longitude both follow the phase."""
+    solve = geodesics.solve_ivp
+
+    def faulty(fun, *args, **kwargs):
+        return solve(lambda t, y: [v * (1 + 1e-6) for v in fun(t, y)], *args, **kwargs)
+
+    monkeypatch.setattr(geodesics, "solve_ivp", faulty)
+    assert _status("geodesic_closure") == "fail"
