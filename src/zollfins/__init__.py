@@ -11,15 +11,14 @@ from .finsler import (FinslerEval, FinslerTrace, FPolynomial, InvariantPair,
                       finsler_geodesic, fundamental_tensor, invariant_flow_check,
                       invariants_IJ, unit_direction)
 from .geodesics import (GeodesicState, GeodesicTrace, closure_integrals,
-                        flow_rhs, integrate_geodesic, surface_distance,
-                        turning_latitude)
+                        integrate_geodesic, surface_distance, turning_latitude)
 from .jacobi import (JacobiPair, jacobi_ode_check, jacobi_pair,
                      jacobi_pair_direct, jacobi_y)
 from .moduli import (ImplicitIndicatrix, IndicatrixCurve, IndicatrixSample,
                      ModuliPoint, coords_of_geodesic, implicit_polynomial,
                      implicit_residual, indicatrix_curvature, indicatrix_curve,
                      indicatrix_parametric, indicatrix_parametric_samples,
-                     indicatrix_regularized)
+                     indicatrix_regularized, pencil_chart)
 from .profile import (ZollProfile, check_positive_curvature,
                       curvature_critical_points, curvature_fd_check, example1,
                       example2, gauss_curvature, metric_coeffs, round_sphere)

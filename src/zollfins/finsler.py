@@ -10,22 +10,24 @@ the polynomial equation in F obtained from the implicit indicatrix equation
 by substituting v -> v/F -- is kept as an independent oracle, never as the
 primary evaluator, because the squared implicit form admits spurious sheets.
 
-The geodesic spray uses the fiber geometry in closed form.  At the ray point
-P = v/F of the indicatrix, with P_u, P_uu its derivatives in the phase u
-(moduli.CurveEval.jet), dF = ell = n/(n.P) for the normal n of P_u, and the
-fundamental tensor is (Bao-Chern-Shen, An Introduction to Riemann-Finsler
-Geometry)
+Geodesics of F run on the indicatrix bundle, the unit tangent bundle of F
+(the 3-manifold of Bryant's structure equations, "Finsler structures on the
+2-sphere satisfying K = 1", 1996), with state (R, Theta, u): the velocity
+is the indicatrix point v = P(R, u) at phase u (moduli.CurveEval), so
+F(v) = 1 by construction and no ray is solved along the way.  The flow is
 
-    g = ell (x) ell + F Hess F = ell (x) ell - ell(P_uu) mu (x) mu,
+    Rdot = sin u,   Thetadot = v2(R, u),   udot = mu(a - P_R sin u),
 
-mu the covector with mu(P) = 0 and mu(P_u) = 1.  The chart derivatives
-follow from the R-derivatives of the curve at fixed u: F_R = -F ell(P_R),
-u_R = -mu(P_R), and dell/dR at fixed v = (d_R ell at fixed u) - ell(P_uu)
-u_R mu.  The public fundamental_tensor stays a central finite difference of
-F^2 with Richardson extrapolation: it is the independent oracle the closed
-form is tested against.  It solves its centre ray once, cold, and starts
-the Newton solves of its 16 off-centre rays from that phase root; nothing
-of the closed form enters.
+a the acceleration of the geodesic spray of F^2/2 at v, mu the covector
+with mu(P) = 0 and mu(P_u) = 1.  dF, the fundamental tensor g and their
+R-derivatives come in closed form (_fiber_terms) from one phase jet P,
+P_u, P_uu, P_R, P_uR (CurveEval.jet) per step.  The public
+fundamental_tensor stays a central finite difference of F^2 with
+Richardson extrapolation: it is the independent oracle the closed form is
+tested against.  It solves its centre ray once, cold, and starts the
+Newton solves of its 16 off-centre rays from that phase root; nothing of
+the closed form enters.  The point pencil (moduli.pencil_chart) is the
+independent route for whole trajectories.
 
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
@@ -49,7 +51,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartExitError, DomainError, PoleProximityError, StepFailureError
-from .moduli import curve_cache, curve_eval, implicit_polynomial
+from .moduli import CurveEval, curve_cache, implicit_polynomial
 from .profile import ZollProfile, curvature_x, curvature_x_prime
 
 #: Orientation of the fiber rotation relative to the geodesic flow of F, in
@@ -264,7 +266,8 @@ def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolyn
 
 @dataclass
 class FinslerTrace:
-    """Samples of a geodesic of F in the (R, Theta) chart."""
+    """Samples of a geodesic of F in the (R, Theta) chart; F, the norm of
+    each row's velocity (vR, vTheta), is 1 by construction."""
 
     t: np.ndarray
     R: np.ndarray
@@ -284,70 +287,67 @@ def unit_direction(profile: ZollProfile, R: float, Theta: float,
     return raw / F
 
 
-def _fiber_geometry(curve, v1: float, v2: float, seed_u: float | None = None):
-    """F, the phase root and the closed-form fiber terms at (curve.R, v).
+def _fiber_terms(curve, u: float):
+    """The closed-form fiber terms at the indicatrix point P(curve.R, u).
 
-    With P the ray point on the indicatrix and P_u, P_uu its phase jet
-    (CurveEval.jet), ell = dF = n/(n.P) for the normal n = (P_u2, -P_u1), and
-    mu = (-P2, P1)/(P x P_u) is the covector with mu(P) = 0, mu(P_u) = 1.
-    Then (Bao-Chern-Shen, An Introduction to Riemann-Finsler Geometry)
+    With P_u, P_uu, P_R its phase jet (CurveEval.jet), ell = dF = n/(n.P) for
+    the normal n = (P_u2, -P_u1), and mu = (-P2, P1)/(P x P_u) the covector
+    with mu(P) = 0, mu(P_u) = 1, at F(P) = 1 (Bao-Chern-Shen, An Introduction
+    to Riemann-Finsler Geometry):
 
         g = ell (x) ell - ell(P_uu) mu (x) mu,
-        F_R = -F ell(P_R),   u_R = -mu(P_R),
+        F_R = -ell(P_R),   u_R = -mu(P_R),
         dell/dR = (d_R ell at fixed u) - ell(P_uu) u_R mu,
 
-    where dell/dR is taken at fixed v.  Returns
-    (F, u_star, (g11, g12, g22), F_R, ell, dell/dR).
+    F_R, u_R and dell/dR at fixed v.  At v = F P the terms g, ell, mu and
+    dell/dR are the same (F is 1-homogeneous) and F_R scales with F.
+    Returns (P, P_R, (g11, g12, g22), F_R, ell, dell/dR, mu).
     """
-    F, u_star = curve.solve_ray(v1, v2, seed_u)
-    (p1, p2), (t1, t2), (a1, a2), (b1, b2), (d1, d2) = curve.jet(u_star)
+    (p1, p2), (t1, t2), (a1, a2), (b1, b2), (d1, d2) = curve.jet(u)
     n_dot_p = t2 * p1 - t1 * p2
     l1, l2 = t2 / n_dot_p, -t1 / n_dot_p
     m1, m2 = -p2 / n_dot_p, p1 / n_dot_p          # P x P_u = n.P
     curv = l1 * a1 + l2 * a2                      # ell(P_uu) < 0 on a convex curve
     g = (l1 * l1 - curv * m1 * m1, l1 * l2 - curv * m1 * m2,
          l2 * l2 - curv * m2 * m2)
-    F_R = -F * (l1 * b1 + l2 * b2)
     u_R = -(m1 * b1 + m2 * b2)
     # d_R of n/(n.P) at fixed u, with d_R n = (P_uR2, -P_uR1).
     dn_dot_p = (d2 * p1 - d1 * p2 + t2 * b1 - t1 * b2) / n_dot_p
     dl1 = (d2 - t2 * dn_dot_p) / n_dot_p - curv * u_R * m1
     dl2 = (-d1 + t1 * dn_dot_p) / n_dot_p - curv * u_R * m2
-    return F, u_star, g, F_R, (l1, l2), (dl1, dl2)
+    return ((p1, p2), (b1, b2), g, -(l1 * b1 + l2 * b2), (l1, l2), (dl1, dl2),
+            (m1, m2))
 
 
-def _spray_rhs(profile: ZollProfile, state: np.ndarray,
-               seed_u: float | None = None) -> tuple[np.ndarray, float]:
-    """(Rdot, Thetadot, vRdot, vThetadot) of the geodesic spray of F^2/2,
-    and the phase root of the ray, which seeds the next call.
+def _spray_rhs(profile: ZollProfile, state) -> np.ndarray:
+    """(Rdot, Thetadot, udot) of the unit-speed geodesic flow of F on the
+    indicatrix bundle, the state (R, Theta, u) with velocity v = P(R, u).
 
     F does not depend on Theta, so only d/dR terms survive in the
-    Euler-Lagrange equation of F^2/2:
-
-        g vdot = F F_R e_R - vR (F_R ell + F dell/dR),
-
-    with g, F_R, ell = dF and dell/dR (at fixed v) in closed form from the
-    indicatrix jet (see _fiber_geometry); one ray solve per call, warm-started
-    from ``seed_u``.  R is clamped just inside the chart so that trial stages
-    that overshoot the termination event stay evaluable; accepted solution
-    points never reach the clamp.
+    Euler-Lagrange equation of F^2/2: at F(v) = 1 the acceleration is
+    a = g^{-1} (F_R dR - vR (F_R ell + dell/dR)), from _fiber_terms at u.
+    Differentiating v = P(R, u) gives a = P_R Rdot + P_u udot, so udot =
+    mu(a - P_R sin u).  R is clamped just inside the chart so that trial
+    stages that overshoot the termination event stay evaluable; accepted
+    solution points never reach the clamp.
     """
-    R_raw, theta, w1, w2 = state.tolist()
+    R_raw, _, u = state.tolist()
     r_lim = math.pi / 2 - 8e-4
     R = min(max(R_raw, -r_lim), r_lim)
-    F, u_star, (g11, g12, g22), F_R, (l1, l2), (dl1, dl2) = _fiber_geometry(
-        curve_eval(profile, R), w1, w2, seed_u)
-    rhs1 = F * F_R - w1 * (F_R * l1 + F * dl1)
-    rhs2 = -w1 * (F_R * l2 + F * dl2)
+    (p1, p2), (_, b2), (g11, g12, g22), F_R, (l1, l2), (dl1, dl2), (m1, m2) = \
+        _fiber_terms(CurveEval(profile, R), u)
+    rhs1 = F_R - p1 * (F_R * l1 + dl1)
+    rhs2 = -p1 * (F_R * l2 + dl2)
     det = g11 * g22 - g12 * g12
     if det <= 0:
         if abs(R_raw) > CHART_ABORT:
             # Overshooting trial stage past the termination event: the step
             # will be cut back there, so any finite value serves.
-            return np.array([w1, w2, 0.0, 0.0]), u_star
+            return np.array([p1, p2, 0.0])
         raise StepFailureError(f"fundamental tensor not positive definite at R={R}")
-    return np.array([w1, w2, (g22 * rhs1 - g12 * rhs2) / det,
-                     (g11 * rhs2 - g12 * rhs1) / det]), u_star
+    a1 = (g22 * rhs1 - g12 * rhs2) / det
+    a2 = (g11 * rhs2 - g12 * rhs1) / det
+    return np.array([p1, p2, m1 * a1 + m2 * (a2 - b2 * p1)])
 
 
 def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
@@ -355,10 +355,14 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
                      samples_per_period: int = 256) -> FinslerTrace:
     """Integrate the unit-speed geodesic of F from ``start`` with velocity v0.
 
-    F is conserved along the exact flow; the residual drift measures the
-    combined spray/controller error.  Trajectories stay in one chart: when
-    |R| reaches pi/2 - 1e-3 the integration aborts with ChartExitError
-    carrying the partial trace.
+    The flow runs on the indicatrix bundle (R, Theta, u) of _spray_rhs, so F
+    is 1 at every point by construction and the only ray solve is the cold
+    one at the start, which gives the phase u0 of v0 and checks F(v0) = 1.
+    DOP853 runs at rtol = tol/10, atol = rtol * 1e-2: the phase carries the
+    whole error.  Each row's velocity is (vR, vTheta) = P(R, u).
+    Trajectories stay in one chart: when |R| reaches pi/2 - 1e-3 the
+    integration aborts with ChartExitError carrying the partial trace, which
+    ends at the event.
     """
     R0, Theta0 = float(start[0]), float(start[1])
     v0 = np.asarray(v0, dtype=float)
@@ -369,50 +373,40 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
         raise ChartExitError(f"start point R={R0} outside the working chart")
 
     n = max(16, int(round(samples_per_period * t_end / (2 * math.pi)))) + 1
-    t_eval = np.linspace(0.0, t_end, n)
-    seed = u0          # phase root of the latest RHS call, warm-starts the next
 
-    def rhs(t, yv):
-        nonlocal seed
-        out, seed = _spray_rhs(profile, yv, seed)
-        return out
-
-    def chart_event(t, yv):
-        return CHART_ABORT - abs(yv[0])
+    def chart_event(t, y):
+        return CHART_ABORT - abs(y[0])
 
     chart_event.terminal = True
-
-    sol = solve_ivp(rhs, (0.0, t_end), [R0, Theta0, v0[0], v0[1]],
-                    method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    t_eval=t_eval, events=chart_event, max_step=0.25)
+    rtol = tol / 10
+    sol = solve_ivp(lambda t, y: _spray_rhs(profile, y), (0.0, t_end),
+                    [R0, Theta0, u0], method="DOP853", rtol=rtol, atol=rtol * 1e-2,
+                    t_eval=np.linspace(0.0, t_end, n), events=chart_event,
+                    max_step=0.25)
     if sol.status == 1:  # chart exit
-        trace = _trace_from_solution(profile, sol, tol, u0, complete=False)
+        t_ev = float(sol.t_events[0][-1])
         raise ChartExitError(
-            f"geodesic reached |R| = {CHART_ABORT:.6f} at t = {sol.t[-1]:.6f}",
-            partial_trace=trace)
+            f"geodesic reached |R| = {CHART_ABORT:.6f} at t = {t_ev:.6f}",
+            partial_trace=_trace_from_solution(profile, sol, tol, complete=False))
     if sol.status != 0 or not sol.success:
         raise StepFailureError(f"Finsler geodesic integration failed: {sol.message}")
-    return _trace_from_solution(profile, sol, tol, u0, complete=True)
+    return _trace_from_solution(profile, sol, tol, complete=True)
 
 
-def _trace_from_solution(profile, sol, tol, seed_u, complete) -> FinslerTrace:
-    """The trace with F re-evaluated on every row, each ray solve seeded by
-    the previous row's phase root (``seed_u`` for the first)."""
-    t = sol.t
-    y = sol.y
-    if not complete and sol.t_events and len(sol.t_events[0]):
-        # Append the chart-rim event state so the partial trace ends there.
+def _trace_from_solution(profile, sol, tol, complete) -> FinslerTrace:
+    """The trace with (vR, vTheta) = P(R, u) on every row; a partial trace
+    gets the chart-rim event state as its last row."""
+    t, y = sol.t, sol.y
+    if not complete:
         t_ev = sol.t_events[0][-1]
         if t.size == 0 or t_ev > t[-1]:
             t = np.append(t, t_ev)
             y = np.hstack([y, sol.y_events[0][-1][:, None]])
-    rr, th, w1, w2 = y
-    fvals = np.empty(len(t))
-    for k in range(len(t)):
-        fvals[k], seed_u = curve_eval(profile, float(rr[k])).solve_ray(
-            float(w1[k]), float(w2[k]), seed_u)
-    return FinslerTrace(t.copy(), rr.copy(), th.copy(), w1.copy(), w2.copy(),
-                        fvals, tol, complete)
+    rr, th, u = y
+    v_r, cu = np.sin(u), np.cos(u)
+    v_theta = np.array([CurveEval(profile, R).v2_du(c, s)[0] for R, c, s in
+                        zip(rr.tolist(), cu.tolist(), v_r.tolist())])
+    return FinslerTrace(t, rr, th, v_r, v_theta, np.ones(len(t)), tol, complete)
 
 
 def chart_distance(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -116,16 +116,6 @@ class GeodesicState:
         return abs((self.xi1(profile) / one_h) ** 2 + (self.c / sr) ** 2 - 1.0)
 
 
-def flow_rhs(profile: ZollProfile, state: GeodesicState) -> tuple[float, float]:
-    """(dr/dt, dtheta/dt) of the unit-energy geodesic flow."""
-    sr = math.sin(state.r)
-    if sr < 1e-9:
-        raise PoleProximityError(f"flow evaluated too close to a pole: r={state.r}")
-    y = math.sqrt(band_radicand(state.c, state.r))
-    one_h = 1.0 + profile.h(math.cos(state.r))
-    return state.sign * y / (one_h * sr), state.c / (sr * sr)
-
-
 # -- closure integrals --------------------------------------------------------
 
 def closure_integrals(profile: ZollProfile, c: float) -> tuple[float, float]:

@@ -68,8 +68,9 @@ normalized Jacobi field corresponds to -(1/(c1 cos r_c)) d/dR, not +.  Every
 quantity computed here (the norm, its tensor, curvature, closure behavior,
 the implicit equation) is invariant under that reflection; the one place the
 orientation is observable -- following a geodesic of the induced norm
-through the family of directions at a fixed surface point -- is pinned by a
-test, with the longitude reflected about its start.
+through the family of directions at a fixed surface point (pencil_chart) --
+is pinned by verify's finsler_closure check and the tests, with the
+longitude reflected about its start.
 """
 
 from __future__ import annotations
@@ -165,6 +166,29 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
     if c > 0:
         return ModuliPoint(rc, theta_turn % TWO_PI)
     return ModuliPoint(-rc, (theta_turn + math.pi) % TWO_PI)
+
+
+def pencil_chart(profile: ZollProfile, r_p: float, theta_p: float,
+                 phis) -> tuple[np.ndarray, np.ndarray]:
+    """Chart points (R, Theta) of the pencil of geodesics through the surface
+    point (r_p, theta_p), one per direction angle in ``phis``.
+
+    phi measures the direction against the orthonormal frame (e_r, e_theta):
+    the geodesic has Clairaut constant c = sin(phi) sin(r_p) and leaves p on
+    the branch sign(cos phi).  A unit-speed geodesic of F through the chart
+    point of (p, phi0) runs through this pencil at unit rate, phi = phi0 + t,
+    with its longitude reflected, Theta -> 2 Theta(0) - Theta (see the
+    orientation note); the caller applies the reflection.  Only
+    coords_of_geodesic enters: no indicatrix and no ODE.
+    """
+    sin_rp = math.sin(r_p)
+    phis = np.asarray(phis, dtype=float)
+    R, Theta = np.empty(phis.shape), np.empty(phis.shape)
+    for k, phi in enumerate(phis.tolist()):
+        pt = coords_of_geodesic(profile, GeodesicState(
+            r_p, theta_p, math.sin(phi) * sin_rp, 1 if math.cos(phi) >= 0 else -1))
+        R[k], Theta[k] = pt.R, pt.Theta
+    return R, Theta
 
 
 # -- parametric and regularized samples ----------------------------------------
@@ -541,7 +565,7 @@ class CurveEval:
         a_x = 1.0 + h + x * hp
         a_xx = 2.0 * hp + x * hpp
         sv, sv_s, sv_ss = horner_jet(self.sc, s)
-        sq, sq_s, _ = horner_jet(_s_poly_coeffs(self.profile, self.c, d_dq=True), s)
+        sq, sq_s, _ = horner_jet([horner(row, q) for row in self.profile.s_dq_table], s)
         t = s * s * sv                                   # T = s^2 S
         t_s = 2.0 * s * sv + s * s * sv_s
         t_ss = 2.0 * sv + 4.0 * s * sv_s + s * s * sv_ss
@@ -695,5 +719,9 @@ def curve_cache(profile: ZollProfile, R: float) -> IndicatrixCurveCache:
 
 @lru_cache(maxsize=4096)
 def curve_eval(profile: ZollProfile, R: float) -> CurveEval:
-    """Lightweight (grid-free) curve evaluator; solve_ray needs a warm start."""
+    """Lightweight (grid-free) curve evaluator; solve_ray needs a warm start.
+
+    No code in the package calls it since Finsler traces stopped solving
+    rays; bench/tracing.py still reads its cache_info (ROADMAP item 7).
+    """
     return CurveEval(profile, R)

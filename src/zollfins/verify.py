@@ -225,12 +225,20 @@ def run_verification(prof: ZollProfile, samples: int = 64) -> VerificationReport
         rep.add("invariants", worst, 1e-4,
                 detail="fiber-transport relation at dphi = 1e-5")
 
-    # 15. A Finsler geodesic closes after parameter 2*pi.
-    v0 = finsler.unit_direction(prof, 0.2, 0.0, 0.9)
-    ftr = finsler.finsler_geodesic(prof, (0.2, 0.0), v0, 2 * math.pi, tol=1e-7)
-    dist = finsler.chart_distance((float(ftr.R[-1]), float(ftr.Theta[-1])),
-                                  (0.2, 0.0))
-    drift = float(np.abs(ftr.F - 1.0).max())
-    rep.add("finsler_closure", dist, 1e-3,
-            detail=f"F drift {drift:.2e}")
+    # 15. A Finsler geodesic runs through the point pencil of its start
+    # (moduli.pencil_chart), row by row, with the longitude reflected.  The
+    # start is the chart point of the geodesic through p = (r_p, th_p) in
+    # the direction phi0, with the velocity of p on it: the indicatrix point
+    # at latitude r_p on the branch sign(cos phi0) = +1.
+    r_p, th_p, phi0 = 1.1, 0.7, 0.9
+    R0, th0 = (float(a[0]) for a in moduli.pencil_chart(prof, r_p, th_p, [phi0]))
+    s = moduli.indicatrix_regularized(prof, R0, r_p, +1)
+    ftr = finsler.finsler_geodesic(prof, (R0, th0), (s.v1, s.v2), 2 * math.pi, tol=1e-7)
+    pen_R, pen_th = moduli.pencil_chart(prof, r_p, th_p, phi0 + ftr.t)
+    worst = max(finsler.chart_distance((R, 2 * th0 - th), (pr, pth))
+                for R, th, pr, pth in zip(ftr.R.tolist(), ftr.Theta.tolist(),
+                                          pen_R.tolist(), pen_th.tolist()))
+    dist = finsler.chart_distance((float(ftr.R[-1]), float(ftr.Theta[-1])), (R0, th0))
+    rep.add("finsler_closure", worst, 1e-6,
+            detail=f"pencil deviation; closure distance {dist:.2e}")
     return rep

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from zollfins import (ChartExitError, DomainError, SIGMA_ROTATION,
                       chart_distance, curvature_critical_points, f_polynomial,
                       finsler_F, finsler_geodesic, fundamental_tensor,
-                      indicatrix_parametric, invariant_flow_check,
-                      invariants_IJ, round_sphere, unit_direction)
+                      indicatrix_parametric, indicatrix_regularized,
+                      invariant_flow_check, invariants_IJ, pencil_chart,
+                      round_sphere, unit_direction)
+from zollfins.finsler import CHART_ABORT
 from zollfins.profile import curvature_x, curvature_x_prime
 
 
@@ -158,9 +160,14 @@ def test_tensor_not_positive_definite_for_bad_profile(bad_curvature):
 
 
 def _closed_form_geometry(prof, R, v):
-    from zollfins.finsler import _fiber_geometry
-    from zollfins.moduli import curve_eval
-    return _fiber_geometry(curve_eval(prof, R), float(v[0]), float(v[1]))
+    """(F, g, F_R, ell, dell/dR) at the vector v: a cold ray solve, then the
+    spray's closed-form fiber terms at its phase, F_R scaled by F."""
+    from zollfins.finsler import _fiber_terms
+    from zollfins.moduli import curve_cache
+    curve = curve_cache(prof, R)
+    F, u = curve.solve_ray(float(v[0]), float(v[1]))
+    _, _, g, F_R, ell, dell, _ = _fiber_terms(curve, u)
+    return F, g, F * F_R, ell, dell
 
 
 #: Directions for the tensor comparisons, the v1 = 0 glue rays included.
@@ -178,7 +185,7 @@ VERIFY_DIRECTIONS = [(math.cos(a), math.sin(a))
 def test_closed_form_tensor_round_sphere(sphere):
     for R in (-0.9, 0.0, 0.7, 1.4):
         for v in TENSOR_DIRECTIONS:
-            g11, g12, g22 = _closed_form_geometry(sphere, R, v)[2]
+            g11, g12, g22 = _closed_form_geometry(sphere, R, v)[1]
             assert abs(g11 - 1.0) < 1e-14
             assert abs(g12) < 1e-14
             assert abs(g22 - math.cos(R) ** 2) < 1e-14
@@ -191,7 +198,7 @@ def test_closed_form_tensor_matches_difference_oracle(all_good):
     for prof in all_good:
         for R in (-0.8, 0.2, 0.7, 1.2):
             for v in TENSOR_DIRECTIONS + VERIFY_DIRECTIONS:
-                g11, g12, g22 = _closed_form_geometry(prof, R, v)[2]
+                g11, g12, g22 = _closed_form_geometry(prof, R, v)[1]
                 fe = fundamental_tensor(prof, R, 0.0, v)
                 oracle = fe.tensor()
                 closed = np.array([[g11, g12], [g12, g22]])
@@ -228,13 +235,13 @@ def test_closed_form_chart_derivatives(ex1_strong, ex2):
     for prof in (ex1_strong, ex2):
         for R in (-0.8, 0.3, 1.2):
             for v in ((0.4, -0.7), (-1.0, 0.3), (0.0, 1.0), (0.2, 0.9)):
-                F, _, _, F_R, _, dl = _closed_form_geometry(prof, R, v)
+                F, _, F_R, _, dl = _closed_form_geometry(prof, R, v)
                 plus = _closed_form_geometry(prof, R + dR, v)
                 minus = _closed_form_geometry(prof, R - dR, v)
                 assert F_R == pytest.approx((plus[0] - minus[0]) / (2 * dR),
                                             abs=1e-8 * F)
                 for i in (0, 1):
-                    fd = (plus[4][i] - minus[4][i]) / (2 * dR)
+                    fd = (plus[3][i] - minus[3][i]) / (2 * dR)
                     assert dl[i] == pytest.approx(fd, abs=1e-7 * max(1.0, abs(fd)))
 
 
@@ -344,12 +351,51 @@ def test_chart_exit_carries_partial_trace(sphere):
     assert abs(trace.R[-1]) >= math.pi / 2 - 2e-3
 
 
+def test_chart_exit_ends_at_the_event(sphere):
+    """At the CLI's tolerance, the error reports the event time and the
+    partial trace's last row is the event state.  Here R(t) = 1.4 + t
+    exactly, so the event falls at t = CHART_ABORT - 1.4, between two output
+    rows, and the velocity there is P(R, pi/2) = (1, 0) on the indicatrix;
+    vTheta = -cos(u)/cos R amplifies the phase error by 1/cos R ~ 1e3."""
+    v0 = unit_direction(sphere, 1.4, 0.0, 0.0)
+    with pytest.raises(ChartExitError) as excinfo:
+        finsler_geodesic(sphere, (1.4, 0.0), v0, 2 * math.pi, tol=1e-9)
+    trace = excinfo.value.partial_trace
+    t_event = CHART_ABORT - 1.4
+    assert f"t = {t_event:.6f}" in str(excinfo.value)
+    assert trace.t[-1] == pytest.approx(t_event, abs=1e-12)
+    assert trace.t[-2] < trace.t[-1]
+    assert trace.R[-1] == pytest.approx(CHART_ABORT, abs=1e-12)
+    v = (float(trace.vR[-1]), float(trace.vTheta[-1]))
+    assert v == pytest.approx((1.0, 0.0), abs=1e-9)
+    F = finsler_F(sphere, float(trace.R[-1]), 0.0, v).F
+    assert F == pytest.approx(1.0, abs=1e-12)
+
+
+def test_trace_solves_one_ray(ex1, monkeypatch):
+    """unit_direction solves one ray, cold, and so does the start of
+    finsler_geodesic, for the phase of v0; the flow on the indicatrix
+    bundle solves none, per RHS call or per output row."""
+    from zollfins.moduli import CurveEval
+    seeds = []
+    solve = CurveEval.solve_ray
+
+    def counting(self, v1, v2, seed_u=None):
+        seeds.append(seed_u)
+        return solve(self, v1, v2, seed_u)
+
+    monkeypatch.setattr(CurveEval, "solve_ray", counting)
+    v0 = unit_direction(ex1, 0.2, 0.0, 0.9)
+    assert seeds == [None]
+    trace = finsler_geodesic(ex1, (0.2, 0.0), v0, 2 * math.pi, tol=1e-9)
+    assert seeds == [None, None] and len(trace.t) == 257
+
+
 def test_trace_apex_matches_correspondence(ex1):
     """The chart apex of a Finsler geodesic equals the band latitude at which
     the indicatrix curve crosses the v2 = 0 axis: the trajectory enumerates
     the unit vectors at one fixed surface point, and the largest reachable
     |R| is the turning latitude of the steepest of those directions."""
-    from zollfins.moduli import indicatrix_regularized
     R0 = 1.4
     lo, hi = R0, math.pi - R0
     for _ in range(60):         # bisect v2(r) = 0 across the band
@@ -405,69 +451,53 @@ def test_flow_enumerates_directions_at_fixed_point(sphere, ex1_strong):
 
     the longitude entering through the reflection isometry Theta -> -Theta
     (the parametric embedding is the mirror of the chart-compatible one; see
-    the sign discussion in the moduli module docs).  This ties together the
-    chart coordinates, the embedding, and the spray over whole trajectories.
+    the sign discussion in the moduli module docs).  The chart points come
+    from pencil_chart.  This ties together the chart coordinates, the
+    embedding, and the geodesic flow over whole trajectories.
     """
-    from zollfins import GeodesicState, coords_of_geodesic, indicatrix_regularized
-
-    for prof in (sphere, ex1_strong):
-        r_p, th_p = 1.1, 0.7
-        sin_rp = math.sin(r_p)
-
-        def chart_of_direction(phi):
-            c = math.sin(phi) * sin_rp
-            eps = +1 if math.cos(phi) >= 0 else -1
-            pt = coords_of_geodesic(prof, GeodesicState(r_p, th_p, c, eps))
-            return pt.R, pt.Theta
-
-        phi0 = 0.9
-        R0, Th0 = chart_of_direction(phi0)
-        s = indicatrix_regularized(prof, R0, r_p, +1)
-        trace = finsler_geodesic(prof, (R0, Th0), np.array([s.v1, s.v2]),
-                                 1.2, tol=1e-9, samples_per_period=512)
-        for k in range(0, len(trace.t), 16):
-            r_pred, th_pred = chart_of_direction(phi0 + float(trace.t[k]))
-            assert float(trace.R[k]) == pytest.approx(r_pred, abs=2e-6)
-            th_mirrored = (2 * Th0 - float(trace.Theta[k])) % (2 * math.pi)
-            diff = (th_mirrored - th_pred + math.pi) % (2 * math.pi) - math.pi
-            assert abs(diff) < 2e-6
-
-
-def test_full_period_point_pencil(sphere, ex1_strong, ex2):
-    """Over a whole period 2*pi, the Finsler geodesic through the chart point
-    of (p, phi0) runs through the chart points of the pencil of surface
-    geodesics through p, at unit angular rate (see the test above for the
-    reflected longitude).  The pencil is computed by quadrature in
-    coords_of_geodesic, independently of the spray."""
-    from zollfins import GeodesicState, coords_of_geodesic, indicatrix_regularized
-
     r_p, th_p, phi0 = 1.1, 0.7, 0.9
-    for prof in (sphere, ex1_strong, ex2):
-        def chart_of_direction(phi):
-            c = math.sin(phi) * math.sin(r_p)
-            eps = +1 if math.cos(phi) >= 0 else -1
-            pt = coords_of_geodesic(prof, GeodesicState(r_p, th_p, c, eps))
-            return pt.R, pt.Theta
+    for prof in (sphere, ex1_strong):
+        (R0,), (Th0,) = pencil_chart(prof, r_p, th_p, [phi0])
+        s = indicatrix_regularized(prof, float(R0), r_p, +1)
+        trace = finsler_geodesic(prof, (float(R0), float(Th0)), np.array([s.v1, s.v2]),
+                                 1.2, tol=1e-9, samples_per_period=512)
+        rows = slice(0, None, 16)
+        r_pred, th_pred = pencil_chart(prof, r_p, th_p, phi0 + trace.t[rows])
+        assert np.abs(trace.R[rows] - r_pred).max() < 2e-6
+        th_mirrored = (2 * Th0 - trace.Theta[rows]) % (2 * math.pi)
+        diff = (th_mirrored - th_pred + math.pi) % (2 * math.pi) - math.pi
+        assert np.abs(diff).max() < 2e-6
 
-        R0, Th0 = chart_of_direction(phi0)
-        s = indicatrix_regularized(prof, R0, r_p, +1)
-        trace = finsler_geodesic(prof, (R0, Th0), np.array([s.v1, s.v2]),
-                                 2 * math.pi, tol=1e-9, samples_per_period=256)
-        assert trace.complete and trace.t[-1] == pytest.approx(2 * math.pi)
-        for k in range(0, len(trace.t), 4):
-            r_pred, th_pred = chart_of_direction(phi0 + float(trace.t[k]))
-            assert abs(float(trace.R[k]) - r_pred) < 1e-8
-            th_mirrored = (2 * Th0 - float(trace.Theta[k])) % (2 * math.pi)
+
+def test_full_period_point_pencil(all_good):
+    """Over a whole period 2*pi, on every row, the Finsler geodesic through
+    the chart point of (p, phi0) runs through the chart points of the pencil
+    of surface geodesics through p, at unit angular rate (see the test above
+    for the reflected longitude).  The pencil comes from coords_of_geodesic,
+    independently of the indicatrix and the flow.  The starts cover both
+    hemispheres and the branch sign(cos phi0) = -1 (phi0 = 2.0); the worst
+    deviation measured is 3.9e-10 at tol 1e-9."""
+    th_p = 0.7
+    for prof in all_good:
+        for r_p, phi0 in ((1.1, 0.9), (0.5, 2.0), (2.3, 0.3)):
+            (R0,), (Th0,) = pencil_chart(prof, r_p, th_p, [phi0])
+            s = indicatrix_regularized(prof, float(R0), r_p,
+                                       1 if math.cos(phi0) >= 0 else -1)
+            trace = finsler_geodesic(prof, (float(R0), float(Th0)),
+                                     np.array([s.v1, s.v2]), 2 * math.pi, tol=1e-9)
+            assert trace.complete and len(trace.t) == 257
+            assert trace.t[-1] == pytest.approx(2 * math.pi)
+            r_pred, th_pred = pencil_chart(prof, r_p, th_p, phi0 + trace.t)
+            assert np.abs(trace.R - r_pred).max() < 1e-8, (prof, r_p, phi0)
+            th_mirrored = (2 * Th0 - trace.Theta) % (2 * math.pi)
             diff = (th_mirrored - th_pred + math.pi) % (2 * math.pi) - math.pi
-            assert abs(diff) < 1e-8
+            assert np.abs(diff).max() < 1e-8, (prof, r_p, phi0)
 
 
 def test_trace_near_chart_rim(ex1):
     """A geodesic that tops out at chart latitude 1.56, 0.011 below the
     abort latitude: the start direction is the one through the surface point
     at latitude 1.56 with the largest Clairaut constant."""
-    from zollfins import indicatrix_regularized
-
     s = indicatrix_regularized(ex1, 0.0, 1.56, +1)
     trace = finsler_geodesic(ex1, (0.0, 0.0), np.array([s.v1, s.v2]),
                              2 * math.pi, tol=1e-9)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from zollfins import (BandError, DomainError, GeodesicState, PoleProximityError,
-                      ZollProfile, closure_integrals, flow_rhs, integrate_geodesic,
-                      surface_distance, turning_latitude)
+from zollfins import (BandError, DomainError, GeodesicState, ZollProfile,
+                      closure_integrals, integrate_geodesic, surface_distance,
+                      turning_latitude)
 from zollfins.geodesics import band_radicand
 
 C_GRID = [0.0, 0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9]
@@ -58,27 +58,6 @@ def test_state_validation():
 def test_state_energy_residual(ex1):
     for r, c, sg in [(1.0, 0.5, +1), (2.0, -0.3, -1), (math.pi / 2, 0.9, +1)]:
         assert GeodesicState(r, 0.1, c, sg).energy_residual(ex1) < 1e-15
-
-
-def test_flow_rhs_values(sphere, ex1):
-    dr, dth = flow_rhs(sphere, GeodesicState(math.pi / 2, 0.0, 0.0, +1))
-    assert (dr, dth) == (1.0, 0.0)
-
-    # Tangent to the parallel at the turning point: dr/dt = 0, dtheta/dt = 1/sin r_c.
-    c = 0.4
-    rc = turning_latitude(c)
-    dr, dth = flow_rhs(ex1, GeodesicState(rc, 0.0, c, +1))
-    assert dr == 0.0
-    assert dth == pytest.approx(1.0 / math.sin(rc), abs=1e-12)
-
-    dr, dth = flow_rhs(ex1, GeodesicState(math.pi / 2, 0.0, 0.5, +1))
-    assert dr == pytest.approx(math.sqrt(0.75), abs=1e-15)
-    assert dth == pytest.approx(0.5, abs=1e-15)
-
-
-def test_flow_rhs_pole_guard(ex1):
-    with pytest.raises(PoleProximityError):
-        flow_rhs(ex1, GeodesicState(1e-12, 0.0, 0.0, +1))
 
 
 def test_band_radicand_exact_zeros():

@@ -3,7 +3,7 @@ production code it guards turns it to FAIL on the 0.25,-0.25 profile."""
 
 import dataclasses
 
-from zollfins import example1, geodesics, jacobi, moduli
+from zollfins import example1, finsler, geodesics, jacobi, moduli
 from zollfins.moduli import CurveEval
 from zollfins.verify import run_verification
 
@@ -100,3 +100,16 @@ def test_phase_rate_fault_fails_geodesic_closure(monkeypatch):
 
     monkeypatch.setattr(geodesics, "solve_ivp", faulty)
     assert _status("geodesic_closure") == "fail"
+
+
+def test_f_r_fault_fails_finsler_closure(monkeypatch):
+    """F_R of the closed-form fiber terms, inside the bundle flow: the trace
+    leaves the point pencil it must follow."""
+    terms = finsler._fiber_terms
+
+    def faulty(curve, u):
+        p, p_r, g, f_r, ell, dell, mu = terms(curve, u)
+        return p, p_r, g, f_r * (1 + 1e-6), ell, dell, mu
+
+    monkeypatch.setattr(finsler, "_fiber_terms", faulty)
+    assert _status("finsler_closure") == "fail"
