@@ -234,8 +234,9 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
                         help="odd profile coefficients, ascending, e.g. 0.25,-0.25")
     parser.add_argument("--out", default=default, help="output directory")
     parser.add_argument("--tol", type=float, default=default,
-                        help="integrator tolerance (1e-12 .. 1e-4); "
-                             "Finsler traces use at least 1e-9")
+                        help="Finsler integrator tolerance (1e-12 .. 1e-4, "
+                             "at least 1e-9 is used); Zoll traces are exact "
+                             "to roundoff")
     parser.add_argument("--samples", type=int, default=default,
                         help="sample count / trace density (>= 16)")
     parser.add_argument("--config", default=default,

@@ -30,7 +30,7 @@ class QuadratureError(ZollfinsError, ArithmeticError):
 
 
 class StepFailureError(ZollfinsError, ArithmeticError):
-    """The adaptive ODE controller could not meet the requested tolerance."""
+    """An ODE integration or a phase inversion did not converge."""
 
 
 class NoBracketError(ZollfinsError, ArithmeticError):

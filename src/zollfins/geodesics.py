@@ -14,24 +14,25 @@ trace is written in the regular phase variable u defined by
 
     sin^2 r = sin^2 r_c + cos^2 r_c sin^2 u   (equivalently cos r = cos r_c cos u),
 
-and only u is integrated, du/dt = 1 / (1 + h(cos r_c cos u)), smooth at
-every c.  u increases monotonically; r oscillates through the band
-[r_c, pi - r_c] and the sign of dr/dt is the sign of sin u, so turning
-points need no event handling at all.  The same substitution turns the
-closure integrals into integrals of analytic functions over [0, pi].
+in which du/dt = 1 / (1 + h(cos r_c cos u)) is smooth at every c.  u
+increases monotonically; r oscillates through the band [r_c, pi - r_c] and
+the sign of dr/dt is the sign of sin u, so turning points need no event
+handling at all.  The same substitution turns the closure integrals into
+integrals of analytic functions over [0, pi].
 
-The longitude is a function of u.  Since h is odd and h(+-1) = 0,
-h(z) = (1 - z^2) k(z) with k odd (ZollProfile.k_table), and 1 - z^2 =
-sin^2 r at z = cos r_c cos u, so
+No ODE is integrated: h is odd, so the travel time is u plus a polynomial
+in sin u (phase_time), which a trace inverts.  Since h(+-1) = 0, h(z) =
+(1 - z^2) k(z) with k odd (ZollProfile.k_table), and 1 - z^2 = sin^2 r at
+z = cos r_c cos u, so
 
     dtheta/du = c / (c^2 + (1 - c^2) sin^2 u) + c k(cos r_c cos u):
 
 the round sphere's rate, whose integral is elementary, plus an odd
 polynomial in cos u, whose integral is a polynomial in sin u
-(longitude_advance).  So no integrator steps through the peak of width
-~|c| that the rate has near a pole.  Over a band sweep u in [0, pi] the
-first part gives sign(c) pi and the second nothing: Theta = pi at every c
-(closure_integrals, which integrates k by quadrature as a second route).
+(longitude_advance; both polynomials come from _sin_series).  Over a band
+sweep u in [0, pi] the time is pi and the longitude advance sign(c) pi at
+every c (closure_integrals, which integrates both by quadrature as a second
+route).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import BandError, DomainError, PoleProximityError, StepFailureError
 from .profile import ZollProfile, horner, metric_coeffs
@@ -51,13 +51,22 @@ TWO_PI = 2.0 * math.pi
 #: Hard limits on the integrator tolerance knob.
 TOL_RANGE = (1e-12, 1e-4)
 
+#: Step cap of the phase inversion: Newton takes 3 to 5 on the named
+#: profiles, bisection alone ~51.
+PHASE_NEWTON_ITERS = 64
+
 #: Default samples emitted per period 2*pi.
 DEFAULT_SAMPLES_PER_PERIOD = 512
 
 
-def turning_latitude(c: float) -> float:
-    """r_c = arcsin|c|, the extremal latitude reached by a geodesic."""
+def turning_latitude(c):
+    """r_c = arcsin|c|, the extremal latitude reached by a geodesic; a float
+    goes through math, an array through numpy."""
     # Written so that NaN fails the test (min(1.0, nan) would be 1.0).
+    if isinstance(c, np.ndarray):
+        if not np.all(np.abs(c) <= 1.0 + 1e-12):
+            raise DomainError(f"Clairaut constants up to |c|={np.max(np.abs(c))} outside [0, 1]")
+        return np.arcsin(np.minimum(1.0, np.abs(c)))
     if not abs(c) <= 1.0 + 1e-12:
         raise DomainError(f"Clairaut constant |c|={abs(c)} outside [0, 1]")
     return math.asin(min(1.0, abs(c)))
@@ -161,7 +170,32 @@ def closure_integrals(profile: ZollProfile, c: float) -> tuple[float, float]:
     return t_val, math.pi + abs(c) * k_val
 
 
-def longitude_advance(profile: ZollProfile, c: float, u):
+def _sin_series(table: tuple[float, ...], c) -> list:
+    """w_i with int_0^u z p(z^2) du' = sin u sum_i w_i sin^(2i) u, z = cos r_c
+    cos u, for p_j = table[j] (odd_coeffs for the time, k_table for the
+    longitude) and c a float or an array.  From int_0^u cos^(2j+1) =
+    sum_i C(j, i) (-1)^i sin^(2i+1) u / (2i + 1),
+
+        w_i = (-1)^i / (2i + 1) sum_{j >= i} C(j, i) p_j cos^(2j+1) r_c.
+    """
+    rc = turning_latitude(c)
+    a = np.cos(rc) if isinstance(rc, np.ndarray) else math.cos(rc)
+    m = [mj * a ** (2 * j + 1) for j, mj in enumerate(table)]
+    return [(-1) ** i / (2 * i + 1) * sum(math.comb(j, i) * mj for j, mj in enumerate(m))
+            for i in range(len(m))]
+
+
+def phase_time(profile: ZollProfile, c: float, u):
+    """Travel time from the turning point to the phase u (a float, through
+    math, or an array, through numpy) at the Clairaut constant c, |c| < 1:
+    t(u) = int_0^u (1 + h(cos r_c cos u')) du' = u + sin u sum_i w_i
+    sin^(2i) u, w = _sin_series(odd_coeffs, c).  So |t(u) - u| <= sum |w_i|.
+    """
+    su = np.sin(u) if isinstance(u, np.ndarray) else math.sin(u)
+    return u + su * horner(_sin_series(profile.odd_coeffs, c), su * su)
+
+
+def longitude_advance(profile: ZollProfile, c, u):
     """Longitude gained from the turning point (u = 0) to the phase u, any
     real u, along the geodesic with Clairaut constant c, 0 < |c| < 1:
 
@@ -169,30 +203,25 @@ def longitude_advance(profile: ZollProfile, c: float, u):
             + c K(sin u),
 
     the round sphere's antiderivative plus K(sin u) = int_0^u k(cos r_c
-    cos u') du' = sin u sum_i w_i sin^(2i) u.  From int_0^u cos^(2j+1) =
-    sum_i C(j, i) (-1)^i sin^(2i+1) u / (2i + 1), with m_j = k_table[j],
-
-        w_i = (-1)^i / (2i + 1) sum_{j >= i} C(j, i) m_j cos^(2j+1) r_c.
-
-    A float goes through math, an array through numpy.
+    cos u') du' = sin u sum_i w_i sin^(2i) u, w = _sin_series(k_table, c).
+    Floats go through math, arrays (c, u or both) through numpy.
     """
-    ac = abs(c)
-    a = math.cos(turning_latitude(c))
-    m = [mj * a ** (2 * j + 1) for j, mj in enumerate(profile.k_table)]
-    w = [(-1) ** i / (2 * i + 1) * sum(math.comb(j, i) * mj for j, mj in enumerate(m))
-         for i in range(len(m))]
-    sin, cos, atan2 = ((np.sin, np.cos, np.arctan2) if isinstance(u, np.ndarray)
+    vec = isinstance(u, np.ndarray) or isinstance(c, np.ndarray)
+    sin, cos, atan2 = ((np.sin, np.cos, np.arctan2) if vec
                        else (math.sin, math.cos, math.atan2))
+    ac = abs(c)
+    side = (np.where(c > 0, 1.0, -1.0) if isinstance(c, np.ndarray)
+            else 1.0 if c > 0 else -1.0)
     su, cu = sin(u), cos(u)
     round_part = u + atan2((1.0 - ac) * su * cu, ac * cu * cu + su * su)
-    return (round_part if c > 0 else -round_part) + c * su * horner(w, su * su)
+    return side * round_part + c * su * horner(_sin_series(profile.k_table, c), su * su)
 
 
-# -- trace integration --------------------------------------------------------
+# -- traces --------------------------------------------------------------------
 
 @dataclass
 class GeodesicTrace:
-    """Samples (t, r, theta) of an integrated geodesic plus step metadata."""
+    """Samples (t, r, theta) of a geodesic, its phase u and the recorded tol."""
 
     t: np.ndarray
     r: np.ndarray
@@ -211,12 +240,12 @@ class GeodesicTrace:
                              self.c, int(self.sign[-1]))
 
 
-def signed_phase(c: float, r, sign: int = +1):
-    """Phase u in [-pi, pi] with cos r = cos r_c cos u and sign(sin u) = sign,
-    at a latitude r or an array of them.  A float goes through math, an
-    array through numpy (whose atan2 may differ in the last bit)."""
+def signed_phase(c, r, sign=+1):
+    """Phase u in [-pi, pi] with cos r = cos r_c cos u and sign(sin u) = sign.
+    Floats go through math, arrays (r, c or both) through numpy (whose atan2
+    may differ in the last bit)."""
     y = np.sqrt(band_radicand(c, r))
-    if isinstance(r, np.ndarray):
+    if isinstance(r, np.ndarray) or isinstance(c, np.ndarray):
         return np.arctan2(sign * y, np.cos(r))
     return math.atan2(sign * float(y), math.cos(r))
 
@@ -230,16 +259,15 @@ def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
                        t_end: float, tol: float = 1e-10,
                        samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD
                        ) -> GeodesicTrace:
-    """Adaptive trace of the geodesic flow over [0, t_end].
+    """Trace of the geodesic flow over [0, t_end], exact to roundoff.
 
-    Only the phase u is integrated, one ODE for every |c| < 1; r follows
-    from cos r = cos r_c cos u and theta in closed form, theta_0 +
+    The phase u_k at each sample time t_k solves phase_time(u_k) -
+    phase_time(u_0) = t_k, all rows at once, by Newton steps safeguarded by
+    bisection (StepFailureError after PHASE_NEWTON_ITERS).  r follows from
+    cos r = cos r_c cos u and theta in closed form, theta_0 +
     longitude_advance(u) - longitude_advance(u_0), or for a meridian (c = 0)
-    a jump of pi at each pole crossing.  The Clairaut relation and the unit
-    energy hold by construction; the integrator error shows up only in the
-    phase, hence in the time parametrization (what the closure tests measure).
-
-    Equators (c = +-1) are returned in closed form, never integrated.
+    a jump of pi at each pole crossing.  Equators (c = +-1) are closed form.
+    ``tol`` is validated and recorded; the trace does not depend on it.
     """
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
         raise DomainError(f"tolerance {tol} outside {TOL_RANGE}")
@@ -259,20 +287,25 @@ def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
 
     cos_rc = math.cos(turning_latitude(c))
     u0 = signed_phase(c, initial.r, initial.sign)
-
-    def rhs(t, yv):
-        return [1.0 / (1.0 + profile.h(cos_rc * math.cos(yv[0])))]
-
-    # The phase carries the whole error budget of the trace.  At rtol = tol
-    # and max_step 0.5, DOP853 accepted a step that put the phase of `1,-2,1`
-    # at c = 1e-5 from u0 = 0 off by 8e-7 over 4 pi; rtol = tol / 10 with
-    # max_step 0.25 brings the return at t = 2 pi on the benchmark panel to
-    # ~3e-11 (rtol = tol alone at max_step 0.25: ~3.5e-10).
-    sol = solve_ivp(rhs, (0.0, t_end), [u0], method="DOP853", rtol=0.1 * tol,
-                    atol=tol * 1e-3, t_eval=t_eval, max_step=0.25)
-    if sol.status != 0 or not sol.success:
-        raise StepFailureError(f"geodesic integration failed: {sol.message}")
-    u = sol.y[0]
+    # Each root lies within M = sum |w_i| of its target, at the edge where
+    # the sin series reaches +-M; twice that keeps Newton's overshoot there
+    # inside the bracket.  t(u0) goes through numpy, as in the loop, so the
+    # row t = 0 starts at its root u0 and keeps it.
+    reach = 2.0 * math.fsum(abs(w) for w in _sin_series(profile.odd_coeffs, c))
+    target = t_eval + phase_time(profile, c, np.array([u0]))[0]
+    lo, hi = target - reach, target + reach
+    slack = 8.0 * np.finfo(float).eps * (np.abs(target) + reach)
+    u = u0 + t_eval
+    for _ in range(PHASE_NEWTON_ITERS):
+        resid = phase_time(profile, c, u) - target
+        converged = bool(np.all(np.abs(resid) <= slack))
+        lo, hi = np.where(resid < 0, u, lo), np.where(resid > 0, u, hi)
+        step = u - resid / (1.0 + profile.h(cos_rc * np.cos(u)))
+        u = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if converged:     # stop after this step, which polishes the roots
+            break
+    else:
+        raise StepFailureError(f"phase inversion did not converge at c = {c!r}")
     if c == 0.0:
         # Each pole crossing (u through a multiple of pi) flips the meridian half.
         crossings = np.floor(u / math.pi) - math.floor(u0 / math.pi)

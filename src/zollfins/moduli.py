@@ -146,26 +146,8 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
     back to the turning point, by geodesics.longitude_advance in closed form.
     Equators (c = +-1) are the two chart poles and are rejected.
     """
-    c = state.c
-    if abs(c) >= 1.0 - 1e-12:
-        raise DomainError("the oriented equators are the poles of the chart")
-
-    if c == 0.0:
-        # Meridians: the anchor is the southbound equator crossing, which sits
-        # on the theta half-plane the state is on (sign +1) or the opposite one.
-        theta_cross = state.theta if state.sign == +1 else state.theta + math.pi
-        return ModuliPoint(0.0, (theta_cross - math.pi / 2) % TWO_PI)
-
-    rc = turning_latitude(c)
-    if abs(state.r - rc) <= 1e-12:
-        theta_turn = state.theta
-    else:
-        u0 = signed_phase(c, state.r, state.sign)
-        theta_turn = state.theta - longitude_advance(profile, c, u0)
-
-    if c > 0:
-        return ModuliPoint(rc, theta_turn % TWO_PI)
-    return ModuliPoint(-rc, (theta_turn + math.pi) % TWO_PI)
+    R, Theta = _chart_point(profile, state.r, state.theta, state.c, state.sign)
+    return ModuliPoint(float(R), float(Theta))
 
 
 def pencil_chart(profile: ZollProfile, r_p: float, theta_p: float,
@@ -178,17 +160,32 @@ def pencil_chart(profile: ZollProfile, r_p: float, theta_p: float,
     the branch sign(cos phi).  A unit-speed geodesic of F through the chart
     point of (p, phi0) runs through this pencil at unit rate, phi = phi0 + t,
     with its longitude reflected, Theta -> 2 Theta(0) - Theta (see the
-    orientation note); the caller applies the reflection.  Only
-    coords_of_geodesic enters: no indicatrix and no ODE.
+    orientation note); the caller applies the reflection.  The chart points
+    are those of coords_of_geodesic, for all directions in one array pass:
+    no indicatrix and no ODE.
     """
-    sin_rp = math.sin(r_p)
+    if not 0.0 <= r_p <= math.pi:       # NaN fails too
+        raise BandError(f"latitude {r_p} outside [0, pi]")
     phis = np.asarray(phis, dtype=float)
-    R, Theta = np.empty(phis.shape), np.empty(phis.shape)
-    for k, phi in enumerate(phis.tolist()):
-        pt = coords_of_geodesic(profile, GeodesicState(
-            r_p, theta_p, math.sin(phi) * sin_rp, 1 if math.cos(phi) >= 0 else -1))
-        R[k], Theta[k] = pt.R, pt.Theta
-    return R, Theta
+    return _chart_point(profile, r_p, theta_p, np.sin(phis) * math.sin(r_p),
+                        np.where(np.cos(phis) >= 0, 1, -1))
+
+
+def _chart_point(profile, r, theta, c, sign):
+    """(R, Theta) of the oriented geodesics through (r, theta) with Clairaut
+    constants c and signs of dr/dt ``sign``: floats, through math, or arrays
+    (c and sign), through numpy."""
+    if np.any(np.abs(c) >= 1.0 - 1e-12):
+        raise DomainError("the oriented equators are the poles of the chart")
+    rc = turning_latitude(c)
+    advance = longitude_advance(profile, c, signed_phase(c, r, sign))
+    theta_turn = theta - np.where(np.abs(r - rc) <= 1e-12, 0.0, advance)
+    # Meridians: the anchor is the southbound equator crossing, which sits on
+    # the theta half-plane the state is on (sign +1) or the opposite one.
+    theta_cross = np.where(sign == 1, theta, theta + math.pi)
+    return (np.where(c == 0.0, 0.0, np.where(c > 0, rc, -rc)),
+            np.where(c == 0.0, (theta_cross - math.pi / 2) % TWO_PI,
+                     np.where(c > 0, theta_turn, theta_turn + math.pi) % TWO_PI))
 
 
 # -- parametric and regularized samples ----------------------------------------

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from zollfins import (BandError, DomainError, GeodesicState, ZollProfile,
-                      closure_integrals, integrate_geodesic, surface_distance,
-                      turning_latitude)
-from zollfins.geodesics import band_radicand
+from zollfins import (BandError, DomainError, GeodesicState, StepFailureError,
+                      ZollProfile, closure_integrals, integrate_geodesic,
+                      surface_distance, turning_latitude)
+from zollfins import geodesics
+from zollfins.geodesics import band_radicand, phase_time
 
 C_GRID = [0.0, 0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9]
 
@@ -152,6 +153,84 @@ def test_phase_matches_tight_reference(coeffs):
             ref = solve_ivp(rate, (0.0, 4 * math.pi), [u0], method="DOP853",
                             rtol=1e-13, atol=1e-14, t_eval=trace.t)
             assert np.max(np.abs(trace.u - ref.y[0])) < 1e-8, (c, u0)
+
+
+#: Profiles of the phase-time tests: the quintic has min G = 0.10.
+PHASE_PROFILES = [(0.25, -0.25), (1.0, -2.0, 1.0), (-1.307, 2.91, -1.603)]
+
+
+def mp_rate(profile, c):
+    """The phase-time integrand 1 + h(sqrt(1 - c^2) cos s) in mpmath."""
+    a = [mpmath.mpf(ak) for ak in profile.odd_coeffs]
+    cos_rc = mpmath.sqrt(1 - mpmath.mpf(c) ** 2)
+
+    def rate(s):
+        z = cos_rc * mpmath.cos(s)
+        return 1 + sum(ak * z ** (2 * j + 1) for j, ak in enumerate(a))
+    return rate
+
+
+def mp_integral(rate, lo, hi):
+    """int_lo^hi rate by mpmath Gauss-Legendre, split at the multiples of
+    pi/2 in between."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    quarter = mpmath.pi / 2
+    inner = [k * quarter for k in range(int(mpmath.floor(min(lo, hi) / quarter)) + 1,
+                                        int(mpmath.ceil(max(lo, hi) / quarter)))]
+    pts = [lo] + (inner if lo < hi else inner[::-1]) + [hi]
+    return mpmath.quad(rate, pts, method="gauss-legendre")
+
+
+def state_at_phase(c, u0):
+    """The state of phase u0 in [-pi, pi] on the geodesic of constant c."""
+    sin_r = math.sqrt(c * c + (1 - c * c) * math.sin(u0) ** 2)
+    r = math.atan2(sin_r, math.cos(turning_latitude(c)) * math.cos(u0))
+    return GeodesicState(r, 0.3, c, -1 if u0 < 0 else +1)
+
+
+@pytest.mark.parametrize("coeffs", PHASE_PROFILES)
+def test_phase_time_matches_mpmath(coeffs):
+    """The closed-form travel time t(u), floats and arrays, against a
+    40-digit quadrature of its integrand over [-3 pi, 4 pi], on meridians,
+    at tiny |c| and near the equator."""
+    profile = ZollProfile(coeffs)
+    us = np.linspace(-3 * math.pi, 4 * math.pi, 13)
+    bound = 1e-14 * (1 + np.abs(us))
+    with mpmath.workdps(40):
+        for c in (0.0, 1e-10, -1e-10, 1e-5, 0.5, -0.5, 0.99, -0.99):
+            rate = mp_rate(profile, c)
+            ref = np.array([float(mp_integral(rate, 0, u)) for u in us.tolist()])
+            assert np.all(np.abs(phase_time(profile, c, us) - ref) <= bound), c
+            floats = [phase_time(profile, c, u) for u in us.tolist()]
+            assert all(isinstance(v, float) for v in floats)
+            assert np.all(np.abs(np.array(floats) - ref) <= bound), c
+
+
+@pytest.mark.parametrize("coeffs", PHASE_PROFILES)
+def test_trace_phase_is_mpmath_root(coeffs):
+    """trace.u at sample rows against a 30-digit root of
+    int_{u_0}^u (1 + h) = t_k, the integral by quadrature: the inversion is
+    exact to roundoff."""
+    profile = ZollProfile(coeffs)
+    with mpmath.workdps(30):
+        for c, u0 in ((0.0, 1.0), (1e-10, 0.0), (-0.5, -2.5), (0.99, 1.0)):
+            rate = mp_rate(profile, c)
+            trace = integrate_geodesic(profile, state_at_phase(c, u0), 4 * math.pi)
+            for k in (1, len(trace.t) // 3, len(trace.t) - 1):
+                # Split at the trace's own phase, so that the search only
+                # integrates over the short step from it.
+                head = mp_integral(rate, trace.u[0], trace.u[k]) - trace.t[k]
+                root = mpmath.findroot(
+                    lambda u: head + mp_integral(rate, trace.u[k], u), trace.u[k])
+                assert abs(trace.u[k] - float(root)) <= 1e-13, (c, u0, k)
+
+
+def test_phase_inversion_cap_raises(monkeypatch, ex2):
+    """A phase inversion that does not reach roundoff within the iteration
+    cap raises instead of returning an unconverged trace."""
+    monkeypatch.setattr(geodesics, "PHASE_NEWTON_ITERS", 1)
+    with pytest.raises(StepFailureError):
+        integrate_geodesic(ex2, state_at_phase(0.5, 0.0), 2 * math.pi)
 
 
 def test_clairaut_conservation_fd(ex1_strong):

@@ -11,7 +11,7 @@ from zollfins import (BandError, ConvexityViolation, DomainError,
                       indicatrix_curvature, indicatrix_curve,
                       indicatrix_parametric, indicatrix_parametric_samples,
                       indicatrix_regularized, integrate_geodesic, jacobi_pair,
-                      turning_latitude)
+                      pencil_chart, turning_latitude)
 from zollfins.geodesics import longitude_advance, signed_phase
 from zollfins.jacobi import EQUATOR_GUARD
 from zollfins.moduli import CurveEval
@@ -141,6 +141,29 @@ def test_longitude_advance_closed_form_matches_mpmath():
         rate = (1.0 + profile.h(-math.cos(turning_latitude(c)))) / c
         half = longitude_advance(profile, c, math.pi) + math.sin(math.pi) * rate
         assert abs(abs(half) - closure_integrals(profile, c)[1]) <= 1e-14
+
+
+def test_pencil_chart_matches_coords_of_geodesic(all_good):
+    """The one array pass of pencil_chart against coords_of_geodesic, one
+    direction at a time: through both hemispheres, both branches, a meridian
+    (phi = 0) and the turning points (phi = +-pi/2).  numpy's atan2 and
+    asin may differ from math's in the last bit, which the square root near
+    a turning point amplifies a little."""
+    phis = np.concatenate((np.linspace(-4.0, 7.0, 45), [0.0, math.pi / 2, -math.pi / 2]))
+    for prof in all_good:
+        for r_p in (0.3, 1.1, 2.5):
+            R, Theta = pencil_chart(prof, r_p, 0.7, phis)
+            for phi, R_k, Theta_k in zip(phis.tolist(), R.tolist(), Theta.tolist()):
+                pt = coords_of_geodesic(prof, GeodesicState(
+                    r_p, 0.7, math.sin(phi) * math.sin(r_p),
+                    1 if math.cos(phi) >= 0 else -1))
+                assert abs(R_k - pt.R) <= 1e-14, (r_p, phi)
+                assert abs((Theta_k - pt.Theta + math.pi) % TWO_PI - math.pi) <= 1e-13
+    with pytest.raises(DomainError):
+        pencil_chart(all_good[1], math.pi / 2, 0.0, [0.3, math.pi / 2])
+    for r_p in (-0.1, math.nan):
+        with pytest.raises(BandError):
+            pencil_chart(all_good[1], r_p, 0.0, [0.3])
 
 
 def test_moduli_point_validation():

@@ -90,15 +90,19 @@ def test_time_quadrature_fault_fails_closure_integrals(monkeypatch):
     assert _status("closure_integrals") == "fail"
 
 
-def test_phase_rate_fault_fails_geodesic_closure(monkeypatch):
-    """The phase ODE, the one integrated component of a Zoll geodesic: the
-    latitude and the closed-form longitude both follow the phase."""
-    solve = geodesics.solve_ivp
+def test_phase_time_fault_fails_geodesic_closure(monkeypatch):
+    """The coefficients of the closed-form phase time, which a Zoll trace
+    inverts for its phase: the latitude and the longitude both follow the
+    phase.  The return at t = 2 pi holds for any coefficients, so only the
+    row-by-row comparison with the quadrature of the travel time sees this."""
+    series = geodesics._sin_series
+    odd = example1(0.25).odd_coeffs
 
-    def faulty(fun, *args, **kwargs):
-        return solve(lambda t, y: [v * (1 + 1e-6) for v in fun(t, y)], *args, **kwargs)
+    def faulty(table, c):
+        w = series(table, c)
+        return [wi * (1 + 1e-6) for wi in w] if table == odd else w
 
-    monkeypatch.setattr(geodesics, "solve_ivp", faulty)
+    monkeypatch.setattr(geodesics, "_sin_series", faulty)
     assert _status("geodesic_closure") == "fail"
 
 
