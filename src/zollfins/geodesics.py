@@ -59,17 +59,20 @@ PHASE_NEWTON_ITERS = 64
 DEFAULT_SAMPLES_PER_PERIOD = 512
 
 
-def turning_latitude(c):
-    """r_c = arcsin|c|, the extremal latitude reached by a geodesic; a float
-    goes through math, an array through numpy."""
+def turning_latitude(c: float) -> float:
+    """r_c = arcsin|c|, the extremal latitude reached by a geodesic."""
     # Written so that NaN fails the test (min(1.0, nan) would be 1.0).
-    if isinstance(c, np.ndarray):
-        if not np.all(np.abs(c) <= 1.0 + 1e-12):
-            raise DomainError(f"Clairaut constants up to |c|={np.max(np.abs(c))} outside [0, 1]")
-        return np.arcsin(np.minimum(1.0, np.abs(c)))
     if not abs(c) <= 1.0 + 1e-12:
         raise DomainError(f"Clairaut constant |c|={abs(c)} outside [0, 1]")
     return math.asin(min(1.0, abs(c)))
+
+
+def turning_latitudes(c: np.ndarray) -> np.ndarray:
+    """turning_latitude of each Clairaut constant in an array, through numpy.
+    A function of its own, so that the float path tests no type."""
+    if not np.all(np.abs(c) <= 1.0 + 1e-12):
+        raise DomainError(f"Clairaut constants up to |c|={np.max(np.abs(c))} outside [0, 1]")
+    return np.arcsin(np.minimum(1.0, np.abs(c)))
 
 
 def band_radicand(c: float, r, rc: float | None = None) -> np.ndarray:
@@ -178,8 +181,8 @@ def _sin_series(table: tuple[float, ...], c) -> list:
 
         w_i = (-1)^i / (2i + 1) sum_{j >= i} C(j, i) p_j cos^(2j+1) r_c.
     """
-    rc = turning_latitude(c)
-    a = np.cos(rc) if isinstance(rc, np.ndarray) else math.cos(rc)
+    a = (np.cos(turning_latitudes(c)) if isinstance(c, np.ndarray)
+         else math.cos(turning_latitude(c)))
     m = [mj * a ** (2 * j + 1) for j, mj in enumerate(table)]
     return [(-1) ** i / (2 * i + 1) * sum(math.comb(j, i) * mj for j, mj in enumerate(m))
             for i in range(len(m))]
@@ -240,12 +243,12 @@ class GeodesicTrace:
                              self.c, int(self.sign[-1]))
 
 
-def signed_phase(c, r, sign=+1):
-    """Phase u in [-pi, pi] with cos r = cos r_c cos u and sign(sin u) = sign.
-    Floats go through math, arrays (r, c or both) through numpy (whose atan2
-    may differ in the last bit)."""
+def signed_phase(c: float, r, sign: int = +1):
+    """Phase u in [-pi, pi] with cos r = cos r_c cos u and sign(sin u) = sign,
+    at a latitude r or an array of them.  A float goes through math, an
+    array through numpy (whose atan2 may differ in the last bit)."""
     y = np.sqrt(band_radicand(c, r))
-    if isinstance(r, np.ndarray) or isinstance(c, np.ndarray):
+    if isinstance(r, np.ndarray):
         return np.arctan2(sign * y, np.cos(r))
     return math.atan2(sign * float(y), math.cos(r))
 

@@ -86,7 +86,7 @@ import numpy as np
 
 from .errors import BandError, ConvexityViolation, DomainError
 from .geodesics import (GeodesicState, band_radicand, longitude_advance,
-                        signed_phase, turning_latitude)
+                        signed_phase, turning_latitude, turning_latitudes)
 from .jacobi import (EQUATOR_GUARD, _regular_bracket, _s_poly_coeffs,
                      curvature_integral, curvature_integral_full,
                      curvature_integral_tail)
@@ -177,8 +177,13 @@ def _chart_point(profile, r, theta, c, sign):
     (c and sign), through numpy."""
     if np.any(np.abs(c) >= 1.0 - 1e-12):
         raise DomainError("the oriented equators are the poles of the chart")
-    rc = turning_latitude(c)
-    advance = longitude_advance(profile, c, signed_phase(c, r, sign))
+    if isinstance(c, np.ndarray):
+        rc = turning_latitudes(c)
+        u = np.arctan2(sign * np.sqrt(band_radicand(c, r, rc)), np.cos(r))
+    else:
+        rc = turning_latitude(c)
+        u = signed_phase(c, r, sign)
+    advance = longitude_advance(profile, c, u)
     theta_turn = theta - np.where(np.abs(r - rc) <= 1e-12, 0.0, advance)
     # Meridians: the anchor is the southbound equator crossing, which sits on
     # the theta half-plane the state is on (sign +1) or the opposite one.

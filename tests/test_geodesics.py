@@ -9,7 +9,7 @@ from zollfins import (BandError, DomainError, GeodesicState, StepFailureError,
                       ZollProfile, closure_integrals, integrate_geodesic,
                       surface_distance, turning_latitude)
 from zollfins import geodesics
-from zollfins.geodesics import band_radicand, phase_time
+from zollfins.geodesics import band_radicand, phase_time, turning_latitudes
 
 C_GRID = [0.0, 0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9]
 
@@ -35,6 +35,11 @@ def test_turning_latitude():
     assert turning_latitude(-0.5) == turning_latitude(0.5)
     with pytest.raises(DomainError):
         turning_latitude(1.1)
+    rcs = turning_latitudes(np.array([0.0, -0.5, 1.0]))
+    assert rcs.tolist() == pytest.approx([0.0, math.asin(0.5), math.pi / 2], abs=1e-15)
+    for bad in (1.1, math.nan):
+        with pytest.raises(DomainError):
+            turning_latitudes(np.array([0.5, bad]))
 
 
 def test_non_finite_clairaut_constant_rejected(ex1):

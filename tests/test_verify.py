@@ -27,3 +27,16 @@ def test_verification_repeats_bit_for_bit_with_warm_caches():
     cold = run_verification(prof).to_dict()
     assert moduli.curve_cache.cache_info().currsize > 0
     assert run_verification(prof).to_dict() == cold
+
+
+def test_geodesic_closure_bound_follows_coefficient_size():
+    """2^-10 (T_21(x) - x), T_21 the Chebyshev polynomial, is convex with
+    sum |a_j| = 5.3e4.  Both routes of the geodesic_closure check sum h in
+    the monomial basis, so they part by ~1e-12 there, a roundoff that the
+    bound's growth with sum |a_j| admits."""
+    prof = ZollProfile.from_string(
+        "0.01953125,-1.50390625,32.484375,-321.75,1751.75,-5733.0,11760.0,"
+        "-15232.0,12096.0,-5376.0,1024.0")
+    check, = (c for c in run_verification(prof).checks if c.name == "geodesic_closure")
+    assert check.status == "pass", (check.measured, check.tolerance)
+    assert check.measured > 1e-13 and check.tolerance <= 1e-10
