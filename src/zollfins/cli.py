@@ -175,7 +175,6 @@ def cmd_geodesic(profile: ZollProfile, args) -> int:
             (math.pi / 2 if abs(c) >= 1.0 else geodesics.turning_latitude(c))
         state = geodesics.GeodesicState(r0, args.theta0, c, +1)
         trace = geodesics.integrate_geodesic(profile, state, args.t_end,
-                                             tol=args.tol,
                                              samples_per_period=args.samples)
         path = out_dir / "geodesic_zoll.csv"
         atomic_write(path, zoll_trace_csv(trace))
@@ -317,7 +316,7 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
-    lo, hi = geodesics.TOL_RANGE
+    lo, hi = finsler.TOL_RANGE
     if not lo <= args.tol <= hi:
         raise ProfileError(f"tolerance {args.tol} outside [{lo:g}, {hi:g}]")
     if args.samples < 16:

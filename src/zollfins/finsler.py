@@ -51,6 +51,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartExitError, DomainError, PoleProximityError, StepFailureError
+from .geodesics import sample_times
 from .moduli import CurveEval, curve_cache, implicit_polynomial
 from .profile import ZollProfile, curvature_x, curvature_x_prime
 
@@ -62,6 +63,9 @@ SIGMA_ROTATION = -1.0
 
 #: Chart half-width at which Finsler traces abort.
 CHART_ABORT = math.pi / 2 - 1e-3
+
+#: Hard limits on the integrator tolerance of finsler_geodesic.
+TOL_RANGE = (1e-12, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -362,8 +366,12 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     whole error.  Each row's velocity is (vR, vTheta) = P(R, u).
     Trajectories stay in one chart: when |R| reaches pi/2 - 1e-3 the
     integration aborts with ChartExitError carrying the partial trace, which
-    ends at the event.
+    ends at the event.  ``tol`` must lie in TOL_RANGE; the rows are those of
+    geodesics.sample_times.
     """
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:     # NaN fails too
+        raise DomainError(f"tolerance {tol} outside {TOL_RANGE}")
+    t_eval = sample_times(t_end, samples_per_period)
     R0, Theta0 = float(start[0]), float(start[1])
     v0 = np.asarray(v0, dtype=float)
     f0, u0 = curve_cache(profile, R0).solve_ray(float(v0[0]), float(v0[1]))
@@ -372,8 +380,6 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     if abs(R0) >= CHART_ABORT:
         raise ChartExitError(f"start point R={R0} outside the working chart")
 
-    n = max(16, int(round(samples_per_period * t_end / (2 * math.pi)))) + 1
-
     def chart_event(t, y):
         return CHART_ABORT - abs(y[0])
 
@@ -381,7 +387,7 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     rtol = tol / 10
     sol = solve_ivp(lambda t, y: _spray_rhs(profile, y), (0.0, t_end),
                     [R0, Theta0, u0], method="DOP853", rtol=rtol, atol=rtol * 1e-2,
-                    t_eval=np.linspace(0.0, t_end, n), events=chart_event,
+                    t_eval=t_eval, events=chart_event,
                     max_step=0.25)
     if sol.status == 1:  # chart exit
         t_ev = float(sol.t_events[0][-1])

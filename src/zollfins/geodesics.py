@@ -48,15 +48,15 @@ from .quadrature import DEFAULT_ORDERS, gl_adaptive
 
 TWO_PI = 2.0 * math.pi
 
-#: Hard limits on the integrator tolerance knob.
-TOL_RANGE = (1e-12, 1e-4)
-
 #: Step cap of the phase inversion: Newton takes 3 to 5 on the named
 #: profiles, bisection alone ~51.
 PHASE_NEWTON_ITERS = 64
 
 #: Default samples emitted per period 2*pi.
 DEFAULT_SAMPLES_PER_PERIOD = 512
+
+#: Most rows one trace may hold: ~2000 periods at the default density.
+MAX_TRACE_ROWS = 1_000_000
 
 
 def turning_latitude(c: float) -> float:
@@ -224,7 +224,7 @@ def longitude_advance(profile: ZollProfile, c, u):
 
 @dataclass
 class GeodesicTrace:
-    """Samples (t, r, theta) of a geodesic, its phase u and the recorded tol."""
+    """Samples (t, r, theta) of a geodesic, its phase u and Clairaut constant c."""
 
     t: np.ndarray
     r: np.ndarray
@@ -232,7 +232,6 @@ class GeodesicTrace:
     sign: np.ndarray
     u: np.ndarray
     c: float
-    tol: float
 
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
@@ -258,8 +257,22 @@ def _sign_of_phase(u: np.ndarray) -> np.ndarray:
     return np.where(np.mod(u, TWO_PI) < math.pi, 1, -1).astype(int)
 
 
-def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
-                       t_end: float, tol: float = 1e-10,
+def sample_times(t_end: float, samples_per_period: int) -> np.ndarray:
+    """max(16, samples_per_period * t_end / 2 pi) + 1 evenly spaced row times
+    on [0, t_end]; DomainError unless t_end is finite and positive,
+    samples_per_period >= 1 and there are fewer than MAX_TRACE_ROWS rows."""
+    if not 0.0 < t_end < math.inf:             # NaN fails too
+        raise DomainError(f"t_end must be finite and positive, got {t_end}")
+    if not samples_per_period >= 1:
+        raise DomainError(f"need at least 1 sample per period, got {samples_per_period}")
+    rows = samples_per_period * t_end / TWO_PI
+    if not rows < MAX_TRACE_ROWS:
+        raise DomainError(f"t_end = {t_end} at {samples_per_period} samples per "
+                          f"period needs more than {MAX_TRACE_ROWS} rows")
+    return np.linspace(0.0, t_end, max(16, int(round(rows))) + 1)
+
+
+def integrate_geodesic(profile: ZollProfile, initial: GeodesicState, t_end: float,
                        samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD
                        ) -> GeodesicTrace:
     """Trace of the geodesic flow over [0, t_end], exact to roundoff.
@@ -270,14 +283,9 @@ def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
     cos r = cos r_c cos u and theta in closed form, theta_0 +
     longitude_advance(u) - longitude_advance(u_0), or for a meridian (c = 0)
     a jump of pi at each pole crossing.  Equators (c = +-1) are closed form.
-    ``tol`` is validated and recorded; the trace does not depend on it.
+    The rows are those of sample_times.
     """
-    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
-        raise DomainError(f"tolerance {tol} outside {TOL_RANGE}")
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
-    n = max(16, int(round(samples_per_period * t_end / TWO_PI))) + 1
-    t_eval = np.linspace(0.0, t_end, n)
+    t_eval = sample_times(t_end, samples_per_period)
 
     c = initial.c
     if abs(abs(c) - 1.0) <= 1e-12:
@@ -285,8 +293,8 @@ def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
         sgn = 1.0 if c > 0 else -1.0
         theta = initial.theta + sgn * t_eval
         r = np.full_like(t_eval, math.pi / 2)
-        return GeodesicTrace(t_eval, r, theta, np.ones(n, dtype=int),
-                             np.zeros(n), c, tol)
+        return GeodesicTrace(t_eval, r, theta, np.ones(len(t_eval), dtype=int),
+                             np.zeros_like(t_eval), c)
 
     cos_rc = math.cos(turning_latitude(c))
     u0 = signed_phase(c, initial.r, initial.sign)
@@ -317,7 +325,7 @@ def integrate_geodesic(profile: ZollProfile, initial: GeodesicState,
         theta = initial.theta + (longitude_advance(profile, c, u)
                                  - longitude_advance(profile, c, u0))
     r = np.arccos(np.clip(cos_rc * np.cos(u), -1.0, 1.0))
-    return GeodesicTrace(t_eval, r, theta, _sign_of_phase(u), u, c, tol)
+    return GeodesicTrace(t_eval, r, theta, _sign_of_phase(u), u, c)
 
 
 def surface_distance(profile: ZollProfile, a: tuple[float, float],

@@ -1,4 +1,4 @@
-"""Normal Jacobi fields along a geodesic, as functions of the latitude r.
+"""Normal Jacobi fields along a geodesic, in the latitude r and the phase u.
 
 Along a geodesic with Clairaut constant c (anchored at its turning point,
 t = 0 at r = r_c) the normalized normal Jacobi fields y1, y2 satisfy
@@ -30,10 +30,15 @@ with x = cos r and the smooth auxiliary integral
     Psi(r) = int_{r_c}^r sin s sqrt(sin^2 s - c^2) h''(cos s) ds,
 
 which for polynomial h has a closed form (see hpp_integral).  These
-regularized expressions are valid on the whole band.  Their brackets are
-written once, in _regular_bracket, which jacobi_pair and the regularized
-indicatrix sample (moduli.indicatrix_regularized, v2 = -c1 y2) both read;
-the literal 1/y1' route is kept as an independent cross-check on r < pi/2.
+regularized expressions are valid on the whole band.  In the signed phase u
+(cos r = cos r_c cos u, sign u = branch, dt/du = 1 + h) they give the
+indicatrix coordinate v2 = -c1 y2 of the moduli module and its rate
+dv2/du = -c1 (1 + h) y2'.  PhaseKernel evaluates both, once for jacobi_pair,
+the regularized samples, the ray solver and the Finsler spray; the literal
+1/y1' route through the Phi quadrature is the independent cross-check on
+r < pi/2.  The finite part of Phi over the whole band, -Psi(pi - r_c) /
+cos^2 r_c, is 0 for odd h (the phase integrand sin^2 u h''(cos r_c cos u)
+is odd about u = pi/2), so above the equator it is minus the tail integral.
 
 y2 is even under t -> -t and y1 odd, so y2 at a given latitude does not
 depend on the branch while y1, y2' flip sign with it.
@@ -49,11 +54,14 @@ import numpy as np
 
 from .errors import BandError, DomainError
 from .geodesics import band_radicand, signed_phase, turning_latitude
-from .profile import ZollProfile, curvature_x
+from .profile import ZollProfile, curvature_x, horner, horner_jet
 from .quadrature import gl_adaptive, gl_fixed, gl_refined
 
 #: |r - pi/2| below which callers should prefer the regularized expressions.
 EQUATOR_GUARD = 1e-3
+
+#: Chart boundary guard: |R| must stay below pi/2 by at least this much.
+CHART_GUARD = 1e-6
 
 #: The Phi quadratures stop halving their panels at this fraction of the
 #: distance from the refined end to the double pole at u = pi/2.  A panel a
@@ -82,6 +90,12 @@ def c1_coefficient(profile: ZollProfile, c: float) -> float:
         raise DomainError("normalized Jacobi fields degenerate at c = +-1")
     rc = turning_latitude(c)
     return (1.0 + profile.h(math.cos(rc))) / math.cos(rc)
+
+
+def _check_chart(R: float):
+    # Written so that NaN fails the test.
+    if not abs(R) < math.pi / 2 - CHART_GUARD:
+        raise DomainError(f"chart coordinate |R| = {abs(R)} too close to pi/2")
 
 
 def _check_band(c: float, r: float, slack: float = 1e-12):
@@ -205,51 +219,78 @@ def curvature_integral_tail(profile: ZollProfile, c: float, r):
 
 
 def curvature_integral_full(profile: ZollProfile, c: float) -> float:
-    """Finite part of Phi over the whole band, equal to -Psi_total / cos^2 r_c.
-
-    Psi_total is evaluated by quadrature (not the closed form) so that the
-    bridge stays independent of the polynomial antiderivative.
+    """Finite part of Phi over the whole band, -Psi_total / cos^2 r_c, with
+    Psi_total by quadrature: zero up to roundoff for odd h (see the module
+    docstring).  No code in the package calls it; bench/tracing.py still
+    binds it (ROADMAP item 7).
     """
     rc = turning_latitude(c)
     return -hpp_integral_quad(profile, c, math.pi - rc) / math.cos(rc) ** 2
 
 
-# -- the Jacobi pair -----------------------------------------------------------
+# -- the phase kernel and the Jacobi pair --------------------------------------
 
-def _regular_bracket(profile: ZollProfile, c: float, r: float, rc: float | None = None):
-    """(x, y, 1 + h, B, D) at latitude r: x = cos r, y = sqrt(sin^2 r - c^2)
-    and the regularized brackets of y2 and y2' (Psi in closed form),
+class PhaseKernel:
+    """The regularized v2 = -c1 y2 and dv2/du at the chart value R, in the
+    signed phase u of the geodesics with turning latitude |R|: with x =
+    cos R cos u, q = cos^2 R, s = sin^2 u and Psi = y^3 S(s) (_s_poly_coeffs),
 
-        B = (1 + h(x)) x + y^2 h'(x) + y Psi(r),
-        D = (1 + h(x)) y - x y h'(x) - x Psi(r).
+        v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s; q)],
 
-    y is taken about the turning latitude ``rc`` (see band_radicand).
+    smooth through the glue points u = 0 and +-pi.  moduli.CurveEval adds
+    the jet and the ray solves.
     """
-    x = math.cos(r)
-    y2 = float(band_radicand(c, r, rc))
-    y = math.sqrt(y2)
-    one_h = 1.0 + profile.h(x)
-    hp = profile.h_prime(x)
-    psi = float(hpp_integral(profile, c, r))
-    return (x, y, one_h, one_h * x + y2 * hp + y * psi,
-            one_h * y - x * y * hp - x * psi)
+
+    __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc")
+
+    def __init__(self, profile: ZollProfile, R: float):
+        _check_chart(R)
+        self.profile = profile
+        self.R = R
+        self.c = math.sin(R)
+        self.cos_R = math.cos(R)
+        self.q = self.cos_R ** 2
+        self.inv_q = 1.0 / self.q
+        self.ca = profile.odd_coeffs
+        self.cb = profile.hp_table
+        self.sc = _s_poly_coeffs(profile, self.c)
+
+    def v2_du(self, cu, su):
+        """(v2, dv2/du) at the phase with cosine cu and sine su.  Arithmetic
+        only, so cu and su may be floats or numpy arrays alike."""
+        q, cos_r = self.q, self.cos_R
+        x = cos_r * cu
+        x2 = x * x
+        s = su * su
+        h = x * horner(self.ca, x2)
+        hp, hp_w, _ = horner_jet(self.cb, x2)
+        sv, sv_s, _ = horner_jet(self.sc, s)
+        v2 = -((1.0 + h) * x * self.inv_q + s * hp + q * s * s * sv)
+        # d/du with x_u = -cos R sin u, s_u = 2 sin u cos u, h'' = 2x dh'/dw.
+        v2_u = su * (cos_r * ((1.0 + h + x * hp) * self.inv_q + 2.0 * s * x * hp_w)
+                     - 2.0 * cu * (hp + q * s * (2.0 * sv + s * sv_s)))
+        return v2, v2_u
 
 
 def jacobi_pair(profile: ZollProfile, c: float, r: float, sign: int = +1
                 ) -> JacobiPair:
     """Normalized Jacobi data (y1, y1', y2, y2') at latitude r on the given branch.
 
-    Uses the regularized expressions, valid on the whole band including
-    r = pi/2, with the h'' integral in closed form.
+    y2 = -v2/c1 and y2' = -(dv2/du)/(c1 (1 + h)) from one PhaseKernel call
+    at cos u = cos r / cos r_c and sin u = sign y / cos r_c; valid on the
+    whole band, r = pi/2 included.
     """
     _check_band(c, r)
     if sign not in (-1, +1):
         raise DomainError(f"branch sign must be +-1, got {sign}")
     c1 = c1_coefficient(profile, c)
-    q = math.cos(turning_latitude(c)) ** 2
-    x, y, one_h, b, d = _regular_bracket(profile, c, r)
-    return JacobiPair(sign * c1 * y, c1 * x / one_h, b / (c1 * q),
-                      -sign * d / (c1 * one_h * q))
+    rc = turning_latitude(c)
+    cos_rc = math.cos(rc)
+    x = math.cos(r)
+    y = math.sqrt(float(band_radicand(c, r, rc)))
+    one_h = 1.0 + profile.h(x)
+    v2, v2_u = PhaseKernel(profile, rc).v2_du(x / cos_rc, sign * y / cos_rc)
+    return JacobiPair(sign * c1 * y, c1 * x / one_h, -v2 / c1, -v2_u / (c1 * one_h))
 
 
 def jacobi_pair_direct(profile: ZollProfile, c: float, r: float) -> JacobiPair:

@@ -24,26 +24,21 @@ gives the everywhere-regular form
     v2 = -[ (1+h(x)) x + (sin^2 r - c^2) h'(x) + y Psi(r) ] / cos^2 R,
 
 with x = cos r, y = sqrt(sin^2 r - c^2) and Psi the smooth h'' integral of
-the jacobi module.  The bracket is the one of the normalized Jacobi field
-y2 (the indicatrix is (y1/(c1 cos R), -c1 y2)), and indicatrix_regularized
-reads it from jacobi._regular_bracket.
+the jacobi module: the indicatrix is (y1/(c1 cos R), -c1 y2), with y1, y2
+the normalized Jacobi fields of the geodesic.
 
 The latitude has a square-root branch point at the glue points r_c and
 pi - r_c, where the two branches meet on the v2 axis.  The signed phase u,
-with cos r = cos R cos u and branch = sign(u), removes it: y = cos R |sin u|
-and
-
-    v1 = sin u,   v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s)],
-
-with x = cos R cos u, q = cos^2 R, s = sin^2 u and Psi = y^3 S(s) in closed
-form; u = 0 is the bottom glue point, u = +-pi the top one.  This is the
-one production parametrization: CurveEval.v2_du evaluates v2 and dv2/du,
-and the ray solver, its bracket grid, indicatrix_curve and the phase jet of
-the Finsler spray all build on it.  A ray within 1e-9 of the v2 axis is
-resolved to u = 0 or pi directly.  The curvature identity of
+with cos r = cos R cos u and branch = sign(u), removes it: y = cos R |sin u|,
+v1 = sin u and v2 is a polynomial in cos u and sin^2 u (jacobi.PhaseKernel);
+u = 0 is the bottom glue point, u = +-pi the top one.  This is the one
+production form of v2: the Jacobi pair, the regularized samples, the ray
+solver, its bracket grid, indicatrix_curve and the phase jet of the Finsler
+spray (CurveEval) all read PhaseKernel.v2_du.  A ray within 1e-9 of the v2
+axis is resolved to u = 0 or pi directly.  The curvature identity of
 indicatrix_curvature reads the same jet, so it checks the code the spray
-uses.  The latitude forms (the parametric quadrature and the regularized
-Jacobi bracket) stay as the independent reference routes.
+uses.  The parametric quadrature of Phi and the implicit polynomial stay as
+the independent reference routes.
 
 For polynomial h, expanding Psi in closed form turns the
 curve into the implicit algebraic equation
@@ -84,18 +79,14 @@ from math import comb
 
 import numpy as np
 
-from .errors import BandError, ConvexityViolation, DomainError
+from .errors import BandError, ConvexityViolation, DomainError, NoBracketError
 from .geodesics import (GeodesicState, band_radicand, longitude_advance,
                         signed_phase, turning_latitude, turning_latitudes)
-from .jacobi import (EQUATOR_GUARD, _regular_bracket, _s_poly_coeffs,
-                     curvature_integral, curvature_integral_full,
+from .jacobi import (EQUATOR_GUARD, PhaseKernel, _check_chart, curvature_integral,
                      curvature_integral_tail)
 from .profile import ZollProfile, curvature_x, horner, horner_jet
 
 TWO_PI = 2.0 * math.pi
-
-#: Chart boundary guard: |R| must stay below pi/2 by at least this much.
-CHART_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,12 +111,6 @@ class IndicatrixSample:
     r: float
     v1: float
     v2: float
-
-
-def _check_chart(R: float):
-    # Written so that NaN fails the test.
-    if not abs(R) < math.pi / 2 - CHART_GUARD:
-        raise DomainError(f"chart coordinate |R| = {abs(R)} too close to pi/2")
 
 
 def _check_sample_args(R: float, r: float, branch: int):
@@ -210,10 +195,10 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
     the direct quadrature of the curvature integral, one quadrature per side.
 
     Below the equator Phi(r) is a plain (panel-refined) quadrature; above it
-    the finite part is bridged over the pole as Phi_full - tail(r), with both
-    pieces quadratures.  Phi_full depends on R only and is computed once;
-    the latitudes below the equator go to one array call of
-    curvature_integral, those above it to one of curvature_integral_tail.
+    the finite part bridged over the pole is -tail(r), since the full-band
+    finite part vanishes for odd h (see the jacobi module).  The latitudes
+    below the equator go to one array call of curvature_integral, those
+    above it to one of curvature_integral_tail.
     Within EQUATOR_GUARD of r = pi/2 a sample is dispatched to the
     regularized form, where the cancellation between 1/cos r terms would
     otherwise cost precision.  The band is taken about |R|, so the glue
@@ -234,8 +219,7 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
     if below.any():
         phi[below] = curvature_integral(profile, c, r_arr[below])
     if above.any():
-        phi[above] = (curvature_integral_full(profile, c)
-                      - curvature_integral_tail(profile, c, r_arr[above]))
+        phi[above] = -curvature_integral_tail(profile, c, r_arr[above])
     y = np.sqrt(band_radicand(c, r_arr, abs(R)))
     x = np.cos(r_arr)
     v1 = (y / math.cos(R)).tolist()
@@ -247,14 +231,15 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
 
 def indicatrix_regularized(profile: ZollProfile, R: float, r: float,
                            branch: int = +1, Theta: float = 0.0) -> IndicatrixSample:
-    """Indicatrix sample from the everywhere-regular v2 = -B / cos^2 R, with B
-    the regularized bracket of the Jacobi field y2 (jacobi._regular_bracket),
-    on the band about |R|.
+    """Indicatrix sample at latitude r from the phase kernel, CurveEval.v2_du
+    at cos u = cos r / cos R and sin u = v1 = branch y / cos R, with y taken
+    on the band about |R|, so that the glue points lie on the v2 axis exactly.
     """
     _check_sample_args(R, r, branch)
-    _, y, _, b, _ = _regular_bracket(profile, math.sin(R), r, abs(R))
-    return IndicatrixSample(R, Theta, branch, r, branch * y / math.cos(R),
-                            -b / math.cos(R) ** 2)
+    cos_R = math.cos(R)
+    v1 = branch * math.sqrt(float(band_radicand(math.sin(R), r, abs(R)))) / cos_R
+    return IndicatrixSample(R, Theta, branch, r, v1,
+                            CurveEval(profile, R).v2_du(math.cos(r) / cos_R, v1)[0])
 
 
 def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
@@ -486,13 +471,10 @@ def implicit_residual(profile: ZollProfile, R: float, v1, v2):
 
 # -- fast closed-form curve evaluation (shared with the finsler module) ---------
 
-class CurveEval:
-    """Scalar closed-form evaluation of the indicatrix at one chart value.
-
-    The curve is parametrized by the signed phase u in [-pi, pi]: cos r =
-    cos R cos u, branch = sign(u), v1 = sin u and v2 from ``v2_du``.  Both
-    components are smooth through the glue points u = 0 (bottom) and
-    u = +-pi (top), where the latitude form has a square-root branch point.
+class CurveEval(PhaseKernel):
+    """The indicatrix at one chart value in the signed phase u in [-pi, pi]:
+    cos r = cos R cos u, branch = sign(u), v1 = sin u and v2 from the phase
+    kernel v2_du (jacobi.PhaseKernel), plus its jet and the ray solves.
     Ray solves return the phase root.  Rays within 1e-9 of vertical resolve
     to u = 0 or pi directly: the curve is symmetric about the v2 axis, so
     the glue points are exact extrema of the ray angle, and the root of a
@@ -502,42 +484,7 @@ class CurveEval:
     innermost loop of the norm evaluation and of the geodesic spray.
     """
 
-    __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc")
-
-    def __init__(self, profile: ZollProfile, R: float):
-        _check_chart(R)
-        self.profile = profile
-        self.R = R
-        self.c = math.sin(R)
-        self.cos_R = math.cos(R)
-        self.q = self.cos_R ** 2
-        self.inv_q = 1.0 / self.q
-        self.ca = profile.odd_coeffs
-        self.cb = profile.hp_table
-        self.sc = _s_poly_coeffs(profile, self.c)
-
-    def v2_du(self, cu, su):
-        """(v2, dv2/du) at the phase with cosine cu and sine su.
-
-        With x = cos R cos u, q = cos^2 R and s = sin^2 u,
-
-            v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s; q)],
-
-        S the reduced h'' sum of jacobi._s_poly_coeffs.  Arithmetic only, so
-        cu and su may be floats or numpy arrays alike.
-        """
-        q, cos_r = self.q, self.cos_R
-        x = cos_r * cu
-        x2 = x * x
-        s = su * su
-        h = x * horner(self.ca, x2)
-        hp, hp_w, _ = horner_jet(self.cb, x2)
-        sv, sv_s, _ = horner_jet(self.sc, s)
-        v2 = -((1.0 + h) * x * self.inv_q + s * hp + q * s * s * sv)
-        # d/du with x_u = -cos R sin u, s_u = 2 sin u cos u, h'' = 2x dh'/dw.
-        v2_u = su * (cos_r * ((1.0 + h + x * hp) * self.inv_q + 2.0 * s * x * hp_w)
-                     - 2.0 * cu * (hp + q * s * (2.0 * sv + s * sv_s)))
-        return v2, v2_u
+    __slots__ = ()
 
     def jet(self, u: float):
         """(P, P_u, P_uu, P_R, P_uR) of the curve in the signed phase u.
@@ -659,8 +606,6 @@ class IndicatrixCurveCache(CurveEval):
         """Cold solve on the half-curve u in [0, pi] (v1 > 0): scan the grid
         for sign changes of the cross product, refine each, and keep the
         farthest crossing on the ray's side."""
-        from .errors import NoBracketError  # local import to avoid cycles
-
         cross = v1 * self.v2_grid - v2 * self.v1_grid
         dots = v1 * self.v1_grid + v2 * self.v2_grid
         sign_change = np.nonzero((np.sign(cross[:-1]) * np.sign(cross[1:]) <= 0)

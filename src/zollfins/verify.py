@@ -129,8 +129,7 @@ def run_verification(prof: ZollProfile, samples: int = 64) -> VerificationReport
     # measures 1.1e-12).
     c = 0.5
     state = geodesics.GeodesicState(geodesics.turning_latitude(c), 0.25, c, +1)
-    trace = geodesics.integrate_geodesic(prof, state, 2 * math.pi, tol=1e-10,
-                                         samples_per_period=128)
+    trace = geodesics.integrate_geodesic(prof, state, 2 * math.pi, samples_per_period=128)
     x, wq = quadrature._leggauss(64)
     half = 0.5 * (trace.u - trace.u[0])
     s = (trace.u[0] + half)[:, None] + half[:, None] * x

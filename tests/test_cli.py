@@ -219,6 +219,16 @@ def test_seventeen_digit_round_trip(tmp_path):
         assert float(toks[5]) == sample.v2
 
 
+@pytest.mark.parametrize("side", ["zoll", "finsler"])
+@pytest.mark.parametrize("t_end", ["nan", "inf", "1e300"])
+def test_geodesic_bad_t_end_exit_1(tmp_path, capsys, side, t_end):
+    code = main(["--h", "1,-2,1", "--out", str(tmp_path), "geodesic",
+                 "--side", side, f"--t-end={t_end}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: t_end")
+    assert not list(tmp_path.iterdir())
+
+
 def test_tolerance_bounds(tmp_path):
     assert main(["--h", "0", "--out", str(tmp_path), "--tol", "1",
                  "curvature"]) == 1

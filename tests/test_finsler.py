@@ -339,6 +339,20 @@ def test_non_unit_start_rejected(ex1):
         finsler_geodesic(ex1, (0.2, 0.0), (1.0, 1.0), 1.0)
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, 1e300, 0.0, -1.0])
+def test_trace_rejects_bad_t_end(ex1, t_end):
+    v0 = unit_direction(ex1, 0.2, 0.0, 0.3)
+    with pytest.raises(DomainError):
+        finsler_geodesic(ex1, (0.2, 0.0), v0, t_end)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 1e-3, 1.0, 1e-13])
+def test_trace_rejects_tol_outside_range(ex1, tol):
+    v0 = unit_direction(ex1, 0.2, 0.0, 0.3)
+    with pytest.raises(DomainError, match="tolerance"):
+        finsler_geodesic(ex1, (0.2, 0.0), v0, 1.0, tol=tol)
+
+
 def test_chart_exit_carries_partial_trace(sphere):
     # A radial great circle of the round metric runs straight over the chart
     # pole, so it must trip the rim guard.

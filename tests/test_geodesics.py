@@ -105,7 +105,7 @@ def test_closure_rejects_equator(ex1):
 
 def test_meridian_round_sphere(sphere):
     state = GeodesicState(0.5, 1.0, 0.0, +1)
-    trace = integrate_geodesic(sphere, state, 2 * math.pi, tol=1e-10)
+    trace = integrate_geodesic(sphere, state, 2 * math.pi)
     # r(t) = r0 + t until the south pole.
     mask = trace.t < math.pi - 0.5 - 1e-9
     assert np.allclose(trace.r[mask], 0.5 + trace.t[mask], atol=1e-9)
@@ -126,7 +126,7 @@ def test_equator_closed_form(ex2):
 def test_period_and_confinement(ex1, c):
     rc = turning_latitude(c)
     state = GeodesicState(rc, 0.7, c, +1)
-    trace = integrate_geodesic(ex1, state, 2 * math.pi, tol=1e-10)
+    trace = integrate_geodesic(ex1, state, 2 * math.pi)
     dist = surface_distance(ex1, (state.r, state.theta),
                             (float(trace.r[-1]), float(trace.theta[-1])))
     assert dist < 1e-6
@@ -139,8 +139,8 @@ def test_period_and_confinement(ex1, c):
 
 @pytest.mark.parametrize("coeffs", [(1.0, -2.0, 1.0), (0.25, -0.25)])
 def test_phase_matches_tight_reference(coeffs):
-    """The phase carries the whole error of a trace: at the default tol it
-    stays within 1e-8 of an rtol 1e-13 solution over 4 pi, on meridians, at
+    """The phase carries the whole error of a trace: it stays within 1e-8
+    of an rtol 1e-13 solution over 4 pi, on meridians, at
     tiny |c| (where the longitude rate peaks with width |c|) and near the
     equator, from the turning point and from both halves of the band."""
     profile = ZollProfile(coeffs)
@@ -244,8 +244,7 @@ def test_clairaut_conservation_fd(ex1_strong):
     structurally)."""
     c = 0.6
     state = GeodesicState(turning_latitude(c), 0.0, c, +1)
-    trace = integrate_geodesic(ex1_strong, state, 2 * math.pi, tol=1e-10,
-                               samples_per_period=4096)
+    trace = integrate_geodesic(ex1_strong, state, 2 * math.pi, samples_per_period=4096)
     th, t = trace.theta, trace.t
     dt = t[1] - t[0]
     dth = (-th[4:] + 8 * th[3:-1] - 8 * th[1:-3] + th[:-4]) / (12 * dt)
@@ -256,7 +255,7 @@ def test_clairaut_conservation_fd(ex1_strong):
 def test_energy_conserved_along_trace(ex2):
     c = 0.4
     state = GeodesicState(turning_latitude(c), 0.0, c, +1)
-    trace = integrate_geodesic(ex2, state, 2 * math.pi, tol=1e-10)
+    trace = integrate_geodesic(ex2, state, 2 * math.pi)
     for k in range(0, len(trace.t), 37):
         st = GeodesicState(float(np.clip(trace.r[k], turning_latitude(c), None)),
                            float(trace.theta[k]), c, int(trace.sign[k]))
@@ -267,10 +266,30 @@ def test_trace_monotone_time_and_tol_guard(ex1):
     state = GeodesicState(turning_latitude(0.5), 0.0, 0.5, +1)
     trace = integrate_geodesic(ex1, state, 1.0)
     assert np.all(np.diff(trace.t) > 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):       # a Zoll trace takes no tolerance
         integrate_geodesic(ex1, state, 1.0, tol=1e-3)
     with pytest.raises(DomainError):
         integrate_geodesic(ex1, state, -1.0)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, 1e300, 0.0, -1.0])
+def test_trace_rejects_bad_t_end(ex1, t_end):
+    state = GeodesicState(turning_latitude(0.5), 0.0, 0.5, +1)
+    with pytest.raises(DomainError):
+        integrate_geodesic(ex1, state, t_end)
+
+
+def test_sample_times_guards():
+    assert len(geodesics.sample_times(2 * math.pi, 512)) == 513
+    assert len(geodesics.sample_times(1e-3, 512)) == 17
+    for spp in (0, 0.5, math.nan):
+        with pytest.raises(DomainError):
+            geodesics.sample_times(1.0, spp)
+    # The row cap, checked before any array is made.
+    t_cap = 2 * math.pi * geodesics.MAX_TRACE_ROWS / 512
+    assert len(geodesics.sample_times(0.99 * t_cap, 512)) < geodesics.MAX_TRACE_ROWS
+    with pytest.raises(DomainError):
+        geodesics.sample_times(t_cap, 512)
 
 
 def test_closure_matches_trace(ex1):
@@ -278,8 +297,7 @@ def test_closure_matches_trace(ex1):
     c = 0.5
     t_half, th_half = closure_integrals(ex1, c)
     state = GeodesicState(turning_latitude(c), 0.0, c, +1)
-    trace = integrate_geodesic(ex1, state, t_half, tol=1e-11,
-                               samples_per_period=2048)
+    trace = integrate_geodesic(ex1, state, t_half, samples_per_period=2048)
     # After time T the latitude must be back at the opposite turning point.
     assert trace.r[-1] == pytest.approx(math.pi - turning_latitude(c), abs=1e-8)
     assert trace.theta[-1] == pytest.approx(th_half, abs=1e-8)
@@ -326,7 +344,6 @@ def test_negative_c_reverses_longitude(ex2):
     c = -0.5
     state = GeodesicState(turning_latitude(c), 1.0, c, +1)
     t_half, th_half = closure_integrals(ex2, c)
-    trace = integrate_geodesic(ex2, state, t_half, tol=1e-11,
-                               samples_per_period=1024)
+    trace = integrate_geodesic(ex2, state, t_half, samples_per_period=1024)
     # closure_integrals reports the magnitude; the actual advance is signed.
     assert trace.theta[-1] - trace.theta[0] == pytest.approx(-th_half, abs=1e-8)

@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zollfins import (BandError, DomainError, example1, example2,
+from zollfins import (BandError, DomainError, ZollProfile, example1, example2,
                       jacobi_ode_check, jacobi_pair, jacobi_pair_direct,
                       jacobi_y, turning_latitude)
 from zollfins.jacobi import (c1_coefficient, curvature_integral,
@@ -142,43 +143,34 @@ def test_hpp_integral_closed_vs_quadrature(ex1_strong, ex2):
                                        abs=1e-13)
 
 
-@pytest.mark.parametrize("R", [0.0, 0.3, -0.7, 1.2])
-def test_jacobi_pair_matches_phase_kernel(all_good, R):
-    """The indicatrix is (y1/(c1 cos R), -c1 y2): jacobi_pair's regularized
-    latitude form against the phase kernel CurveEval.v2_du, with
-    y2 = -v2/c1 and y2' = -(dv2/du)/(c1 (1 + h)) since dt/du = 1 + h."""
-    from zollfins.moduli import CurveEval
-    c = math.sin(R)
-    for prof in all_good:
-        curve = CurveEval(prof, R)
-        c1 = c1_coefficient(prof, c)
-        for r in interior(c, 15):
-            x = math.cos(r)
-            y = math.sqrt(math.sin(r - abs(R)) * math.sin(math.pi - abs(R) - r))
-            for sign in (+1, -1):
-                u = math.atan2(sign * y, x)
-                v2, v2_u = curve.v2_du(math.cos(u), math.sin(u))
-                pair = jacobi_pair(prof, c, float(r), sign)
-                assert pair.y2 == pytest.approx(-v2 / c1, rel=1e-13, abs=1e-13)
-                assert pair.y2_prime == pytest.approx(
-                    -v2_u / (c1 * (1.0 + prof.h(x))), rel=1e-13, abs=1e-13)
-
-
-def test_curvature_integral_bridge(ex2):
-    """Full-band finite part equals the below-equator branch plus the tail
-    reflected across the pole (the identity the upper-band route relies on)."""
-    c = 0.35
-    full = curvature_integral_full(ex2, c)
-    r_probe = 2.2
+def test_curvature_integral_bridge(ex2, all_good):
+    """Above the equator the finite part of Phi is -tail(r): the full-band
+    finite part -Psi(pi - r_c) / cos^2 r_c vanishes for odd h, since the
+    phase integrand sin^2 u h''(cos r_c cos u) is odd about u = pi/2."""
+    # -tail(r) against the regularized form of the finite part at r.
+    c, r_probe = 0.35, 2.2
     tail = curvature_integral_tail(ex2, c, r_probe)
-    # Independent value of the finite part at r_probe from the regularized form.
     rc = turning_latitude(c)
     q = math.cos(rc) ** 2
     x = math.cos(r_probe)
     y = math.sqrt(math.sin(r_probe - rc) * math.sin((math.pi - rc) - r_probe))
     reg = ((1.0 + ex2.h(x)) * y / x - ex2.h_prime(x) * y
            - float(hpp_integral(ex2, c, r_probe))) / q
-    assert full - tail == pytest.approx(reg, abs=1e-11)
+    assert -tail == pytest.approx(reg, abs=1e-11)
+    # The full-band Psi is 0 to 40 digits, and its quadrature to roundoff.
+    for prof in all_good + [ZollProfile((1.0, -2.0, 1.0))]:
+        hpp = [mpmath.mpf(b) for b in prof.hpp_table]
+        for c in (0.0, 0.35, 0.7, 0.96):
+            with mpmath.workdps(40):
+                cos_rc = mpmath.sqrt(1 - mpmath.mpf(c) ** 2)
+
+                def integrand(u):
+                    z = cos_rc * mpmath.cos(u)
+                    return mpmath.sin(u) ** 2 * z * mpmath.polyval(hpp[::-1], z * z)
+
+                psi = mpmath.quad(integrand, [0, mpmath.pi / 2, mpmath.pi])
+            assert abs(psi) < 1e-35
+            assert abs(curvature_integral_full(prof, c)) <= 1e-15
 
 
 def test_curvature_integral_monotone_below_equator(ex1):

@@ -3,6 +3,8 @@ production code it guards turns it to FAIL on the 0.25,-0.25 profile."""
 
 import dataclasses
 
+import pytest
+
 from zollfins import example1, finsler, geodesics, jacobi, moduli
 from zollfins.moduli import CurveEval
 from zollfins.verify import run_verification
@@ -25,12 +27,48 @@ def test_jet_curvature_fault_fails_curvature_sides(monkeypatch):
     assert _status("indicatrix_curvature_sides") == "fail"
 
 
-def test_psi_fault_fails_regularization_agreement(monkeypatch):
-    """The closed-form h'' integral behind the regularized bracket."""
-    closed = jacobi.hpp_integral
-    monkeypatch.setattr(jacobi, "hpp_integral",
-                        lambda *args: closed(*args) * (1 + 1e-6))
+@pytest.fixture
+def s_table_fault(monkeypatch):
+    """Scales the reduced h'' table S that the phase kernel reads by 1 + rel.
+    The S table is read when a curve is built, so the curve cache is emptied
+    before the fault, and after it, so that no faulty curve outlives it."""
+    table = jacobi._s_poly_coeffs
+
+    def plant(rel):
+        monkeypatch.setattr(jacobi, "_s_poly_coeffs",
+                            lambda *args: tuple(b * (1 + rel) for b in table(*args)))
+
+    moduli.curve_cache.cache_clear()
+    yield plant
+    moduli.curve_cache.cache_clear()
+
+
+def test_s_table_fault_fails_regularization_and_wronskian(s_table_fault):
+    """The S table of the phase kernel behind the regularized samples and
+    the Jacobi pair."""
+    s_table_fault(1e-6)
     assert _status("regularization_agreement") == "fail"
+    assert _status("wronskian") == "fail"
+
+
+def test_v2_rate_fault_fails_wronskian(monkeypatch):
+    """dv2/du alone, which gives the Jacobi pair its y2'."""
+    v2_du = jacobi.PhaseKernel.v2_du
+
+    def faulty(self, cu, su):
+        v2, v2_u = v2_du(self, cu, su)
+        return v2, v2_u * (1 + 1e-6)
+
+    monkeypatch.setattr(jacobi.PhaseKernel, "v2_du", faulty)
+    assert _status("wronskian") == "fail"
+
+
+def test_large_s_table_fault_fails_jacobi_ode(s_table_fault):
+    """A fault the Jacobi equation sees at its stencil's resolution.  The
+    trace of check 15 starts from a regularized sample, which reads the
+    same kernel as the ray solve, so verification still returns a report."""
+    s_table_fault(1e-4)
+    assert _status("jacobi_ode") == "fail"
 
 
 def test_branch_minus_fault_fails_representation_agreement(monkeypatch):
@@ -63,16 +101,6 @@ def test_phi_integrand_fault_fails_representation_agreement(monkeypatch):
         return lambda u: f(u) * (1 + 1e-6)
 
     monkeypatch.setattr(jacobi, "_phi_integrand", faulty)
-    assert _status("representation_agreement") == "fail"
-
-
-def test_phi_full_fault_fails_representation_agreement(monkeypatch):
-    """The full-band finite part that the samples above the equator share.
-    For odd h it is zero up to roundoff (the h'' integrand is odd about
-    u = pi/2), so a relative fault would not show; the fault is absolute."""
-    full = moduli.curvature_integral_full
-    monkeypatch.setattr(moduli, "curvature_integral_full",
-                        lambda *args: full(*args) + 1e-6)
     assert _status("representation_agreement") == "fail"
 
 
