@@ -185,7 +185,7 @@ def cmd_geodesic(profile: ZollProfile, args) -> int:
     v0 = finsler.unit_direction(profile, start[0], start[1], args.direction)
     try:
         trace = finsler.finsler_geodesic(profile, start, v0, args.t_end,
-                                         tol=max(args.tol, 1e-9),
+                                         tol=args.tol,
                                          samples_per_period=args.samples)
     except ChartExitError as exc:
         trace = exc.partial_trace
@@ -233,9 +233,8 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
                         help="odd profile coefficients, ascending, e.g. 0.25,-0.25")
     parser.add_argument("--out", default=default, help="output directory")
     parser.add_argument("--tol", type=float, default=default,
-                        help="Finsler integrator tolerance (1e-12 .. 1e-4, "
-                             "at least 1e-9 is used); Zoll traces are exact "
-                             "to roundoff")
+                        help="Finsler integrator tolerance, 1e-12 .. 1e-4 "
+                             "(default 1e-9); Zoll traces are exact to roundoff")
     parser.add_argument("--samples", type=int, default=default,
                         help="sample count / trace density (>= 16)")
     parser.add_argument("--config", default=default,
@@ -296,7 +295,7 @@ _CONFIG_KEYS = {
     "r0": ("r0", float),
 }
 
-_DEFAULTS = {"h": "0", "out": ".", "tol": 1e-10, "samples": 512}
+_DEFAULTS = {"h": "0", "out": ".", "tol": 1e-9, "samples": 512}
 
 
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -321,6 +320,8 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise ProfileError(f"tolerance {args.tol} outside [{lo:g}, {hi:g}]")
     if args.samples < 16:
         raise ProfileError(f"sample count {args.samples} below 16")
+    if getattr(args, "plot_size", 1) < 1:
+        raise ProfileError(f"plot size {args.plot_size} below 1")
     return args
 
 

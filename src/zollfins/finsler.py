@@ -286,6 +286,8 @@ class FinslerTrace:
 def unit_direction(profile: ZollProfile, R: float, Theta: float,
                    angle: float) -> np.ndarray:
     """The F-unit vector at (R, Theta) in the chart direction ``angle``."""
+    if not math.isfinite(angle):
+        raise DomainError(f"direction angle {angle} is not finite")
     raw = np.array([math.cos(angle), math.sin(angle)])
     F = finsler_F(profile, R, Theta, raw).F
     return raw / F
@@ -366,13 +368,15 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     whole error.  Each row's velocity is (vR, vTheta) = P(R, u).
     Trajectories stay in one chart: when |R| reaches pi/2 - 1e-3 the
     integration aborts with ChartExitError carrying the partial trace, which
-    ends at the event.  ``tol`` must lie in TOL_RANGE; the rows are those of
-    geodesics.sample_times.
+    ends at the event.  ``tol`` must lie in TOL_RANGE and the start be
+    finite; the rows are those of geodesics.sample_times.
     """
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:     # NaN fails too
         raise DomainError(f"tolerance {tol} outside {TOL_RANGE}")
     t_eval = sample_times(t_end, samples_per_period)
     R0, Theta0 = float(start[0]), float(start[1])
+    if not (math.isfinite(R0) and math.isfinite(Theta0)):
+        raise DomainError(f"start point ({R0}, {Theta0}) is not finite")
     v0 = np.asarray(v0, dtype=float)
     f0, u0 = curve_cache(profile, R0).solve_ray(float(v0[0]), float(v0[1]))
     if abs(f0 - 1.0) > 1e-6:

@@ -106,6 +106,8 @@ class GeodesicState:
     def __post_init__(self):
         if self.sign not in (-1, +1):
             raise DomainError(f"sign must be +-1, got {self.sign}")
+        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+            raise DomainError(f"state r = {self.r}, theta = {self.theta} is not finite")
         if not abs(self.c) <= 1.0 + 1e-12:       # NaN fails too
             raise DomainError(f"|c| = {abs(self.c)} outside [0, 1]")
         if abs(self.c) > math.sin(self.r) + 1e-12:

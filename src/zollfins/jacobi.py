@@ -29,16 +29,19 @@ with x = cos r and the smooth auxiliary integral
 
     Psi(r) = int_{r_c}^r sin s sqrt(sin^2 s - c^2) h''(cos s) ds,
 
-which for polynomial h has a closed form (see hpp_integral).  These
-regularized expressions are valid on the whole band.  In the signed phase u
-(cos r = cos r_c cos u, sign u = branch, dt/du = 1 + h) they give the
-indicatrix coordinate v2 = -c1 y2 of the moduli module and its rate
-dv2/du = -c1 (1 + h) y2'.  PhaseKernel evaluates both, once for jacobi_pair,
-the regularized samples, the ray solver and the Finsler spray; the literal
-1/y1' route through the Phi quadrature is the independent cross-check on
-r < pi/2.  The finite part of Phi over the whole band, -Psi(pi - r_c) /
-cos^2 r_c, is 0 for odd h (the phase integrand sin^2 u h''(cos r_c cos u)
-is odd about u = pi/2), so above the equator it is minus the tail integral.
+which for polynomial h has the closed form y^3 S(w; q), w = y^2 / q,
+q = cos^2 r_c (hpp_integral).  The coefficients of S are polynomials in q
+that depend on the profile only: ZollProfile.s_table holds them, and every
+reader evaluates its rows at its own q.  These regularized expressions are
+valid on the whole band.  In the signed phase u (cos r = cos r_c cos u,
+sign u = branch, dt/du = 1 + h) they give the indicatrix coordinate
+v2 = -c1 y2 of the moduli module and its rate dv2/du = -c1 (1 + h) y2'.
+PhaseKernel evaluates both, once for jacobi_pair, the regularized samples,
+the ray solver and the Finsler spray; the literal 1/y1' route through the
+Phi quadrature is the independent cross-check on r < pi/2.  The finite part
+of Phi over the whole band, -Psi(pi - r_c) / cos^2 r_c, is 0 for odd h (the
+phase integrand sin^2 u h''(cos r_c cos u) is odd about u = pi/2), so above
+the equator it is minus the tail integral.
 
 y2 is even under t -> -t and y1 odd, so y2 at a given latitude does not
 depend on the branch while y1, y2' flip sign with it.
@@ -48,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -115,38 +117,21 @@ def jacobi_y(profile: ZollProfile, c: float, r: float, sign: int = +1
 
 # -- the h'' integral Psi -----------------------------------------------------
 
-def _s_poly_coeffs(profile: ZollProfile, c: float) -> tuple[float, ...]:
-    """Coefficients (in w = (sin^2 r - c^2)/cos^2 r_c) of the reduced sum S with
-
-        Psi(r) = y^3 * S(w),
-        S(w) = sum_k b_{2k+1} q^k sum_{p=0}^{k} (-1)^p C(k,p) w^p / (2p+3),
-
-    q = cos^2 r_c and b_{2k+1} = hpp_table[k] the coefficients of h''.  Exact
-    antiderivative of the Psi integrand for polynomial h.  The coefficients of
-    dS/dq at fixed w are the profile's s_dq_table, evaluated at q.
-    """
-    b = profile.hpp_table
-    if not b:
-        return ()
-    q = math.cos(turning_latitude(c)) ** 2
-    coeffs = [0.0] * len(b)
-    qk = 1.0
-    for k, bk in enumerate(b):
-        for p in range(k + 1):
-            coeffs[p] += bk * qk * ((-1) ** p) * comb(k, p) / (2 * p + 3)
-        qk *= q
-    return tuple(coeffs)
-
-
 def hpp_integral(profile: ZollProfile, c: float, r) -> np.ndarray | float:
-    """Psi(r) = int_{r_c}^r sin s sqrt(sin^2 s - c^2) h''(cos s) ds, closed form."""
-    coeffs = _s_poly_coeffs(profile, c)
+    """Psi(r) = int_{r_c}^r sin s sqrt(sin^2 s - c^2) h''(cos s) ds in closed
+    form, the exact antiderivative for polynomial h:
+
+        Psi(r) = y^3 S(w; q),   w = (sin^2 r - c^2) / q,   q = cos^2 r_c,
+
+    with S read from the rows of profile.s_table at q.
+    """
     y2 = band_radicand(c, r)
-    if not coeffs:
+    if not profile.s_table:
         return 0.0 * y2 if np.ndim(y2) else 0.0
     q = math.cos(turning_latitude(c)) ** 2
     w = np.clip(y2 / q, 0.0, None)
-    s_val = np.polynomial.polynomial.polyval(w, np.asarray(coeffs))
+    s_val = np.polynomial.polynomial.polyval(
+        w, np.array([horner(row, q) for row in profile.s_table]))
     out = y2 * np.sqrt(y2) * s_val
     return out if np.ndim(out) else float(out)
 
@@ -233,15 +218,17 @@ def curvature_integral_full(profile: ZollProfile, c: float) -> float:
 class PhaseKernel:
     """The regularized v2 = -c1 y2 and dv2/du at the chart value R, in the
     signed phase u of the geodesics with turning latitude |R|: with x =
-    cos R cos u, q = cos^2 R, s = sin^2 u and Psi = y^3 S(s) (_s_poly_coeffs),
+    cos R cos u, q = cos^2 R, s = sin^2 u and Psi = y^3 S(s; q) (hpp_integral),
 
         v2 = -[(1 + h(x)) x / q + s h'(x) + q s^2 S(s; q)],
 
-    smooth through the glue points u = 0 and +-pi.  moduli.CurveEval adds
-    the jet and the ray solves.
+    smooth through the glue points u = 0 and +-pi.  The s-coefficients of S
+    and of dS/dq (sc, sc_q) are the values and q-derivatives of the rows of
+    profile.s_table at this q, so building a kernel is arithmetic only.
+    moduli.CurveEval adds the jet, which reads sc_q, and the ray solves.
     """
 
-    __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc")
+    __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc", "sc_q")
 
     def __init__(self, profile: ZollProfile, R: float):
         _check_chart(R)
@@ -253,7 +240,9 @@ class PhaseKernel:
         self.inv_q = 1.0 / self.q
         self.ca = profile.odd_coeffs
         self.cb = profile.hp_table
-        self.sc = _s_poly_coeffs(profile, self.c)
+        s_jets = [horner_jet(row, self.q) for row in profile.s_table]
+        self.sc = tuple(jet[0] for jet in s_jets)
+        self.sc_q = tuple(jet[1] for jet in s_jets)
 
     def v2_du(self, cu, su):
         """(v2, dv2/du) at the phase with cosine cu and sine su.  Arithmetic

@@ -514,7 +514,7 @@ class CurveEval(PhaseKernel):
         a_x = 1.0 + h + x * hp
         a_xx = 2.0 * hp + x * hpp
         sv, sv_s, sv_ss = horner_jet(self.sc, s)
-        sq, sq_s, _ = horner_jet([horner(row, q) for row in self.profile.s_dq_table], s)
+        sq, sq_s, _ = horner_jet(self.sc_q, s)           # dS/dq at fixed s
         t = s * s * sv                                   # T = s^2 S
         t_s = 2.0 * s * sv + s * s * sv_s
         t_ss = 2.0 * sv + 4.0 * s * sv_s + s * s * sv_ss

@@ -53,11 +53,12 @@ class ZollProfile:
     #: COEFF_SUM_TOL, so it adds less than pi * COEFF_SUM_TOL to a part of one
     #: (geodesics.longitude_advance, the anchor of a chart point).
     k_table: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    #: dS/dq for the reduced h'' sum S(w; q) = sum_k b_k q^k sum_p (-1)^p
-    #: C(k, p) w^p / (2p + 3) of jacobi._s_poly_coeffs, b = hpp_table: row p
-    #: holds the ascending q-coefficients of w^p.
-    s_dq_table: tuple[tuple[float, ...], ...] = field(init=False, repr=False,
-                                                      compare=False)
+    #: The reduced h'' sum S(w; q) = sum_k b_k q^k sum_p (-1)^p C(k, p) w^p
+    #: / (2p + 3), b = hpp_table, of Psi = y^3 S (jacobi.hpp_integral): row p
+    #: holds the ascending q-coefficients of w^p, so S and dS/dq at one q
+    #: are the rows' values and q-derivatives there.
+    s_table: tuple[tuple[float, ...], ...] = field(init=False, repr=False,
+                                                   compare=False)
 
     def __init__(self, odd_coeffs: Iterable[float] = ()):
         a = tuple(float(ak) for ak in odd_coeffs)
@@ -67,9 +68,9 @@ class ZollProfile:
         object.__setattr__(self, "hp_table", hp)
         object.__setattr__(self, "hpp_table", hpp)
         object.__setattr__(self, "k_table", tuple(accumulate(a[:-1])))
-        object.__setattr__(self, "s_dq_table", tuple(
-            tuple(k * hpp[k] * (-1) ** p * comb(k, p) / (2 * p + 3)
-                  for k in range(1, len(hpp)))
+        object.__setattr__(self, "s_table", tuple(
+            tuple(hpp[k] * (-1) ** p * comb(k, p) / (2 * p + 3)
+                  for k in range(len(hpp)))
             for p in range(len(hpp))))
         self._validate()
 

@@ -59,6 +59,15 @@ def test_non_finite_arguments_exit_1(tmp_path, capsys):
                  ["geodesic", "--side", "zoll", "--c=nan", "--r0", "1.0"],
                  ["geodesic", "--side", "finsler", "--dir=nan"],
                  ["geodesic", "--side", "finsler", "--start=nan,0"],
+                 ["geodesic", "--side", "zoll", "--r0=inf"],
+                 ["geodesic", "--side", "zoll", "--r0=nan"],
+                 ["geodesic", "--side", "zoll", "--theta0=nan"],
+                 ["geodesic", "--side", "zoll", "--theta0=inf"],
+                 ["geodesic", "--side", "finsler", "--start=0.2,nan"],
+                 ["geodesic", "--side", "finsler", "--start=0.2,inf"],
+                 ["geodesic", "--side", "finsler", "--dir=inf"],
+                 ["indicatrix", "--R=0.3", "--plot-size=0"],
+                 ["indicatrix", "--R=0.3", "--plot-size=-5"],
                  ["indicatrix", "--R=inf"]):
         assert main(["--h", "0.25,-0.25", "--out", str(tmp_path)] + argv) == 1, argv
         err = capsys.readouterr().err
@@ -234,6 +243,23 @@ def test_tolerance_bounds(tmp_path):
                  "curvature"]) == 1
     assert main(["--h", "0", "--out", str(tmp_path), "--samples", "4",
                  "curvature"]) == 1
+
+
+@pytest.mark.parametrize("flags,tol", [([], 1e-9), (["--tol", "1e-11"], 1e-11)])
+def test_geodesic_passes_tolerance_to_finsler_trace(tmp_path, monkeypatch, flags, tol):
+    """The Finsler trace runs at the --tol given, 1e-9 by default: every
+    value in finsler.TOL_RANGE is honoured."""
+    seen = []
+    trace = cli.finsler.finsler_geodesic
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(cli.finsler, "finsler_geodesic", spy)
+    assert main(["--h", "0.25,-0.25", "--out", str(tmp_path)] + flags
+                + ["geodesic", "--side", "finsler", "--t-end", "1.0"]) == 0
+    assert seen == [tol]
 
 
 def test_geodesic_tolerance_outside_trace_range_exit_1(tmp_path, capsys):

@@ -346,6 +346,19 @@ def test_trace_rejects_bad_t_end(ex1, t_end):
         finsler_geodesic(ex1, (0.2, 0.0), v0, t_end)
 
 
+@pytest.mark.parametrize("start", [(0.2, math.nan), (0.2, math.inf), (0.2, -math.inf)])
+def test_trace_rejects_non_finite_start(ex1, start):
+    v0 = unit_direction(ex1, 0.2, 0.0, 0.3)
+    with pytest.raises(DomainError, match="not finite"):
+        finsler_geodesic(ex1, start, v0, 1.0)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_unit_direction_rejects_non_finite_angle(ex1, angle):
+    with pytest.raises(DomainError, match="not finite"):
+        unit_direction(ex1, 0.2, 0.0, angle)
+
+
 @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, 1e-3, 1.0, 1e-13])
 def test_trace_rejects_tol_outside_range(ex1, tol):
     v0 = unit_direction(ex1, 0.2, 0.0, 0.3)

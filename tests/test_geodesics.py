@@ -61,6 +61,13 @@ def test_state_validation():
         GeodesicState(1.0, 0.0, 0.5, 0)
 
 
+@pytest.mark.parametrize("r,theta", [(math.inf, 0.0), (math.nan, 0.0), (-math.inf, 0.0),
+                                     (1.0, math.nan), (1.0, math.inf)])
+def test_state_rejects_non_finite_point(r, theta):
+    with pytest.raises(DomainError, match="not finite"):
+        GeodesicState(r, theta, 0.5, +1)
+
+
 def test_state_energy_residual(ex1):
     for r, c, sg in [(1.0, 0.5, +1), (2.0, -0.3, -1), (math.pi / 2, 0.9, +1)]:
         assert GeodesicState(r, 0.1, c, sg).energy_residual(ex1) < 1e-15

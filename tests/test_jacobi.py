@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from math import comb
 
 import mpmath
 import numpy as np
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from zollfins import (BandError, DomainError, ZollProfile, example1, example2,
                       jacobi_ode_check, jacobi_pair, jacobi_pair_direct,
                       jacobi_y, turning_latitude)
-from zollfins.jacobi import (c1_coefficient, curvature_integral,
+from zollfins import jacobi
+from zollfins.jacobi import (PhaseKernel, c1_coefficient, curvature_integral,
                              curvature_integral_full, curvature_integral_tail,
                              hpp_integral, hpp_integral_quad)
 
@@ -141,6 +144,50 @@ def test_hpp_integral_closed_vs_quadrature(ex1_strong, ex2):
         closed = float(hpp_integral(ex2, math.sin(0.6), r))
         assert closed == pytest.approx(hpp_integral_quad(ex2, math.sin(0.6), r),
                                        abs=1e-13)
+
+
+T21 = (0.01953125, -1.50390625, 32.484375, -321.75, 1751.75, -5733.0, 11760.0,
+       -15232.0, 12096.0, -5376.0, 1024.0)
+
+
+@pytest.mark.parametrize("coeffs", [(0.25, -0.25), (1.0, -2.0, 1.0), (0.3, 0.2, -0.5),
+                                    T21])
+@pytest.mark.parametrize("R", [0.0, 0.7, -1.2, 1.56])
+def test_kernel_s_matches_exact_rational(coeffs, R):
+    """PhaseKernel.sc and sc_q, the dS/dq that the jet reads, are the
+    s-coefficients of S and dS/dq at the kernel's own q = cos^2 R: they
+    match exact rational arithmetic on the odd coefficients to a few
+    roundoffs of the sum of the terms' magnitudes."""
+    prof = ZollProfile(coeffs)
+    kernel = PhaseKernel(prof, R)
+    assert kernel.q == math.cos(R) ** 2
+    q = Fraction(kernel.q)
+    a = [Fraction(ak) for ak in prof.odd_coeffs]
+    b = [2 * (k + 1) * (2 * k + 3) * a[k + 1] for k in range(len(a) - 1)]
+    assert len(kernel.sc) == len(kernel.sc_q) == len(b)
+    slack = 4 * (len(b) + 1) * 2.0 ** -52
+    for p in range(len(b)):
+        terms = [bk * (-1) ** p * comb(k, p) / (2 * p + 3) for k, bk in enumerate(b)]
+        s_exact = sum(t * q ** k for k, t in enumerate(terms))
+        s_size = sum(abs(t) * q ** k for k, t in enumerate(terms))
+        dq_exact = sum(k * t * q ** (k - 1) for k, t in enumerate(terms) if k)
+        dq_size = sum(k * abs(t) * q ** (k - 1) for k, t in enumerate(terms) if k)
+        assert abs(Fraction(kernel.sc[p]) - s_exact) <= slack * s_size
+        assert abs(Fraction(kernel.sc_q[p]) - dq_exact) <= slack * dq_size
+
+
+def test_kernel_construction_is_arithmetic_only(monkeypatch):
+    """A kernel reads the profile's S table at its own q: no turning
+    latitude, asin or binomial is computed."""
+    prof = ZollProfile(T21)
+
+    def forbidden(*args):
+        raise AssertionError("called while building a kernel")
+
+    for module, name in ((jacobi, "turning_latitude"), (math, "asin"), (math, "comb")):
+        monkeypatch.setattr(module, name, forbidden)
+    for R in (0.0, 0.7, -1.2, 1.56):
+        PhaseKernel(prof, R)
 
 
 def test_curvature_integral_bridge(ex2, all_good):

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from zollfins import example1, finsler, geodesics, jacobi, moduli
+from zollfins import ZollProfile, example1, finsler, geodesics, jacobi, moduli
 from zollfins.moduli import CurveEval
 from zollfins.verify import run_verification
 
@@ -29,14 +29,20 @@ def test_jet_curvature_fault_fails_curvature_sides(monkeypatch):
 
 @pytest.fixture
 def s_table_fault(monkeypatch):
-    """Scales the reduced h'' table S that the phase kernel reads by 1 + rel.
-    The S table is read when a curve is built, so the curve cache is emptied
-    before the fault, and after it, so that no faulty curve outlives it."""
-    table = jacobi._s_poly_coeffs
+    """Scales the reduced h'' table S (ZollProfile.s_table), which every
+    phase kernel reads, by 1 + rel on the profiles built after the plant.
+    A kernel reads the table when a curve is built, and profiles that differ
+    only in it compare equal, so the curve cache is emptied before the
+    fault, and after it, so that no faulty curve outlives it."""
+    init = ZollProfile.__init__
 
     def plant(rel):
-        monkeypatch.setattr(jacobi, "_s_poly_coeffs",
-                            lambda *args: tuple(b * (1 + rel) for b in table(*args)))
+        def faulty(self, odd_coeffs=()):
+            init(self, odd_coeffs)
+            object.__setattr__(self, "s_table", tuple(
+                tuple(b * (1 + rel) for b in row) for row in self.s_table))
+
+        monkeypatch.setattr(ZollProfile, "__init__", faulty)
 
     moduli.curve_cache.cache_clear()
     yield plant

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -157,6 +158,25 @@ def test_k_table_exact(coeffs):
         k = sum(mk * z ** (2 * j + 1) for j, mk in enumerate(m))
         remainder = sum(a) * z ** (2 * len(a) - 1) if a else 0
         assert (1 - z * z) * k + remainder == h
+
+
+#: 2^-10 (T_21(x) - x), T_21 the Chebyshev polynomial: convex, sum |a_j| = 5.3e4.
+T21 = (0.01953125, -1.50390625, 32.484375, -321.75, 1751.75, -5733.0, 11760.0,
+       -15232.0, 12096.0, -5376.0, 1024.0)
+
+
+@pytest.mark.parametrize("coeffs", [(), (0.25, -0.25), (1.0, -2.0, 1.0),
+                                    (0.5, -1.0, 0.75, -0.25), T21])
+def test_s_table_exact(coeffs):
+    """Row p of s_table holds the q-coefficients b_k (-1)^p C(k, p) / (2p + 3)
+    of w^p in the reduced h'' sum S, b = hpp_table, each the rational value
+    rounded once (the products b_k C(k, p) are exact for these profiles)."""
+    prof = ZollProfile(coeffs)
+    b = [Fraction(bk) for bk in prof.hpp_table]
+    assert len(prof.s_table) == len(b)
+    for p, row in enumerate(prof.s_table):
+        assert row == tuple(float(bk * (-1) ** p * comb(k, p) / (2 * p + 3))
+                            for k, bk in enumerate(b))
 
 
 # -- curvature ----------------------------------------------------------------------
