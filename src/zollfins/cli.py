@@ -185,7 +185,6 @@ def cmd_geodesic(profile: ZollProfile, args) -> int:
     v0 = finsler.unit_direction(profile, start[0], start[1], args.direction)
     try:
         trace = finsler.finsler_geodesic(profile, start, v0, args.t_end,
-                                         tol=args.tol,
                                          samples_per_period=args.samples)
     except ChartExitError as exc:
         trace = exc.partial_trace
@@ -232,9 +231,6 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
     parser.add_argument("--h", default=default, metavar="COEFFS",
                         help="odd profile coefficients, ascending, e.g. 0.25,-0.25")
     parser.add_argument("--out", default=default, help="output directory")
-    parser.add_argument("--tol", type=float, default=default,
-                        help="Finsler integrator tolerance, 1e-12 .. 1e-4 "
-                             "(default 1e-9); Zoll traces are exact to roundoff")
     parser.add_argument("--samples", type=int, default=default,
                         help="sample count / trace density (>= 16)")
     parser.add_argument("--config", default=default,
@@ -282,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 _CONFIG_KEYS = {
     "h": ("h", str),
     "out": ("out", str),
-    "tol": ("tol", float),
     "samples": ("samples", int),
     "R": ("R", _float_list),
     "c": ("c", _float_list),
@@ -295,7 +290,7 @@ _CONFIG_KEYS = {
     "r0": ("r0", float),
 }
 
-_DEFAULTS = {"h": "0", "out": ".", "tol": 1e-9, "samples": 512}
+_DEFAULTS = {"h": "0", "out": ".", "samples": 512}
 
 
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -315,9 +310,6 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
-    lo, hi = finsler.TOL_RANGE
-    if not lo <= args.tol <= hi:
-        raise ProfileError(f"tolerance {args.tol} outside [{lo:g}, {hi:g}]")
     if args.samples < 16:
         raise ProfileError(f"sample count {args.samples} below 16")
     if getattr(args, "plot_size", 1) < 1:

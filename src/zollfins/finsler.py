@@ -10,11 +10,19 @@ the polynomial equation in F obtained from the implicit indicatrix equation
 by substituting v -> v/F -- is kept as an independent oracle, never as the
 primary evaluator, because the squared implicit form admits spurious sheets.
 
-Geodesics of F run on the indicatrix bundle, the unit tangent bundle of F
-(the 3-manifold of Bryant's structure equations, "Finsler structures on the
-2-sphere satisfying K = 1", 1996), with state (R, Theta, u): the velocity
-is the indicatrix point v = P(R, u) at phase u (moduli.CurveEval), so
-F(v) = 1 by construction and no ray is solved along the way.  The flow is
+Geodesics of F are in closed form (finsler_geodesic).  A surface point p
+is a curve in the space of geodesics, the pencil of the geodesics through
+it (moduli.pencil_chart), and the geodesics of F are these curves: a
+unit-speed geodesic of F runs through the pencil of p at unit rate in the
+direction angle at p, with its longitude reflected.  The velocity of each
+row is the indicatrix point v = P(R, u) at the phase u of p on the row's
+geodesic (jacobi.PhaseKernel), so F(v) = 1 by construction; the only ray
+solve is the one at the start, for the phase of the initial velocity.
+
+The independent route is the flow on the indicatrix bundle, the unit
+tangent bundle of F (the 3-manifold of Bryant's structure equations,
+"Finsler structures on the 2-sphere satisfying K = 1", 1996), with state
+(R, Theta, u) (finsler_geodesic_ode):
 
     Rdot = sin u,   Thetadot = v2(R, u),   udot = mu(a - P_R sin u),
 
@@ -26,8 +34,7 @@ fundamental_tensor stays a central finite difference of F^2 with
 Richardson extrapolation: it is the independent oracle the closed form is
 tested against.  It solves its centre ray once, cold, and starts the
 Newton solves of its 16 off-centre rays from that phase root; nothing of
-the closed form enters.  The point pencil (moduli.pencil_chart) is the
-independent route for whole trajectories.
+the closed form enters.
 
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
@@ -48,11 +55,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ChartExitError, DomainError, PoleProximityError, StepFailureError
 from .geodesics import sample_times
-from .moduli import CurveEval, curve_cache, implicit_polynomial
+from .jacobi import PhaseKernel
+from .moduli import CurveEval, curve_cache, implicit_polynomial, pencil_chart
 from .profile import ZollProfile, curvature_x, curvature_x_prime
 
 #: Orientation of the fiber rotation relative to the geodesic flow of F, in
@@ -279,7 +286,6 @@ class FinslerTrace:
     vR: np.ndarray
     vTheta: np.ndarray
     F: np.ndarray
-    tol: float
     complete: bool = True
 
 
@@ -291,6 +297,119 @@ def unit_direction(profile: ZollProfile, R: float, Theta: float,
     raw = np.array([math.cos(angle), math.sin(angle)])
     F = finsler_F(profile, R, Theta, raw).F
     return raw / F
+
+
+def _start_state(profile: ZollProfile, start, v0, t_end: float, samples_per_period: int):
+    """Row times and the bundle state (R0, Theta0, u0) of a trace's start,
+    after its checks: one cold ray solve gives the phase u0 of v0 and
+    checks F(v0) = 1."""
+    t_eval = sample_times(t_end, samples_per_period)
+    R0, Theta0 = float(start[0]), float(start[1])
+    if not (math.isfinite(R0) and math.isfinite(Theta0)):
+        raise DomainError(f"start point ({R0}, {Theta0}) is not finite")
+    v0 = np.asarray(v0, dtype=float)
+    f0, u0 = curve_cache(profile, R0).solve_ray(float(v0[0]), float(v0[1]))
+    if abs(f0 - 1.0) > 1e-6:
+        raise DomainError(f"initial velocity must be F-unit; F(v0) = {f0}")
+    if abs(R0) >= CHART_ABORT:
+        raise ChartExitError(f"start point R={R0} outside the working chart")
+    return t_eval, R0, Theta0, u0
+
+
+def _chart_exit(t_ev: float, trace: FinslerTrace) -> ChartExitError:
+    return ChartExitError(f"geodesic reached |R| = {CHART_ABORT:.6f} at t = {t_ev:.6f}",
+                          partial_trace=trace)
+
+
+def _velocities(profile: ZollProfile, R: np.ndarray, u: np.ndarray):
+    """(vR, vTheta) = P(R, u) on every row, in one array call of the phase kernel."""
+    su = np.sin(u)
+    return su, PhaseKernel(profile, R).v2_du(np.cos(u), su)[0]
+
+
+def _pencil_start(R0: float, u0: float) -> tuple[float, float, float]:
+    """(r_p, phi0, delta): the latitude of the surface point p, the direction
+    angle at p (moduli.pencil_chart) of the bundle state at chart value R0
+    and phase u0, and p's distance delta = pi/2 - min(r_p, pi - r_p) from
+    the equator.  From sin(phi0) sin(r_p) = sin R0, cos(phi0) sin(r_p) =
+    cos R0 sin u0 and cos r_p = cos R0 cos u0; atan2 keeps all three exact
+    near the poles and delta exact near the equator, where pi/2 - r_p would
+    cancel."""
+    b = math.cos(R0) * math.sin(u0)
+    c = math.cos(R0) * math.cos(u0)
+    s = math.hypot(math.sin(R0), b)
+    return math.atan2(s, c), math.atan2(math.sin(R0), b), math.atan2(abs(c), s)
+
+
+def _exit_time(phi0: float, sin_rp: float) -> float:
+    """First t > 0 with |sin(phi0 + t)| sin(r_p) = sin CHART_ABORT, where the
+    chart value of the pencil reaches the abort latitude; inf if it never
+    does.  At t = 0, |sin phi0| sin r_p = |sin R0| lies below it."""
+    if sin_rp <= math.sin(CHART_ABORT):
+        return math.inf
+    a = math.asin(math.sin(CHART_ABORT) / sin_rp)
+    psi = phi0 % math.pi
+    return a - psi if psi < a else math.pi + a - psi
+
+
+def _lift_times(delta: float, phi0: float, t_last: float) -> np.ndarray:
+    """Extra pencil times, in (0, t_last), that make the longitude of the
+    pencil safe to unwrap.  It turns by ~pi in each of the steps centred on
+    the directions phi* = pi/2 (mod pi) that graze the equator, each of
+    phi-width ~delta = pi/2 - min(r_p, pi - r_p); nodes at phi* and phi* +-
+    delta 2^j cut every step into turns below pi, at any row density.  At
+    delta = 0 (p on the equator) the step is a jump at phi*, which the
+    trace never reaches: it leaves the chart before."""
+    levels = math.ceil(math.log2(math.pi / delta)) if delta > 0 else 0
+    reach = delta * 2.0 ** np.arange(max(1, levels))
+    offsets = np.concatenate(([0.0], reach, -reach))
+    first = math.floor((phi0 - math.pi) / math.pi)
+    centres = math.pi / 2 + math.pi * np.arange(first, first + t_last / math.pi + 4) - phi0
+    nodes = (centres[:, None] + offsets).ravel()
+    return nodes[(nodes > 0.0) & (nodes < t_last)]
+
+
+def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
+                     t_end: float, samples_per_period: int = 256) -> FinslerTrace:
+    """The unit-speed geodesic of F from ``start`` with velocity v0, in
+    closed form from the point pencil.
+
+    A surface point is a curve in the space of geodesics, and the geodesics
+    of F are these curves: the trace runs through moduli.pencil_chart(p,
+    phi0 + t) at unit rate, its longitude reflected.  One cold ray solve
+    gives the phase u0 of v0 and checks F(v0) = 1; (R0, u0) gives p's
+    latitude r_p and phi0 (_pencil_start).  The longitude is unwrapped over
+    the rows merged with the nodes of _lift_times, so that its ~pi steps
+    lift the same at any row density.  Each row's velocity is (vR, vTheta) =
+    P(R, u) at the phase u of p on the row's geodesic.  At a pole start
+    (r_p = 0) the pencil is the meridians: R stays 0 and Theta moves at
+    the rate v2.  Trajectories stay in one chart: a trace whose |R| reaches
+    pi/2 - 1e-3 raises ChartExitError, with the partial trace ending at that
+    time, which is in closed form too (_exit_time).  The start must be
+    finite; the rows are those of geodesics.sample_times.  The bundle ODE
+    (finsler_geodesic_ode) is the independent route.
+    """
+    t_eval, R0, Theta0, u0 = _start_state(profile, start, v0, t_end, samples_per_period)
+    r_p, phi0, delta = _pencil_start(R0, u0)
+    sin_rp = math.sin(r_p)
+    t_ev = _exit_time(phi0, sin_rp)
+    t = t_eval if t_ev > t_end else np.append(t_eval[t_eval < t_ev], t_ev)
+    if r_p == 0.0:
+        R, u = np.zeros(len(t)), np.full(len(t), u0)
+        theta = Theta0 + PhaseKernel(profile, 0.0).v2_du(math.cos(u0), 0.0)[0] * t
+    else:
+        t_all = np.concatenate((t, _lift_times(delta, phi0, float(t[-1]))))
+        R_all, th_all = pencil_chart(profile, r_p, 0.0, phi0 + t_all)
+        order = np.argsort(t_all, kind="stable")
+        lifted = np.empty_like(th_all)
+        lifted[order] = np.unwrap(th_all[order])
+        R, theta = R_all[:len(t)], Theta0 - (lifted[:len(t)] - lifted[0])
+        u = np.arctan2(np.cos(phi0 + t) * sin_rp, math.cos(r_p))
+    v_r, v_theta = _velocities(profile, R, u)
+    trace = FinslerTrace(t, R, theta, v_r, v_theta, np.ones(len(t)), t_ev > t_end)
+    if not trace.complete:
+        raise _chart_exit(t_ev, trace)
+    return trace
 
 
 def _fiber_terms(curve, u: float):
@@ -356,33 +475,24 @@ def _spray_rhs(profile: ZollProfile, state) -> np.ndarray:
     return np.array([p1, p2, m1 * a1 + m2 * (a2 - b2 * p1)])
 
 
-def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
-                     t_end: float, tol: float = 1e-8,
-                     samples_per_period: int = 256) -> FinslerTrace:
-    """Integrate the unit-speed geodesic of F from ``start`` with velocity v0.
+def finsler_geodesic_ode(profile: ZollProfile, start: tuple[float, float], v0,
+                         t_end: float, tol: float = 1e-8,
+                         samples_per_period: int = 256) -> FinslerTrace:
+    """The geodesic of finsler_geodesic, integrated on the indicatrix bundle
+    (R, Theta, u) of _spray_rhs: the independent route it is tested against.
 
-    The flow runs on the indicatrix bundle (R, Theta, u) of _spray_rhs, so F
-    is 1 at every point by construction and the only ray solve is the cold
-    one at the start, which gives the phase u0 of v0 and checks F(v0) = 1.
-    DOP853 runs at rtol = tol/10, atol = rtol * 1e-2: the phase carries the
-    whole error.  Each row's velocity is (vR, vTheta) = P(R, u).
-    Trajectories stay in one chart: when |R| reaches pi/2 - 1e-3 the
-    integration aborts with ChartExitError carrying the partial trace, which
-    ends at the event.  ``tol`` must lie in TOL_RANGE and the start be
-    finite; the rows are those of geodesics.sample_times.
+    F is 1 at every point by construction and the only ray solve is the cold
+    one at the start.  DOP853 runs at rtol = tol/10, atol = rtol * 1e-2: the
+    phase carries the whole error.  The chart exit is an integration event,
+    and the partial trace ends at it.  ``tol`` must lie in TOL_RANGE.
+    scipy is imported here, on the first call, so that the closed-form
+    traces never load it.
     """
+    from scipy.integrate import solve_ivp
+
     if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:     # NaN fails too
         raise DomainError(f"tolerance {tol} outside {TOL_RANGE}")
-    t_eval = sample_times(t_end, samples_per_period)
-    R0, Theta0 = float(start[0]), float(start[1])
-    if not (math.isfinite(R0) and math.isfinite(Theta0)):
-        raise DomainError(f"start point ({R0}, {Theta0}) is not finite")
-    v0 = np.asarray(v0, dtype=float)
-    f0, u0 = curve_cache(profile, R0).solve_ray(float(v0[0]), float(v0[1]))
-    if abs(f0 - 1.0) > 1e-6:
-        raise DomainError(f"initial velocity must be F-unit; F(v0) = {f0}")
-    if abs(R0) >= CHART_ABORT:
-        raise ChartExitError(f"start point R={R0} outside the working chart")
+    t_eval, R0, Theta0, u0 = _start_state(profile, start, v0, t_end, samples_per_period)
 
     def chart_event(t, y):
         return CHART_ABORT - abs(y[0])
@@ -391,32 +501,20 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     rtol = tol / 10
     sol = solve_ivp(lambda t, y: _spray_rhs(profile, y), (0.0, t_end),
                     [R0, Theta0, u0], method="DOP853", rtol=rtol, atol=rtol * 1e-2,
-                    t_eval=t_eval, events=chart_event,
-                    max_step=0.25)
-    if sol.status == 1:  # chart exit
-        t_ev = float(sol.t_events[0][-1])
-        raise ChartExitError(
-            f"geodesic reached |R| = {CHART_ABORT:.6f} at t = {t_ev:.6f}",
-            partial_trace=_trace_from_solution(profile, sol, tol, complete=False))
-    if sol.status != 0 or not sol.success:
+                    t_eval=t_eval, events=chart_event, max_step=0.25)
+    if sol.status not in (0, 1) or not sol.success:
         raise StepFailureError(f"Finsler geodesic integration failed: {sol.message}")
-    return _trace_from_solution(profile, sol, tol, complete=True)
-
-
-def _trace_from_solution(profile, sol, tol, complete) -> FinslerTrace:
-    """The trace with (vR, vTheta) = P(R, u) on every row; a partial trace
-    gets the chart-rim event state as its last row."""
     t, y = sol.t, sol.y
-    if not complete:
-        t_ev = sol.t_events[0][-1]
+    if sol.status == 1:  # chart exit: the event state is the last row
+        t_ev = float(sol.t_events[0][-1])
         if t.size == 0 or t_ev > t[-1]:
             t = np.append(t, t_ev)
             y = np.hstack([y, sol.y_events[0][-1][:, None]])
-    rr, th, u = y
-    v_r, cu = np.sin(u), np.cos(u)
-    v_theta = np.array([CurveEval(profile, R).v2_du(c, s)[0] for R, c, s in
-                        zip(rr.tolist(), cu.tolist(), v_r.tolist())])
-    return FinslerTrace(t, rr, th, v_r, v_theta, np.ones(len(t)), tol, complete)
+    v_r, v_theta = _velocities(profile, y[0], y[2])
+    trace = FinslerTrace(t, y[0], y[1], v_r, v_theta, np.ones(len(t)), sol.status == 0)
+    if not trace.complete:
+        raise _chart_exit(t_ev, trace)
+    return trace
 
 
 def chart_distance(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -108,6 +108,8 @@ class GeodesicState:
             raise DomainError(f"sign must be +-1, got {self.sign}")
         if not (math.isfinite(self.r) and math.isfinite(self.theta)):
             raise DomainError(f"state r = {self.r}, theta = {self.theta} is not finite")
+        if not 0.0 <= self.r <= math.pi:
+            raise BandError(f"latitude {self.r} outside [0, pi]")
         if not abs(self.c) <= 1.0 + 1e-12:       # NaN fails too
             raise DomainError(f"|c| = {abs(self.c)} outside [0, 1]")
         if abs(self.c) > math.sin(self.r) + 1e-12:
@@ -200,7 +202,7 @@ def phase_time(profile: ZollProfile, c: float, u):
     return u + su * horner(_sin_series(profile.odd_coeffs, c), su * su)
 
 
-def longitude_advance(profile: ZollProfile, c, u):
+def longitude_advance(profile: ZollProfile, c, u, su=None, cu=None):
     """Longitude gained from the turning point (u = 0) to the phase u, any
     real u, along the geodesic with Clairaut constant c, 0 < |c| < 1:
 
@@ -209,7 +211,9 @@ def longitude_advance(profile: ZollProfile, c, u):
 
     the round sphere's antiderivative plus K(sin u) = int_0^u k(cos r_c
     cos u') du' = sin u sum_i w_i sin^(2i) u, w = _sin_series(k_table, c).
-    Floats go through math, arrays (c, u or both) through numpy.
+    Floats go through math, arrays (c, u or both) through numpy.  ``su``
+    and ``cu`` give sin u and cos u where the caller has them to more
+    relative digits than sin(u) of a float u near +-pi (moduli.pencil_chart).
     """
     vec = isinstance(u, np.ndarray) or isinstance(c, np.ndarray)
     sin, cos, atan2 = ((np.sin, np.cos, np.arctan2) if vec
@@ -217,7 +221,8 @@ def longitude_advance(profile: ZollProfile, c, u):
     ac = abs(c)
     side = (np.where(c > 0, 1.0, -1.0) if isinstance(c, np.ndarray)
             else 1.0 if c > 0 else -1.0)
-    su, cu = sin(u), cos(u)
+    if su is None:
+        su, cu = sin(u), cos(u)
     round_part = u + atan2((1.0 - ac) * su * cu, ac * cu * cu + su * su)
     return side * round_part + c * su * horner(_sin_series(profile.k_table, c), su * su)
 

@@ -226,16 +226,23 @@ class PhaseKernel:
     and of dS/dq (sc, sc_q) are the values and q-derivatives of the rows of
     profile.s_table at this q, so building a kernel is arithmetic only.
     moduli.CurveEval adds the jet, which reads sc_q, and the ray solves.
+    R may be an array of chart values (through numpy), one per phase that
+    v2_du is then given, as for the rows of a Finsler trace.
     """
 
     __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc", "sc_q")
 
-    def __init__(self, profile: ZollProfile, R: float):
-        _check_chart(R)
+    def __init__(self, profile: ZollProfile, R):
+        if isinstance(R, np.ndarray):
+            _check_chart(float(np.max(np.abs(R), initial=0.0)))
+            sin, cos = np.sin, np.cos
+        else:
+            _check_chart(R)
+            sin, cos = math.sin, math.cos
         self.profile = profile
         self.R = R
-        self.c = math.sin(R)
-        self.cos_R = math.cos(R)
+        self.c = sin(R)
+        self.cos_R = cos(R)
         self.q = self.cos_R ** 2
         self.inv_q = 1.0 / self.q
         self.ca = profile.odd_coeffs

@@ -131,7 +131,12 @@ def coords_of_geodesic(profile: ZollProfile, state: GeodesicState) -> ModuliPoin
     back to the turning point, by geodesics.longitude_advance in closed form.
     Equators (c = +-1) are the two chart poles and are rejected.
     """
-    R, Theta = _chart_point(profile, state.r, state.theta, state.c, state.sign)
+    c, r = state.c, state.r
+    _check_off_equators(c)
+    rc = turning_latitude(c)
+    advance = 0.0 if abs(r - rc) <= 1e-12 else longitude_advance(
+        profile, c, signed_phase(c, r, state.sign))
+    R, Theta = _chart_point(state.theta, c, rc, state.theta - advance, state.sign)
     return ModuliPoint(float(R), float(Theta))
 
 
@@ -142,34 +147,46 @@ def pencil_chart(profile: ZollProfile, r_p: float, theta_p: float,
 
     phi measures the direction against the orthonormal frame (e_r, e_theta):
     the geodesic has Clairaut constant c = sin(phi) sin(r_p) and leaves p on
-    the branch sign(cos phi).  A unit-speed geodesic of F through the chart
-    point of (p, phi0) runs through this pencil at unit rate, phi = phi0 + t,
-    with its longitude reflected, Theta -> 2 Theta(0) - Theta (see the
-    orientation note); the caller applies the reflection.  The chart points
-    are those of coords_of_geodesic, for all directions in one array pass:
-    no indicatrix and no ODE.
+    the branch sign(cos phi), at the phase u of p with cos R cos u = cos r_p
+    and cos R sin u = cos(phi) sin(r_p).  sin u and cos u go to
+    longitude_advance from these, exact near the turning points and the
+    poles, where sin(u) of a rounded u near +-pi would lose their digits.
+    A unit-speed geodesic of F through the chart point of (p, phi0) runs
+    through this pencil at unit rate, phi = phi0 + t, with its longitude
+    reflected, Theta -> 2 Theta(0) - Theta (see the orientation note); the
+    caller applies the reflection.  The chart points are those of
+    coords_of_geodesic, for all directions in one array pass: no indicatrix
+    and no ODE.  The two find the phase apart on purpose: a GeodesicState
+    carries (r, c, sign), so coords_of_geodesic takes u from the band
+    radicand and snaps within 1e-12 of a turning point, while the pencil
+    has cos(phi) sin(r_p) exactly and needs no snap; they agree to rounding
+    (test_pencil_chart_matches_coords_of_geodesic).
     """
     if not 0.0 <= r_p <= math.pi:       # NaN fails too
         raise BandError(f"latitude {r_p} outside [0, pi]")
     phis = np.asarray(phis, dtype=float)
-    return _chart_point(profile, r_p, theta_p, np.sin(phis) * math.sin(r_p),
-                        np.where(np.cos(phis) >= 0, 1, -1))
+    sin_rp, cos_rp = math.sin(r_p), math.cos(r_p)
+    c = np.sin(phis) * sin_rp
+    _check_off_equators(c)
+    cos_phi = np.cos(phis)
+    s_u = cos_phi * sin_rp                     # cos R sin u
+    cos_R = np.hypot(s_u, cos_rp)
+    theta_turn = theta_p - longitude_advance(profile, c, np.arctan2(s_u, cos_rp),
+                                             s_u / cos_R, cos_rp / cos_R)
+    return _chart_point(theta_p, c, turning_latitudes(c), theta_turn,
+                        np.where(cos_phi >= 0, 1, -1))
 
 
-def _chart_point(profile, r, theta, c, sign):
-    """(R, Theta) of the oriented geodesics through (r, theta) with Clairaut
-    constants c and signs of dr/dt ``sign``: floats, through math, or arrays
-    (c and sign), through numpy."""
+def _check_off_equators(c):
     if np.any(np.abs(c) >= 1.0 - 1e-12):
         raise DomainError("the oriented equators are the poles of the chart")
-    if isinstance(c, np.ndarray):
-        rc = turning_latitudes(c)
-        u = np.arctan2(sign * np.sqrt(band_radicand(c, r, rc)), np.cos(r))
-    else:
-        rc = turning_latitude(c)
-        u = signed_phase(c, r, sign)
-    advance = longitude_advance(profile, c, u)
-    theta_turn = theta - np.where(np.abs(r - rc) <= 1e-12, 0.0, advance)
+
+
+def _chart_point(theta, c, rc, theta_turn, sign):
+    """(R, Theta) of the oriented geodesics with Clairaut constants c and
+    turning latitudes rc through the points at longitude theta, leaving
+    them on the branches ``sign``, whose turning points lie at longitude
+    theta_turn: floats or arrays (c, rc, theta_turn and sign)."""
     # Meridians: the anchor is the southbound equator crossing, which sits on
     # the theta half-plane the state is on (sign +1) or the opposite one.
     theta_cross = np.where(sign == 1, theta, theta + math.pi)

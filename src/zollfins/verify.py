@@ -241,20 +241,28 @@ def run_verification(prof: ZollProfile, samples: int = 64) -> VerificationReport
         rep.add("invariants", worst, 1e-4,
                 detail="fiber-transport relation at dphi = 1e-5")
 
-    # 15. A Finsler geodesic runs through the point pencil of its start
-    # (moduli.pencil_chart), row by row, with the longitude reflected.  The
-    # start is the chart point of the geodesic through p = (r_p, th_p) in
-    # the direction phi0, with the velocity of p on it: the indicatrix point
-    # at latitude r_p on the branch sign(cos phi0) = +1.
+    # 15. The closed-form Finsler trace (finsler_geodesic, from the point
+    # pencil) against the bundle ODE (finsler_geodesic_ode), row by row, in
+    # position and in velocity, both in the chart metric of chart_distance.
+    # The start is the chart point of the geodesic through p = (r_p, th_p)
+    # in the direction phi0, with the velocity of p on it: the indicatrix
+    # point at latitude r_p on the branch sign(cos phi0) = +1.  The closed
+    # form starts from (R0, Theta0, v0), so its map back to (p, phi0) is
+    # tested too; the detail gives its distance from the pencil of p itself,
+    # with the longitude reflected.
     r_p, th_p, phi0 = 1.1, 0.7, 0.9
     R0, th0 = (float(a[0]) for a in moduli.pencil_chart(prof, r_p, th_p, [phi0]))
     s = moduli.indicatrix_regularized(prof, R0, r_p, +1)
-    ftr = finsler.finsler_geodesic(prof, (R0, th0), (s.v1, s.v2), 2 * math.pi, tol=1e-7)
+    ftr = finsler.finsler_geodesic(prof, (R0, th0), (s.v1, s.v2), 2 * math.pi)
+    ode = finsler.finsler_geodesic_ode(prof, (R0, th0), (s.v1, s.v2), 2 * math.pi, tol=1e-7)
+    cos_r = np.cos(ode.R)
+    worst = max(float(np.max(np.hypot(ftr.R - ode.R, cos_r * (ftr.Theta - ode.Theta)))),
+                float(np.max(np.hypot(ftr.vR - ode.vR, cos_r * (ftr.vTheta - ode.vTheta)))))
     pen_R, pen_th = moduli.pencil_chart(prof, r_p, th_p, phi0 + ftr.t)
-    worst = max(finsler.chart_distance((R, 2 * th0 - th), (pr, pth))
-                for R, th, pr, pth in zip(ftr.R.tolist(), ftr.Theta.tolist(),
-                                          pen_R.tolist(), pen_th.tolist()))
+    pencil = max(finsler.chart_distance((R, 2 * th0 - th), (pr, pth))
+                 for R, th, pr, pth in zip(ftr.R.tolist(), ftr.Theta.tolist(),
+                                           pen_R.tolist(), pen_th.tolist()))
     dist = finsler.chart_distance((float(ftr.R[-1]), float(ftr.Theta[-1])), (R0, th0))
     rep.add("finsler_closure", worst, 1e-6,
-            detail=f"pencil deviation; closure distance {dist:.2e}")
+            detail=f"vs bundle ODE; pencil deviation {pencil:.2e}; closure distance {dist:.2e}")
     return rep

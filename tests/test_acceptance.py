@@ -209,16 +209,13 @@ def test_criterion_8_constant_curvature_consequences():
     for prof in (EX1_A, EX1_B, EX2):
         start = (0.2, 0.0)
         v0 = unit_direction(prof, *start, 0.9)
-        trace = finsler_geodesic(prof, start, v0, 2 * math.pi, tol=1e-7,
-                                 samples_per_period=64)
+        trace = finsler_geodesic(prof, start, v0, 2 * math.pi, samples_per_period=64)
         worst_close = max(worst_close, chart_distance(
             (float(trace.R[-1]), float(trace.Theta[-1])), start))
         va = unit_direction(prof, *start, 0.4)
         vb = unit_direction(prof, *start, 2.1)
-        ta = finsler_geodesic(prof, start, va, math.pi, tol=1e-7,
-                              samples_per_period=64)
-        tb = finsler_geodesic(prof, start, vb, math.pi, tol=1e-7,
-                              samples_per_period=64)
+        ta = finsler_geodesic(prof, start, va, math.pi, samples_per_period=64)
+        tb = finsler_geodesic(prof, start, vb, math.pi, samples_per_period=64)
         worst_meet = max(worst_meet, chart_distance(
             (float(ta.R[-1]), float(ta.Theta[-1])),
             (float(tb.R[-1]), float(tb.Theta[-1]))))

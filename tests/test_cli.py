@@ -74,6 +74,14 @@ def test_non_finite_arguments_exit_1(tmp_path, capsys):
         assert "error" in err and "Traceback" not in err, argv
 
 
+def test_zoll_latitude_outside_band_exit_1(tmp_path, capsys):
+    """--r0 outside [0, pi] is refused, not read modulo 2 pi."""
+    assert main(["--h=1,-2,1", "--out", str(tmp_path), "geodesic", "--side", "zoll",
+                 "--c=0.5", "--r0=7"]) == 1
+    assert capsys.readouterr().err == "error: latitude 7.0 outside [0, pi]\n"
+    assert not list(tmp_path.iterdir())
+
+
 # -- indicatrix --------------------------------------------------------------------
 
 def test_indicatrix_outputs(tmp_path):
@@ -239,39 +247,31 @@ def test_geodesic_bad_t_end_exit_1(tmp_path, capsys, side, t_end):
 
 
 def test_tolerance_bounds(tmp_path):
-    assert main(["--h", "0", "--out", str(tmp_path), "--tol", "1",
-                 "curvature"]) == 1
     assert main(["--h", "0", "--out", str(tmp_path), "--samples", "4",
                  "curvature"]) == 1
 
 
-@pytest.mark.parametrize("flags,tol", [([], 1e-9), (["--tol", "1e-11"], 1e-11)])
-def test_geodesic_passes_tolerance_to_finsler_trace(tmp_path, monkeypatch, flags, tol):
-    """The Finsler trace runs at the --tol given, 1e-9 by default: every
-    value in finsler.TOL_RANGE is honoured."""
-    seen = []
-    trace = cli.finsler.finsler_geodesic
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["tol"])
-        return trace(*args, **kwargs)
-
-    monkeypatch.setattr(cli.finsler, "finsler_geodesic", spy)
-    assert main(["--h", "0.25,-0.25", "--out", str(tmp_path)] + flags
-                + ["geodesic", "--side", "finsler", "--t-end", "1.0"]) == 0
-    assert seen == [tol]
+@pytest.mark.parametrize("before", [True, False])
+def test_tol_flag_refused(tmp_path, capsys, before):
+    """Finsler traces are in closed form, so no flag sets a tolerance:
+    --tol is an unknown option before or after the subcommand."""
+    flags = ["--tol", "1e-9"]
+    argv = (["--out", str(tmp_path)] + (flags if before else [])
+            + ["geodesic", "--side", "finsler"] + ([] if before else flags))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "zollfins: error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-def test_geodesic_tolerance_outside_trace_range_exit_1(tmp_path, capsys):
-    # --tol accepts exactly the integrators' range 1e-12 .. 1e-4; a value
-    # above it is rejected up front instead of being clamped.
-    code = main(["--h", "0.25,-0.25", "--out", str(tmp_path), "--tol", "1e-3",
-                 "geodesic", "--side", "zoll", "--c", "0.3", "--t-end", "1.0"])
-    assert code == 1
-    assert "tolerance" in capsys.readouterr().err
-    assert not (tmp_path / "geodesic_zoll.csv").exists()
-    assert main(["--h", "0.25,-0.25", "--out", str(tmp_path), "--tol", "1e-4",
-                 "geodesic", "--side", "zoll", "--c", "0.3", "--t-end", "1.0"]) == 0
+def test_tol_config_line_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-9\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "geodesic", "--side", "finsler"]) == 1
+    assert "unknown config key: 'tol'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_indicatrix_csv_rows_satisfy_octic(tmp_path):
@@ -387,7 +387,7 @@ def test_writers_match_row_by_row_reference(h):
     zoll = integrate_geodesic(prof, GeodesicState(0.6, 0.3, 0.5, +1), 4 * math.pi)
     assert cli.zoll_trace_csv(zoll) == reference_zoll_trace_csv(zoll)
     v0 = unit_direction(prof, 0.2, 0.0, 0.9)
-    fin = finsler_geodesic(prof, (0.2, 0.0), v0, 2 * math.pi, tol=1e-9)
+    fin = finsler_geodesic(prof, (0.2, 0.0), v0, 2 * math.pi)
     assert cli.finsler_trace_csv(fin) == reference_finsler_trace_csv(fin)
     xs = np.linspace(-1.0, 1.0, 64)
     gs = np.asarray(curvature_x(prof, xs))

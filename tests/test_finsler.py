@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zollfins import (ChartExitError, DomainError, SIGMA_ROTATION,
+from zollfins import (ChartExitError, DomainError, SIGMA_ROTATION, ZollProfile,
                       chart_distance, curvature_critical_points, f_polynomial,
                       finsler_F, finsler_geodesic, fundamental_tensor,
                       indicatrix_parametric, indicatrix_regularized,
                       invariant_flow_check, invariants_IJ, pencil_chart,
                       round_sphere, unit_direction)
-from zollfins.finsler import CHART_ABORT
+from zollfins.finsler import CHART_ABORT, finsler_geodesic_ode
 from zollfins.profile import curvature_x, curvature_x_prime
 
 
@@ -318,18 +318,19 @@ def test_unit_direction(ex2):
 
 def test_round_sphere_geodesic_closes(sphere):
     v0 = unit_direction(sphere, 0.2, 0.0, 0.9)
-    trace = finsler_geodesic(sphere, (0.2, 0.0), v0, 2 * math.pi, tol=1e-9)
+    trace = finsler_geodesic(sphere, (0.2, 0.0), v0, 2 * math.pi)
     assert chart_distance((float(trace.R[-1]), float(trace.Theta[-1])),
                           (0.2, 0.0)) < 1e-6
     assert np.abs(trace.F - 1.0).max() < 10 * 1e-7
 
 
 def test_geodesic_two_tolerances_agree(ex1):
+    """The bundle ODE at two tolerances."""
     v0 = unit_direction(ex1, 0.2, 0.0, 0.9)
-    hi = finsler_geodesic(ex1, (0.2, 0.0), v0, math.pi, tol=1e-8,
-                          samples_per_period=64)
-    lo = finsler_geodesic(ex1, (0.2, 0.0), v0, math.pi, tol=1e-6,
-                          samples_per_period=64)
+    hi = finsler_geodesic_ode(ex1, (0.2, 0.0), v0, math.pi, tol=1e-8,
+                              samples_per_period=64)
+    lo = finsler_geodesic_ode(ex1, (0.2, 0.0), v0, math.pi, tol=1e-6,
+                              samples_per_period=64)
     assert chart_distance((float(hi.R[-1]), float(hi.Theta[-1])),
                           (float(lo.R[-1]), float(lo.Theta[-1]))) < 1e-5
 
@@ -363,7 +364,7 @@ def test_unit_direction_rejects_non_finite_angle(ex1, angle):
 def test_trace_rejects_tol_outside_range(ex1, tol):
     v0 = unit_direction(ex1, 0.2, 0.0, 0.3)
     with pytest.raises(DomainError, match="tolerance"):
-        finsler_geodesic(ex1, (0.2, 0.0), v0, 1.0, tol=tol)
+        finsler_geodesic_ode(ex1, (0.2, 0.0), v0, 1.0, tol=tol)
 
 
 def test_chart_exit_carries_partial_trace(sphere):
@@ -371,7 +372,7 @@ def test_chart_exit_carries_partial_trace(sphere):
     # pole, so it must trip the rim guard.
     v0 = unit_direction(sphere, 1.4, 0.0, 0.0)
     with pytest.raises(ChartExitError) as excinfo:
-        finsler_geodesic(sphere, (1.4, 0.0), v0, 2 * math.pi, tol=1e-6)
+        finsler_geodesic(sphere, (1.4, 0.0), v0, 2 * math.pi)
     trace = excinfo.value.partial_trace
     assert trace is not None and not trace.complete
     assert abs(trace.R[-1]) <= math.pi / 2 - 1e-4
@@ -379,14 +380,14 @@ def test_chart_exit_carries_partial_trace(sphere):
 
 
 def test_chart_exit_ends_at_the_event(sphere):
-    """At the CLI's tolerance, the error reports the event time and the
-    partial trace's last row is the event state.  Here R(t) = 1.4 + t
-    exactly, so the event falls at t = CHART_ABORT - 1.4, between two output
-    rows, and the velocity there is P(R, pi/2) = (1, 0) on the indicatrix;
-    vTheta = -cos(u)/cos R amplifies the phase error by 1/cos R ~ 1e3."""
+    """The error reports the event time and the partial trace's last row is
+    the event state.  Here R(t) = 1.4 + t exactly, so the event falls at
+    t = CHART_ABORT - 1.4, between two output rows, and the velocity there
+    is P(R, pi/2) = (1, 0) on the indicatrix; vTheta = -cos(u)/cos R
+    amplifies the phase error by 1/cos R ~ 1e3."""
     v0 = unit_direction(sphere, 1.4, 0.0, 0.0)
     with pytest.raises(ChartExitError) as excinfo:
-        finsler_geodesic(sphere, (1.4, 0.0), v0, 2 * math.pi, tol=1e-9)
+        finsler_geodesic(sphere, (1.4, 0.0), v0, 2 * math.pi)
     trace = excinfo.value.partial_trace
     t_event = CHART_ABORT - 1.4
     assert f"t = {t_event:.6f}" in str(excinfo.value)
@@ -401,8 +402,8 @@ def test_chart_exit_ends_at_the_event(sphere):
 
 def test_trace_solves_one_ray(ex1, monkeypatch):
     """unit_direction solves one ray, cold, and so does the start of
-    finsler_geodesic, for the phase of v0; the flow on the indicatrix
-    bundle solves none, per RHS call or per output row."""
+    finsler_geodesic, for the phase of v0; the closed form solves none per
+    output row."""
     from zollfins.moduli import CurveEval
     seeds = []
     solve = CurveEval.solve_ray
@@ -414,7 +415,7 @@ def test_trace_solves_one_ray(ex1, monkeypatch):
     monkeypatch.setattr(CurveEval, "solve_ray", counting)
     v0 = unit_direction(ex1, 0.2, 0.0, 0.9)
     assert seeds == [None]
-    trace = finsler_geodesic(ex1, (0.2, 0.0), v0, 2 * math.pi, tol=1e-9)
+    trace = finsler_geodesic(ex1, (0.2, 0.0), v0, 2 * math.pi)
     assert seeds == [None, None] and len(trace.t) == 257
 
 
@@ -434,8 +435,7 @@ def test_trace_apex_matches_correspondence(ex1):
     r_p = 0.5 * (lo + hi)
     apex_pred = min(r_p, math.pi - r_p)
     v0 = unit_direction(ex1, R0, 0.0, 0.0)
-    trace = finsler_geodesic(ex1, (R0, 0.0), v0, 2 * math.pi, tol=1e-8,
-                             samples_per_period=2048)
+    trace = finsler_geodesic(ex1, (R0, 0.0), v0, 2 * math.pi, samples_per_period=2048)
     # Compare in the Clairaut variable sin R: arcsin amplifies errors ~150x
     # this close to the chart pole.
     assert math.sin(float(trace.R.max())) == pytest.approx(
@@ -451,7 +451,7 @@ def test_trace_clairaut_is_sinusoidal(ex1_strong):
     whole trace."""
     v0 = unit_direction(ex1_strong, 0.2, 0.0, 0.9)
     trace = finsler_geodesic(ex1_strong, (0.2, 0.0), v0, 2 * math.pi,
-                             tol=1e-9, samples_per_period=256)
+                             samples_per_period=256)
     c_t = np.sin(trace.R)
     design = np.vstack([np.cos(trace.t), np.sin(trace.t)]).T
     coef, *_ = np.linalg.lstsq(design, c_t, rcond=None)
@@ -487,7 +487,7 @@ def test_flow_enumerates_directions_at_fixed_point(sphere, ex1_strong):
         (R0,), (Th0,) = pencil_chart(prof, r_p, th_p, [phi0])
         s = indicatrix_regularized(prof, float(R0), r_p, +1)
         trace = finsler_geodesic(prof, (float(R0), float(Th0)), np.array([s.v1, s.v2]),
-                                 1.2, tol=1e-9, samples_per_period=512)
+                                 1.2, samples_per_period=512)
         rows = slice(0, None, 16)
         r_pred, th_pred = pencil_chart(prof, r_p, th_p, phi0 + trace.t[rows])
         assert np.abs(trace.R[rows] - r_pred).max() < 2e-6
@@ -502,8 +502,9 @@ def test_full_period_point_pencil(all_good):
     of surface geodesics through p, at unit angular rate (see the test above
     for the reflected longitude).  The pencil comes from coords_of_geodesic,
     independently of the indicatrix and the flow.  The starts cover both
-    hemispheres and the branch sign(cos phi0) = -1 (phi0 = 2.0); the worst
-    deviation measured is 3.9e-10 at tol 1e-9."""
+    hemispheres and the branch sign(cos phi0) = -1 (phi0 = 2.0).  The trace
+    starts from (R0, Theta0, v0), so this tests its map back to (p, phi0);
+    the worst deviation measured is 3.6e-15."""
     th_p = 0.7
     for prof in all_good:
         for r_p, phi0 in ((1.1, 0.9), (0.5, 2.0), (2.3, 0.3)):
@@ -511,7 +512,7 @@ def test_full_period_point_pencil(all_good):
             s = indicatrix_regularized(prof, float(R0), r_p,
                                        1 if math.cos(phi0) >= 0 else -1)
             trace = finsler_geodesic(prof, (float(R0), float(Th0)),
-                                     np.array([s.v1, s.v2]), 2 * math.pi, tol=1e-9)
+                                     np.array([s.v1, s.v2]), 2 * math.pi)
             assert trace.complete and len(trace.t) == 257
             assert trace.t[-1] == pytest.approx(2 * math.pi)
             r_pred, th_pred = pencil_chart(prof, r_p, th_p, phi0 + trace.t)
@@ -521,13 +522,111 @@ def test_full_period_point_pencil(all_good):
             assert np.abs(diff).max() < 1e-8, (prof, r_p, phi0)
 
 
+# -- the closed form against the bundle ODE ------------------------------------------
+
+def _trace_or_partial(trace_fn, *args, **kwargs):
+    try:
+        return trace_fn(*args, **kwargs)
+    except ChartExitError as exc:
+        return exc.partial_trace
+
+
+def _assert_matches_ode(prof, start, v0, samples_per_period, velocity_tol=1e-11):
+    """The closed form against the bundle ODE at tol 1e-12, row by row: the
+    same row times and completeness, and R, Theta, vR and vTheta within
+    1e-11, Theta and vTheta in the chart metric of chart_distance (times
+    cos R), the velocities within ``velocity_tol``.  Toward the rim |vTheta|
+    grows like 1/cos^2 R and amplifies the ODE's phase error, and the
+    longitude turns fast near a chart exit, where the two event times differ
+    in the last digits.  Returns the closed-form trace."""
+    a = _trace_or_partial(finsler_geodesic, prof, start, v0, 2 * math.pi,
+                          samples_per_period=samples_per_period)
+    b = _trace_or_partial(finsler_geodesic_ode, prof, start, v0, 2 * math.pi,
+                          tol=1e-12, samples_per_period=samples_per_period)
+    assert a.complete == b.complete and len(a.t) == len(b.t)
+    cos_r = np.cos(b.R)
+    for x, y in ((a.t, b.t), (a.R, b.R), (cos_r * a.Theta, cos_r * b.Theta)):
+        assert np.abs(x - y).max() <= 1e-11
+    for x, y in ((a.vR, b.vR), (cos_r * a.vTheta, cos_r * b.vTheta)):
+        assert np.abs(x - y).max() <= velocity_tol
+    return a
+
+
+CLOSED_FORM_PROFILES = ("0", "0.25,-0.25", "1,-2,1", "0.5,-1,0.75,-0.25")
+
+
+@pytest.mark.parametrize("samples_per_period", [256, 16])
+@pytest.mark.parametrize("h", CLOSED_FORM_PROFILES)
+def test_closed_form_matches_bundle_ode(h, samples_per_period):
+    """Starts in both hemispheres and on both branches, and starts on the
+    pencil of the surface point at latitude ``top`` (direction 0.3), whose
+    trace tops out at |R| = top: its longitude turns by ~pi within
+    ~pi/2 - top of phi = pi/2 (mod pi).  np.unwrap over 16 rows per period
+    alone gets those 4 pi wrong at tops >= 1.55 on all but the round
+    sphere."""
+    prof = ZollProfile.from_string(h)
+    starts = [((0.2, 0.0), unit_direction(prof, 0.2, 0.0, 0.9)),
+              ((-0.5, 1.0), unit_direction(prof, -0.5, 1.0, 2.0))]
+    for top in (1.3, 1.45, 1.55, 1.56, 1.565):
+        (R0,), (Th0,) = pencil_chart(prof, top, 0.7, [0.3])
+        s = indicatrix_regularized(prof, float(R0), top, +1)
+        starts.append(((float(R0), float(Th0)), (s.v1, s.v2)))
+    for start, v0 in starts:
+        trace = _assert_matches_ode(prof, start, v0, samples_per_period)
+        assert trace.complete and trace.Theta[0] == start[1]
+
+
+@pytest.mark.parametrize("h", CLOSED_FORM_PROFILES)
+def test_closed_form_chart_exit_matches_bundle_ode(h):
+    """A trace through the surface point at latitude 1.5702, above the
+    abort latitude: the same rows up to the exit and the same event row.
+    The event row's velocity P(R, u) sits at cos R = 1e-3, where the ODE's
+    phase is good to ~1e-11 at tol 1e-12 (vR = sin u differs by 1.4e-11)."""
+    prof = ZollProfile.from_string(h)
+    s = indicatrix_regularized(prof, 0.0, 1.5702, +1)
+    for samples_per_period in (256, 16):
+        trace = _assert_matches_ode(prof, (0.0, 0.4), (s.v1, s.v2), samples_per_period,
+                                    velocity_tol=1e-10)
+        assert not trace.complete
+        assert abs(trace.R[-1]) == pytest.approx(CHART_ABORT, abs=1e-12)
+
+
+@pytest.mark.parametrize("R0", [0.0, 1.4, 1.5, -1.5])
+def test_closed_form_equator_start_matches_bundle_ode(sphere, R0):
+    """A radial start on the round sphere (direction 0, u0 = pi/2) puts the
+    surface point on the equator, where pi/2 - r_p rounds to 0 and the
+    trace is a meridian that leaves the chart before its longitude steps."""
+    v0 = unit_direction(sphere, R0, 0.0, 0.0)
+    for samples_per_period in (256, 16):
+        trace = _assert_matches_ode(sphere, (R0, 0.0), v0, samples_per_period)
+        assert not trace.complete
+        assert trace.R[-1] == pytest.approx(CHART_ABORT, abs=1e-12)
+        assert np.abs(trace.Theta).max() <= 1e-12
+
+
+@pytest.mark.parametrize("h", CLOSED_FORM_PROFILES)
+@pytest.mark.parametrize("R0", [0.0, 1e-12])
+@pytest.mark.parametrize("direction", [math.pi / 2, -math.pi / 2], ids=["south", "north"])
+def test_closed_form_pole_start(h, R0, direction):
+    """v0 on the v2 axis at R0 = 0 puts the surface point at a pole (phase 0:
+    the north pole, pi: the south pole), where every geodesic is a meridian:
+    R stays 0 and Theta moves at unit rate, Theta0 - t toward the north pole
+    and Theta0 + t toward the south pole.  At R0 = 1e-12 the point is 1e-12
+    from the pole, and the pencil must keep its relative digits."""
+    prof = ZollProfile.from_string(h)
+    v0 = unit_direction(prof, R0, 0.3, direction)
+    trace = _assert_matches_ode(prof, (R0, 0.3), v0, 256)
+    assert np.abs(trace.R).max() <= 1.01e-12
+    pole_theta = 0.3 + math.copysign(1.0, direction) * trace.t
+    assert np.abs(trace.Theta - pole_theta).max() <= 1e-11
+
+
 def test_trace_near_chart_rim(ex1):
     """A geodesic that tops out at chart latitude 1.56, 0.011 below the
     abort latitude: the start direction is the one through the surface point
     at latitude 1.56 with the largest Clairaut constant."""
     s = indicatrix_regularized(ex1, 0.0, 1.56, +1)
-    trace = finsler_geodesic(ex1, (0.0, 0.0), np.array([s.v1, s.v2]),
-                             2 * math.pi, tol=1e-9)
+    trace = finsler_geodesic(ex1, (0.0, 0.0), np.array([s.v1, s.v2]), 2 * math.pi)
     assert trace.complete
     assert float(trace.R.max()) == pytest.approx(1.56, abs=1e-6)
     assert chart_distance((float(trace.R[-1]), float(trace.Theta[-1])),

@@ -61,6 +61,14 @@ def test_state_validation():
         GeodesicState(1.0, 0.0, 0.5, 0)
 
 
+@pytest.mark.parametrize("r", [7.0, -0.1, math.pi + 1e-9])
+def test_state_rejects_latitude_outside_band(r):
+    """A latitude outside [0, pi] is refused, not read modulo 2 pi: the
+    Zoll trace from r = 7 used to start at 7 - 2 pi."""
+    with pytest.raises(BandError, match="outside"):
+        GeodesicState(r, 0.0, 0.5, +1)
+
+
 @pytest.mark.parametrize("r,theta", [(math.inf, 0.0), (math.nan, 0.0), (-math.inf, 0.0),
                                      (1.0, math.nan), (1.0, math.inf)])
 def test_state_rejects_non_finite_point(r, theta):

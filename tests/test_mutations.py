@@ -141,8 +141,8 @@ def test_phase_time_fault_fails_geodesic_closure(monkeypatch):
 
 
 def test_f_r_fault_fails_finsler_closure(monkeypatch):
-    """F_R of the closed-form fiber terms, inside the bundle flow: the trace
-    leaves the point pencil it must follow."""
+    """F_R of the closed-form fiber terms, inside the bundle flow: the ODE
+    leaves the closed-form trace it must follow."""
     terms = finsler._fiber_terms
 
     def faulty(curve, u):
@@ -150,4 +150,17 @@ def test_f_r_fault_fails_finsler_closure(monkeypatch):
         return p, p_r, g, f_r * (1 + 1e-6), ell, dell, mu
 
     monkeypatch.setattr(finsler, "_fiber_terms", faulty)
+    assert _status("finsler_closure") == "fail"
+
+
+def test_phi0_fault_fails_finsler_closure(monkeypatch):
+    """The map of the closed-form trace's start (R0, u0) back to the
+    direction phi0 at the surface point, off by 1e-5."""
+    start = finsler._pencil_start
+
+    def faulty(R0, u0):
+        r_p, phi0, delta = start(R0, u0)
+        return r_p, phi0 + 1e-5, delta
+
+    monkeypatch.setattr(finsler, "_pencil_start", faulty)
     assert _status("finsler_closure") == "fail"
