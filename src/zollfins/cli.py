@@ -35,6 +35,10 @@ from .errors import (ChartExitError, ConvexityViolation, ProfileError,
 from .profile import ZollProfile, check_positive_curvature, curvature_x
 from .verify import run_verification
 
+#: Largest --samples.  On a 2-CPU VM verify takes 4.2 s there, and an
+#: indicatrix run at one chart value 0.35 s and 101 MB.
+MAX_SAMPLES = 65536
+
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#e377c2")
 
@@ -133,7 +137,7 @@ def indicatrices_svg(curves: list[tuple[float, moduli.IndicatrixCurve]],
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_curvature(profile: ZollProfile, args) -> int:
-    xs = np.linspace(-1.0, 1.0, max(16, args.samples))
+    xs = np.linspace(-1.0, 1.0, args.samples)
     gs = np.asarray(curvature_x(profile, xs))
     out = Path(args.out) / "curvature.csv"
     atomic_write(out, curvature_csv(xs, gs))
@@ -150,9 +154,8 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
         print("indicatrix requires --R", file=sys.stderr)
         return 1
     r_values = args.R
-    samples = max(16, args.samples)
     try:
-        curves = [moduli.indicatrix_curve(profile, r_value, samples)
+        curves = [moduli.indicatrix_curve(profile, r_value, args.samples)
                   for r_value in r_values]
     except ConvexityViolation as exc:
         print(f"convexity violation: {exc}")
@@ -170,7 +173,7 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
 def cmd_geodesic(profile: ZollProfile, args) -> int:
     out_dir = Path(args.out)
     if args.side == "zoll":
-        c = args.c[0] if args.c else 0.5
+        c = 0.5 if args.c is None else args.c
         r0 = args.r0 if args.r0 is not None else \
             (math.pi / 2 if abs(c) >= 1.0 else geodesics.turning_latitude(c))
         state = geodesics.GeodesicState(r0, args.theta0, c, +1)
@@ -187,10 +190,10 @@ def cmd_geodesic(profile: ZollProfile, args) -> int:
         trace = finsler.finsler_geodesic(profile, start, v0, args.t_end,
                                          samples_per_period=args.samples)
     except ChartExitError as exc:
-        trace = exc.partial_trace
+        if exc.partial_trace is None:       # the start itself is off the chart
+            raise
         path = out_dir / "geodesic_finsler.csv"
-        if trace is not None:
-            atomic_write(path, finsler_trace_csv(trace))
+        atomic_write(path, finsler_trace_csv(exc.partial_trace))
         print(f"chart exit: {exc}; partial trace written to {path}",
               file=sys.stderr)
         return 0
@@ -232,7 +235,7 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
                         help="odd profile coefficients, ascending, e.g. 0.25,-0.25")
     parser.add_argument("--out", default=default, help="output directory")
     parser.add_argument("--samples", type=int, default=default,
-                        help="sample count / trace density (>= 16)")
+                        help=f"sample count / trace density (16 to {MAX_SAMPLES})")
     parser.add_argument("--config", default=default,
                         help="key=value config file; explicit flags win")
 
@@ -258,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo = sub.add_parser("geodesic", help="emit a geodesic trace")
     _add_common(p_geo, suppress=True)
     p_geo.add_argument("--side", choices=("zoll", "finsler"), default="zoll")
-    p_geo.add_argument("--c", type=_float_list, default=None,
+    p_geo.add_argument("--c", type=float, default=None,
                        help="Clairaut constant (zoll side)")
     p_geo.add_argument("--r0", type=float, default=None,
                        help="initial latitude (zoll side; default: turning point)")
@@ -280,7 +283,7 @@ _CONFIG_KEYS = {
     "out": ("out", str),
     "samples": ("samples", int),
     "R": ("R", _float_list),
-    "c": ("c", _float_list),
+    "c": ("c", float),
     "side": ("side", str),
     "start": ("start", _pair),
     "dir": ("direction", float),
@@ -306,12 +309,15 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 raise ProfileError(f"unknown config key: {key!r}")
             attr, parse = _CONFIG_KEYS[key]
             if getattr(args, attr, None) is None:
-                setattr(args, attr, parse(value))
+                try:
+                    setattr(args, attr, parse(value))
+                except (ValueError, argparse.ArgumentTypeError) as exc:
+                    raise ProfileError(f"bad config value for {key!r}: {value!r}") from exc
     for attr, value in _DEFAULTS.items():
         if getattr(args, attr, None) is None:
             setattr(args, attr, value)
-    if args.samples < 16:
-        raise ProfileError(f"sample count {args.samples} below 16")
+    if not 16 <= args.samples <= MAX_SAMPLES:
+        raise ProfileError(f"sample count {args.samples} outside [16, {MAX_SAMPLES}]")
     if getattr(args, "plot_size", 1) < 1:
         raise ProfileError(f"plot size {args.plot_size} below 1")
     return args

@@ -2,8 +2,9 @@
 
 F(R, Theta; v) is the Minkowski gauge of the indicatrix curve at (R, Theta):
 the unique t > 0 with v/t on the curve.  It is evaluated by intersecting the
-ray through v with the curve in its signed phase u (moduli.CurveEval:
-bracketing plus safeguarded Newton, or Newton alone from a warm start);
+ray through v with the curve in its signed phase u, by the one evaluator
+per chart value (moduli.curve_cache, a CurveEval): a scan of its phase grid
+plus safeguarded Newton, or Newton alone from a warm start;
 star-shapedness about the origin guarantees uniqueness whenever the curve
 is convex.  The algebraic route --
 the polynomial equation in F obtained from the implicit indicatrix equation
@@ -71,7 +72,8 @@ SIGMA_ROTATION = -1.0
 #: Chart half-width at which Finsler traces abort.
 CHART_ABORT = math.pi / 2 - 1e-3
 
-#: Hard limits on the integrator tolerance of finsler_geodesic.
+#: Hard limits on the integrator tolerance of finsler_geodesic_ode, its only
+#: reader.
 TOL_RANGE = (1e-12, 1e-4)
 
 

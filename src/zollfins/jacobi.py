@@ -207,7 +207,7 @@ def curvature_integral_full(profile: ZollProfile, c: float) -> float:
     """Finite part of Phi over the whole band, -Psi_total / cos^2 r_c, with
     Psi_total by quadrature: zero up to roundoff for odd h (see the module
     docstring).  No code in the package calls it; bench/tracing.py still
-    binds it (ROADMAP item 7).
+    binds it (ROADMAP item 2).
     """
     rc = turning_latitude(c)
     return -hpp_integral_quad(profile, c, math.pi - rc) / math.cos(rc) ** 2

@@ -32,10 +32,12 @@ pi - r_c, where the two branches meet on the v2 axis.  The signed phase u,
 with cos r = cos R cos u and branch = sign(u), removes it: y = cos R |sin u|,
 v1 = sin u and v2 is a polynomial in cos u and sin^2 u (jacobi.PhaseKernel);
 u = 0 is the bottom glue point, u = +-pi the top one.  This is the one
-production form of v2: the Jacobi pair, the regularized samples, the ray
-solver, its bracket grid, indicatrix_curve and the phase jet of the Finsler
-spray (CurveEval) all read PhaseKernel.v2_du.  A ray within 1e-9 of the v2
-axis is resolved to u = 0 or pi directly.  The curvature identity of
+production form of v2: the Jacobi pair, the regularized samples,
+indicatrix_curve and CurveEval all read PhaseKernel.v2_du.  CurveEval is the
+one evaluator per chart value: the phase jet of the Finsler spray and the
+ray solves, whose cold bracket grid it builds on first use (curve_cache
+shares one per chart value).  A ray within 1e-9 of the v2 axis is resolved
+to u = 0 or pi directly.  The curvature identity of
 indicatrix_curvature reads the same jet, so it checks the code the spray
 uses.  The parametric quadrature of Phi and the implicit polynomial stay as
 the independent reference routes.
@@ -372,16 +374,15 @@ def indicatrix_curve(profile: ZollProfile, R: float, samples: int = 256,
 class ImplicitIndicatrix:
     """Exact polynomial data of the indicatrix equation at chart value R.
 
-    ``a_sum`` are the w-coefficients (w = v1^2) of
-        sum_k a_{2k+1} cos^{2k}R (1 + 2k w)(1 - w)^k,
-    ``b_sum`` those of
+    ``combined`` holds the w-coefficients (w = v1^2) of P(w) = A(w) +
+    cos^2 R * w^2 * S(w), with
+        A(w) = sum_k a_{2k+1} cos^{2k}R (1 + 2k w)(1 - w)^k,
         S(w) = sum_k b_{2k+1} cos^{2k}R sum_p (-1)^p C(k,p) w^p / (2p+3),
-    and ``combined`` is P(w) = a_sum(w) + cos^2 R * w^2 * S(w), assembled in
-    exact rational arithmetic over the (float-exact) inputs.  The equation
-    reads (v2 + P(v1^2))^2 = (1 - v1^2)/cos^2 R; on each hemisphere branch
-    v2 + P(v1^2) = -sign(cos r) sqrt(1 - v1^2)/cos R.
+    assembled in exact rational arithmetic over the (float-exact) inputs.
+    The equation reads (v2 + P(v1^2))^2 = (1 - v1^2)/cos^2 R; on each
+    hemisphere branch v2 + P(v1^2) = -sign(cos r) sqrt(1 - v1^2)/cos R.
 
-    The a_sum and w^2 * S pieces formally reach degree n+1 in w, but their
+    The A and w^2 * S pieces formally reach degree n+1 in w, but their
     top coefficients cancel identically; ``combined`` keeps the general form,
     the cancellation is verified exactly, and ``degree`` reports the reduced
     degree (-1 for P = 0).
@@ -390,8 +391,6 @@ class ImplicitIndicatrix:
     R: float
     cos_R: float
     q: float
-    a_sum: tuple[float, ...]
-    b_sum: tuple[float, ...]
     combined: tuple[float, ...]
     combined_exact: tuple[Fraction, ...]
     degree: int
@@ -472,8 +471,6 @@ def implicit_polynomial(profile: ZollProfile, R: float) -> ImplicitIndicatrix:
         R=R,
         cos_R=math.cos(R),
         q=float(q),
-        a_sum=tuple(float(x) for x in a_sum),
-        b_sum=tuple(float(x) for x in s_sum),
         combined=tuple(float(x) for x in stripped),
         combined_exact=tuple(stripped),
         degree=len(stripped) - 1,
@@ -495,13 +492,16 @@ class CurveEval(PhaseKernel):
     Ray solves return the phase root.  Rays within 1e-9 of vertical resolve
     to u = 0 or pi directly: the curve is symmetric about the v2 axis, so
     the glue points are exact extrema of the ray angle, and the root of a
-    nearly vertical ray at the top can lie beyond float(pi).
+    nearly vertical ray at the top can lie beyond float(pi).  The first cold
+    solve builds a 96-point phase grid of the half-curve for the bracket
+    scan and keeps it; evaluators that make no cold solve (the spray's, the
+    regularized samples') never build it.
 
     Scalar calls run on plain floats (no array overhead): they sit in the
     innermost loop of the norm evaluation and of the geodesic spray.
     """
 
-    __slots__ = ()
+    __slots__ = ("_grid",)
 
     def jet(self, u: float):
         """(P, P_u, P_uu, P_R, P_uR) of the curve in the signed phase u.
@@ -552,17 +552,22 @@ class CurveEval(PhaseKernel):
         """v2 at the glue points u = 0 (bottom, < 0) and u = pi (top, > 0)."""
         return self.v2_du(1.0, 0.0)[0], self.v2_du(-1.0, 0.0)[0]
 
-    def newton_ray(self, v1: float, v2: float, u0: float, iters: int = 24):
+    def _cross(self, v1: float, v2: float, u: float) -> tuple[float, float]:
+        """cross(v, P(u)) = v1 v2(u) - v2 sin u and its u-derivative."""
+        su, cu = math.sin(u), math.cos(u)
+        p2, t2 = self.v2_du(cu, su)
+        return v1 * p2 - v2 * su, v1 * t2 - v2 * cu
+
+    def newton_ray(self, v1: float, v2: float, u0: float):
         """Newton solve of cross(v, P(u)) = 0 on the half-curve u in [0, pi]
-        (v1 > 0) from a warm start u0; (scale, u_star) or None on failure."""
+        (v1 > 0) from a warm start u0, at most 24 steps; (scale, u_star) or
+        None on failure."""
         u = min(max(u0, 0.0), math.pi)
-        for _ in range(iters):
-            su, cu = math.sin(u), math.cos(u)
-            p2, t2 = self.v2_du(cu, su)
-            slope = v1 * t2 - v2 * cu
+        for _ in range(24):
+            g, slope = self._cross(v1, v2, u)
             if slope == 0.0:
                 return None
-            u_new = min(max(u - (v1 * p2 - v2 * su) / slope, 0.0), math.pi)
+            u_new = min(max(u - g / slope, 0.0), math.pi)
             if abs(u_new - u) <= 1e-14 * (1.0 + u):
                 u = u_new
                 break
@@ -602,34 +607,22 @@ class CurveEval(PhaseKernel):
         return scale, sign * u_star
 
     def _bracket_solve(self, v1, v2):
-        # Cold solves delegate to the sampled cache at the same chart value.
-        return curve_cache(self.profile, self.R)._bracket_solve(v1, v2)
-
-
-class IndicatrixCurveCache(CurveEval):
-    """CurveEval plus a phase-uniform sampling used for cold bracket scans."""
-
-    __slots__ = ("u_grid", "v1_grid", "v2_grid")
-
-    GRID = 96
-
-    def __init__(self, profile: ZollProfile, R: float):
-        super().__init__(profile, R)
-        self.u_grid = np.linspace(0.0, math.pi, self.GRID)
-        self.v1_grid = np.sin(self.u_grid)
-        self.v2_grid = self.v2_du(np.cos(self.u_grid), self.v1_grid)[0]
-
-    def _bracket_solve(self, v1, v2):
         """Cold solve on the half-curve u in [0, pi] (v1 > 0): scan the grid
         for sign changes of the cross product, refine each, and keep the
         farthest crossing on the ray's side."""
-        cross = v1 * self.v2_grid - v2 * self.v1_grid
-        dots = v1 * self.v1_grid + v2 * self.v2_grid
+        grid = getattr(self, "_grid", None)
+        if grid is None:
+            u_grid = np.linspace(0.0, math.pi, 96)
+            v1_grid = np.sin(u_grid)
+            grid = self._grid = u_grid, v1_grid, self.v2_du(np.cos(u_grid), v1_grid)[0]
+        u_grid, v1_grid, v2_grid = grid
+        cross = v1 * v2_grid - v2 * v1_grid
+        dots = v1 * v1_grid + v2 * v2_grid
         sign_change = np.nonzero((np.sign(cross[:-1]) * np.sign(cross[1:]) <= 0)
                                  & ((dots[:-1] > 0) | (dots[1:] > 0)))[0]
         best = None
         for i in sign_change:
-            u = self._refine(v1, v2, float(self.u_grid[i]), float(self.u_grid[i + 1]))
+            u = self._refine(v1, v2, float(u_grid[i]), float(u_grid[i + 1]))
             p1 = math.sin(u)
             p2 = self.v2_du(math.cos(u), p1)[0]
             dot = v1 * p1 + v2 * p2
@@ -644,17 +637,13 @@ class IndicatrixCurveCache(CurveEval):
         rad2, dot, u = best
         return dot / rad2, u
 
-    def _refine(self, v1, v2, lo, hi, iters=80):
-        """Safeguarded Newton on cross(v, P(u)) = 0 inside the bracket [lo, hi]."""
-        def g(u):
-            su, cu = math.sin(u), math.cos(u)
-            p2, t2 = self.v2_du(cu, su)
-            return v1 * p2 - v2 * su, v1 * t2 - v2 * cu
-
-        glo = g(lo)[0]
+    def _refine(self, v1, v2, lo, hi):
+        """Safeguarded Newton on cross(v, P(u)) = 0 inside the bracket [lo, hi],
+        at most 80 steps."""
+        glo = self._cross(v1, v2, lo)[0]
         u = 0.5 * (lo + hi)
-        for _ in range(iters):
-            gu, slope = g(u)
+        for _ in range(80):
+            gu, slope = self._cross(v1, v2, u)
             if gu == 0.0:
                 return u
             if (glo < 0) == (gu < 0):
@@ -677,15 +666,12 @@ class IndicatrixCurveCache(CurveEval):
 
 
 @lru_cache(maxsize=512)
-def curve_cache(profile: ZollProfile, R: float) -> IndicatrixCurveCache:
-    return IndicatrixCurveCache(profile, R)
-
-
-@lru_cache(maxsize=4096)
-def curve_eval(profile: ZollProfile, R: float) -> CurveEval:
-    """Lightweight (grid-free) curve evaluator; solve_ray needs a warm start.
-
-    No code in the package calls it since Finsler traces stopped solving
-    rays; bench/tracing.py still reads its cache_info (ROADMAP item 7).
-    """
+def curve_cache(profile: ZollProfile, R: float) -> CurveEval:
+    """The evaluator at (profile, R), shared so that cold ray solves at one
+    chart value scan one bracket grid."""
     return CurveEval(profile, R)
+
+
+# bench/tracing.py binds these two names until the benchmark is next
+# refreshed (ROADMAP item 2).
+IndicatrixCurveCache, curve_eval = CurveEval, curve_cache

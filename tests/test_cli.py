@@ -168,6 +168,55 @@ def test_finsler_chart_exit_partial_trace(tmp_path, capsys):
     assert (tmp_path / "geodesic_finsler.csv").exists()
 
 
+def test_finsler_start_off_chart_exit_1(tmp_path, capsys):
+    """A start outside the working chart has no partial trace: exit 1 with
+    the error, and no file."""
+    assert main(["--h", "1,-2,1", "--out", str(tmp_path), "geodesic",
+                 "--side", "finsler", "--start=1.5707,0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: start point R=1.5707 outside the working chart\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("c", ["--c=0.5,0.3", "--c="])
+def test_c_is_one_float(tmp_path, capsys, c):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--out", str(tmp_path), "geodesic", "--side", "zoll", c])
+    assert excinfo.value.code == 2
+    assert "argument --c: invalid float value" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_c_config_value_is_one_float(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c = 0.5,0.3\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "geodesic", "--side", "zoll"]) == 1
+    assert "bad config value for 'c': '0.5,0.3'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg.write_text("c = 0\nr0 = 0.5\nt-end = 2.0\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "geodesic", "--side", "zoll"]) == 0
+    rows = (tmp_path / "out" / "geodesic_zoll.csv").read_text().strip().splitlines()[1:]
+    assert all(row.split(",")[3] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["indicatrix", "--R=0.3"],
+                                     ["curvature"], ["geodesic"]])
+def test_samples_upper_bound_exit_1(tmp_path, capsys, monkeypatch, command):
+    """The bound is checked before any work: no subcommand runs."""
+    def refuse(*args):
+        raise AssertionError("a subcommand ran")
+
+    for name in ("cmd_curvature", "cmd_indicatrix", "cmd_geodesic", "cmd_verify"):
+        monkeypatch.setattr(cli, name, refuse)
+    for samples in (cli.MAX_SAMPLES + 1, 10 ** 12):
+        assert main(["--out", str(tmp_path), "--samples", str(samples)] + command) == 1
+        assert capsys.readouterr().err == \
+            f"error: sample count {samples} outside [16, {cli.MAX_SAMPLES}]\n"
+    assert not list(tmp_path.iterdir())
+
+
 # -- verify --------------------------------------------------------------------------
 
 def test_verify_pass(tmp_path, capsys):

@@ -211,15 +211,15 @@ def test_difference_oracle_one_bracket_scan_per_call(all_good, monkeypatch):
     off-centre Newton solves, none of which falls back to the bracket scan.
     A nearly vertical centre ray goes straight to a glue point and scans
     nothing."""
-    from zollfins.moduli import IndicatrixCurveCache
+    from zollfins.moduli import CurveEval
     scans = []
-    bracket = IndicatrixCurveCache._bracket_solve
+    bracket = CurveEval._bracket_solve
 
     def counting(self, v1, v2):
         scans.append((v1, v2))
         return bracket(self, v1, v2)
 
-    monkeypatch.setattr(IndicatrixCurveCache, "_bracket_solve", counting)
+    monkeypatch.setattr(CurveEval, "_bracket_solve", counting)
     for prof in all_good:
         for R in (0.2, 0.7, 1.2):
             for v in VERIFY_DIRECTIONS:

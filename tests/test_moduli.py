@@ -530,6 +530,30 @@ def test_phase_jet_regular_at_glue_points(ex2):
         assert np.allclose(minus, mirrored, rtol=1e-14, atol=1e-15)
 
 
+def test_bracket_grid_built_by_first_cold_solve(ex2):
+    """v2_du, the jet and a warm solve_ray build no bracket grid; the first
+    cold solve builds it, and later cold solves at that chart value, on the
+    evaluator or through curve_cache, reuse it and keep their bits."""
+    from zollfins.moduli import curve_cache
+    curve = CurveEval(ex2, 0.7)
+    curve.v2_du(math.cos(1.0), math.sin(1.0))
+    curve.jet(1.1)
+    p1, p2 = curve.jet(1.0)[0]
+    scale, u = curve.solve_ray(0.5 * p1, 0.5 * p2, 1.0)
+    assert (scale, u) == pytest.approx((0.5, 1.0), rel=1e-14)
+    assert getattr(curve, "_grid", None) is None
+    cold = curve.solve_ray(0.4, 0.5)
+    grid = curve._grid
+    assert curve.solve_ray(-0.3, -0.8) == CurveEval(ex2, 0.7).solve_ray(-0.3, -0.8)
+    assert curve._grid is grid
+    curve_cache.cache_clear()
+    shared = curve_cache(ex2, 0.7)
+    assert shared.solve_ray(0.4, 0.5) == cold
+    grid = shared._grid
+    curve_cache(ex2, 0.7).solve_ray(-0.3, -0.8)
+    assert shared._grid is grid
+
+
 @pytest.mark.parametrize("R", [0.3, 1.2, 1.5600000100725198])
 def test_ray_root_lies_on_ray_near_glue_points(all_good, R):
     """Nearly vertical rays: the phase root the solver returns is the jet

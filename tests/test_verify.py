@@ -22,7 +22,7 @@ def test_verification_repeats_bit_for_bit_with_warm_caches():
     one filled, reports the same numbers: no result may depend on what an
     earlier call left behind."""
     prof = ZollProfile.from_string("0.25,-0.25")
-    for cache in (moduli.curve_cache, moduli.curve_eval, moduli.implicit_polynomial):
+    for cache in (moduli.curve_cache, moduli.implicit_polynomial):
         cache.cache_clear()
     cold = run_verification(prof).to_dict()
     assert moduli.curve_cache.cache_info().currsize > 0
