@@ -5,7 +5,8 @@ Subcommands
 curvature   scan the Gauss curvature over x = cos r; exit 2 when G <= 0
             somewhere (the witness is printed).
 indicatrix  emit per-R indicatrix curves as CSV plus a combined SVG plot;
-            exit 2 on a convexity violation.
+            exit 2 on a convexity violation, exit 1 when two chart values
+            would share a file name (6 significant digits).
 geodesic    emit a geodesic trace CSV, on the surface (--side zoll) or on
             the manifold of geodesics (--side finsler).
 verify      run the cross-module verification suites; exit 3 if any check
@@ -154,15 +155,19 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
         print("indicatrix requires --R", file=sys.stderr)
         return 1
     r_values = args.R
+    out_dir = Path(args.out)
+    paths = [out_dir / f"indicatrix_R{format(r_value, 'g')}.csv" for r_value in r_values]
+    clash = next((path for path in paths if paths.count(path) > 1), None)
+    if clash is not None:
+        print(f"error: two --R values would both write {clash.name}", file=sys.stderr)
+        return 1
     try:
         curves = [moduli.indicatrix_curve(profile, r_value, args.samples)
                   for r_value in r_values]
     except ConvexityViolation as exc:
         print(f"convexity violation: {exc}")
         return 2
-    out_dir = Path(args.out)
-    for r_value, curve in zip(r_values, curves):
-        path = out_dir / f"indicatrix_R{format(r_value, 'g')}.csv"
+    for path, curve in zip(paths, curves):
         atomic_write(path, indicatrix_csv(curve))
     atomic_write(out_dir / "indicatrices.svg",
                  indicatrices_svg(list(zip(r_values, curves)), size=args.plot_size))

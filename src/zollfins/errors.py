@@ -34,10 +34,11 @@ class StepFailureError(ZollfinsError, ArithmeticError):
 
 
 class NoBracketError(ZollfinsError, ArithmeticError):
-    """A ray from the origin failed to cross the indicatrix curve.
+    """A ray solve ended on a curve point that is not on the ray's side.
 
-    Cannot occur for a strictly convex indicatrix; signals a convexity
-    violation of the input profile.
+    |h| < 1 brackets every ray solve on [0, pi], so the solve always ends at
+    a sign change of the cross product; for a star-shaped indicatrix that
+    point lies on the ray.  Signals a convexity violation of the profile.
     """
 
 

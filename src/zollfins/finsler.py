@@ -3,10 +3,11 @@
 F(R, Theta; v) is the Minkowski gauge of the indicatrix curve at (R, Theta):
 the unique t > 0 with v/t on the curve.  It is evaluated by intersecting the
 ray through v with the curve in its signed phase u, by the one evaluator
-per chart value (moduli.curve_cache, a CurveEval): a scan of its phase grid
-plus safeguarded Newton, or Newton alone from a warm start;
-star-shapedness about the origin guarantees uniqueness whenever the curve
-is convex.  The algebraic route --
+per chart value (moduli.curve_cache, a CurveEval): one safeguarded Newton
+on the bracket [0, pi] of the half-curve the ray meets, whose ends lie on
+either side of the ray because |h| < 1, started from a warm seed or cold
+from pi/2; star-shapedness about the origin guarantees uniqueness
+whenever the curve is convex.  The algebraic route --
 the polynomial equation in F obtained from the implicit indicatrix equation
 by substituting v -> v/F -- is kept as an independent oracle, never as the
 primary evaluator, because the squared implicit form admits spurious sheets.
@@ -34,8 +35,8 @@ P_u, P_uu, P_R, P_uR (CurveEval.jet) per step.  The public
 fundamental_tensor stays a central finite difference of F^2 with
 Richardson extrapolation: it is the independent oracle the closed form is
 tested against.  It solves its centre ray once, cold, and starts the
-Newton solves of its 16 off-centre rays from that phase root; nothing of
-the closed form enters.
+solves of its 16 off-centre rays from that phase root; nothing of the
+closed form enters.
 
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
@@ -117,8 +118,8 @@ def _hessian_f2(cache, v: np.ndarray, h: float, f0: float, seed_u: float) -> np.
     """Central 9-point finite-difference Hessian of F^2 in the fiber variables.
 
     f0 is F^2 at v itself.  The 8 off-centre rays lie within 2h of v, so
-    their solves start Newton from ``seed_u``, the phase root of the centre
-    ray; a Newton miss falls back to the bracket scan.
+    their solves start from ``seed_u``, the phase root of the centre ray,
+    and end on the bracket like a cold solve.
     """
     def f2(a, b):
         return cache.solve_ray(v[0] + a, v[1] + b, seed_u)[0] ** 2
@@ -135,8 +136,8 @@ def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
 
     The result is symmetric by construction.  Richardson extrapolation at
     twice the step removes the leading quadratic truncation term.  The
-    centre ray is solved once, cold (bracket scan); its F gives f0 and the
-    returned F, and its phase root seeds the 16 off-centre solves.  The
+    centre ray is solved once, cold (Newton from pi/2); its F gives f0 and
+    the returned F, and its phase root seeds the 16 off-centre solves.  The
     seed never comes from another call, so the result depends on the
     arguments only.
     """

@@ -193,12 +193,12 @@ def _sin_series(table: tuple[float, ...], c) -> list:
 
 
 def phase_time(profile: ZollProfile, c: float, u):
-    """Travel time from the turning point to the phase u (a float, through
-    math, or an array, through numpy) at the Clairaut constant c, |c| < 1:
-    t(u) = int_0^u (1 + h(cos r_c cos u')) du' = u + sin u sum_i w_i
-    sin^(2i) u, w = _sin_series(odd_coeffs, c).  So |t(u) - u| <= sum |w_i|.
+    """Travel time from the turning point to the phases u (an array) at the
+    Clairaut constant c, |c| < 1: t(u) = int_0^u (1 + h(cos r_c cos u')) du'
+    = u + sin u sum_i w_i sin^(2i) u, w = _sin_series(odd_coeffs, c).  So
+    |t(u) - u| <= sum |w_i|.
     """
-    su = np.sin(u) if isinstance(u, np.ndarray) else math.sin(u)
+    su = np.sin(u)
     return u + su * horner(_sin_series(profile.odd_coeffs, c), su * su)
 
 

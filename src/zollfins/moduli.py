@@ -35,11 +35,11 @@ u = 0 is the bottom glue point, u = +-pi the top one.  This is the one
 production form of v2: the Jacobi pair, the regularized samples,
 indicatrix_curve and CurveEval all read PhaseKernel.v2_du.  CurveEval is the
 one evaluator per chart value: the phase jet of the Finsler spray and the
-ray solves, whose cold bracket grid it builds on first use (curve_cache
-shares one per chart value).  A ray within 1e-9 of the v2 axis is resolved
-to u = 0 or pi directly.  The curvature identity of
-indicatrix_curvature reads the same jet, so it checks the code the spray
-uses.  The parametric quadrature of Phi and the implicit polynomial stay as
+ray solves, one safeguarded Newton on the bracket [0, pi] of the half-curve
+(CurveEval.newton_ray), warm from a seed or cold from pi/2.  A ray within
+1e-9 of the v2 axis is resolved to u = 0 or pi directly.  The curvature
+identity of indicatrix_curvature reads the same jet, so it checks the code
+the spray uses.  The parametric quadrature of Phi and the implicit polynomial stay as
 the independent reference routes.
 
 For polynomial h, expanding Psi in closed form turns the
@@ -489,19 +489,17 @@ class CurveEval(PhaseKernel):
     """The indicatrix at one chart value in the signed phase u in [-pi, pi]:
     cos r = cos R cos u, branch = sign(u), v1 = sin u and v2 from the phase
     kernel v2_du (jacobi.PhaseKernel), plus its jet and the ray solves.
-    Ray solves return the phase root.  Rays within 1e-9 of vertical resolve
+    Ray solves return the phase root; warm and cold ones both run
+    newton_ray, which keeps no state.  Rays within 1e-9 of vertical resolve
     to u = 0 or pi directly: the curve is symmetric about the v2 axis, so
     the glue points are exact extrema of the ray angle, and the root of a
-    nearly vertical ray at the top can lie beyond float(pi).  The first cold
-    solve builds a 96-point phase grid of the half-curve for the bracket
-    scan and keeps it; evaluators that make no cold solve (the spray's, the
-    regularized samples') never build it.
+    nearly vertical ray at the top can lie beyond float(pi).
 
     Scalar calls run on plain floats (no array overhead): they sit in the
     innermost loop of the norm evaluation and of the geodesic spray.
     """
 
-    __slots__ = ("_grid",)
+    __slots__ = ()
 
     def jet(self, u: float):
         """(P, P_u, P_uu, P_R, P_uR) of the curve in the signed phase u.
@@ -558,37 +556,59 @@ class CurveEval(PhaseKernel):
         p2, t2 = self.v2_du(cu, su)
         return v1 * p2 - v2 * su, v1 * t2 - v2 * cu
 
-    def newton_ray(self, v1: float, v2: float, u0: float):
-        """Newton solve of cross(v, P(u)) = 0 on the half-curve u in [0, pi]
-        (v1 > 0) from a warm start u0, at most 24 steps; (scale, u_star) or
-        None on failure."""
-        u = min(max(u0, 0.0), math.pi)
-        for _ in range(24):
+    def newton_ray(self, v1: float, v2: float, u0: float) -> tuple[float, float]:
+        """Safeguarded Newton on g(u) = cross(v, P(u)) = 0 over [0, pi], the
+        half-curve of v1 > 0, from u0; returns (scale, u_star).
+
+        |h| < 1 gives g(0) = v1 v2(0) < 0 < v1 v2(pi) = g(pi), so the bracket
+        [lo, hi] = [0, pi] always holds a root.  A step that rounds to no
+        change ends the solve (u may be an end of the bracket, where a
+        bisection would leave the root); one that leaves (lo, hi) bisects.
+        NoBracketError: the root is not on the ray's side.
+        """
+        lo, hi = 0.0, math.pi
+        u = min(max(u0, lo), hi)
+        for _ in range(80):
             g, slope = self._cross(v1, v2, u)
-            if slope == 0.0:
-                return None
-            u_new = min(max(u - g / slope, 0.0), math.pi)
-            if abs(u_new - u) <= 1e-14 * (1.0 + u):
-                u = u_new
+            if g < 0.0:
+                lo = u
+            elif g > 0.0:
+                hi = u
+            else:
                 break
-            u = u_new
+            if slope != 0.0:
+                u_new = u - g / slope
+                if u_new == u:
+                    # Both floats about a midpoint root are fixed: keep the lower.
+                    if g > 0.0:
+                        below = math.nextafter(u, 0.0)
+                        g_below, slope_below = self._cross(v1, v2, below)
+                        if below - g_below / slope_below == below:
+                            u = below
+                    break
+                if lo < u_new < hi:
+                    u = u_new
+                    continue
+            u = 0.5 * (lo + hi)
+            if hi - lo < 4e-16 * (1.0 + u):
+                break
         p1 = math.sin(u)
         p2 = self.v2_du(math.cos(u), p1)[0]
         dot = v1 * p1 + v2 * p2
-        rad = math.hypot(p1, p2)
-        if dot <= 0.0 or abs(v1 * p2 - v2 * p1) > 1e-11 * math.hypot(v1, v2) * rad:
-            return None
-        return dot / (rad * rad), u
+        if not dot > 0.0:
+            raise NoBracketError(
+                f"ray through (+-{v1}, {v2}) misses the indicatrix at R={self.R}")
+        return dot / (p1 * p1 + p2 * p2), u
 
     def solve_ray(self, v1: float, v2: float, seed_u: float | None = None
                   ) -> tuple[float, float]:
         """Crossing of the ray through (v1, v2) with the curve.
 
-        Returns (scale, u_star) with (v1, v2) = scale * P(u_star).  A warm
-        start, when supplied, skips the bracket scan.  Both solves run on the
-        ray mirrored onto v1 > 0, i.e. on u in [0, pi], and the mirror image
-        of P(u) is P(-u); the seed is mirrored with it, so a root that just
-        crossed the v2 axis still seeds the next solve well.
+        Returns (scale, u_star) with (v1, v2) = scale * P(u_star).  The solve
+        runs newton_ray on the ray mirrored onto v1 > 0, i.e. on u in
+        [0, pi], where the mirror image of P(u) is P(-u): from the warm start
+        seed_u, mirrored with the ray, so that a root that just crossed the
+        v2 axis still seeds the next solve well, or cold (_bracket_solve).
         """
         norm = math.hypot(v1, v2)
         if not 0.0 < norm < math.inf:    # NaN fails as well
@@ -599,76 +619,21 @@ class CurveEval(PhaseKernel):
                 return v2 / bottom, 0.0
             return v2 / top, math.pi
         sign = 1.0 if v1 > 0 else -1.0
-        if seed_u is not None:
-            hit = self.newton_ray(sign * v1, v2, abs(seed_u))
-            if hit is not None:
-                return hit[0], sign * hit[1]
-        scale, u_star = self._bracket_solve(sign * v1, v2)
+        if seed_u is None:
+            scale, u_star = self._bracket_solve(sign * v1, v2)
+        else:
+            scale, u_star = self.newton_ray(sign * v1, v2, abs(seed_u))
         return scale, sign * u_star
 
     def _bracket_solve(self, v1, v2):
-        """Cold solve on the half-curve u in [0, pi] (v1 > 0): scan the grid
-        for sign changes of the cross product, refine each, and keep the
-        farthest crossing on the ray's side."""
-        grid = getattr(self, "_grid", None)
-        if grid is None:
-            u_grid = np.linspace(0.0, math.pi, 96)
-            v1_grid = np.sin(u_grid)
-            grid = self._grid = u_grid, v1_grid, self.v2_du(np.cos(u_grid), v1_grid)[0]
-        u_grid, v1_grid, v2_grid = grid
-        cross = v1 * v2_grid - v2 * v1_grid
-        dots = v1 * v1_grid + v2 * v2_grid
-        sign_change = np.nonzero((np.sign(cross[:-1]) * np.sign(cross[1:]) <= 0)
-                                 & ((dots[:-1] > 0) | (dots[1:] > 0)))[0]
-        best = None
-        for i in sign_change:
-            u = self._refine(v1, v2, float(u_grid[i]), float(u_grid[i + 1]))
-            p1 = math.sin(u)
-            p2 = self.v2_du(math.cos(u), p1)[0]
-            dot = v1 * p1 + v2 * p2
-            if dot <= 0:
-                continue
-            rad2 = p1 * p1 + p2 * p2
-            if best is None or rad2 > best[0]:
-                best = (rad2, dot, u)
-        if best is None:
-            raise NoBracketError(
-                f"ray through (+-{v1}, {v2}) misses the indicatrix at R={self.R}")
-        rad2, dot, u = best
-        return dot / rad2, u
-
-    def _refine(self, v1, v2, lo, hi):
-        """Safeguarded Newton on cross(v, P(u)) = 0 inside the bracket [lo, hi],
-        at most 80 steps."""
-        glo = self._cross(v1, v2, lo)[0]
-        u = 0.5 * (lo + hi)
-        for _ in range(80):
-            gu, slope = self._cross(v1, v2, u)
-            if gu == 0.0:
-                return u
-            if (glo < 0) == (gu < 0):
-                lo, glo = u, gu
-            else:
-                hi = u
-            step_ok = False
-            if slope != 0.0:
-                u_new = u - gu / slope
-                if lo < u_new < hi:
-                    if abs(u_new - u) < 1e-15 * (1.0 + u):
-                        return u_new
-                    u = u_new
-                    step_ok = True
-            if not step_ok:
-                u = 0.5 * (lo + hi)
-            if hi - lo < 4e-16 * (1.0 + u):
-                return u
-        return u
+        """Cold solve on the half-curve (v1 > 0): newton_ray from u = pi/2."""
+        return self.newton_ray(v1, v2, 0.5 * math.pi)
 
 
 @lru_cache(maxsize=512)
 def curve_cache(profile: ZollProfile, R: float) -> CurveEval:
-    """The evaluator at (profile, R), shared so that cold ray solves at one
-    chart value scan one bracket grid."""
+    """The evaluator at (profile, R), shared so that the norm evaluations at
+    one chart value build its phase kernel once."""
     return CurveEval(profile, R)
 
 

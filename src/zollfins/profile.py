@@ -122,12 +122,6 @@ class ZollProfile:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        """Degree of h as a polynomial (0 for the round sphere)."""
-        nz = [k for k, a in enumerate(self.odd_coeffs) if a != 0.0]
-        return 2 * nz[-1] + 1 if nz else 0
-
-    @property
     def is_round(self) -> bool:
         return all(a == 0.0 for a in self.odd_coeffs)
 

@@ -120,6 +120,20 @@ def test_indicatrix_requires_R(tmp_path):
     assert main(["--h", "0", "--out", str(tmp_path), "indicatrix"]) == 1
 
 
+def test_indicatrix_file_name_clash_exit_1(tmp_path, capsys, monkeypatch):
+    """Chart values that print alike under format(R, "g") would overwrite
+    one another's CSV: the run stops before computing any curve."""
+    def no_curve(*args, **kwargs):
+        raise AssertionError("indicatrix_curve called")
+
+    monkeypatch.setattr(cli.moduli, "indicatrix_curve", no_curve)
+    for r_list in ("0.3,0.30000001,0.3", "0.3,0.30000001", "1.2,1.2"):
+        code = main(["--h", "0", "--out", str(tmp_path), "indicatrix", "--R", r_list])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- geodesic -----------------------------------------------------------------------
 
 def test_zoll_geodesic_trace(tmp_path):

@@ -208,9 +208,8 @@ def test_closed_form_tensor_matches_difference_oracle(all_good):
 
 def test_difference_oracle_one_bracket_scan_per_call(all_good, monkeypatch):
     """The centre ray is solved cold once; its phase root seeds the 16
-    off-centre Newton solves, none of which falls back to the bracket scan.
-    A nearly vertical centre ray goes straight to a glue point and scans
-    nothing."""
+    off-centre solves, none of which is a cold one.  A nearly vertical
+    centre ray goes straight to a glue point and makes no cold solve."""
     from zollfins.moduli import CurveEval
     scans = []
     bracket = CurveEval._bracket_solve

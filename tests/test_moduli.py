@@ -530,28 +530,74 @@ def test_phase_jet_regular_at_glue_points(ex2):
         assert np.allclose(minus, mirrored, rtol=1e-14, atol=1e-15)
 
 
-def test_bracket_grid_built_by_first_cold_solve(ex2):
-    """v2_du, the jet and a warm solve_ray build no bracket grid; the first
-    cold solve builds it, and later cold solves at that chart value, on the
-    evaluator or through curve_cache, reuse it and keep their bits."""
-    from zollfins.moduli import curve_cache
-    curve = CurveEval(ex2, 0.7)
-    curve.v2_du(math.cos(1.0), math.sin(1.0))
-    curve.jet(1.1)
-    p1, p2 = curve.jet(1.0)[0]
-    scale, u = curve.solve_ray(0.5 * p1, 0.5 * p2, 1.0)
-    assert (scale, u) == pytest.approx((0.5, 1.0), rel=1e-14)
-    assert getattr(curve, "_grid", None) is None
-    cold = curve.solve_ray(0.4, 0.5)
-    grid = curve._grid
-    assert curve.solve_ray(-0.3, -0.8) == CurveEval(ex2, 0.7).solve_ray(-0.3, -0.8)
-    assert curve._grid is grid
-    curve_cache.cache_clear()
-    shared = curve_cache(ex2, 0.7)
-    assert shared.solve_ray(0.4, 0.5) == cold
-    grid = shared._grid
-    curve_cache(ex2, 0.7).solve_ray(-0.3, -0.8)
-    assert shared._grid is grid
+RAY_PROFILES = ("0", "0.25,-0.25", "1,-2,1")
+RAY_CHARTS = (-1.2, 0.0, 0.7, 1.5600000100725198)
+RAY_DIRECTIONS = np.linspace(-math.pi, math.pi, 73)[:-1]
+T21 = ("0.01953125,-1.50390625,32.484375,-321.75,1751.75,-5733.0,11760.0,"
+       "-15232.0,12096.0,-5376.0,1024.0")
+
+
+@pytest.mark.parametrize("R", [1.4, 1.5600000100725198])
+def test_round_sphere_norm_is_exact_ellipse(sphere, R):
+    """On the round sphere the indicatrix is the ellipse v1^2 + v2^2 cos^2 R
+    = 1, so F is its gauge; 720 directions against mpmath.  Near the rim the
+    curve is a 1:92 ellipse, where a root one ulp off costs ~1e-14; the
+    grid-scan solver measured 2.0e-14 at R = 1.56."""
+    cos_R = mpmath.cos(mpmath.mpf(R))
+    worst = 0.0
+    for a in np.linspace(0.0, TWO_PI, 721)[:-1].tolist():
+        v1, v2 = math.cos(a), math.sin(a)
+        exact = mpmath.sqrt(mpmath.mpf(v1) ** 2 + (mpmath.mpf(v2) * cos_R) ** 2)
+        F = CurveEval(sphere, R).solve_ray(v1, v2)[0]
+        worst = max(worst, float(abs(F - exact) / exact))
+    assert worst <= 1e-14, worst
+
+
+@pytest.mark.parametrize("coeffs", RAY_PROFILES)
+def test_warm_solve_matches_cold_from_any_seed(coeffs, monkeypatch):
+    """A warm solve is the cold one started elsewhere on the same bracket:
+    from any seed it ends on the cold root and makes no cold solve.  At
+    1,-2,1, R = 1.56, one root sits midway between two floats that are both
+    Newton fixed points, 9.5e-15 apart in F, unless the solver takes the
+    lower one from either side."""
+    prof = ZollProfile.from_string(coeffs)
+    curves = [CurveEval(prof, R) for R in RAY_CHARTS]
+    cold = [[curve.solve_ray(math.cos(a), math.sin(a)) for a in RAY_DIRECTIONS]
+            for curve in curves]
+
+    def no_cold_solve(self, v1, v2):
+        raise AssertionError("warm solve fell back to a cold one")
+
+    monkeypatch.setattr(CurveEval, "_bracket_solve", no_cold_solve)
+    for curve, roots in zip(curves, cold):
+        for a, (scale, u_star) in zip(RAY_DIRECTIONS, roots):
+            for seed in np.linspace(-math.pi, math.pi, 41):
+                warm = curve.solve_ray(math.cos(a), math.sin(a), float(seed))
+                assert abs(warm[0] - scale) <= 2e-15 * scale, (curve.R, a, seed)
+                assert abs(warm[1] - u_star) <= 2e-15 * abs(u_star), (curve.R, a, seed)
+
+
+@pytest.mark.parametrize("coeffs", RAY_PROFILES + (T21,))
+def test_cold_solve_cross_product_budget(coeffs, monkeypatch):
+    """A cold solve evaluates the cross product at most 32 times, also on
+    the degree-21 profile, whose v2 carries ~1e-11 of roundoff, and none
+    raises.  Here it takes at most 9, and 23 on degree 21; the grid scan
+    and its crossing refinements took up to 50."""
+    prof = ZollProfile.from_string(coeffs)
+    calls = []
+    cross = CurveEval._cross
+
+    def counting(self, v1, v2, u):
+        calls.append(u)
+        return cross(self, v1, v2, u)
+
+    monkeypatch.setattr(CurveEval, "_cross", counting)
+    for R in RAY_CHARTS:
+        curve = CurveEval(prof, R)
+        for a in RAY_DIRECTIONS:
+            calls.clear()
+            curve.solve_ray(math.cos(a), math.sin(a))
+            assert len(calls) <= 32, (R, a, len(calls))
 
 
 @pytest.mark.parametrize("R", [0.3, 1.2, 1.5600000100725198])
