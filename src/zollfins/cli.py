@@ -36,8 +36,8 @@ from .errors import (ChartExitError, ConvexityViolation, ProfileError,
 from .profile import ZollProfile, check_positive_curvature, curvature_x
 from .verify import run_verification
 
-#: Largest --samples.  On a 2-CPU VM verify takes 4.2 s there, and an
-#: indicatrix run at one chart value 0.35 s and 101 MB.
+#: Largest --samples.  On a 2-CPU VM verify on 1,-2,1 takes 2.1-2.2 s and
+#: ~93 MB there, and an indicatrix run at one chart value 0.35 s and 101 MB.
 MAX_SAMPLES = 65536
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",

@@ -38,6 +38,12 @@ tested against.  It solves its centre ray once, cold, and starts the
 solves of its 16 off-centre rays from that phase root; nothing of the
 closed form enters.
 
+finsler_F and fundamental_tensor also take a block of n vectors, a 2 x n
+array or a pair of arrays, as verify's direction grids do.  The block's
+rays go to array calls of CurveEval.solve_ray, one masked Newton over all
+of them, and each column keeps the bits of its single-vector call; a
+single vector stays on the float solver, which is faster for few rays.
+
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
 
@@ -80,21 +86,25 @@ TOL_RANGE = (1e-12, 1e-4)
 
 @dataclass(frozen=True)
 class FinslerEval:
-    """F and (optionally) the fundamental tensor at one tangent vector."""
+    """F and (optionally) the fundamental tensor at one tangent vector, or
+    at each of a block of n vectors (then every field but R and Theta is an
+    array of n)."""
 
     R: float
     Theta: float
-    v1: float
-    v2: float
-    F: float
-    g11: float | None = None
-    g12: float | None = None
-    g22: float | None = None
+    v1: float | np.ndarray
+    v2: float | np.ndarray
+    F: float | np.ndarray
+    g11: float | np.ndarray | None = None
+    g12: float | np.ndarray | None = None
+    g22: float | np.ndarray | None = None
 
     def tensor(self) -> np.ndarray:
+        """g as a 2 x 2 matrix, or an (n, 2, 2) stack for a block."""
         if self.g11 is None:
             raise DomainError("fundamental tensor was not computed")
-        return np.array([[self.g11, self.g12], [self.g12, self.g22]])
+        g = np.array([[self.g11, self.g12], [self.g12, self.g22]])
+        return g if g.ndim == 2 else np.moveaxis(g, -1, 0)
 
 
 @dataclass(frozen=True)
@@ -108,54 +118,86 @@ class InvariantPair:
 
 
 def finsler_F(profile: ZollProfile, R: float, Theta: float, v) -> FinslerEval:
-    """The induced norm of the tangent vector v at chart point (R, Theta)."""
-    v1, v2 = float(v[0]), float(v[1])
+    """The induced norm of the tangent vector v at chart point (R, Theta).
+
+    v may also be a block of n vectors, a 2 x n array or a pair of arrays:
+    its rays go to one array call of solve_ray, and F is the array of their
+    norms, each with the bits of its own single-vector call.
+    """
+    v1, v2 = v[0], v[1]
+    if np.ndim(v1):
+        v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    else:
+        v1, v2 = float(v1), float(v2)
     F, _ = curve_cache(profile, R).solve_ray(v1, v2)
     return FinslerEval(R, Theta, v1, v2, F)
 
 
-def _hessian_f2(cache, v: np.ndarray, h: float, f0: float, seed_u: float) -> np.ndarray:
-    """Central 9-point finite-difference Hessian of F^2 in the fiber variables.
+#: The off-centre points (a, b) of the 9-point Hessian stencil of F^2, in
+#: units of the step: two for d11, two for d22, then the four for d12.
+_STENCIL = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
+                     (1, 1), (1, -1), (-1, 1), (-1, -1)]).T
 
-    f0 is F^2 at v itself.  The 8 off-centre rays lie within 2h of v, so
-    their solves start from ``seed_u``, the phase root of the centre ray,
-    and end on the bracket like a cold solve.
-    """
-    def f2(a, b):
-        return cache.solve_ray(v[0] + a, v[1] + b, seed_u)[0] ** 2
 
-    d11 = (f2(h, 0) - 2 * f0 + f2(-h, 0)) / (h * h)
-    d22 = (f2(0, h) - 2 * f0 + f2(0, -h)) / (h * h)
-    d12 = (f2(h, h) - f2(h, -h) - f2(-h, h) + f2(-h, -h)) / (4 * h * h)
-    return np.array([[d11, d12], [d12, d22]])
+def _difference_steps(v: np.ndarray, step: float) -> np.ndarray:
+    """The steps step * |v| of the columns of the 2 x n block v, after the
+    checks; DomainError names the first column that fails one."""
+    vn = np.hypot(v[0], v[1])
+    h = step * vn
+    zero = vn == 0.0
+    bad = zero | ~((1e-12 < h) & (h < 0.2 * vn))    # NaN fails too
+    if bad.any():
+        k = int(np.argmax(bad))
+        if zero[k]:
+            raise DomainError("fundamental tensor undefined at v = 0")
+        raise DomainError(f"degenerate finite-difference step {h[k]}")
+    return h
 
 
 def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
                        step: float = 1e-5) -> FinslerEval:
     """g_ij = (1/2) d^2(F^2)/dv_i dv_j by central differences at step*|v|.
 
-    The result is symmetric by construction.  Richardson extrapolation at
-    twice the step removes the leading quadratic truncation term.  The
-    centre ray is solved once, cold (Newton from pi/2); its F gives f0 and
-    the returned F, and its phase root seeds the 16 off-centre solves.  The
-    seed never comes from another call, so the result depends on the
-    arguments only.
+    The 9-point Hessian of F^2 is symmetric by construction.  Richardson
+    extrapolation at twice the step removes the leading quadratic truncation
+    term.  The centre ray is solved once, cold (Newton from pi/2); its F
+    gives the centre value and the returned F, and its phase root seeds the
+    16 off-centre solves.  The seed never comes from another call, so the
+    result depends on the arguments only.
+
+    v may also be a block of n vectors, a 2 x n array or a pair of arrays,
+    and the FinslerEval then holds arrays.  The block makes two array calls
+    of solve_ray: the n centre rays cold, then the 16 n off-centre rays,
+    for both steps, each seeded by its own column's centre root.  Each
+    column has the bits of its single-vector call; one vector stays on the
+    float solves, which are faster below ~35 rays.
     """
     v = np.asarray(v, dtype=float)
-    vn = float(np.hypot(v[0], v[1]))
-    if vn == 0.0:
-        raise DomainError("fundamental tensor undefined at v = 0")
-    h = step * vn
-    if not 1e-12 < h < 0.2 * vn:
-        raise DomainError(f"degenerate finite-difference step {h}")
+    if v.ndim not in (1, 2) or len(v) != 2:
+        raise DomainError(f"need one vector or a 2 x n block, got shape {v.shape}")
+    h = _difference_steps(v.reshape(2, -1), step)
     cache = curve_cache(profile, R)
     F, u0 = cache.solve_ray(v[0], v[1])
+    hh = np.stack((h, 2 * h))                                   # (step, column)
+    a, b = _STENCIL[:, None, :, None] * hh[:, None, :]          # (step, point, column)
+    if v.ndim == 2:
+        Fs, _ = cache.solve_ray((v[0] + a).ravel(), (v[1] + b).ravel(),
+                                np.broadcast_to(u0, a.shape).ravel())
+    else:
+        Fs = [cache.solve_ray(v[0] + da, v[1] + db, u0)[0]
+              for da, db in zip(a.ravel().tolist(), b.ravel().tolist())]
+    # F ** 2 of a float is libm pow, which np.float_power calls too; F * F
+    # differs from it in the last bit on ~1 in 1000 values.
+    p = np.float_power(np.reshape(Fs, a.shape), 2)
     f0 = F * F
-    hess = (4.0 * _hessian_f2(cache, v, h, f0, u0)
-            - _hessian_f2(cache, v, 2 * h, f0, u0)) / 3.0
-    g = 0.5 * hess
+    d11 = (p[:, 0] - 2 * f0 + p[:, 1]) / (hh * hh)
+    d22 = (p[:, 2] - 2 * f0 + p[:, 3]) / (hh * hh)
+    d12 = (p[:, 4] - p[:, 5] - p[:, 6] + p[:, 7]) / (4 * hh * hh)
+    g11, g12, g22 = (0.5 * ((4.0 * d[0] - d[1]) / 3.0) for d in (d11, d12, d22))
+    if v.ndim == 2:
+        return FinslerEval(R, Theta, v[0], v[1], F, g11=g11, g12=g12, g22=g22)
     return FinslerEval(R, Theta, float(v[0]), float(v[1]), F,
-                       g11=float(g[0, 0]), g12=float(g[0, 1]), g22=float(g[1, 1]))
+                       g11=float(g11[0]), g12=float(g12[0]), g22=float(g22[0]))
 
 
 # -- invariants ------------------------------------------------------------------

@@ -168,15 +168,17 @@ def _pole_panels(profile: ZollProfile, c: float, r, below: bool):
     """Phase ends u_r, integrand and panel floor of the Phi quadratures at the
     latitudes r (float or 1-D array), after the band and equator checks."""
     r = np.asarray(r, dtype=float)
-    for rk in r.ravel().tolist():
+    rc = turning_latitude(c)
+    side = r < math.pi / 2 if below else r > math.pi / 2
+    bad = ~(side & (rc - 1e-12 <= r) & (r <= math.pi - rc + 1e-12))
+    if bad.any():       # the first offending latitude names its error
+        rk = float(r.ravel()[np.argmax(bad.ravel())])
         _check_band(c, rk)
-        if below and rk >= math.pi / 2:
-            raise DomainError("Phi(r) diverges at r = pi/2; use the regularized forms")
-        if not below and rk <= math.pi / 2:
-            raise DomainError("tail integral requires r > pi/2")
+        raise DomainError("Phi(r) diverges at r = pi/2; use the regularized forms" if below
+                          else "tail integral requires r > pi/2")
     u_r = signed_phase(c, r)
     min_width = np.maximum(1e-13, POLE_PANEL_FRACTION * np.abs(math.pi / 2 - u_r))
-    return u_r, _phi_integrand(profile, math.cos(turning_latitude(c))), min_width
+    return u_r, _phi_integrand(profile, math.cos(rc)), min_width
 
 
 def curvature_integral(profile: ZollProfile, c: float, r):

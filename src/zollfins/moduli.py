@@ -36,7 +36,8 @@ production form of v2: the Jacobi pair, the regularized samples,
 indicatrix_curve and CurveEval all read PhaseKernel.v2_du.  CurveEval is the
 one evaluator per chart value: the phase jet of the Finsler spray and the
 ray solves, one safeguarded Newton on the bracket [0, pi] of the half-curve
-(CurveEval.newton_ray), warm from a seed or cold from pi/2.  A ray within
+(CurveEval.newton_ray, or one masked array pass over many rays), warm
+from a seed or cold from pi/2.  A ray within
 1e-9 of the v2 axis is resolved to u = 0 or pi directly.  The curvature
 identity of indicatrix_curvature reads the same jet, so it checks the code
 the spray uses.  The parametric quadrature of Phi and the implicit polynomial stay as
@@ -227,10 +228,15 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
     branches = list(branches)
     if len(rs) != len(branches):
         raise DomainError(f"{len(rs)} latitudes but {len(branches)} branches")
-    for r, branch in zip(rs, branches):
-        _check_sample_args(R, r, branch)
+    _check_chart(R)
+    r_arr, b_arr = np.array(rs), np.array(branches)
+    rc = abs(R)
+    bad = ((b_arr != 1) & (b_arr != -1)) \
+        | ~((rc - 1e-12 <= r_arr) & (r_arr <= math.pi - rc + 1e-12))
+    if bad.any():       # the first offending sample raises its own error
+        k = int(np.argmax(bad))
+        _check_sample_args(R, rs[k], branches[k])
     c = math.sin(R)
-    r_arr = np.array(rs)
     near = np.abs(r_arr - math.pi / 2) < EQUATOR_GUARD
     below = ~near & (r_arr < math.pi / 2)
     above = ~near & (r_arr > math.pi / 2)
@@ -495,8 +501,12 @@ class CurveEval(PhaseKernel):
     the glue points are exact extrema of the ray angle, and the root of a
     nearly vertical ray at the top can lie beyond float(pi).
 
-    Scalar calls run on plain floats (no array overhead): they sit in the
-    innermost loop of the norm evaluation and of the geodesic spray.
+    A ray given as floats runs newton_ray on plain floats; equal-length
+    arrays of rays run one masked Newton (_newton_rays), which gives each
+    ray the bits of its float solve.  The array pass costs as much as 20 to
+    40 float solves and grows slowly with the rays, so it pays for blocks
+    of directions (verify's grids, the stencils of fundamental_tensor) and
+    not for the one cold solve of a Finsler trace.
     """
 
     __slots__ = ()
@@ -550,9 +560,13 @@ class CurveEval(PhaseKernel):
         """v2 at the glue points u = 0 (bottom, < 0) and u = pi (top, > 0)."""
         return self.v2_du(1.0, 0.0)[0], self.v2_du(-1.0, 0.0)[0]
 
-    def _cross(self, v1: float, v2: float, u: float) -> tuple[float, float]:
-        """cross(v, P(u)) = v1 v2(u) - v2 sin u and its u-derivative."""
-        su, cu = math.sin(u), math.cos(u)
+    def _cross(self, v1, v2, u):
+        """cross(v, P(u)) = v1 v2(u) - v2 sin u and its u-derivative, on
+        floats or on equal-length arrays."""
+        if isinstance(u, np.ndarray):
+            su, cu = np.sin(u), np.cos(u)
+        else:
+            su, cu = math.sin(u), math.cos(u)
         p2, t2 = self.v2_du(cu, su)
         return v1 * p2 - v2 * su, v1 * t2 - v2 * cu
 
@@ -600,8 +614,53 @@ class CurveEval(PhaseKernel):
                 f"ray through (+-{v1}, {v2}) misses the indicatrix at R={self.R}")
         return dot / (p1 * p1 + p2 * p2), u
 
-    def solve_ray(self, v1: float, v2: float, seed_u: float | None = None
-                  ) -> tuple[float, float]:
+    def _newton_rays(self, v1: np.ndarray, v2: np.ndarray, u0: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """newton_ray on equal-length arrays of rays (v1 > 0) from the phases
+        u0, as one masked Newton over the rays not yet stopped.  Each ray
+        takes the steps of its own newton_ray (the 80-step cap, the bracket
+        updates, the bisections, both stops and the float-below rule), so it
+        ends on the same bits.  NoBracketError names the first ray missed.
+        """
+        lo, hi = np.zeros(len(u0)), np.full(len(u0), math.pi)
+        u = np.minimum(np.maximum(u0, 0.0), math.pi)
+        live = np.arange(len(u))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(80):
+                if not live.size:
+                    break
+                ul = u[live]
+                g, slope = self._cross(v1[live], v2[live], ul)
+                neg, pos = g < 0.0, g > 0.0
+                lo[live[neg]] = ul[neg]
+                hi[live[pos]] = ul[pos]
+                lol, hil = lo[live], hi[live]
+                step = ul - g / slope       # not finite where slope == 0: bisects
+                moving = (neg | pos) & (step != ul)
+                newton = moving & (lol < step) & (step < hil)
+                bisect = moving & ~newton
+                mid = 0.5 * (lol + hil)
+                u[live[newton]] = step[newton]
+                u[live[bisect]] = mid[bisect]
+                fixed_above = pos & (step == ul)
+                if fixed_above.any():
+                    k = live[fixed_above]
+                    below = np.nextafter(u[k], 0.0)
+                    g_below, slope_below = self._cross(v1[k], v2[k], below)
+                    lower = below - g_below / slope_below == below
+                    u[k[lower]] = below[lower]
+                live = live[newton | (bisect & ~(hil - lol < 4e-16 * (1.0 + mid)))]
+        p1 = np.sin(u)
+        p2 = self.v2_du(np.cos(u), p1)[0]
+        dot = v1 * p1 + v2 * p2
+        missed = ~(dot > 0.0)
+        if missed.any():
+            k = int(np.argmax(missed))
+            raise NoBracketError(
+                f"ray through (+-{v1[k]}, {v2[k]}) misses the indicatrix at R={self.R}")
+        return dot / (p1 * p1 + p2 * p2), u
+
+    def solve_ray(self, v1, v2, seed_u=None):
         """Crossing of the ray through (v1, v2) with the curve.
 
         Returns (scale, u_star) with (v1, v2) = scale * P(u_star).  The solve
@@ -609,7 +668,14 @@ class CurveEval(PhaseKernel):
         [0, pi], where the mirror image of P(u) is P(-u): from the warm start
         seed_u, mirrored with the ray, so that a root that just crossed the
         v2 axis still seeds the next solve well, or cold (_bracket_solve).
+
+        v1 and v2 may be equal-length 1-D arrays, and seed_u then a float or
+        an array: all rays go to one masked Newton (_newton_rays) and each
+        gets the bits of its own float solve.  The input's shape picks the
+        path: the float solves are faster below ~35 rays.
         """
+        if np.ndim(v1):
+            return self._solve_rays(v1, v2, seed_u)
         norm = math.hypot(v1, v2)
         if not 0.0 < norm < math.inf:    # NaN fails as well
             raise DomainError(f"no ray through ({v1}, {v2}): need a finite nonzero vector")
@@ -625,8 +691,41 @@ class CurveEval(PhaseKernel):
             scale, u_star = self.newton_ray(sign * v1, v2, abs(seed_u))
         return scale, sign * u_star
 
+    def _solve_rays(self, v1, v2, seed_u) -> tuple[np.ndarray, np.ndarray]:
+        """solve_ray on equal-length 1-D arrays, with the float path's
+        vertical rays, mirror and typed errors (the first bad ray named)."""
+        v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+        if v1.ndim != 1 or v1.shape != v2.shape:
+            raise DomainError(f"rays need equal-length 1-D arrays, got {v1.shape} and {v2.shape}")
+        # math.hypot as on the float path: np.hypot rounds differently.
+        norm = np.fromiter(map(math.hypot, v1.tolist(), v2.tolist()), float, len(v1))
+        bad = ~((0.0 < norm) & (norm < math.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainError(f"no ray through ({v1[k]}, {v2[k]}): need a finite nonzero vector")
+        scale, u_star = np.empty(len(v1)), np.empty(len(v1))
+        vertical = np.abs(v1) <= 1e-9 * norm
+        if vertical.any():
+            bottom, top = self.endpoint_values()
+            w2 = v2[vertical]
+            scale[vertical] = np.where(w2 < 0, w2 / bottom, w2 / top)
+            u_star[vertical] = np.where(w2 < 0, 0.0, math.pi)
+        ray = ~vertical
+        if ray.any():
+            sign = np.where(v1[ray] > 0, 1.0, -1.0)
+            if seed_u is None:
+                scale[ray], u_ray = self._bracket_solve(sign * v1[ray], v2[ray])
+            else:
+                seeds = np.broadcast_to(np.abs(seed_u), v1.shape)[ray]
+                scale[ray], u_ray = self._newton_rays(sign * v1[ray], v2[ray], seeds)
+            u_star[ray] = sign * u_ray
+        return scale, u_star
+
     def _bracket_solve(self, v1, v2):
-        """Cold solve on the half-curve (v1 > 0): newton_ray from u = pi/2."""
+        """Cold solve on the half-curve (v1 > 0), Newton from u = pi/2: the
+        one entry of every cold ray, float or array."""
+        if isinstance(v1, np.ndarray):
+            return self._newton_rays(v1, v2, np.full(len(v1), 0.5 * math.pi))
         return self.newton_ray(v1, v2, 0.5 * math.pi)
 
 

@@ -101,10 +101,7 @@ def gl_refined(
     a, b, min_width = np.broadcast_arrays(a, b, min_width)
     if np.any(b < a):
         raise DomainError("gl_refined needs a <= b")
-    pieces = [_dyadic_panels(ai, bi, refine_b, wi)
-              for ai, bi, wi in zip(a.ravel().tolist(), b.ravel().tolist(),
-                                    min_width.ravel().tolist())]
-    edges = np.concatenate(pieces)
+    edges, counts = _dyadic_panels(a.ravel(), b.ravel(), refine_b, min_width.ravel())
     lo, hi = edges.T
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
@@ -114,8 +111,8 @@ def gl_refined(
     vals = f(nodes.ravel()).reshape(nodes.shape) if len(edges) else nodes
     sums = []
     start = 0
-    for rows in pieces:
-        stop = start + len(rows)
+    for count in counts.tolist():
+        stop = start + count
         total = 0.0
         # One product per interval: BLAS may round a row differently with
         # the number of rows around it, and an interval keeps its own bits.
@@ -126,22 +123,28 @@ def gl_refined(
     return np.array(sums) if a.ndim else sums[0]
 
 
-def _dyadic_panels(a: float, b: float, toward_b: bool, min_width: float) -> np.ndarray:
-    """(left, right) rows of the panels that refine [a, b] toward one end.
+def _dyadic_panels(a: np.ndarray, b: np.ndarray, toward_b: bool,
+                   min_width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) rows of the panels that refine each [a_i, b_i] toward
+    one end, interval after interval, and each interval's panel count.
 
     The breakpoints sit at the fractions 0.5**k of the length from the
     refined end, k = 1 .. levels; the rows run outward from the unrefined
-    end.  Panels of zero width (rounding, far from the origin) are dropped.
+    end.  All intervals are cut in one array pass: one with fewer levels
+    than the deepest is padded with its refined end, and those panels of
+    zero width are dropped, as are the ones rounding makes (far from the
+    origin).  An empty interval has no panel.
     """
-    if a == b:
-        return np.empty((0, 2))
     length = b - a
-    levels = max(4, int(math.ceil(math.log2(length / min_width))))
-    offsets = length * 0.5 ** np.arange(1, levels + 1)
+    levels = np.array([max(4, int(math.ceil(math.log2(span / width)))) if span else 0
+                       for span, width in zip(length.tolist(), min_width.tolist())], dtype=int)
+    k = np.arange(1, levels.max(initial=0) + 1)
+    offsets = length[:, None] * np.where(k <= levels[:, None], 0.5 ** k, 0.0)
     if toward_b:
-        cuts = np.concatenate(([a], b - offsets, [b]))
-        edges = np.column_stack((cuts[:-1], cuts[1:]))
+        cuts = np.hstack((a[:, None], b[:, None] - offsets, b[:, None]))
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
     else:
-        cuts = np.concatenate(([b], a + offsets, [a]))
-        edges = np.column_stack((cuts[1:], cuts[:-1]))
-    return edges[edges[:, 0] != edges[:, 1]]
+        cuts = np.hstack((b[:, None], a[:, None] + offsets, a[:, None]))
+        lo, hi = cuts[:, 1:], cuts[:, :-1]
+    keep = lo != hi
+    return np.column_stack((lo[keep], hi[keep])), keep.sum(axis=1)

@@ -205,21 +205,21 @@ def run_verification(prof: ZollProfile, samples: int = 64) -> VerificationReport
                 worst = max(worst, abs(f2 - lam * f1) / (lam * f1))
     rep.add("finsler_homogeneity", worst, 1e-10)
 
-    # 12. F = 1 on indicatrix samples.
+    # 12. F = 1 on indicatrix samples, one block of rays per chart value.
     worst = 0.0
     for R in (0.0, 0.6, 1.2):
         curve = moduli.indicatrix_curve(prof, R, 64)
-        for v in zip(curve.v1.tolist(), curve.v2.tolist()):
-            worst = max(worst, abs(finsler.finsler_F(prof, R, 0.0, v).F - 1.0))
+        F = finsler.finsler_F(prof, R, 0.0, (curve.v1, curve.v2)).F
+        worst = max(worst, float(np.max(np.abs(F - 1.0))))
     rep.add("indicatrix_unit_norm", worst, 1e-9)
 
-    # 13. Fundamental tensor positive definite over a direction grid.
+    # 13. Fundamental tensor positive definite over a direction grid, one
+    # block of 24 directions per chart value.
     eig_min = math.inf
+    angles = np.linspace(0.0, 2 * math.pi, 25)[:-1]
     for R in (0.2, 0.7, 1.2):
-        for a in np.linspace(0.0, 2 * math.pi, 25)[:-1]:
-            fe = finsler.fundamental_tensor(prof, R, 0.0,
-                                            (math.cos(a), math.sin(a)))
-            eig_min = min(eig_min, float(np.linalg.eigvalsh(fe.tensor()).min()))
+        fe = finsler.fundamental_tensor(prof, R, 0.0, (np.cos(angles), np.sin(angles)))
+        eig_min = min(eig_min, float(np.linalg.eigvalsh(fe.tensor()).min()))
     rep.add("fundamental_tensor_pd", eig_min, 0.0,
             detail=f"min eigenvalue = {eig_min:.6f}", ok=eig_min > 0.0)
 

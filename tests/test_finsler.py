@@ -209,22 +209,85 @@ def test_closed_form_tensor_matches_difference_oracle(all_good):
 def test_difference_oracle_one_bracket_scan_per_call(all_good, monkeypatch):
     """The centre ray is solved cold once; its phase root seeds the 16
     off-centre solves, none of which is a cold one.  A nearly vertical
-    centre ray goes straight to a glue point and makes no cold solve."""
+    centre ray goes straight to a glue point and makes no cold solve.  The
+    rays entering the cold entry are counted, float or array, so a block
+    makes one cold ray per non-vertical column, in one call."""
     from zollfins.moduli import CurveEval
-    scans = []
+    cold = []
     bracket = CurveEval._bracket_solve
 
     def counting(self, v1, v2):
-        scans.append((v1, v2))
+        cold.append(np.size(v1))
         return bracket(self, v1, v2)
 
     monkeypatch.setattr(CurveEval, "_bracket_solve", counting)
+    block = np.array(VERIFY_DIRECTIONS).T
+    slanted = sum(abs(v[0]) > 1e-9 for v in VERIFY_DIRECTIONS)
+    assert slanted == 22
     for prof in all_good:
         for R in (0.2, 0.7, 1.2):
             for v in VERIFY_DIRECTIONS:
-                scans.clear()
+                cold.clear()
                 fundamental_tensor(prof, R, 0.0, v)
-                assert len(scans) == (0 if abs(v[0]) <= 1e-9 else 1), (R, v)
+                assert cold == ([] if abs(v[0]) <= 1e-9 else [1]), (R, v)
+            cold.clear()
+            fundamental_tensor(prof, R, 0.0, block)
+            assert cold == [slanted], R
+
+
+def test_block_calls_match_single_vector_calls(all_good):
+    """A block of directions gives each column the bits of its own call:
+    the tensor of fundamental_tensor, as an (n, 2, 2) stack, and F of
+    finsler_F, on verify's grid plus the glue rays, from a 2 x n array or a
+    pair of arrays."""
+    block = np.array(VERIFY_DIRECTIONS + TENSOR_DIRECTIONS[-3:]).T
+    for prof in all_good:
+        for R in (-0.8, 0.2, 0.7, 1.2):
+            fe = fundamental_tensor(prof, R, 0.0, block)
+            stack = fe.tensor()
+            assert stack.shape == (block.shape[1], 2, 2)
+            norms = finsler_F(prof, R, 0.0, (block[0], block[1])).F
+            for k, v in enumerate(block.T.tolist()):
+                one = fundamental_tensor(prof, R, 0.0, v)
+                assert np.array_equal(stack[k], one.tensor()), (R, v)
+                assert fe.F[k] == one.F == norms[k] == finsler_F(prof, R, 0.0, v).F
+
+
+def test_block_with_a_bad_column_raises(ex1):
+    """A zero or NaN column fails the whole block with DomainError, as it
+    fails its own call."""
+    for bad in ((0.0, 0.0), (math.nan, 0.5), (0.5, math.nan)):
+        block = np.array([[0.6, bad[0], -0.3], [0.8, bad[1], 0.2]])
+        with pytest.raises(DomainError):
+            fundamental_tensor(ex1, 0.4, 0.0, block)
+        with pytest.raises(DomainError):
+            finsler_F(ex1, 0.4, 0.0, block)
+    with pytest.raises(DomainError):
+        fundamental_tensor(ex1, 0.4, 0.0, np.ones((3, 4)))
+
+
+def test_block_with_a_missed_ray_raises(ex1, monkeypatch):
+    """A kernel fault that lifts the curve above the origin: a downward ray
+    then misses it.  A block holding one such ray raises NoBracketError, as
+    its single-vector call does, and never returns NaN."""
+    from zollfins import NoBracketError
+    from zollfins.moduli import CurveEval
+    v2_du = CurveEval.v2_du
+
+    def lifted(self, cu, su):
+        v2, v2_u = v2_du(self, cu, su)
+        return v2 + 10.0, v2_u
+
+    monkeypatch.setattr(CurveEval, "v2_du", lifted)
+    up = [(math.cos(a), math.sin(a)) for a in (0.3, 1.2, 2.0, 2.9)]
+    for down in ((0.6, -0.8), (-0.2, -1.0)):
+        block = np.array(up[:2] + [down] + up[2:]).T
+        assert np.all(np.isfinite(finsler_F(ex1, 0.4, 0.0, np.array(up).T).F))
+        for call in (finsler_F, fundamental_tensor):
+            with pytest.raises(NoBracketError):
+                call(ex1, 0.4, 0.0, down)
+            with pytest.raises(NoBracketError):
+                call(ex1, 0.4, 0.0, block)
 
 
 def test_closed_form_chart_derivatives(ex1_strong, ex2):

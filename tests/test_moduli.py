@@ -600,6 +600,50 @@ def test_cold_solve_cross_product_budget(coeffs, monkeypatch):
             assert len(calls) <= 32, (R, a, len(calls))
 
 
+#: The rays of the array-solve tests: 720 directions, then exactly vertical
+#: rays and rays 1e-12 off vertical on all four sides of the v2 axis.
+ARRAY_RAYS = np.array(
+    [[math.cos(a), math.sin(a)] for a in np.linspace(-math.pi, math.pi, 721)[:-1]]
+    + [[0.0, 1.0], [-0.0, 1.0], [0.0, -1.0], [-0.0, -0.5],
+       [1e-12, 1.0], [-1e-12, 1.0], [1e-12, -1.0], [-1e-12, -1.0]]).T
+
+
+@pytest.mark.parametrize("coeffs", RAY_PROFILES + (T21,))
+def test_array_solve_matches_float_solves(coeffs):
+    """An array of rays gets, ray by ray, the bits of the float solve, in
+    scale and in u (its sign included): cold, from a float seed, and from
+    arrays of the 41 seeds of the warm-start test, one per ray, in six
+    rotations, so that every direction starts from six of them."""
+    prof = ZollProfile.from_string(coeffs)
+    v1, v2 = ARRAY_RAYS
+    seeds = np.linspace(-math.pi, math.pi, 41)
+    per_ray = [np.resize(np.roll(seeds, 7 * j), len(v1)) for j in range(6)]
+    for R in RAY_CHARTS:
+        curve = CurveEval(prof, R)
+        for seed in [None, 1.0] + per_ray:
+            scale, u_star = curve.solve_ray(v1, v2, seed)
+            for k, (x, y) in enumerate(zip(v1.tolist(), v2.tolist())):
+                one = curve.solve_ray(x, y, None if seed is None else float(
+                    np.broadcast_to(seed, v1.shape)[k]))
+                got = (float(scale[k]), float(u_star[k]))
+                assert got == one and math.copysign(1.0, got[1]) == math.copysign(
+                    1.0, one[1]), (R, seed, x, y)
+
+
+def test_array_solve_typed_errors(ex1):
+    """The array path raises the float path's errors, naming the first bad
+    ray: DomainError for a zero or non-finite ray and for unequal arrays."""
+    curve = CurveEval(ex1, 0.4)
+    for bad in ((0.0, 0.0), (math.nan, 1.0), (1.0, math.inf)):
+        v1, v2 = np.array([0.6, bad[0], -0.3]), np.array([0.8, bad[1], 0.2])
+        with pytest.raises(DomainError, match=rf"\({bad[0]}, {bad[1]}\)"):
+            curve.solve_ray(v1, v2)
+    with pytest.raises(DomainError):
+        curve.solve_ray(np.ones(3), np.ones(4))
+    with pytest.raises(DomainError):
+        curve.solve_ray(np.ones((2, 2)), np.ones((2, 2)))
+
+
 @pytest.mark.parametrize("R", [0.3, 1.2, 1.5600000100725198])
 def test_ray_root_lies_on_ray_near_glue_points(all_good, R):
     """Nearly vertical rays: the phase root the solver returns is the jet

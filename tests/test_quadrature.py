@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from zollfins import (DomainError, ZollProfile, example1, example2, jacobi, moduli,
-                      turning_latitude)
+from zollfins import (BandError, DomainError, ZollProfile, example1, example2, jacobi,
+                      moduli, turning_latitude)
 from zollfins.jacobi import curvature_integral, curvature_integral_tail
-from zollfins.quadrature import gl_fixed, gl_refined
+from zollfins.quadrature import _dyadic_panels, gl_fixed, gl_refined
 
 
 def serial_refined(f, a, b, refine_b, order=48, min_width=1e-13):
@@ -87,6 +87,75 @@ def test_gl_refined_calls_integrand_once(a, b, refine_a, refine_b):
     gl_refined(counting, a, b, refine_a=refine_a, refine_b=refine_b)
     assert len(calls) == 1
     assert len(calls[0]) == 1 and calls[0][0] % 48 == 0
+
+
+def one_interval_panels(a, b, toward_b, min_width):
+    """Reference: the per-interval panel construction, one call per
+    interval, that the one-pass _dyadic_panels replaced."""
+    if a == b:
+        return np.empty((0, 2))
+    length = b - a
+    levels = max(4, int(math.ceil(math.log2(length / min_width))))
+    offsets = length * 0.5 ** np.arange(1, levels + 1)
+    if toward_b:
+        cuts = np.concatenate(([a], b - offsets, [b]))
+        edges = np.column_stack((cuts[:-1], cuts[1:]))
+    else:
+        cuts = np.concatenate(([b], a + offsets, [a]))
+        edges = np.column_stack((cuts[1:], cuts[:-1]))
+    return edges[edges[:, 0] != edges[:, 1]]
+
+
+#: (a, b, min_width): empty intervals, 4-level ones, ~40-level ones and
+#: one whose deepest panels round to zero width far from the origin.
+PANEL_BATCH = [(0.3, 0.3, 1e-13), (0.2, 1.3, 0.5), (0.2, 1.3, 1e-13),
+               (-0.7, 2.9, 3e-12), (1.0, 1.0, 0.1), (0.0, 1.5, 0.2),
+               (1e3, 1e3 + 1e-9, 1e-25), (0.1, 0.6, 1e-12), (2.0, 2.0, 1e-13)]
+
+
+@pytest.mark.parametrize("refine_b", [True, False])
+def test_one_pass_panels_match_per_interval_calls(refine_b):
+    a, b, w = (np.array(col) for col in zip(*PANEL_BATCH))
+    edges, counts = _dyadic_panels(a, b, refine_b, w)
+    want = [one_interval_panels(*row[:2], refine_b, row[2]) for row in PANEL_BATCH]
+    assert counts.tolist() == [len(rows) for rows in want]
+    # Levels 0, 4, 44, 41, 0, 4, 54, 39, 0: the 54-level interval keeps 14
+    # panels, since rounding at 1e3 empties the others.
+    assert counts.tolist() == [0, 5, 45, 42, 0, 5, 14, 40, 0]
+    assert np.array_equal(edges, np.concatenate(want))
+
+    def f(u):
+        return np.exp(np.sin(3.0 * u)) / (4.0 + u)
+
+    kwargs = {"refine_b": True} if refine_b else {"refine_a": True}
+    batch = gl_refined(f, a, b, min_width=w, **kwargs)
+    assert batch.tolist() == [gl_refined(f, *row[:2], min_width=row[2], **kwargs)
+                              for row in PANEL_BATCH]
+
+
+def test_batched_checks_name_the_first_bad_latitude():
+    """One array check per batch: the first latitude outside the band (or
+    on the wrong side of the equator) raises its own typed error."""
+    profile = example2()
+    c, R = 0.3, math.asin(0.3)
+    below = [0.5, 0.9, 0.2, 1.2, 0.1]          # 0.2 and 0.1 lie below r_c = 0.305
+    with pytest.raises(BandError, match="latitude 0.2 outside"):
+        curvature_integral(profile, c, below)
+    with pytest.raises(BandError, match="latitude 2.9 outside"):  # pi - r_c = 2.84
+        curvature_integral_tail(profile, c, [2.0, 2.9, 1.0])
+    with pytest.raises(DomainError, match="diverges") as excinfo:
+        curvature_integral(profile, c, [0.5, 1.7, 0.2])
+    assert not isinstance(excinfo.value, BandError)
+    with pytest.raises(DomainError, match="requires r > pi/2"):
+        curvature_integral_tail(profile, c, [2.0, 1.0, 3.0])
+    with pytest.raises(BandError, match="latitude 0.2 outside"):
+        moduli.indicatrix_parametric_samples(profile, R, below, [1] * 5)
+    with pytest.raises(DomainError, match="branch must be"):
+        moduli.indicatrix_parametric_samples(profile, R, below, [1, 0, 1, 1, 1])
+    with pytest.raises(BandError, match="latitude 0.2 outside"):
+        moduli.indicatrix_parametric_samples(profile, R, below, [1, 1, 1, 0, 1])
+    with pytest.raises(BandError):
+        moduli.indicatrix_parametric_samples(profile, R, [0.5, math.nan], [1, 1])
 
 
 # -- the curvature integral Phi against a 30-digit reference ---------------------
