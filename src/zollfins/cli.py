@@ -15,12 +15,15 @@ verify      run the cross-module verification suites; exit 3 if any check
 All numeric output uses 17 significant digits; files are written atomically
 (temp file + rename), and repeated runs with the same configuration produce
 byte-identical outputs.  Indicatrix curves come as arrays, and the writers
-format each number once, column by column.
+format each column in one ``%`` pass over its values.  The argument parser
+is built once per process and shared by every call of main (parsing leaves
+it unchanged; each call's values live on the namespace it returns).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,11 +67,14 @@ def atomic_write(path: Path, text: str):
 # -- output writers -------------------------------------------------------------
 
 def _column(values, spec: str = ".17g") -> list[str]:
-    return [format(x, spec) for x in np.asarray(values, dtype=float).tolist()]
+    # "%.17g" % x and format(x, ".17g") are the same routine; one % over the
+    # whole column saves the per-number call.
+    values = tuple(np.asarray(values, dtype=float).tolist())
+    return (f"%{spec}," * len(values) % values).split(",")[:-1]
 
 
 def _csv(header: str, *columns: list[str]) -> str:
-    return "\n".join([header] + [",".join(row) for row in zip(*columns)]) + "\n"
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
 def _curve_column(values, spec: str = ".17g", sign: str = "") -> list[str]:
@@ -121,7 +127,7 @@ def indicatrices_svg(curves: list[tuple[float, moduli.IndicatrixCurve]],
         color = PALETTE[k % len(PALETTE)]
         v1 = _curve_column(curve.v1, ".10g", "-")
         v2 = _curve_column(curve.v2, ".10g")
-        pts = " ".join(f"{a},{b}" for a, b in zip(v1 + v1[:1], v2 + v2[:1]))
+        pts = " ".join(map(",".join, zip(v1 + v1[:1], v2 + v2[:1])))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="{half / 100}"/>')
     parts.append("</g>")
@@ -231,6 +237,15 @@ def _pair(text: str) -> tuple[float, float]:
     return vals[0], vals[1]
 
 
+_SIDES = ("zoll", "finsler")
+
+
+def _side(text: str) -> str:
+    if text not in _SIDES:
+        raise ValueError(f"side must be one of {_SIDES}")
+    return text
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool):
     # The same flags are accepted before and after the subcommand; the
     # after-subcommand copies use SUPPRESS so they never clobber values that
@@ -245,7 +260,9 @@ def _add_common(parser: argparse.ArgumentParser, suppress: bool):
                         help="key=value config file; explicit flags win")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="zollfins",
         description="Rotationally symmetric Zoll spheres and the induced "
@@ -260,36 +277,40 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ind, suppress=True)
     p_ind.add_argument("--R", type=_float_list, default=None,
                        help="chart values, comma separated")
-    p_ind.add_argument("--plot-size", type=int, default=640,
-                       help="SVG width/height in pixels")
+    p_ind.add_argument("--plot-size", type=int, default=None,
+                       help="SVG width/height in pixels (default 640)")
 
     p_geo = sub.add_parser("geodesic", help="emit a geodesic trace")
     _add_common(p_geo, suppress=True)
-    p_geo.add_argument("--side", choices=("zoll", "finsler"), default="zoll")
+    p_geo.add_argument("--side", choices=_SIDES, default=None,
+                       help="zoll (default) or finsler")
     p_geo.add_argument("--c", type=float, default=None,
                        help="Clairaut constant (zoll side)")
     p_geo.add_argument("--r0", type=float, default=None,
                        help="initial latitude (zoll side; default: turning point)")
-    p_geo.add_argument("--theta0", type=float, default=0.0)
+    p_geo.add_argument("--theta0", type=float, default=None,
+                       help="initial longitude (zoll side; default 0)")
     p_geo.add_argument("--start", type=_pair, default=None,
                        help="chart start point R,Theta (finsler side)")
-    p_geo.add_argument("--dir", dest="direction", type=float, default=0.3,
-                       help="initial chart direction angle (finsler side)")
-    p_geo.add_argument("--t-end", dest="t_end", type=float, default=2 * math.pi)
+    p_geo.add_argument("--dir", dest="direction", type=float, default=None,
+                       help="initial chart direction angle (finsler side; default 0.3)")
+    p_geo.add_argument("--t-end", dest="t_end", type=float, default=None,
+                       help="trace length (default 2 pi)")
 
     p_ver = sub.add_parser("verify", help="run the verification suites")
     _add_common(p_ver, suppress=True)
     return parser
 
 
-#: config keys -> (attribute, parser); flags win over config values.
+#: config keys -> (attribute, parser); flags win over config values.  Every
+#: flag a key names defaults to None, so that a config value can fill it.
 _CONFIG_KEYS = {
     "h": ("h", str),
     "out": ("out", str),
     "samples": ("samples", int),
     "R": ("R", _float_list),
     "c": ("c", float),
-    "side": ("side", str),
+    "side": ("side", _side),
     "start": ("start", _pair),
     "dir": ("direction", float),
     "t-end": ("t_end", float),
@@ -298,7 +319,9 @@ _CONFIG_KEYS = {
     "r0": ("r0", float),
 }
 
-_DEFAULTS = {"h": "0", "out": ".", "samples": 512}
+_DEFAULTS = {"h": "0", "out": ".", "samples": 512, "side": "zoll",
+             "direction": 0.3, "t_end": 2 * math.pi, "theta0": 0.0,
+             "plot_size": 640}
 
 
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -323,7 +346,7 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
             setattr(args, attr, value)
     if not 16 <= args.samples <= MAX_SAMPLES:
         raise ProfileError(f"sample count {args.samples} outside [16, {MAX_SAMPLES}]")
-    if getattr(args, "plot_size", 1) < 1:
+    if args.plot_size < 1:
         raise ProfileError(f"plot size {args.plot_size} below 1")
     return args
 

@@ -264,7 +264,7 @@ def indicatrix_regularized(profile: ZollProfile, R: float, r: float,
     cos_R = math.cos(R)
     v1 = branch * math.sqrt(float(band_radicand(math.sin(R), r, abs(R)))) / cos_R
     return IndicatrixSample(R, Theta, branch, r, v1,
-                            CurveEval(profile, R).v2_du(math.cos(r) / cos_R, v1)[0])
+                            curve_cache(profile, R).v2_du(math.cos(r) / cos_R, v1)[0])
 
 
 def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
@@ -287,7 +287,7 @@ def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
     x = math.cos(r)
     sr = math.sin(r)
     y = math.sqrt(float(band_radicand(math.sin(R), r)))
-    (p1, p2), (t1, t2), (a1, a2), _, _ = CurveEval(profile, R).jet(
+    (p1, p2), (t1, t2), (a1, a2), _, _ = curve_cache(profile, R).jet(
         signed_phase(math.sin(R), r, branch))
     left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * (sr / y) ** 2
     right = ((1.0 + profile.h(x)) * sr / y) ** 2 * float(curvature_x(profile, x))

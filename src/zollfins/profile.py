@@ -171,9 +171,16 @@ def horner_jet(coeffs: tuple[float, ...], w):
 
 
 def _bisect_root(f, lo: float, hi: float, iters: int = 80) -> float:
+    """A sign change of f in [lo, hi] by bisection, at most ``iters`` steps.
+
+    Once mid rounds to lo or hi (adjacent floats), no later step can move
+    the bracket, and the full loop would return that mid; so it stops there.
+    """
     flo = float(f(lo))
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         fmid = float(f(mid))
         if fmid == 0.0:
             return mid

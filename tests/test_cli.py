@@ -455,3 +455,88 @@ def test_writers_match_row_by_row_reference(h):
     xs = np.linspace(-1.0, 1.0, 64)
     gs = np.asarray(curvature_x(prof, xs))
     assert cli.curvature_csv(xs, gs) == reference_curvature_csv(xs, gs)
+
+
+# -- the shared parser and config keys ------------------------------------------
+
+def _outputs(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def test_shared_parser_leaks_nothing(tmp_path, capsys):
+    """main reuses one parser; every call's outputs equal those of a call
+    made with a parser of its own, and no flag or config value carries into
+    a later call."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 48\nplot-size = 100\nside = finsler\n"
+                   "t-end = 1.0\ndir = 0.7\ntheta0 = 0.5\n")
+    calls = {
+        "verify": ["--h=0.25,-0.25", "--samples", "64", "verify"],
+        "ind-cfg": ["--h=0.45,-0.45", "--config", str(cfg), "indicatrix",
+                    "--R=0.2,-0.9", "--plot-size", "120"],
+        "ind": ["--h=0.45,-0.45", "--samples", "64", "indicatrix", "--R=0.2,-0.9"],
+        "zoll": ["--h=1,-2,1", "--samples", "64", "geodesic", "--c=0.5"],
+        "finsler": ["--h=1,-2,1", "geodesic", "--side", "finsler"],
+    }
+
+    def run(name, out_dir):
+        code = main(["--out", str(out_dir)] + calls[name])
+        text = capsys.readouterr()
+        return code, (text.out + text.err).replace(str(out_dir), "OUT"), _outputs(out_dir)
+
+    alone = {}
+    for name in calls:
+        cli.build_parser.cache_clear()
+        alone[name] = run(name, tmp_path / f"alone-{name}")
+    parser = cli.build_parser()
+    sequence = ["verify", "ind-cfg", "zoll", "finsler", "ind",
+                "verify", "ind-cfg", "ind", "zoll", "finsler"]
+    for k, name in enumerate(sequence):
+        assert run(name, tmp_path / f"seq-{k}") == alone[name], name
+    assert cli.build_parser() is parser
+    svg = alone["ind"][2]["indicatrices.svg"].decode()
+    assert 'width="640" height="640"' in svg
+    assert 'width="120" height="120"' in alone["ind-cfg"][2]["indicatrices.svg"].decode()
+
+
+def test_every_config_key_applies(tmp_path, capsys):
+    """side, dir, t-end, theta0 and plot-size from a config file take effect;
+    flags still win."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 1,-2,1\nside = finsler\nt-end = 1.0\ndir = 0.7\n")
+    out = tmp_path / "fin"
+    assert main(["--config", str(cfg), "--out", str(out), "geodesic"]) == 0
+    assert [p.name for p in out.iterdir()] == ["geodesic_finsler.csv"]
+    rows = (out / "geodesic_finsler.csv").read_text().strip().splitlines()
+    assert float(rows[-1].split(",")[0]) == 1.0
+    flagged = tmp_path / "flagged"
+    assert main(["--config", str(cfg), "--out", str(flagged), "geodesic",
+                 "--side", "finsler", "--dir", "0.7", "--t-end", "1.0"]) == 0
+    assert _outputs(flagged) == _outputs(out)
+
+    cfg.write_text("h = 1,-2,1\nside = finsler\ntheta0 = 0.5\nt-end = 1.0\n")
+    out = tmp_path / "zoll"
+    assert main(["--config", str(cfg), "--out", str(out), "geodesic",
+                 "--side", "zoll", "--c=0.5"]) == 0
+    rows = (out / "geodesic_zoll.csv").read_text().strip().splitlines()
+    assert float(rows[1].split(",")[2]) == 0.5
+    assert float(rows[-1].split(",")[0]) == 1.0
+
+    cfg.write_text("plot-size = 100\n")
+    out = tmp_path / "ind"
+    assert main(["--config", str(cfg), "--out", str(out), "--samples", "32",
+                 "indicatrix", "--R=0.3"]) == 0
+    assert 'width="100" height="100"' in (out / "indicatrices.svg").read_text()
+    assert main(["--config", str(cfg), "--out", str(out), "--samples", "32",
+                 "indicatrix", "--R=0.3", "--plot-size", "50"]) == 0
+    assert 'width="50" height="50"' in (out / "indicatrices.svg").read_text()
+    capsys.readouterr()
+
+
+def test_config_side_outside_choices_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("side = spray\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "geodesic"]) == 1
+    assert "bad config value for 'side': 'spray'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -261,3 +261,66 @@ def test_metric_degenerates_at_poles(ex1):
         metric_coeffs(ex1, 0.0)
     with pytest.raises(DegenerateMetricError):
         metric_coeffs(ex1, math.pi)
+
+
+# -- root bisection -------------------------------------------------------------
+
+def bisect_80(f, lo, hi, iters=80):
+    """The full 80-step bisection that _bisect_root stops early."""
+    flo = float(f(lo))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fmid = float(f(mid))
+        if fmid == 0.0:
+            return mid
+        if (flo < 0) == (fmid < 0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+T21 = (0.01953125, -1.50390625, 32.484375, -321.75, 1751.75, -5733.0, 11760.0,
+       -15232.0, 12096.0, -5376.0, 1024.0)
+
+
+def seeded_profile(rng, degree):
+    """Random odd coefficients up to ``degree`` with sum 0, scaled to max |h| = 0.9."""
+    a = rng.standard_normal((degree + 1) // 2)
+    xs = np.linspace(-1.0, 1.0, 4001)
+    a *= 0.9 / np.max(np.abs(xs * np.polynomial.polynomial.polyval(xs * xs, a)))
+    a[-1] = -math.fsum(a[:-1])
+    return ZollProfile(a)
+
+
+def test_bisect_root_keeps_the_80_step_bits():
+    """_bisect_root stops once mid rounds to an end of the bracket; on the
+    scan brackets of h' and dG/dx (and jittered brackets about their roots)
+    it returns the 80-step loop's float, in at most 50 evaluations."""
+    from zollfins.profile import _SCAN_POINTS, _bisect_root
+    rng = np.random.default_rng(20261020)
+    profiles = [ZollProfile(T21)] + [seeded_profile(rng, degree)
+                                     for degree in (3, 5, 21) for _ in range(4)]
+    xs = np.linspace(-1.0, 1.0, _SCAN_POINTS)
+    dx = float(xs[1] - xs[0])
+    brackets = 0
+    for profile in profiles:
+        for f in (profile.h_prime, lambda x, p=profile: curvature_x_prime(p, x)):
+            fx = np.asarray(f(xs))
+            flips = np.nonzero(np.sign(fx[:-1]) * np.sign(fx[1:]) < 0)[0]
+            for i in flips:
+                lo, hi = float(xs[i]), float(xs[i + 1])
+                root = bisect_80(f, lo, hi)
+                jitter = [(root - u * dx, root + v * dx) for u, v in rng.uniform(0.01, 1.0, (4, 2))]
+                for a, b in [(lo, hi)] + jitter:
+                    calls = []
+
+                    def counted(x, f=f):
+                        calls.append(x)
+                        return f(x)
+
+                    got = _bisect_root(counted, a, b)
+                    assert repr(got) == repr(bisect_80(f, a, b)), (profile, a, b)
+                    assert len(calls) <= 50, (profile, a, b, len(calls))
+                    brackets += 1
+    assert brackets > 300, brackets
