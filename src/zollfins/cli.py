@@ -15,9 +15,13 @@ verify      run the cross-module verification suites; exit 3 if any check
 All numeric output uses 17 significant digits; files are written atomically
 (temp file + rename), and repeated runs with the same configuration produce
 byte-identical outputs.  Indicatrix curves come as arrays, and the writers
-format each column in one ``%`` pass over its values.  The argument parser
-is built once per process and shared by every call of main (parsing leaves
-it unchanged; each call's values live on the namespace it returns).
+format each column in one ``%`` pass over its values.
+
+Each option is declared once, as a row of ``OPTIONS``: its flag, which
+without the dashes is also its ``--config`` key, its value parser, its
+default and the subcommand that takes it.  The argument parser is built
+from that table once per process and shared by every call of main (parsing
+leaves it unchanged; each call's values live on the namespace it returns).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -182,35 +187,33 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
 
 
 def cmd_geodesic(profile: ZollProfile, args) -> int:
-    out_dir = Path(args.out)
+    note = None
     if args.side == "zoll":
-        c = 0.5 if args.c is None else args.c
+        c = args.c
         r0 = args.r0 if args.r0 is not None else \
             (math.pi / 2 if abs(c) >= 1.0 else geodesics.turning_latitude(c))
         state = geodesics.GeodesicState(r0, args.theta0, c, +1)
         trace = geodesics.integrate_geodesic(profile, state, args.t_end,
                                              samples_per_period=args.samples)
-        path = out_dir / "geodesic_zoll.csv"
-        atomic_write(path, zoll_trace_csv(trace))
+        path = Path(args.out) / "geodesic_zoll.csv"
+        text = zoll_trace_csv(trace)
+    else:
+        v0 = finsler.unit_direction(profile, *args.start, args.direction)
+        path = Path(args.out) / "geodesic_finsler.csv"
+        try:
+            trace = finsler.finsler_geodesic(profile, args.start, v0, args.t_end,
+                                             samples_per_period=args.samples)
+        except ChartExitError as exc:
+            if exc.partial_trace is None:       # the start itself is off the chart
+                raise
+            trace = exc.partial_trace
+            note = f"chart exit: {exc}; partial trace written to {path}"
+        text = finsler_trace_csv(trace)
+    atomic_write(path, text)
+    if note is None:
         print(f"wrote {path}")
-        return 0
-
-    start = args.start or (0.2, 0.0)
-    v0 = finsler.unit_direction(profile, start[0], start[1], args.direction)
-    try:
-        trace = finsler.finsler_geodesic(profile, start, v0, args.t_end,
-                                         samples_per_period=args.samples)
-    except ChartExitError as exc:
-        if exc.partial_trace is None:       # the start itself is off the chart
-            raise
-        path = out_dir / "geodesic_finsler.csv"
-        atomic_write(path, finsler_trace_csv(exc.partial_trace))
-        print(f"chart exit: {exc}; partial trace written to {path}",
-              file=sys.stderr)
-        return 0
-    path = out_dir / "geodesic_finsler.csv"
-    atomic_write(path, finsler_trace_csv(trace))
-    print(f"wrote {path}")
+    else:
+        print(note, file=sys.stderr)
     return 0
 
 
@@ -237,27 +240,55 @@ def _pair(text: str) -> tuple[float, float]:
     return vals[0], vals[1]
 
 
-_SIDES = ("zoll", "finsler")
+class Option(NamedTuple):
+    """One command-line option.  ``--name`` is its flag and ``name`` its
+    config key; ``parse`` reads both.  ``default`` applies when neither sets
+    it.  ``command`` is the subcommand that takes it, or "common" for an
+    option accepted both before and after the subcommand."""
+
+    name: str
+    dest: str
+    parse: Callable[[str], Any]
+    default: Any
+    command: str
+    help: str
+    metavar: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
-def _side(text: str) -> str:
-    if text not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}")
-    return text
+#: Every option, declared once: the parser, the config keys and the defaults
+#: all read this table.
+OPTIONS = (
+    Option("h", "h", str, "0", "common",
+           "odd profile coefficients, ascending, e.g. 0.25,-0.25", metavar="COEFFS"),
+    Option("out", "out", str, ".", "common", "output directory"),
+    Option("samples", "samples", int, 512, "common",
+           f"sample count / trace density (16 to {MAX_SAMPLES})"),
+    Option("config", "config", str, None, "common",
+           "key=value config file; explicit flags win"),
+    Option("R", "R", _float_list, None, "indicatrix", "chart values, comma separated"),
+    Option("plot-size", "plot_size", int, 640, "indicatrix",
+           "SVG width/height in pixels (default 640)"),
+    Option("side", "side", str, "zoll", "geodesic", "zoll (default) or finsler",
+           choices=("zoll", "finsler")),
+    Option("c", "c", float, 0.5, "geodesic", "Clairaut constant (zoll side)"),
+    Option("r0", "r0", float, None, "geodesic",
+           "initial latitude (zoll side; default: turning point)"),
+    Option("theta0", "theta0", float, 0.0, "geodesic", "initial longitude (zoll side; default 0)"),
+    Option("start", "start", _pair, (0.2, 0.0), "geodesic",
+           "chart start point R,Theta (finsler side)"),
+    Option("dir", "direction", float, 0.3, "geodesic",
+           "initial chart direction angle (finsler side; default 0.3)"),
+    Option("t-end", "t_end", float, 2 * math.pi, "geodesic", "trace length (default 2 pi)"),
+)
 
+#: Config keys: every option but --config itself.
+_CONFIG_OPTIONS = {opt.name: opt for opt in OPTIONS if opt.dest != "config"}
 
-def _add_common(parser: argparse.ArgumentParser, suppress: bool):
-    # The same flags are accepted before and after the subcommand; the
-    # after-subcommand copies use SUPPRESS so they never clobber values that
-    # were already parsed at the top level.
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--h", default=default, metavar="COEFFS",
-                        help="odd profile coefficients, ascending, e.g. 0.25,-0.25")
-    parser.add_argument("--out", default=default, help="output directory")
-    parser.add_argument("--samples", type=int, default=default,
-                        help=f"sample count / trace density (16 to {MAX_SAMPLES})")
-    parser.add_argument("--config", default=default,
-                        help="key=value config file; explicit flags win")
+_COMMANDS = (("curvature", "scan the Gauss curvature"),
+             ("indicatrix", "emit indicatrix curves"),
+             ("geodesic", "emit a geodesic trace"),
+             ("verify", "run the verification suites"))
 
 
 @functools.cache
@@ -267,64 +298,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zollfins",
         description="Rotationally symmetric Zoll spheres and the induced "
                     "constant-curvature Finsler metrics on their spaces of geodesics.")
-    _add_common(parser, suppress=False)
-
     sub = parser.add_subparsers(dest="command", required=True)
-    p_cur = sub.add_parser("curvature", help="scan the Gauss curvature")
-    _add_common(p_cur, suppress=True)
-
-    p_ind = sub.add_parser("indicatrix", help="emit indicatrix curves")
-    _add_common(p_ind, suppress=True)
-    p_ind.add_argument("--R", type=_float_list, default=None,
-                       help="chart values, comma separated")
-    p_ind.add_argument("--plot-size", type=int, default=None,
-                       help="SVG width/height in pixels (default 640)")
-
-    p_geo = sub.add_parser("geodesic", help="emit a geodesic trace")
-    _add_common(p_geo, suppress=True)
-    p_geo.add_argument("--side", choices=_SIDES, default=None,
-                       help="zoll (default) or finsler")
-    p_geo.add_argument("--c", type=float, default=None,
-                       help="Clairaut constant (zoll side)")
-    p_geo.add_argument("--r0", type=float, default=None,
-                       help="initial latitude (zoll side; default: turning point)")
-    p_geo.add_argument("--theta0", type=float, default=None,
-                       help="initial longitude (zoll side; default 0)")
-    p_geo.add_argument("--start", type=_pair, default=None,
-                       help="chart start point R,Theta (finsler side)")
-    p_geo.add_argument("--dir", dest="direction", type=float, default=None,
-                       help="initial chart direction angle (finsler side; default 0.3)")
-    p_geo.add_argument("--t-end", dest="t_end", type=float, default=None,
-                       help="trace length (default 2 pi)")
-
-    p_ver = sub.add_parser("verify", help="run the verification suites")
-    _add_common(p_ver, suppress=True)
+    commands = {name: sub.add_parser(name, help=text) for name, text in _COMMANDS}
+    for opt in OPTIONS:
+        # Every flag defaults to None, so that a config value can fill it.
+        # The copies of a common option after the subcommand use SUPPRESS so
+        # they never clobber a value already parsed before it.
+        if opt.command == "common":
+            targets = [(parser, None)] + [(p, argparse.SUPPRESS) for p in commands.values()]
+        else:
+            targets = [(commands[opt.command], None)]
+        for target, default in targets:
+            target.add_argument(f"--{opt.name}", dest=opt.dest, type=opt.parse,
+                                default=default, metavar=opt.metavar,
+                                choices=opt.choices, help=opt.help)
     return parser
 
 
-#: config keys -> (attribute, parser); flags win over config values.  Every
-#: flag a key names defaults to None, so that a config value can fill it.
-_CONFIG_KEYS = {
-    "h": ("h", str),
-    "out": ("out", str),
-    "samples": ("samples", int),
-    "R": ("R", _float_list),
-    "c": ("c", float),
-    "side": ("side", _side),
-    "start": ("start", _pair),
-    "dir": ("direction", float),
-    "t-end": ("t_end", float),
-    "plot-size": ("plot_size", int),
-    "theta0": ("theta0", float),
-    "r0": ("r0", float),
-}
-
-_DEFAULTS = {"h": "0", "out": ".", "samples": 512, "side": "zoll",
-             "direction": 0.3, "t_end": 2 * math.pi, "theta0": 0.0,
-             "plot_size": 640}
-
-
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill each option that no flag set from the config file, then from its
+    default; flags win over config values."""
     if args.config:
         for raw in Path(args.config).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -333,17 +326,20 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
             if "=" not in line:
                 raise ProfileError(f"bad config line: {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            opt = _CONFIG_OPTIONS.get(key)
+            if opt is None:
                 raise ProfileError(f"unknown config key: {key!r}")
-            attr, parse = _CONFIG_KEYS[key]
-            if getattr(args, attr, None) is None:
+            if getattr(args, opt.dest, None) is None:
                 try:
-                    setattr(args, attr, parse(value))
+                    parsed = opt.parse(value)
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise ProfileError(f"bad config value for {key!r}: {value!r}") from exc
-    for attr, value in _DEFAULTS.items():
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+                if opt.choices and parsed not in opt.choices:
+                    raise ProfileError(f"bad config value for {key!r}: {value!r}")
+                setattr(args, opt.dest, parsed)
+    for opt in OPTIONS:
+        if getattr(args, opt.dest, None) is None:
+            setattr(args, opt.dest, opt.default)
     if not 16 <= args.samples <= MAX_SAMPLES:
         raise ProfileError(f"sample count {args.samples} outside [16, {MAX_SAMPLES}]")
     if args.plot_size < 1:

@@ -110,7 +110,7 @@ class GeodesicState:
             raise DomainError(f"state r = {self.r}, theta = {self.theta} is not finite")
         if not 0.0 <= self.r <= math.pi:
             raise BandError(f"latitude {self.r} outside [0, pi]")
-        if not abs(self.c) <= 1.0 + 1e-12:       # NaN fails too
+        if not abs(self.c) <= 1.0:       # NaN fails too
             raise DomainError(f"|c| = {abs(self.c)} outside [0, 1]")
         if abs(self.c) > math.sin(self.r) + 1e-12:
             raise BandError(

@@ -192,7 +192,7 @@ def curvature_integral(profile: ZollProfile, c: float, r):
     array of the integrals comes back, each with the bits of its own call.
     """
     u_r, f, min_width = _pole_panels(profile, c, r, below=True)
-    return gl_refined(f, 0.0, u_r, refine_b=True, min_width=min_width)
+    return gl_refined(f, 0.0, u_r, refine="b", min_width=min_width)
 
 
 def curvature_integral_tail(profile: ZollProfile, c: float, r):
@@ -202,7 +202,7 @@ def curvature_integral_tail(profile: ZollProfile, c: float, r):
     u_r - pi/2 to the pole; ``r`` may be a 1-D array, as in curvature_integral.
     """
     u_r, f, min_width = _pole_panels(profile, c, r, below=False)
-    return gl_refined(f, u_r, math.pi, refine_a=True, min_width=min_width)
+    return gl_refined(f, u_r, math.pi, refine="a", min_width=min_width)
 
 
 def curvature_integral_full(profile: ZollProfile, c: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -21,6 +21,11 @@ Integrand = Callable[[np.ndarray], np.ndarray]
 #: Order ladder used by :func:`gl_adaptive`.  Its integrands in this package
 #: are analytic on the whole interval, so escalation terminates early.
 DEFAULT_ORDERS = (64, 128, 256, 512, 1024, 2048)
+
+#: :func:`gl_adaptive` stops when two consecutive orders agree to within
+#: max(ADAPTIVE_ATOL, ADAPTIVE_RTOL * |value|).
+ADAPTIVE_RTOL = 1e-13
+ADAPTIVE_ATOL = 1e-13
 
 
 @lru_cache(maxsize=64)
@@ -39,15 +44,8 @@ def gl_fixed(f: Integrand, a: float, b: float, n: int) -> float:
     return half * float(np.dot(w, f(mid + half * x)))
 
 
-def gl_adaptive(
-    f: Integrand,
-    a: float,
-    b: float,
-    *,
-    rtol: float = 1e-13,
-    atol: float = 1e-13,
-    orders=DEFAULT_ORDERS,
-) -> tuple[float, float]:
+def gl_adaptive(f: Integrand, a: float, b: float, *,
+                orders=DEFAULT_ORDERS) -> tuple[float, float]:
     """Escalate the quadrature order until two consecutive estimates agree.
 
     Returns ``(value, error_estimate)`` where the estimate is the difference
@@ -58,7 +56,7 @@ def gl_adaptive(
     for n in orders[1:]:
         cur = gl_fixed(f, a, b, n)
         err = abs(cur - prev)
-        if err <= max(atol, rtol * abs(cur)):
+        if err <= max(ADAPTIVE_ATOL, ADAPTIVE_RTOL * abs(cur)):
             return cur, err
         prev = cur
     raise QuadratureError(
@@ -71,12 +69,11 @@ def gl_refined(
     a: float | np.ndarray,
     b: float | np.ndarray,
     *,
-    refine_a: bool = False,
-    refine_b: bool = False,
+    refine: Literal["a", "b"],
     min_width: float | np.ndarray = 1e-13,
 ) -> float | np.ndarray:
     """Order-48 panel quadrature over [a, b], a <= b, with dyadic refinement
-    toward the one end that ``refine_a`` or ``refine_b`` names.
+    toward the end that ``refine`` names, "a" or "b".
 
     Used when the integrand is analytic inside (a, b) but has a pole just
     beyond the refined end: the curvature integral Phi below and above the
@@ -96,12 +93,11 @@ def gl_refined(
     unrefined end, so an interval gives the same bits in a batch as alone.
     An empty interval gives 0.
     """
-    if refine_a == refine_b:
-        raise DomainError("gl_refined refines exactly one end")
+    toward_b = {"a": False, "b": True}[refine]
     a, b, min_width = np.broadcast_arrays(a, b, min_width)
     if np.any(b < a):
         raise DomainError("gl_refined needs a <= b")
-    edges, counts = _dyadic_panels(a.ravel(), b.ravel(), refine_b, min_width.ravel())
+    edges, counts = _dyadic_panels(a.ravel(), b.ravel(), toward_b, min_width.ravel())
     lo, hi = edges.T
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)

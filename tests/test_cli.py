@@ -56,6 +56,7 @@ def test_non_finite_arguments_exit_1(tmp_path, capsys):
     """NaN or infinite numbers on the command line end in a typed error:
     exit 1, a message, no traceback."""
     for argv in (["geodesic", "--side", "zoll", "--c=nan"],
+                 ["geodesic", "--side", "zoll", "--c=1.0000000000001"],
                  ["geodesic", "--side", "zoll", "--c=nan", "--r0", "1.0"],
                  ["geodesic", "--side", "finsler", "--dir=nan"],
                  ["geodesic", "--side", "finsler", "--start=nan,0"],
@@ -213,6 +214,11 @@ def test_c_config_value_is_one_float(tmp_path, capsys):
                  "geodesic", "--side", "zoll"]) == 0
     rows = (tmp_path / "out" / "geodesic_zoll.csv").read_text().strip().splitlines()[1:]
     assert all(row.split(",")[3] == "0" for row in rows)
+    cfg.write_text("c = 1.0000000000001\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "above"),
+                 "geodesic", "--side", "zoll"]) == 1
+    assert capsys.readouterr().err == "error: |c| = 1.0000000000001 outside [0, 1]\n"
+    assert not (tmp_path / "above").exists()
 
 
 @pytest.mark.parametrize("command", [["verify"], ["indicatrix", "--R=0.3"],
@@ -499,37 +505,57 @@ def test_shared_parser_leaks_nothing(tmp_path, capsys):
     assert 'width="120" height="120"' in alone["ind-cfg"][2]["indicatrices.svg"].decode()
 
 
+#: Two values of each option parser, for the walk over the option table.
+SAMPLE_TEXTS = {str: ("a", "b"), int: ("48", "100"), float: ("0.25", "0.7"),
+                cli._float_list: ("0.1,-0.2", "0.3"), cli._pair: ("0.1,0.2", "-0.3,0.4")}
+
+
+def _merged(tmp_path, argv, config=""):
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text(config)
+    return cli.merge_config(cli.build_parser().parse_args(["--config", str(cfg)] + argv))
+
+
 def test_every_config_key_applies(tmp_path, capsys):
-    """side, dir, t-end, theta0 and plot-size from a config file take effect;
-    flags still win."""
-    cfg = tmp_path / "run.cfg"
+    """Every option of the table: its config key gives the namespace the same
+    value as its flag (a common flag before or after the subcommand), the
+    flag wins over the config value, and with neither the table default
+    applies.  --config is no config key."""
+    for opt in cli.OPTIONS:
+        if opt.dest == "config":
+            continue
+        command = "verify" if opt.command == "common" else opt.command
+        texts = opt.choices[::-1] if opt.choices else SAMPLE_TEXTS[opt.parse]
+        flags = [[f"--{opt.name}={text}"] for text in texts]
+        placements = [lambda flag: [command] + flag]
+        if opt.command == "common":
+            placements.append(lambda flag: flag + [command])
+        for place in placements:
+            from_flag = _merged(tmp_path, place(flags[0]))
+            from_key = _merged(tmp_path, place([]), f"{opt.name} = {texts[0]}\n")
+            assert getattr(from_key, opt.dest) == getattr(from_flag, opt.dest) \
+                == opt.parse(texts[0]), opt.name
+            both = _merged(tmp_path, place(flags[1]), f"{opt.name} = {texts[0]}\n")
+            assert getattr(both, opt.dest) == opt.parse(texts[1]), opt.name
+        assert getattr(_merged(tmp_path, [command]), opt.dest) == opt.default, opt.name
+
+    for key in ("tol", "config"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "verify"]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key: {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+    # The handlers read the merged values: a Finsler trace set by the config
+    # file equals the one set by flags.
     cfg.write_text("h = 1,-2,1\nside = finsler\nt-end = 1.0\ndir = 0.7\n")
     out = tmp_path / "fin"
     assert main(["--config", str(cfg), "--out", str(out), "geodesic"]) == 0
     assert [p.name for p in out.iterdir()] == ["geodesic_finsler.csv"]
-    rows = (out / "geodesic_finsler.csv").read_text().strip().splitlines()
-    assert float(rows[-1].split(",")[0]) == 1.0
     flagged = tmp_path / "flagged"
-    assert main(["--config", str(cfg), "--out", str(flagged), "geodesic",
+    assert main(["--h=1,-2,1", "--out", str(flagged), "geodesic",
                  "--side", "finsler", "--dir", "0.7", "--t-end", "1.0"]) == 0
     assert _outputs(flagged) == _outputs(out)
-
-    cfg.write_text("h = 1,-2,1\nside = finsler\ntheta0 = 0.5\nt-end = 1.0\n")
-    out = tmp_path / "zoll"
-    assert main(["--config", str(cfg), "--out", str(out), "geodesic",
-                 "--side", "zoll", "--c=0.5"]) == 0
-    rows = (out / "geodesic_zoll.csv").read_text().strip().splitlines()
-    assert float(rows[1].split(",")[2]) == 0.5
-    assert float(rows[-1].split(",")[0]) == 1.0
-
-    cfg.write_text("plot-size = 100\n")
-    out = tmp_path / "ind"
-    assert main(["--config", str(cfg), "--out", str(out), "--samples", "32",
-                 "indicatrix", "--R=0.3"]) == 0
-    assert 'width="100" height="100"' in (out / "indicatrices.svg").read_text()
-    assert main(["--config", str(cfg), "--out", str(out), "--samples", "32",
-                 "indicatrix", "--R=0.3", "--plot-size", "50"]) == 0
-    assert 'width="50" height="50"' in (out / "indicatrices.svg").read_text()
     capsys.readouterr()
 
 

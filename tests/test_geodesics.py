@@ -55,6 +55,8 @@ def test_non_finite_clairaut_constant_rejected(ex1):
 
 def test_state_validation():
     GeodesicState(math.pi / 2, 0.0, 1.0, +1)
+    with pytest.raises(DomainError):
+        GeodesicState(math.pi / 2, 0.0, math.nextafter(1.0, 2.0), +1)   # |c| > 1
     with pytest.raises(BandError):
         GeodesicState(0.3, 0.0, 0.9, +1)     # sin(0.3) < 0.9
     with pytest.raises(DomainError):

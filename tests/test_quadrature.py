@@ -52,17 +52,14 @@ CASES = [
 
 @pytest.mark.parametrize("a, b, refine_a, refine_b", CASES)
 def test_gl_refined_matches_serial_panel_loop(a, b, refine_a, refine_b):
-    got = gl_refined(double_poles, a, b, refine_a=refine_a, refine_b=refine_b)
+    got = gl_refined(double_poles, a, b, refine="a" if refine_a else "b")
     want = serial_refined(double_poles, a, b, refine_b)
     assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_gl_refined_refines_one_end_of_a_forward_interval():
-    for kwargs in ({}, {"refine_a": True, "refine_b": True}):
-        with pytest.raises(DomainError):
-            gl_refined(double_poles, A, B, **kwargs)
     with pytest.raises(DomainError):
-        gl_refined(double_poles, np.array([A, B]), np.array([B, A]), refine_b=True)
+        gl_refined(double_poles, np.array([A, B]), np.array([B, A]), refine="b")
 
 
 def test_gl_refined_exact_double_pole():
@@ -72,7 +69,7 @@ def test_gl_refined_exact_double_pole():
     # floats near a closer pole costs more than the rule's own error.
     pole = B + 1e-3
     exact = 1.0 / (pole - B) - 1.0 / (pole - A)
-    got = gl_refined(lambda u: 1.0 / (pole - u) ** 2, A, B, refine_b=True)
+    got = gl_refined(lambda u: 1.0 / (pole - u) ** 2, A, B, refine="b")
     assert got == pytest.approx(exact, rel=1e-13)
 
 
@@ -84,7 +81,7 @@ def test_gl_refined_calls_integrand_once(a, b, refine_a, refine_b):
         calls.append(u.shape)
         return double_poles(u)
 
-    gl_refined(counting, a, b, refine_a=refine_a, refine_b=refine_b)
+    gl_refined(counting, a, b, refine="a" if refine_a else "b")
     assert len(calls) == 1
     assert len(calls[0]) == 1 and calls[0][0] % 48 == 0
 
@@ -127,9 +124,9 @@ def test_one_pass_panels_match_per_interval_calls(refine_b):
     def f(u):
         return np.exp(np.sin(3.0 * u)) / (4.0 + u)
 
-    kwargs = {"refine_b": True} if refine_b else {"refine_a": True}
-    batch = gl_refined(f, a, b, min_width=w, **kwargs)
-    assert batch.tolist() == [gl_refined(f, *row[:2], min_width=row[2], **kwargs)
+    refine = "b" if refine_b else "a"
+    batch = gl_refined(f, a, b, refine=refine, min_width=w)
+    assert batch.tolist() == [gl_refined(f, *row[:2], refine=refine, min_width=row[2])
                               for row in PANEL_BATCH]
 
 
