@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill each option that no flag set from the config file, then from its
-    default; flags win over config values."""
+    default; flags win over config values, but every config value must parse."""
     if args.config:
         for raw in Path(args.config).read_text().splitlines():
             line = raw.split("#", 1)[0].strip()
@@ -329,13 +329,13 @@ def merge_config(args: argparse.Namespace) -> argparse.Namespace:
             opt = _CONFIG_OPTIONS.get(key)
             if opt is None:
                 raise ProfileError(f"unknown config key: {key!r}")
+            try:
+                parsed = opt.parse(value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ProfileError(f"bad config value for {key!r}: {value!r}") from exc
+            if opt.choices and parsed not in opt.choices:
+                raise ProfileError(f"bad config value for {key!r}: {value!r}")
             if getattr(args, opt.dest, None) is None:
-                try:
-                    parsed = opt.parse(value)
-                except (ValueError, argparse.ArgumentTypeError) as exc:
-                    raise ProfileError(f"bad config value for {key!r}: {value!r}") from exc
-                if opt.choices and parsed not in opt.choices:
-                    raise ProfileError(f"bad config value for {key!r}: {value!r}")
                 setattr(args, opt.dest, parsed)
     for opt in OPTIONS:
         if getattr(args, opt.dest, None) is None:

@@ -64,7 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ChartExitError, DomainError, PoleProximityError, StepFailureError
+from .errors import BandError, ChartExitError, DomainError, PoleProximityError, StepFailureError
 from .geodesics import sample_times
 from .jacobi import PhaseKernel
 from .moduli import CurveEval, curve_cache, implicit_polynomial, pencil_chart
@@ -75,6 +75,9 @@ from .profile import ZollProfile, curvature_x, curvature_x_prime
 #: a calibration run on the worked deformation examples (the test-suite
 #: re-derives it); do not change without re-calibrating.
 SIGMA_ROTATION = -1.0
+
+#: Fiber-angle step of the central differences in invariant_flow_check.
+FLOW_CHECK_DPHI = 1e-5
 
 #: Chart half-width at which Finsler traces abort.
 CHART_ABORT = math.pi / 2 - 1e-3
@@ -209,6 +212,10 @@ def invariants_IJ(profile: ZollProfile, r: float, phi: float) -> InvariantPair:
     (e_r, e_theta): the direction has Clairaut constant c = sin(phi) sin(r)
     and radial sign sign(cos phi).
     """
+    if not (math.isfinite(r) and math.isfinite(phi)):
+        raise DomainError(f"invariants need a finite point: r = {r}, phi = {phi}")
+    if not 0.0 <= r <= math.pi:
+        raise BandError(f"latitude {r} outside [0, pi]")
     sr = math.sin(r)
     if sr <= 1e-9:
         raise PoleProximityError(f"invariants undefined at the poles: r={r}")
@@ -228,14 +235,15 @@ def invariants_IJ(profile: ZollProfile, r: float, phi: float) -> InvariantPair:
                          g_theta1=g_theta1, g_theta2=g_theta2)
 
 
-def invariant_flow_check(profile: ZollProfile, r: float, phi: float,
-                         dphi: float = 1e-5) -> float:
+def invariant_flow_check(profile: ZollProfile, r: float, phi: float) -> float:
     """Finite-difference defect of the fiber transport relations
 
         dI/dphi = sigma J,   dJ/dphi = -sigma I,   sigma = SIGMA_ROTATION.
 
-    Returns the summed absolute central-difference defect; O(dphi^2).
+    Returns the summed absolute central-difference defect at the step
+    dphi = FLOW_CHECK_DPHI; O(dphi^2).
     """
+    dphi = FLOW_CHECK_DPHI
     a = invariants_IJ(profile, r, phi - dphi)
     m = invariants_IJ(profile, r, phi)
     b = invariants_IJ(profile, r, phi + dphi)
@@ -563,7 +571,12 @@ def finsler_geodesic_ode(profile: ZollProfile, start: tuple[float, float], v0,
 
 
 def chart_distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Round-metric proxy distance sqrt(dR^2 + cos^2(R) dTheta^2) on the chart."""
+    """Round-metric proxy distance sqrt(dR^2 + cos^2(R) dTheta^2) on the chart
+    |R| < pi/2."""
+    if not all(math.isfinite(v) for v in (*a, *b)):
+        raise DomainError(f"chart points {a}, {b} are not finite")
+    if max(abs(a[0]), abs(b[0])) >= math.pi / 2:
+        raise DomainError(f"chart points {a}, {b} outside |R| < pi/2")
     d_r = b[0] - a[0]
     d_t = (b[1] - a[1] + math.pi) % (2 * math.pi) - math.pi
     cr = math.cos(0.5 * (a[0] + b[0]))

@@ -343,6 +343,10 @@ def surface_distance(profile: ZollProfile, a: tuple[float, float],
     longitude difference wrapped to (-pi, pi].  Adequate for closure checks
     where the separation is tiny.
     """
+    if not all(math.isfinite(v) for v in (*a, *b)):
+        raise DomainError(f"surface points {a}, {b} are not finite")
+    if not (0.0 <= a[0] <= math.pi and 0.0 <= b[0] <= math.pi):
+        raise BandError(f"latitudes {a[0]}, {b[0]} outside [0, pi]")
     dr = b[0] - a[0]
     dth = (b[1] - a[1] + math.pi) % TWO_PI - math.pi
     rm = 0.5 * (a[0] + b[0])

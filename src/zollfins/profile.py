@@ -35,6 +35,10 @@ X_DOMAIN_TOL = 1e-12
 #: samples.
 _SCAN_POINTS = 10_001
 
+#: Step of the nested central differences in curvature_fd_check: the
+#: truncation error (~step^2) and the roundoff (~eps/step^2) meet near 1e-4.
+FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class ZollProfile:
@@ -267,17 +271,17 @@ def metric_coeffs(profile: ZollProfile, r: float) -> tuple[float, float]:
     return one_h * one_h, math.sin(r) ** 2
 
 
-def curvature_fd_check(profile: ZollProfile, r: float, step: float = 1e-4) -> float:
+def curvature_fd_check(profile: ZollProfile, r: float) -> float:
     """Finite-difference Gauss curvature, used as an independent test oracle.
 
     For the warped metric E dr^2 + Gt dtheta^2 the curvature is
 
         K = -(1 / sqrt(E Gt)) d/dr ( (d sqrt(Gt)/dr) / sqrt(E) ),
 
-    evaluated with nested central differences of metric_coeffs only.
+    evaluated with nested central differences of metric_coeffs only, at the
+    step FD_STEP.
     """
-    if not 1e-8 <= step <= 0.05:
-        raise DomainError(f"finite-difference step {step} out of sane range")
+    step = FD_STEP
     if not 2 * step < r < math.pi - 2 * step:
         raise DomainError(f"latitude {r} too close to a pole for step {step}")
 

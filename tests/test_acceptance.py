@@ -76,7 +76,7 @@ def test_criterion_2_curvature_cross_checks():
     for prof in PROFILES:
         for r in np.linspace(0.05, math.pi - 0.05, 50):
             cf = gauss_curvature(prof, float(r))
-            fd = curvature_fd_check(prof, float(r), 1e-4)
+            fd = curvature_fd_check(prof, float(r))
             worst_fd = max(worst_fd, abs(fd - cf) / max(1.0, abs(cf)))
     assert worst_fd < 1e-6
     # (c) the quintic profile's critical pairs
@@ -155,7 +155,7 @@ def test_criterion_6_jacobi_structure():
         for c in (0.2, 0.5, 0.8):
             rc = turning_latitude(c)
             grid = np.linspace(rc + 0.05, math.pi - rc - 0.05, 9)
-            worst_ode = max(worst_ode, jacobi_ode_check(prof, c, grid, 1e-4))
+            worst_ode = max(worst_ode, jacobi_ode_check(prof, c, grid))
     assert worst_ode < 1e-5
     report("Jacobi structure", worst_w, 1e-9,
            f"ODE residual {worst_ode:.3e} < 1e-5")
@@ -233,7 +233,7 @@ def test_criterion_9_invariant_flow_relation():
     for prof in (EX1_A, EX1_B, EX2):
         for r in (0.8, 1.0, 1.3, 2.0):
             for phi in (0.0, 0.7, 2.0, 4.0):
-                worst = max(worst, invariant_flow_check(prof, r, phi, 1e-5))
+                worst = max(worst, invariant_flow_check(prof, r, phi))
     assert worst < 1e-4
     worst_round = 0.0
     for r in np.linspace(0.2, math.pi - 0.2, 21):

@@ -559,6 +559,17 @@ def test_every_config_key_applies(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_value_that_does_not_parse_exits_1_beside_its_flag(tmp_path, capsys):
+    """Every config value is parsed, also where a flag sets the option."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("c = abc\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--samples", "32", "--out", str(out),
+                 "geodesic", "--c=0.5"]) == 1
+    assert capsys.readouterr().err == "error: bad config value for 'c': 'abc'\n"
+    assert not out.exists()
+
+
 def test_config_side_outside_choices_exit_1(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("side = spray\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zollfins import (ChartExitError, DomainError, SIGMA_ROTATION, ZollProfile,
+from zollfins import (BandError, ChartExitError, DomainError, SIGMA_ROTATION, ZollProfile,
                       chart_distance, curvature_critical_points, f_polynomial,
                       finsler_F, finsler_geodesic, fundamental_tensor,
                       indicatrix_parametric, indicatrix_regularized,
@@ -357,11 +357,30 @@ def test_invariant_fiber_rotation_calibration(ex1):
 @pytest.mark.parametrize("prof_name,r,phi", [("ex1", 1.0, 0.7), ("ex2", 1.3, 2.0)])
 def test_invariant_flow_residual(request, prof_name, r, phi):
     prof = request.getfixturevalue(prof_name)
-    assert invariant_flow_check(prof, r, phi, 1e-5) < 1e-4
+    assert invariant_flow_check(prof, r, phi) < 1e-4
 
 
 def test_invariant_flow_round_sphere(sphere):
-    assert invariant_flow_check(sphere, 1.0, 0.3, 1e-5) == 0.0
+    assert invariant_flow_check(sphere, 1.0, 0.3) == 0.0
+
+
+def test_invariants_need_a_finite_point_on_the_sphere(ex1):
+    """A non-finite argument is a DomainError (math.sin(inf) raised an untyped
+    ValueError), a latitude outside [0, pi] a BandError."""
+    for r, phi in ((1.0, math.inf), (math.nan, 0.0)):
+        with pytest.raises(DomainError):
+            invariants_IJ(ex1, r, phi)
+    with pytest.raises(BandError):
+        invariants_IJ(ex1, 4.0, 0.0)
+
+
+def test_chart_distance_domain():
+    """Both points finite and on the chart |R| < pi/2: (inf, 0) raised an
+    untyped ValueError, and (3, 0) measured 3.0."""
+    for b in ((math.inf, 0.0), (0.0, math.nan), (3.0, 0.0), (-math.pi / 2, 0.0)):
+        with pytest.raises(DomainError):
+            chart_distance((0.0, 0.0), b)
+    assert chart_distance((0.0, 0.0), (1.5, 0.0)) == 1.5
 
 
 def test_invariants_guards(ex1, bad_curvature):

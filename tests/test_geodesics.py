@@ -139,6 +139,16 @@ def test_equator_closed_form(ex2):
     assert np.allclose(trace.theta, 0.3 - trace.t, atol=1e-15)
 
 
+def test_surface_distance_domain(ex1):
+    """A latitude outside [0, pi] is a BandError, a point that is not finite a
+    DomainError; before, (7, 0) to (1, 0) measured 6.0."""
+    with pytest.raises(BandError):
+        surface_distance(ex1, (7.0, 0.0), (1.0, 0.0))
+    with pytest.raises(DomainError):
+        surface_distance(ex1, (1.0, 0.0), (1.0, math.inf))
+    assert surface_distance(ex1, (0.0, 0.0), (math.pi, 0.0)) > 0.0
+
+
 @pytest.mark.parametrize("c", [0.5, -0.5, 0.9])
 def test_period_and_confinement(ex1, c):
     rc = turning_latitude(c)

@@ -230,15 +230,14 @@ def test_curvature_integral_monotone_below_equator(ex1):
 # -- the Jacobi equation -------------------------------------------------------------------
 
 def test_ode_residual_round_sphere(sphere):
-    res = jacobi_ode_check(sphere, 0.0, np.linspace(0.2, math.pi - 0.2, 9),
-                           step=1e-4)
+    res = jacobi_ode_check(sphere, 0.0, np.linspace(0.2, math.pi - 0.2, 9))
     assert res < 1e-6
 
 
 @pytest.mark.parametrize("prof_name,c", [("ex1", 0.5), ("ex2", 0.7)])
 def test_ode_residual_examples(request, prof_name, c):
     prof = request.getfixturevalue(prof_name)
-    res = jacobi_ode_check(prof, c, interior(c, 9, pad=0.05), step=1e-4)
+    res = jacobi_ode_check(prof, c, interior(c, 9, pad=0.05))
     assert res < 1e-5
 
 

@@ -1,20 +1,66 @@
 """Each verify check must be able to fail: a small fault planted in the
-production code it guards turns it to FAIL on the 0.25,-0.25 profile."""
+production code it guards turns it to FAIL on the 0.25,-0.25 profile.
+
+A planted fault is a test decorated with ``guards(*names)``: once the test
+has planted its fault, each named check, run alone from its row of
+``verify.CHECKS``, must FAIL.  ``test_every_check_has_a_fault_or_is_listed``
+walks the table, so a new check needs a planted fault here or an entry in
+``UNFAULTED``.  The NaN tests at the end plant no fault: they show that a
+NaN from an oracle fails its check rather than being dropped."""
 
 import dataclasses
+import functools
+import itertools
+import math
 
 import pytest
 
+import zollfins.profile as profile_mod
 from zollfins import ZollProfile, example1, finsler, geodesics, jacobi, moduli
 from zollfins.moduli import CurveEval
-from zollfins.verify import run_verification
+from zollfins.verify import CHECKS
+
+#: The checks that no planted fault guards yet.
+UNFAULTED = {"gauss_curvature_positive", "curvature_fd_agreement", "indicatrix_convexity",
+             "ellipse_degeneration", "finsler_homogeneity", "indicatrix_unit_norm",
+             "fundamental_tensor_pd", "invariants"}
+
+#: The checks that a planted fault below guards, filled by ``guards``.
+GUARDED = set()
 
 
-def _status(name):
-    report = run_verification(example1(0.25))
-    return {c.name: c.status for c in report.checks}[name]
+def _statuses(*names):
+    """The status of each named check, each row run alone on 0.25,-0.25."""
+    statuses = {}
+    for row in CHECKS:
+        if any(name in row.bounds for name in names):
+            statuses.update((c.name, c.status) for c in row.run(example1(0.25)))
+    return [statuses[name] for name in names]
 
 
+def guards(*names):
+    """Records that the decorated test plants a fault that the checks
+    ``names`` must see, and asserts that each of them FAILs once it has."""
+    GUARDED.update(names)
+
+    def decorate(plant):
+        @functools.wraps(plant)
+        def test(*args, **kwargs):
+            plant(*args, **kwargs)
+            assert _statuses(*names) == ["fail"] * len(names), names
+        return test
+    return decorate
+
+
+def test_every_check_has_a_fault_or_is_listed():
+    """A new check fails this until it has a planted fault or an UNFAULTED
+    entry, and a check that gains a fault must leave UNFAULTED."""
+    names = {name for row in CHECKS for name in row.bounds}
+    assert GUARDED <= names, GUARDED - names
+    assert names - GUARDED == UNFAULTED
+
+
+@guards("indicatrix_curvature_sides")
 def test_jet_curvature_fault_fails_curvature_sides(monkeypatch):
     """P_uu of the phase jet carries the spray's fundamental tensor."""
     jet = CurveEval.jet
@@ -24,7 +70,6 @@ def test_jet_curvature_fault_fails_curvature_sides(monkeypatch):
         return p, p_u, (a1 * (1 + 1e-5), a2 * (1 + 1e-5)), p_r, p_ur
 
     monkeypatch.setattr(CurveEval, "jet", faulty)
-    assert _status("indicatrix_curvature_sides") == "fail"
 
 
 @pytest.fixture
@@ -49,14 +94,14 @@ def s_table_fault(monkeypatch):
     moduli.curve_cache.cache_clear()
 
 
+@guards("regularization_agreement", "wronskian")
 def test_s_table_fault_fails_regularization_and_wronskian(s_table_fault):
     """The S table of the phase kernel behind the regularized samples and
     the Jacobi pair."""
     s_table_fault(1e-6)
-    assert _status("regularization_agreement") == "fail"
-    assert _status("wronskian") == "fail"
 
 
+@guards("wronskian")
 def test_v2_rate_fault_fails_wronskian(monkeypatch):
     """dv2/du alone, which gives the Jacobi pair its y2'."""
     v2_du = jacobi.PhaseKernel.v2_du
@@ -66,17 +111,15 @@ def test_v2_rate_fault_fails_wronskian(monkeypatch):
         return v2, v2_u * (1 + 1e-6)
 
     monkeypatch.setattr(jacobi.PhaseKernel, "v2_du", faulty)
-    assert _status("wronskian") == "fail"
 
 
+@guards("jacobi_ode")
 def test_large_s_table_fault_fails_jacobi_ode(s_table_fault):
-    """A fault the Jacobi equation sees at its stencil's resolution.  The
-    trace of check 15 starts from a regularized sample, which reads the
-    same kernel as the ray solve, so verification still returns a report."""
+    """A fault the Jacobi equation sees at its stencil's resolution."""
     s_table_fault(1e-4)
-    assert _status("jacobi_ode") == "fail"
 
 
+@guards("representation_agreement")
 def test_branch_minus_fault_fails_representation_agreement(monkeypatch):
     """Only branch -1 samples carry the fault: the check must still sample
     that branch."""
@@ -87,17 +130,17 @@ def test_branch_minus_fault_fails_representation_agreement(monkeypatch):
                 for s in parametric(*args)]
 
     monkeypatch.setattr(moduli, "indicatrix_parametric_samples", faulty)
-    assert _status("representation_agreement") == "fail"
 
 
+@guards("representation_agreement")
 def test_tail_fault_fails_representation_agreement(monkeypatch):
     """The tail quadrature that bridges the parametric v2 over the pole."""
     tail = moduli.curvature_integral_tail
     monkeypatch.setattr(moduli, "curvature_integral_tail",
                         lambda *args: tail(*args) * (1 + 1e-6))
-    assert _status("representation_agreement") == "fail"
 
 
+@guards("representation_agreement")
 def test_phi_integrand_fault_fails_representation_agreement(monkeypatch):
     """The integrand of both Phi quadratures, below and above the equator."""
     integrand = jacobi._phi_integrand
@@ -107,9 +150,9 @@ def test_phi_integrand_fault_fails_representation_agreement(monkeypatch):
         return lambda u: f(u) * (1 + 1e-6)
 
     monkeypatch.setattr(jacobi, "_phi_integrand", faulty)
-    assert _status("representation_agreement") == "fail"
 
 
+@guards("closure_integrals")
 def test_time_quadrature_fault_fails_closure_integrals(monkeypatch):
     """The quadrature behind the travel time T.  Theta = pi + |c| int k is
     not affected: the k integral vanishes for odd k, so a relative fault in
@@ -121,9 +164,9 @@ def test_time_quadrature_fault_fails_closure_integrals(monkeypatch):
         return value * (1 + 1e-7), err
 
     monkeypatch.setattr(geodesics, "gl_adaptive", faulty)
-    assert _status("closure_integrals") == "fail"
 
 
+@guards("geodesic_closure")
 def test_phase_time_fault_fails_geodesic_closure(monkeypatch):
     """The coefficients of the closed-form phase time, which a Zoll trace
     inverts for its phase: the latitude and the longitude both follow the
@@ -137,9 +180,9 @@ def test_phase_time_fault_fails_geodesic_closure(monkeypatch):
         return [wi * (1 + 1e-6) for wi in w] if table == odd else w
 
     monkeypatch.setattr(geodesics, "_sin_series", faulty)
-    assert _status("geodesic_closure") == "fail"
 
 
+@guards("finsler_closure")
 def test_f_r_fault_fails_finsler_closure(monkeypatch):
     """F_R of the closed-form fiber terms, inside the bundle flow: the ODE
     leaves the closed-form trace it must follow."""
@@ -150,9 +193,9 @@ def test_f_r_fault_fails_finsler_closure(monkeypatch):
         return p, p_r, g, f_r * (1 + 1e-6), ell, dell, mu
 
     monkeypatch.setattr(finsler, "_fiber_terms", faulty)
-    assert _status("finsler_closure") == "fail"
 
 
+@guards("finsler_closure")
 def test_phi0_fault_fails_finsler_closure(monkeypatch):
     """The map of the closed-form trace's start (R0, u0) back to the
     direction phi0 at the surface point, off by 1e-5."""
@@ -163,4 +206,31 @@ def test_phi0_fault_fails_finsler_closure(monkeypatch):
         return r_p, phi0 + 1e-5, delta
 
     monkeypatch.setattr(finsler, "_pencil_start", faulty)
-    assert _status("finsler_closure") == "fail"
+
+
+def _nan_on_third_call(fn, pick):
+    """fn, except that its third call returns pick(out) for its output out."""
+    calls = itertools.count(1)
+
+    def faulty(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return pick(out) if next(calls) == 3 else out
+    return faulty
+
+
+@pytest.mark.parametrize("owner, attr, names, pick", [
+    (profile_mod, "curvature_fd_check", ["curvature_fd_agreement"], lambda out: math.nan),
+    (moduli, "indicatrix_curvature", ["indicatrix_curvature_sides", "indicatrix_convexity"],
+     lambda out: (math.nan, out[1])),
+    (jacobi.JacobiPair, "wronskian", ["wronskian"], lambda out: math.nan),
+    (finsler, "invariant_flow_check", ["invariants"], lambda out: math.nan),
+    (jacobi, "jacobi_pair", ["jacobi_ode"], lambda out: dataclasses.replace(out, y1=math.nan)),
+], ids=["curvature_fd_check", "indicatrix_curvature", "wronskian", "invariant_flow_check",
+        "jacobi_ode_check"])
+def test_nan_from_an_oracle_fails_its_check(monkeypatch, owner, attr, names, pick):
+    """One NaN among an oracle's values, on its third call, turns each check
+    that folds those values to FAIL: a fold that dropped it would PASS, on
+    the other values alone.  jacobi_ode_check folds its own residuals, over
+    the Jacobi pairs of its stencil."""
+    monkeypatch.setattr(owner, attr, _nan_on_third_call(getattr(owner, attr), pick))
+    assert _statuses(*names) == ["fail"] * len(names)

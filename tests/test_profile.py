@@ -204,23 +204,22 @@ def test_curvature_x_prime_matches_fd(ex2):
 
 
 def test_fd_curvature_oracle(sphere, ex1, ex2, all_good):
-    assert curvature_fd_check(sphere, 1.0, 1e-4) == pytest.approx(1.0, abs=1e-7)
-    assert curvature_fd_check(ex1, math.pi / 2, 1e-4) == pytest.approx(
+    assert curvature_fd_check(sphere, 1.0) == pytest.approx(1.0, abs=1e-7)
+    assert curvature_fd_check(ex1, math.pi / 2) == pytest.approx(
         gauss_curvature(ex1, math.pi / 2), abs=1e-6)
-    assert curvature_fd_check(ex2, 1.2, 1e-4) == pytest.approx(
+    assert curvature_fd_check(ex2, 1.2) == pytest.approx(
         gauss_curvature(ex2, 1.2), abs=1e-6)
     for prof in all_good:
         for r in np.linspace(0.05, math.pi - 0.05, 100):
             cf = gauss_curvature(prof, float(r))
-            fd = curvature_fd_check(prof, float(r), 1e-4)
+            fd = curvature_fd_check(prof, float(r))
             assert abs(fd - cf) / max(1.0, abs(cf)) < 1e-6
 
 
 def test_fd_check_step_guards(ex1):
+    """The nested differences reach 2 FD_STEP on each side of r."""
     with pytest.raises(DomainError):
-        curvature_fd_check(ex1, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        curvature_fd_check(ex1, 1e-5, 1e-4)
+        curvature_fd_check(ex1, 1e-5)
 
 
 def test_positive_curvature_witnesses(ex2, ex1_strong, bad_curvature):
