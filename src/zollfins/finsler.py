@@ -39,10 +39,13 @@ solves of its 16 off-centre rays from that phase root; nothing of the
 closed form enters.
 
 finsler_F and fundamental_tensor also take a block of n vectors, a 2 x n
-array or a pair of arrays, as verify's direction grids do.  The block's
-rays go to array calls of CurveEval.solve_ray, one masked Newton over all
-of them, and each column keeps the bits of its single-vector call; a
-single vector stays on the float solver, which is faster for few rays.
+array or a pair of arrays, as verify's direction grids do, at one chart
+value or at an array of n chart values, one per column.  The block's rays
+go to array calls of CurveEval.solve_ray, one masked Newton over all of
+them, each ray with the constants of its own chart value's evaluator
+(moduli.curve_block), and each column keeps the bits of its single-vector
+call at its chart value; a single vector stays on the float solver, which
+is faster for few rays.
 
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
@@ -67,7 +70,7 @@ import numpy as np
 from .errors import BandError, ChartExitError, DomainError, PoleProximityError, StepFailureError
 from .geodesics import sample_times
 from .jacobi import PhaseKernel
-from .moduli import CurveEval, curve_cache, implicit_polynomial, pencil_chart
+from .moduli import CurveEval, curve_block, curve_cache, implicit_polynomial, pencil_chart
 from .profile import ZollProfile, curvature_x, curvature_x_prime
 
 #: Orientation of the fiber rotation relative to the geodesic flow of F, in
@@ -90,10 +93,10 @@ TOL_RANGE = (1e-12, 1e-4)
 @dataclass(frozen=True)
 class FinslerEval:
     """F and (optionally) the fundamental tensor at one tangent vector, or
-    at each of a block of n vectors (then every field but R and Theta is an
-    array of n)."""
+    at each of a block of n vectors (then every field but Theta is an array
+    of n, R too when the columns have chart values of their own)."""
 
-    R: float
+    R: float | np.ndarray
     Theta: float
     v1: float | np.ndarray
     v2: float | np.ndarray
@@ -120,11 +123,22 @@ class InvariantPair:
     g_theta2: float = 0.0
 
 
-def finsler_F(profile: ZollProfile, R: float, Theta: float, v) -> FinslerEval:
+def _curve(profile: ZollProfile, R, columns: int | None):
+    """The evaluator of a norm call: the one at a float R, or a block with
+    one chart value per column of a block of vectors (moduli.curve_block)."""
+    if not np.ndim(R):
+        return curve_cache(profile, R)
+    if np.shape(R) != (columns,):
+        raise DomainError(f"chart values of shape {np.shape(R)} need a block of as many vectors")
+    return curve_block(profile, R)
+
+
+def finsler_F(profile: ZollProfile, R, Theta: float, v) -> FinslerEval:
     """The induced norm of the tangent vector v at chart point (R, Theta).
 
-    v may also be a block of n vectors, a 2 x n array or a pair of arrays:
-    its rays go to one array call of solve_ray, and F is the array of their
+    v may also be a block of n vectors, a 2 x n array or a pair of arrays,
+    and R then a float or an array of n chart values, one per column: the
+    rays go to one array call of solve_ray, and F is the array of their
     norms, each with the bits of its own single-vector call.
     """
     v1, v2 = v[0], v[1]
@@ -132,7 +146,7 @@ def finsler_F(profile: ZollProfile, R: float, Theta: float, v) -> FinslerEval:
         v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
     else:
         v1, v2 = float(v1), float(v2)
-    F, _ = curve_cache(profile, R).solve_ray(v1, v2)
+    F, _ = _curve(profile, R, np.size(v1) if np.ndim(v1) else None).solve_ray(v1, v2)
     return FinslerEval(R, Theta, v1, v2, F)
 
 
@@ -157,7 +171,7 @@ def _difference_steps(v: np.ndarray, step: float) -> np.ndarray:
     return h
 
 
-def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
+def fundamental_tensor(profile: ZollProfile, R, Theta: float, v,
                        step: float = 1e-5) -> FinslerEval:
     """g_ij = (1/2) d^2(F^2)/dv_i dv_j by central differences at step*|v|.
 
@@ -169,34 +183,45 @@ def fundamental_tensor(profile: ZollProfile, R: float, Theta: float, v,
     result depends on the arguments only.
 
     v may also be a block of n vectors, a 2 x n array or a pair of arrays,
-    and the FinslerEval then holds arrays.  The block makes two array calls
-    of solve_ray: the n centre rays cold, then the 16 n off-centre rays,
-    for both steps, each seeded by its own column's centre root.  Each
-    column has the bits of its single-vector call; one vector stays on the
-    float solves, which are faster below ~35 rays.
+    and R then a float or an array of n chart values, one per column; the
+    FinslerEval then holds arrays.  The block makes two array calls of
+    solve_ray: the n centre rays cold, then the 16 n off-centre rays, for
+    both steps, each seeded by its own column's centre root and solved at
+    its column's chart value.  Each column has the bits of its
+    single-vector call; one vector stays on the float solves, which are
+    faster below ~35 rays.  DomainError names the first column whose
+    tensor overflows (F^2 beyond the float range).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or len(v) != 2:
         raise DomainError(f"need one vector or a 2 x n block, got shape {v.shape}")
-    h = _difference_steps(v.reshape(2, -1), step)
-    cache = curve_cache(profile, R)
+    columns = v.reshape(2, -1)
+    h = _difference_steps(columns, step)
+    cache = _curve(profile, R, columns.shape[1] if v.ndim == 2 else None)
     F, u0 = cache.solve_ray(v[0], v[1])
     hh = np.stack((h, 2 * h))                                   # (step, column)
     a, b = _STENCIL[:, None, :, None] * hh[:, None, :]          # (step, point, column)
     if v.ndim == 2:
-        Fs, _ = cache.solve_ray((v[0] + a).ravel(), (v[1] + b).ravel(),
-                                np.broadcast_to(u0, a.shape).ravel())
+        column = np.broadcast_to(np.arange(len(u0)), a.shape).ravel()
+        Fs, _ = cache.take(column).solve_ray((v[0] + a).ravel(), (v[1] + b).ravel(),
+                                             u0[column])
     else:
         Fs = [cache.solve_ray(v[0] + da, v[1] + db, u0)[0]
               for da, db in zip(a.ravel().tolist(), b.ravel().tolist())]
     # F ** 2 of a float is libm pow, which np.float_power calls too; F * F
     # differs from it in the last bit on ~1 in 1000 values.
-    p = np.float_power(np.reshape(Fs, a.shape), 2)
-    f0 = F * F
-    d11 = (p[:, 0] - 2 * f0 + p[:, 1]) / (hh * hh)
-    d22 = (p[:, 2] - 2 * f0 + p[:, 3]) / (hh * hh)
-    d12 = (p[:, 4] - p[:, 5] - p[:, 6] + p[:, 7]) / (4 * hh * hh)
-    g11, g12, g22 = (0.5 * ((4.0 * d[0] - d[1]) / 3.0) for d in (d11, d12, d22))
+    with np.errstate(over="ignore", invalid="ignore"):     # raised below
+        p = np.float_power(np.reshape(Fs, a.shape), 2)
+        f0 = F * F
+        d11 = (p[:, 0] - 2 * f0 + p[:, 1]) / (hh * hh)
+        d22 = (p[:, 2] - 2 * f0 + p[:, 3]) / (hh * hh)
+        d12 = (p[:, 4] - p[:, 5] - p[:, 6] + p[:, 7]) / (4 * hh * hh)
+        g11, g12, g22 = (0.5 * ((4.0 * d[0] - d[1]) / 3.0) for d in (d11, d12, d22))
+    overflow = ~(np.isfinite(g11) & np.isfinite(g12) & np.isfinite(g22))
+    if overflow.any():
+        k = int(np.argmax(overflow))
+        raise DomainError(f"fundamental tensor overflows at v = "
+                          f"({columns[0, k]}, {columns[1, k]})")
     if v.ndim == 2:
         return FinslerEval(R, Theta, v[0], v[1], F, g11=g11, g12=g12, g22=g22)
     return FinslerEval(R, Theta, float(v[0]), float(v[1]), F,
@@ -294,8 +319,11 @@ def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolyn
             = F^{4m-2} (F^2 - v1^2),
 
     of degree 4m in F (degree 2 when P is constant or zero).  Exact trailing
-    zeros are stripped so the reported degree is the true one.
+    zeros are stripped so the reported degree is the true one.  The vector
+    must be finite.
     """
+    if not (math.isfinite(v1) and math.isfinite(v2)):
+        raise DomainError(f"F-equation needs a finite vector, got ({v1}, {v2})")
     impl = implicit_polynomial(profile, R)
     q = Fraction(impl.q)
     p = impl.combined_exact
@@ -513,7 +541,7 @@ def _spray_rhs(profile: ZollProfile, state) -> np.ndarray:
     r_lim = math.pi / 2 - 8e-4
     R = min(max(R_raw, -r_lim), r_lim)
     (p1, p2), (_, b2), (g11, g12, g22), F_R, (l1, l2), (dl1, dl2), (m1, m2) = \
-        _fiber_terms(CurveEval(profile, R), u)
+        _fiber_terms(CurveEval.inside(profile, R), u)
     rhs1 = F_R - p1 * (F_R * l1 + dl1)
     rhs2 = -p1 * (F_R * l2 + dl2)
     det = g11 * g22 - g12 * g12

@@ -161,7 +161,9 @@ def closure_integrals(profile: ZollProfile, c: float) -> tuple[float, float]:
     the geometric value pi, the jump at the pole crossing.  For c < 0 the
     magnitudes are returned; the sign of the actual advance is sign(c).
     """
-    if abs(c) >= 1.0:
+    if abs(c) > 1.0:
+        raise DomainError(f"Clairaut constant |c|={abs(c)} outside [0, 1]")
+    if abs(c) == 1.0:
         raise DomainError("closure integrals degenerate for |c| = 1 (equators)")
     cos_rc = math.cos(turning_latitude(c))
 

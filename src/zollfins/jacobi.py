@@ -37,7 +37,9 @@ valid on the whole band.  In the signed phase u (cos r = cos r_c cos u,
 sign u = branch, dt/du = 1 + h) they give the indicatrix coordinate
 v2 = -c1 y2 of the moduli module and its rate dv2/du = -c1 (1 + h) y2'.
 PhaseKernel evaluates both, once for jacobi_pair, the regularized samples,
-the ray solver and the Finsler spray; the literal 1/y1' route through the
+the ray solver and the Finsler spray.  jacobi_pair takes a latitude or a
+1-D array of them, one kernel pass for the array, each entry with the bits
+of its float call; the literal 1/y1' route through the
 Phi quadrature is the independent cross-check on r < pi/2.  The finite part
 of Phi over the whole band, -Psi(pi - r_c) / cos^2 r_c, is 0 for odd h (the
 phase integrand sin^2 u h''(cos r_c cos u) is odd about u = pi/2), so above
@@ -56,7 +58,7 @@ import numpy as np
 
 from .errors import BandError, DomainError
 from .geodesics import band_radicand, signed_phase, turning_latitude
-from .profile import ZollProfile, curvature_x, horner, horner_jet
+from .profile import ZollProfile, curvature_x, elementwise, horner, horner_jet
 from .quadrature import gl_adaptive, gl_fixed, gl_refined
 
 #: |r - pi/2| below which callers should prefer the regularized expressions.
@@ -77,12 +79,14 @@ ODE_CHECK_STEP = 1e-4
 
 @dataclass(frozen=True)
 class JacobiPair:
-    """Values and t-derivatives of the normalized Jacobi fields at one latitude."""
+    """Values and t-derivatives of the normalized Jacobi fields at one
+    latitude, or at each of an array of latitudes (then every field is an
+    array)."""
 
-    y1: float
-    y1_prime: float
-    y2: float
-    y2_prime: float
+    y1: float | np.ndarray
+    y1_prime: float | np.ndarray
+    y2: float | np.ndarray
+    y2_prime: float | np.ndarray
 
     def wronskian(self) -> float:
         """y1 y2' - y2 y1'; identically -1 for the normalized pair."""
@@ -107,6 +111,15 @@ def _check_band(c: float, r: float, slack: float = 1e-12):
     rc = turning_latitude(c)
     if not rc - slack <= r <= math.pi - rc + slack:
         raise BandError(f"latitude {r} outside the band [{rc}, {math.pi - rc}]")
+
+
+def _check_bands(c: float, r: np.ndarray):
+    """_check_band on each entry of an array: the first latitude outside the
+    band (NaN included) names the error."""
+    rc = turning_latitude(c)
+    bad = ~((rc - 1e-12 <= r) & (r <= math.pi - rc + 1e-12))
+    if bad.any():
+        _check_band(c, float(r.ravel()[np.argmax(bad.ravel())]))
 
 
 def jacobi_y(profile: ZollProfile, c: float, r: float, sign: int = +1
@@ -161,8 +174,9 @@ def _phi_integrand(profile: ZollProfile, cos_rc: float):
     scale = cos_rc * cos_rc
 
     def f(u):
-        z = cos_rc * np.cos(u)
-        return (1.0 + profile.h(z) - z * profile.h_prime(z)) / (scale * np.cos(u) ** 2)
+        cu = np.cos(u)
+        z = cos_rc * cu
+        return (1.0 + profile.h(z) - z * profile.h_prime(z)) / (scale * cu ** 2)
 
     return f
 
@@ -232,7 +246,9 @@ class PhaseKernel:
     profile.s_table at this q, so building a kernel is arithmetic only.
     moduli.CurveEval adds the jet, which reads sc_q, and the ray solves.
     R may be an array of chart values (through numpy), one per phase that
-    v2_du is then given, as for the rows of a Finsler trace.
+    v2_du is then given, as for the rows of a Finsler trace.  The constants
+    R, c, cos_R, q, inv_q and the entries of sc and sc_q are per chart
+    value; profile, ca and cb belong to the profile.
     """
 
     __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc", "sc_q")
@@ -240,55 +256,82 @@ class PhaseKernel:
     def __init__(self, profile: ZollProfile, R):
         if isinstance(R, np.ndarray):
             _check_chart(float(np.max(np.abs(R), initial=0.0)))
-            sin, cos = np.sin, np.cos
+            self._set(profile, R, np.sin(R), np.cos(R))
         else:
             _check_chart(R)
-            sin, cos = math.sin, math.cos
+            self._set(profile, R, math.sin(R), math.cos(R))
+
+    @classmethod
+    def inside(cls, profile: ZollProfile, R: float):
+        """The kernel at a float R that the caller keeps inside the chart,
+        as the constructor builds it but without its type test and chart
+        check: the kernel of one step of the Finsler spray."""
+        kernel = cls.__new__(cls)
+        kernel._set(profile, R, math.sin(R), math.cos(R))
+        return kernel
+
+    def _set(self, profile: ZollProfile, R, c, cos_R):
         self.profile = profile
         self.R = R
-        self.c = sin(R)
-        self.cos_R = cos(R)
-        self.q = self.cos_R ** 2
-        self.inv_q = 1.0 / self.q
+        self.c = c
+        self.cos_R = cos_R
+        self.q = q = cos_R ** 2
+        self.inv_q = 1.0 / q
         self.ca = profile.odd_coeffs
         self.cb = profile.hp_table
-        s_jets = [horner_jet(row, self.q) for row in profile.s_table]
-        self.sc = tuple(jet[0] for jet in s_jets)
-        self.sc_q = tuple(jet[1] for jet in s_jets)
+        s_jets = [horner_jet(row, q) for row in profile.s_table]
+        self.sc = [jet[0] for jet in s_jets]
+        self.sc_q = [jet[1] for jet in s_jets]
 
-    def v2_du(self, cu, su):
-        """(v2, dv2/du) at the phase with cosine cu and sine su.  Arithmetic
-        only, so cu and su may be floats or numpy arrays alike."""
+    def _terms(self, cu, su):
+        """v2 and dv2/du at the phase with cosine cu and sine su, with the
+        terms that moduli.CurveEval.jet reads again: x = cos R cu, x^2,
+        s = su^2, h(x) and the jets (value, first and second derivative) of
+        h' in x^2 and of S in s."""
         q, cos_r = self.q, self.cos_R
         x = cos_r * cu
         x2 = x * x
         s = su * su
         h = x * horner(self.ca, x2)
-        hp, hp_w, _ = horner_jet(self.cb, x2)
-        sv, sv_s, _ = horner_jet(self.sc, s)
+        hp_jet = hp, hp_w, _ = horner_jet(self.cb, x2)
+        s_jet = sv, sv_s, _ = horner_jet(self.sc, s)
         v2 = -((1.0 + h) * x * self.inv_q + s * hp + q * s * s * sv)
         # d/du with x_u = -cos R sin u, s_u = 2 sin u cos u, h'' = 2x dh'/dw.
         v2_u = su * (cos_r * ((1.0 + h + x * hp) * self.inv_q + 2.0 * s * x * hp_w)
                      - 2.0 * cu * (hp + q * s * (2.0 * sv + s * sv_s)))
-        return v2, v2_u
+        return v2, v2_u, x, x2, s, h, hp_jet, s_jet
+
+    def v2_du(self, cu, su):
+        """(v2, dv2/du) at the phase with cosine cu and sine su.  Arithmetic
+        only, so cu and su may be floats or numpy arrays alike."""
+        return self._terms(cu, su)[:2]
 
 
-def jacobi_pair(profile: ZollProfile, c: float, r: float, sign: int = +1
-                ) -> JacobiPair:
+def jacobi_pair(profile: ZollProfile, c: float, r, sign: int = +1) -> JacobiPair:
     """Normalized Jacobi data (y1, y1', y2, y2') at latitude r on the given branch.
 
     y2 = -v2/c1 and y2' = -(dv2/du)/(c1 (1 + h)) from one PhaseKernel call
     at cos u = cos r / cos r_c and sin u = sign y / cos r_c; valid on the
-    whole band, r = pi/2 included.
+    whole band, r = pi/2 included.  ``r`` may be a 1-D array of latitudes:
+    one kernel call serves them all, each entry of the JacobiPair of arrays
+    has the bits of its float call (cos r through math), and BandError
+    names the first latitude outside the band.
     """
-    _check_band(c, r)
+    if isinstance(r, np.ndarray):
+        _check_bands(c, r)
+    else:
+        _check_band(c, r)
     if sign not in (-1, +1):
         raise DomainError(f"branch sign must be +-1, got {sign}")
     c1 = c1_coefficient(profile, c)
     rc = turning_latitude(c)
     cos_rc = math.cos(rc)
-    x = math.cos(r)
-    y = math.sqrt(float(band_radicand(c, r, rc)))
+    if isinstance(r, np.ndarray):
+        x = elementwise(math.cos, r)
+        y = np.sqrt(band_radicand(c, r, rc))
+    else:
+        x = math.cos(r)
+        y = math.sqrt(float(band_radicand(c, r, rc)))
     one_h = 1.0 + profile.h(x)
     v2, v2_u = PhaseKernel(profile, rc).v2_du(x / cos_rc, sign * y / cos_rc)
     return JacobiPair(sign * c1 * y, c1 * x / one_h, -v2 / c1, -v2_u / (c1 * one_h))
@@ -319,7 +362,9 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
     Test oracle: y1, y2 come from jacobi_pair; the second t-derivative uses a
     non-uniform three-point stencil with the time offsets recovered from
     dt/du = 1 + h(cos r_c cos u) by short Gauss-Legendre panels, at the time
-    step ODE_CHECK_STEP.  A NaN residual is returned, not dropped.
+    step ODE_CHECK_STEP.  The stencil's three rows (the grid, the latitudes
+    a step back and a step ahead) each go to one array call of jacobi_pair.
+    A NaN residual is returned, not dropped.
     """
     rc = turning_latitude(c)
     cos_rc = math.cos(rc)
@@ -327,7 +372,7 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
     def dt_du(u):
         return 1.0 + profile.h(cos_rc * np.cos(u))
 
-    residuals = []
+    rows = []                   # (r, r one step back, r one step ahead, a, b)
     rs = np.atleast_1d(np.asarray(r_grid, dtype=float))
     for r, u in zip(rs.tolist(), signed_phase(c, rs).tolist()):
         _check_band(c, r)
@@ -335,16 +380,19 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
         if not du < u < math.pi - du:
             raise BandError(f"grid point {r} too close to a turning point")
         u_m, u_p = u - du, u + du
-        a = gl_fixed(dt_du, u_m, u, 8)   # backward time offset
-        b = gl_fixed(dt_du, u, u_p, 8)   # forward time offset
-        g_val = float(curvature_x(profile, math.cos(r)))
-        pair_0 = jacobi_pair(profile, c, r, +1)
-        pair_m = jacobi_pair(profile, c, math.acos(cos_rc * math.cos(u_m)), +1)
-        pair_p = jacobi_pair(profile, c, math.acos(cos_rc * math.cos(u_p)), +1)
-        for attr in ("y1", "y2"):
-            f0 = getattr(pair_0, attr)
-            fm = getattr(pair_m, attr)
-            fp = getattr(pair_p, attr)
-            second = 2.0 * (a * fp + b * fm - (a + b) * f0) / (a * b * (a + b))
-            residuals.append(abs(second + g_val * f0))
-    return float(np.max(residuals, initial=0.0))
+        rows.append((r, math.acos(cos_rc * math.cos(u_m)), math.acos(cos_rc * math.cos(u_p)),
+                     gl_fixed(dt_du, u_m, u, 8),     # backward time offset
+                     gl_fixed(dt_du, u, u_p, 8)))    # forward time offset
+    if not rows:
+        return 0.0
+    r_0, r_m, r_p, a, b = (np.array(col) for col in zip(*rows))
+    g_val = curvature_x(profile, elementwise(math.cos, r_0), np.float_power)
+    pair_0, pair_m, pair_p = (jacobi_pair(profile, c, rr, +1) for rr in (r_0, r_m, r_p))
+    residuals = []
+    for attr in ("y1", "y2"):
+        f0 = getattr(pair_0, attr)
+        fm = getattr(pair_m, attr)
+        fp = getattr(pair_p, attr)
+        second = 2.0 * (a * fp + b * fm - (a + b) * f0) / (a * b * (a + b))
+        residuals.append(np.abs(second + g_val * f0))
+    return float(np.max(residuals))

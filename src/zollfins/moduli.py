@@ -37,7 +37,12 @@ indicatrix_curve and CurveEval all read PhaseKernel.v2_du.  CurveEval is the
 one evaluator per chart value: the phase jet of the Finsler spray and the
 ray solves, one safeguarded Newton on the bracket [0, pi] of the half-curve
 (CurveEval.newton_ray, or one masked array pass over many rays), warm
-from a seed or cold from pi/2.  A ray within
+from a seed or cold from pi/2.  A block (curve_block) holds one chart
+value per ray, so that one masked pass serves rays at many chart values,
+each with the constants of its own evaluator.  The jet,
+indicatrix_curvature and indicatrix_regularized take a phase or latitude
+or a 1-D array of them, one kernel pass for the array, each entry with
+the bits of its float call.  A ray within
 1e-9 of the v2 axis is resolved to u = 0 or pi directly.  The curvature
 identity of indicatrix_curvature reads the same jet, so it checks the code
 the spray uses.  The parametric quadrature of Phi and the implicit polynomial stay as
@@ -74,6 +79,7 @@ longitude reflected about its start.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,9 +91,9 @@ import numpy as np
 from .errors import BandError, ConvexityViolation, DomainError, NoBracketError
 from .geodesics import (GeodesicState, band_radicand, longitude_advance,
                         signed_phase, turning_latitude, turning_latitudes)
-from .jacobi import (EQUATOR_GUARD, PhaseKernel, _check_chart, curvature_integral,
-                     curvature_integral_tail)
-from .profile import ZollProfile, curvature_x, horner, horner_jet
+from .jacobi import (CHART_GUARD, EQUATOR_GUARD, PhaseKernel, _check_chart,
+                     curvature_integral, curvature_integral_tail)
+from .profile import ZollProfile, curvature_x, elementwise, horner_jet
 
 TWO_PI = 2.0 * math.pi
 
@@ -106,14 +112,16 @@ class ModuliPoint:
 
 @dataclass(frozen=True)
 class IndicatrixSample:
-    """One point of the unit circle of the induced norm at chart point (R, Theta)."""
+    """One point of the unit circle of the induced norm at chart point (R,
+    Theta), or, from an array call of indicatrix_regularized, one per entry
+    of the arrays r, v1 and v2."""
 
     R: float
     Theta: float
     branch: int
-    r: float
-    v1: float
-    v2: float
+    r: float | np.ndarray
+    v1: float | np.ndarray
+    v2: float | np.ndarray
 
 
 def _check_sample_args(R: float, r: float, branch: int):
@@ -123,6 +131,18 @@ def _check_sample_args(R: float, r: float, branch: int):
     rc = abs(R)
     if not rc - 1e-12 <= r <= math.pi - rc + 1e-12:
         raise BandError(f"latitude {r} outside [{rc}, {math.pi - rc}]")
+
+
+def _check_samples(R: float, rs: np.ndarray, branches):
+    """_check_sample_args on an array of latitudes with a branch or an array
+    of branches: the first offending sample raises its own error."""
+    _check_chart(R)
+    rc = abs(R)
+    b = np.broadcast_to(branches, rs.shape)
+    bad = ((b != 1) & (b != -1)) | ~((rc - 1e-12 <= rs) & (rs <= math.pi - rc + 1e-12))
+    if bad.any():
+        k = int(np.argmax(bad))
+        _check_sample_args(R, rs[k].item(), b[k].item())
 
 
 # -- chart coordinates ---------------------------------------------------------
@@ -167,7 +187,13 @@ def pencil_chart(profile: ZollProfile, r_p: float, theta_p: float,
     """
     if not 0.0 <= r_p <= math.pi:       # NaN fails too
         raise BandError(f"latitude {r_p} outside [0, pi]")
+    if not math.isfinite(theta_p):
+        raise DomainError(f"longitude {theta_p} of the surface point is not finite")
     phis = np.asarray(phis, dtype=float)
+    infinite = ~np.isfinite(phis)
+    if infinite.any():
+        raise DomainError(f"direction angle {phis.ravel()[np.argmax(infinite.ravel())]} "
+                          "is not finite")
     sin_rp, cos_rp = math.sin(r_p), math.cos(r_p)
     c = np.sin(phis) * sin_rp
     _check_off_equators(c)
@@ -228,14 +254,8 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
     branches = list(branches)
     if len(rs) != len(branches):
         raise DomainError(f"{len(rs)} latitudes but {len(branches)} branches")
-    _check_chart(R)
     r_arr, b_arr = np.array(rs), np.array(branches)
-    rc = abs(R)
-    bad = ((b_arr != 1) & (b_arr != -1)) \
-        | ~((rc - 1e-12 <= r_arr) & (r_arr <= math.pi - rc + 1e-12))
-    if bad.any():       # the first offending sample raises its own error
-        k = int(np.argmax(bad))
-        _check_sample_args(R, rs[k], branches[k])
+    _check_samples(R, r_arr, b_arr)
     c = math.sin(R)
     near = np.abs(r_arr - math.pi / 2) < EQUATOR_GUARD
     below = ~near & (r_arr < math.pi / 2)
@@ -254,20 +274,32 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
             for r, branch, is_near, v1k, v2k in zip(rs, branches, near.tolist(), v1, v2)]
 
 
-def indicatrix_regularized(profile: ZollProfile, R: float, r: float,
+def indicatrix_regularized(profile: ZollProfile, R: float, r,
                            branch: int = +1, Theta: float = 0.0) -> IndicatrixSample:
     """Indicatrix sample at latitude r from the phase kernel, CurveEval.v2_du
     at cos u = cos r / cos R and sin u = v1 = branch y / cos R, with y taken
     on the band about |R|, so that the glue points lie on the v2 axis exactly.
+
+    ``r`` may be a 1-D array of latitudes: one kernel call serves them all,
+    the sample's r, v1 and v2 are arrays, each entry with the bits of its
+    float call (cos r through math), and the first offending latitude names
+    the error.
     """
-    _check_sample_args(R, r, branch)
+    if isinstance(r, np.ndarray):
+        _check_samples(R, r, branch)
+        cos_r = elementwise(math.cos, r)
+        y = np.sqrt(band_radicand(math.sin(R), r, abs(R)))
+    else:
+        _check_sample_args(R, r, branch)
+        cos_r = math.cos(r)
+        y = math.sqrt(float(band_radicand(math.sin(R), r, abs(R))))
     cos_R = math.cos(R)
-    v1 = branch * math.sqrt(float(band_radicand(math.sin(R), r, abs(R)))) / cos_R
+    v1 = branch * y / cos_R
     return IndicatrixSample(R, Theta, branch, r, v1,
-                            curve_cache(profile, R).v2_du(math.cos(r) / cos_R, v1)[0])
+                            curve_cache(profile, R).v2_du(cos_r / cos_R, v1)[0])
 
 
-def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
+def indicatrix_curvature(profile: ZollProfile, R: float, r,
                          branch: int = +1) -> tuple[float, float]:
     """Both sides of the indicatrix curvature identity, computed independently.
 
@@ -278,20 +310,33 @@ def indicatrix_curvature(profile: ZollProfile, R: float, r: float,
     Right: (dt/dr)^2 G(r).  Strict positivity of either side over the band
     certifies strong convexity; the two sides agreeing certifies the
     curvature identity itself.  Turning points are excluded (dt/dr diverges
-    there).
+    there).  ``r`` may be a 1-D array of latitudes: one jet call serves
+    them all, and the two sides come back as arrays, each entry with the
+    bits of its float call (trig through math, squares and cubes through
+    libm pow); the first offending latitude names the error.
     """
-    _check_sample_args(R, r, branch)
     rc = abs(R)
-    if min(r - rc, math.pi - rc - r) < 1e-6:
-        raise DomainError("indicatrix curvature is singular at the turning points")
-    x = math.cos(r)
-    sr = math.sin(r)
-    y = math.sqrt(float(band_radicand(math.sin(R), r)))
-    (p1, p2), (t1, t2), (a1, a2), _, _ = curve_cache(profile, R).jet(
-        signed_phase(math.sin(R), r, branch))
-    left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * (sr / y) ** 2
-    right = ((1.0 + profile.h(x)) * sr / y) ** 2 * float(curvature_x(profile, x))
-    return left, right
+    if isinstance(r, np.ndarray):
+        _check_samples(R, r, branch)
+        if (np.minimum(r - rc, math.pi - rc - r) < 1e-6).any():
+            raise DomainError("indicatrix curvature is singular at the turning points")
+        x, sr = elementwise(math.cos, r), elementwise(math.sin, r)
+        y = np.sqrt(band_radicand(math.sin(R), r))
+        u = elementwise(math.atan2, branch * y, x)     # signed_phase, through math
+        power = np.float_power
+    else:
+        _check_sample_args(R, r, branch)
+        if min(r - rc, math.pi - rc - r) < 1e-6:
+            raise DomainError("indicatrix curvature is singular at the turning points")
+        x = math.cos(r)
+        sr = math.sin(r)
+        y = math.sqrt(float(band_radicand(math.sin(R), r)))
+        u = signed_phase(math.sin(R), r, branch)
+        power = operator.pow
+    (p1, p2), (t1, t2), (a1, a2), _, _ = curve_cache(profile, R).jet(u)
+    left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * power(sr / y, 2)
+    right = power((1.0 + profile.h(x)) * sr / y, 2) * curvature_x(profile, x, power)
+    return left, (right if power is np.float_power else float(right))
 
 
 # -- the closed curve -----------------------------------------------------------
@@ -485,8 +530,23 @@ def implicit_polynomial(profile: ZollProfile, R: float) -> ImplicitIndicatrix:
 
 
 def implicit_residual(profile: ZollProfile, R: float, v1, v2):
-    """Value of the squared implicit identity at (v1, v2); ~0 on the curve."""
-    return implicit_polynomial(profile, R).residual(v1, v2)
+    """Value of the squared implicit identity at (v1, v2); ~0 on the curve.
+    v1 and v2 may be arrays.  DomainError for a non-finite vector and for a
+    residual that overflows, naming the first such vector."""
+    v1a, v2a = np.broadcast_arrays(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
+    _raise_at(~(np.isfinite(v1a) & np.isfinite(v2a)), v1a, v2a,
+              "implicit residual needs a finite vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = implicit_polynomial(profile, R).residual(v1, v2)
+    _raise_at(~np.isfinite(out), v1a, v2a, "implicit residual overflows")
+    return out
+
+
+def _raise_at(bad, v1: np.ndarray, v2: np.ndarray, what: str):
+    """DomainError naming the first vector (v1, v2) where ``bad`` holds."""
+    if np.any(bad):
+        k = int(np.argmax(np.ravel(bad)))
+        raise DomainError(f"{what}: ({v1.ravel()[k]}, {v2.ravel()[k]})")
 
 
 # -- fast closed-form curve evaluation (shared with the finsler module) ---------
@@ -506,39 +566,40 @@ class CurveEval(PhaseKernel):
     ray the bits of its float solve.  The array pass costs as much as 20 to
     40 float solves and grows slowly with the rays, so it pays for blocks
     of directions (verify's grids, the stencils of fundamental_tensor) and
-    not for the one cold solve of a Finsler trace.
+    not for the one cold solve of a Finsler trace.  A block (curve_block)
+    holds one chart value per ray, and its rays go to the same masked
+    Newton, each with the constants of its own chart value's evaluator.
     """
 
     __slots__ = ()
 
-    def jet(self, u: float):
+    def jet(self, u):
         """(P, P_u, P_uu, P_R, P_uR) of the curve in the signed phase u.
 
         v1 = sin u does not depend on R, and the jet is regular at the glue
-        points u = 0 and u = +-pi.  P and P_u come from ``v2_du``; the other
-        entries differentiate the same expression, R-derivatives at fixed u.
-        Each entry is a (v1, v2) pair.
+        points u = 0 and u = +-pi.  P and P_u come from the terms of
+        ``v2_du``, which the other entries reuse: they differentiate the
+        same expression, R-derivatives at fixed u.  Each entry is a (v1, v2)
+        pair.  ``u`` may be a 1-D array of phases: cos u and sin u go
+        through math, so each entry has the bits of its float call.
         """
         cos_r, sin_r, q = self.cos_R, self.c, self.q
-        cu, su = math.cos(u), math.sin(u)
-        v2, v2_u = self.v2_du(cu, su)
-        x = cos_r * cu
+        if isinstance(u, np.ndarray):
+            cu, su = elementwise(math.cos, u), elementwise(math.sin, u)
+        else:
+            cu, su = math.cos(u), math.sin(u)
+        v2, v2_u, x, x2, s, h, (hp, hp_w, hp_ww), (sv, sv_s, sv_ss) = self._terms(cu, su)
         x_u, x_uu = -cos_r * su, -x
         x_r, x_ur = -sin_r * cu, sin_r * su
         q_r = -2.0 * sin_r * cos_r
-        s = su * su
         s_u, s_uu = 2.0 * su * cu, 2.0 * (cu * cu - s)
 
-        x2 = x * x
-        h = x * horner(self.ca, x2)
-        hp, hp_w, hp_ww = horner_jet(self.cb, x2)
         # h' is a polynomial in w = x^2: h'' = 2x dh'/dw, h''' = 2 dh'/dw + 4w d2h'/dw2.
         hpp = 2.0 * x * hp_w
         hppp = 2.0 * hp_w + 4.0 * x2 * hp_ww
         a = (1.0 + h) * x
         a_x = 1.0 + h + x * hp
         a_xx = 2.0 * hp + x * hpp
-        sv, sv_s, sv_ss = horner_jet(self.sc, s)
         sq, sq_s, _ = horner_jet(self.sc_q, s)           # dS/dq at fixed s
         t = s * s * sv                                   # T = s^2 S
         t_s = 2.0 * s * sv + s * s * sv_s
@@ -555,6 +616,20 @@ class CurveEval(PhaseKernel):
                   + s_u * hpp * x_r + s * (hppp * x_r * x_u + hpp * x_ur)
                   + q_r * s_u * (t_s + q * t_sq))
         return (su, v2), (cu, v2_u), (-su, v2_uu), (0.0, v2_r), (0.0, v2_ur)
+
+    def take(self, k):
+        """The evaluator of the rays k (an index, an index array or a mask)
+        of a block with one chart value per ray (curve_block); an evaluator
+        at one chart value serves any rays as it is."""
+        if not isinstance(self.q, np.ndarray):
+            return self
+        out = object.__new__(type(self))
+        out.profile, out.ca, out.cb = self.profile, self.ca, self.cb
+        out.R, out.c, out.cos_R, out.q, out.inv_q = (
+            a[k] for a in (self.R, self.c, self.cos_R, self.q, self.inv_q))
+        out.sc = [a[k] for a in self.sc]
+        out.sc_q = [a[k] for a in self.sc_q]
+        return out
 
     def endpoint_values(self) -> tuple[float, float]:
         """v2 at the glue points u = 0 (bottom, < 0) and u = pi (top, > 0)."""
@@ -620,7 +695,8 @@ class CurveEval(PhaseKernel):
         u0, as one masked Newton over the rays not yet stopped.  Each ray
         takes the steps of its own newton_ray (the 80-step cap, the bracket
         updates, the bisections, both stops and the float-below rule), so it
-        ends on the same bits.  NoBracketError names the first ray missed.
+        ends on the same bits; on a block, each with its own chart value's
+        constants.  NoBracketError names the first ray missed.
         """
         lo, hi = np.zeros(len(u0)), np.full(len(u0), math.pi)
         u = np.minimum(np.maximum(u0, 0.0), math.pi)
@@ -630,7 +706,7 @@ class CurveEval(PhaseKernel):
                 if not live.size:
                     break
                 ul = u[live]
-                g, slope = self._cross(v1[live], v2[live], ul)
+                g, slope = self.take(live)._cross(v1[live], v2[live], ul)
                 neg, pos = g < 0.0, g > 0.0
                 lo[live[neg]] = ul[neg]
                 hi[live[pos]] = ul[pos]
@@ -646,7 +722,7 @@ class CurveEval(PhaseKernel):
                 if fixed_above.any():
                     k = live[fixed_above]
                     below = np.nextafter(u[k], 0.0)
-                    g_below, slope_below = self._cross(v1[k], v2[k], below)
+                    g_below, slope_below = self.take(k)._cross(v1[k], v2[k], below)
                     lower = below - g_below / slope_below == below
                     u[k[lower]] = below[lower]
                 live = live[newton | (bisect & ~(hil - lol < 4e-16 * (1.0 + mid)))]
@@ -656,8 +732,8 @@ class CurveEval(PhaseKernel):
         missed = ~(dot > 0.0)
         if missed.any():
             k = int(np.argmax(missed))
-            raise NoBracketError(
-                f"ray through (+-{v1[k]}, {v2[k]}) misses the indicatrix at R={self.R}")
+            raise NoBracketError(f"ray through (+-{v1[k]}, {v2[k]}) misses the "
+                                 f"indicatrix at R={self.take(k).R}")
         return dot / (p1 * p1 + p2 * p2), u
 
     def solve_ray(self, v1, v2, seed_u=None):
@@ -672,7 +748,8 @@ class CurveEval(PhaseKernel):
         v1 and v2 may be equal-length 1-D arrays, and seed_u then a float or
         an array: all rays go to one masked Newton (_newton_rays) and each
         gets the bits of its own float solve.  The input's shape picks the
-        path: the float solves are faster below ~35 rays.
+        path: the float solves are faster below ~35 rays.  A block
+        (curve_block) takes arrays only, one ray per chart value.
         """
         if np.ndim(v1):
             return self._solve_rays(v1, v2, seed_u)
@@ -695,8 +772,9 @@ class CurveEval(PhaseKernel):
         """solve_ray on equal-length 1-D arrays, with the float path's
         vertical rays, mirror and typed errors (the first bad ray named)."""
         v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
-        if v1.ndim != 1 or v1.shape != v2.shape:
-            raise DomainError(f"rays need equal-length 1-D arrays, got {v1.shape} and {v2.shape}")
+        if v1.ndim != 1 or v1.shape != v2.shape or np.shape(self.R) not in ((), v1.shape):
+            raise DomainError(f"rays need equal-length 1-D arrays, got {v1.shape} and "
+                              f"{v2.shape} at {np.shape(self.R)} chart values")
         # math.hypot as on the float path: np.hypot rounds differently.
         norm = np.fromiter(map(math.hypot, v1.tolist(), v2.tolist()), float, len(v1))
         bad = ~((0.0 < norm) & (norm < math.inf))
@@ -706,18 +784,19 @@ class CurveEval(PhaseKernel):
         scale, u_star = np.empty(len(v1)), np.empty(len(v1))
         vertical = np.abs(v1) <= 1e-9 * norm
         if vertical.any():
-            bottom, top = self.endpoint_values()
+            bottom, top = self.take(vertical).endpoint_values()
             w2 = v2[vertical]
             scale[vertical] = np.where(w2 < 0, w2 / bottom, w2 / top)
             u_star[vertical] = np.where(w2 < 0, 0.0, math.pi)
         ray = ~vertical
         if ray.any():
+            curve = self.take(ray)
             sign = np.where(v1[ray] > 0, 1.0, -1.0)
             if seed_u is None:
-                scale[ray], u_ray = self._bracket_solve(sign * v1[ray], v2[ray])
+                scale[ray], u_ray = curve._bracket_solve(sign * v1[ray], v2[ray])
             else:
                 seeds = np.broadcast_to(np.abs(seed_u), v1.shape)[ray]
-                scale[ray], u_ray = self._newton_rays(sign * v1[ray], v2[ray], seeds)
+                scale[ray], u_ray = curve._newton_rays(sign * v1[ray], v2[ray], seeds)
             u_star[ray] = sign * u_ray
         return scale, u_star
 
@@ -734,6 +813,30 @@ def curve_cache(profile: ZollProfile, R: float) -> CurveEval:
     """The evaluator at (profile, R), shared so that the norm evaluations at
     one chart value build its phase kernel once."""
     return CurveEval(profile, R)
+
+
+def curve_block(profile: ZollProfile, R) -> CurveEval:
+    """The evaluator of a block of rays at the chart values R, a 1-D array
+    with one chart value per ray.  Entry k carries the constants of the float
+    evaluator at R[k] (curve_cache), so that each ray solved on the block
+    (an array call of solve_ray) has the bits of its solve on that
+    evaluator.  DomainError names the first chart value off the chart."""
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 1:
+        raise DomainError(f"a block needs a 1-D array of chart values, got shape {R.shape}")
+    off = ~(np.abs(R) < math.pi / 2 - CHART_GUARD)      # NaN is off too
+    if off.any():
+        _check_chart(float(R[np.argmax(off)]))
+    values, index = np.unique(R, return_inverse=True)
+    curves = [curve_cache(profile, Rk) for Rk in values.tolist()]
+    block = object.__new__(CurveEval)
+    block.profile, block.ca, block.cb = profile, profile.odd_coeffs, profile.hp_table
+    for name in ("R", "c", "cos_R", "q", "inv_q"):
+        setattr(block, name, np.array([getattr(k, name) for k in curves], dtype=float))
+    rows = range(len(profile.s_table))
+    block.sc = [np.array([k.sc[j] for k in curves], dtype=float) for j in rows]
+    block.sc_q = [np.array([k.sc_q[j] for k in curves], dtype=float) for j in rows]
+    return block.take(index)
 
 
 # bench/tracing.py binds these two names until the benchmark is next

@@ -14,6 +14,7 @@ everywhere; both are enforced at construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
@@ -174,6 +175,14 @@ def horner_jet(coeffs: tuple[float, ...], w):
     return p, dp, ddp
 
 
+def elementwise(f, *arrays) -> np.ndarray:
+    """f (a float function, such as one of the math module's) on the entries
+    of equal-length arrays: each entry has the bits of its float call, which
+    numpy's own transcendentals and powers need not give."""
+    args = [np.asarray(a, dtype=float).ravel().tolist() for a in arrays]
+    return np.fromiter(map(f, *args), float, len(args[0]))
+
+
 def _bisect_root(f, lo: float, hi: float, iters: int = 80) -> float:
     """A sign change of f in [lo, hi] by bisection, at most ``iters`` steps.
 
@@ -197,15 +206,17 @@ def _bisect_root(f, lo: float, hi: float, iters: int = 80) -> float:
 
 # -- module-level operations ------------------------------------------------
 
-def curvature_x(profile: ZollProfile, x):
+def curvature_x(profile: ZollProfile, x, power=operator.pow):
     """Gauss curvature as a function of x = cos r:
 
         G = (1 + h(x) - x h'(x)) / (1 + h(x))^3.
 
-    Finite on [-1, 1] because admissible profiles keep |h| < 1.
+    Finite on [-1, 1] because admissible profiles keep |h| < 1.  ``power``
+    takes the cube: np.float_power gives each entry of an array x the bits
+    of its float call (libm pow), where numpy's ** may round differently.
     """
     one_h = 1.0 + profile.h(x)
-    return (one_h - np.asarray(x) * profile.h_prime(x)) / one_h**3
+    return (one_h - np.asarray(x) * profile.h_prime(x)) / power(one_h, 3)
 
 
 def curvature_x_prime(profile: ZollProfile, x):

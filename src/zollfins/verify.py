@@ -101,7 +101,7 @@ def _fold(values, floor=False) -> float:
 
 
 def _band_interior(R, n):
-    return np.linspace(abs(R) + 1e-3, math.pi - abs(R) - 1e-3, n).tolist()
+    return np.linspace(abs(R) + 1e-3, math.pi - abs(R) - 1e-3, n)
 
 
 def _gauss_curvature(prof, samples):
@@ -119,11 +119,14 @@ def _curvature_fd(prof, samples):
 
 
 def _indicatrix_curvature(prof, samples):
-    """3. Indicatrix convexity <-> curvature identity, both from one scan."""
-    sides = [moduli.indicatrix_curvature(prof, R, r, +1)
-             for R in (0.1, 0.4, 0.9, 1.3) for r in _band_interior(R, 41)]
-    yield Result(_fold([abs(kl - kr) / max(abs(kl), abs(kr), 1.0) for kl, kr in sides]))
-    k_min = _fold([kl for kl, _ in sides], floor=True)
+    """3. Indicatrix convexity <-> curvature identity, both from one scan,
+    one array call per chart value."""
+    sides = [moduli.indicatrix_curvature(prof, R, _band_interior(R, 41), +1)
+             for R in (0.1, 0.4, 0.9, 1.3)]
+    ratios = [np.abs(kl - kr) / np.maximum(np.maximum(np.abs(kl), np.abs(kr)), 1.0)
+              for kl, kr in sides]
+    yield Result(_fold(np.hstack(ratios)))
+    k_min = _fold(np.hstack([kl for kl, _ in sides]), floor=True)
     yield Result(k_min, f"min curve curvature = {k_min:.6f}")
 
 
@@ -156,14 +159,17 @@ def _geodesic_closure(prof, samples):
 
 
 def _wronskian(prof, samples):
-    """6. Wronskian of the normalized Jacobi pair."""
-    yield Result(_fold([abs(jacobi.jacobi_pair(prof, c, r, branch).wronskian() + 1.0)
-                        for c in (0.1, 0.3, 0.5, 0.7, 0.9)
-                        for r in _band_interior(math.asin(c), 21) for branch in (+1, -1)]))
+    """6. Wronskian of the normalized Jacobi pair, one array call per
+    Clairaut constant and branch."""
+    yield Result(_fold(np.hstack([
+        np.abs(jacobi.jacobi_pair(prof, c, _band_interior(math.asin(c), 21), branch).wronskian()
+               + 1.0)
+        for c in (0.1, 0.3, 0.5, 0.7, 0.9) for branch in (+1, -1)])))
 
 
 def _jacobi_ode(prof, samples):
-    """7. Jacobi ODE residual."""
+    """7. Jacobi ODE residual, three array calls of jacobi_pair per Clairaut
+    constant (jacobi_ode_check)."""
     yield Result(_fold([jacobi.jacobi_ode_check(prof, c, _band_interior(math.asin(c), 9))
                         for c in (0.2, 0.5, 0.8)]))
 
@@ -186,14 +192,16 @@ def _representation(prof, samples):
 
 
 def _regularization(prof, samples):
-    """9. Parametric vs regularized v2 away from the equator."""
+    """9. Parametric vs regularized v2 away from the equator, one array call
+    of each route per chart value."""
     defects = []
     for R in (0.2, 0.8, 1.3):
-        rs = [r for r in _band_interior(R, 41) if abs(r - math.pi / 2) > 0.1]
+        rs = _band_interior(R, 41)
+        rs = rs[np.abs(rs - math.pi / 2) > 0.1]
         batch = moduli.indicatrix_parametric_samples(prof, R, rs, [+1] * len(rs))
-        defects += [abs(a.v2 - moduli.indicatrix_regularized(prof, R, r, +1).v2)
-                    for r, a in zip(rs, batch)]
-    yield Result(_fold(defects))
+        regular = moduli.indicatrix_regularized(prof, R, rs, +1)
+        defects.append(np.abs(np.array([a.v2 for a in batch]) - regular.v2))
+    yield Result(_fold(np.hstack(defects)))
 
 
 def _ellipse(prof, samples):
@@ -216,18 +224,21 @@ def _homogeneity(prof, samples):
 
 
 def _unit_norm(prof, samples):
-    """12. F = 1 on indicatrix samples, one block of rays per chart value."""
-    curves = [(R, moduli.indicatrix_curve(prof, R, 64)) for R in (0.0, 0.6, 1.2)]
-    yield Result(_fold([np.abs(finsler.finsler_F(prof, R, 0.0, (c.v1, c.v2)).F - 1.0)
-                        for R, c in curves]))
+    """12. F = 1 on indicatrix samples, one block of rays over the three
+    chart values."""
+    curves = [moduli.indicatrix_curve(prof, R, 64) for R in (0.0, 0.6, 1.2)]
+    R = np.hstack([np.full(len(c), c.R) for c in curves])
+    v = np.hstack([c.v1 for c in curves]), np.hstack([c.v2 for c in curves])
+    yield Result(_fold(np.abs(finsler.finsler_F(prof, R, 0.0, v).F - 1.0)))
 
 
 def _fundamental_tensor(prof, samples):
-    """13. Fundamental tensor positive definite, one block of 24 directions per chart value."""
-    angles = np.linspace(0.0, 2 * math.pi, 25)[:-1]
-    eig_min = _fold([np.linalg.eigvalsh(finsler.fundamental_tensor(
-        prof, R, 0.0, (np.cos(angles), np.sin(angles))).tensor())
-        for R in (0.2, 0.7, 1.2)], floor=True)
+    """13. Fundamental tensor positive definite, 24 directions at each of
+    three chart values in one block."""
+    angles = np.tile(np.linspace(0.0, 2 * math.pi, 25)[:-1], 3)
+    R = np.repeat((0.2, 0.7, 1.2), 24)
+    eig_min = _fold(np.linalg.eigvalsh(finsler.fundamental_tensor(
+        prof, R, 0.0, (np.cos(angles), np.sin(angles))).tensor()), floor=True)
     yield Result(eig_min, f"min eigenvalue = {eig_min:.6f}")
 
 

@@ -92,6 +92,14 @@ def test_f_equation_degrees(ex1, ex2, sphere):
     assert p2.degree == 2
 
 
+def test_f_equation_needs_a_finite_vector(ex1):
+    """DomainError, where an untyped ValueError (NaN to an integer ratio) or
+    OverflowError (inf) came out of the exact arithmetic."""
+    for v in ((math.nan, 0.5), (0.3, math.inf), (-math.inf, math.nan)):
+        with pytest.raises(DomainError, match="finite vector"):
+            f_polynomial(ex1, 0.4, *v)
+
+
 @pytest.mark.parametrize("v", [(0.3, -0.5), (0.8, 0.1), (-0.2, 1.4), (0.6, 0.6)])
 def test_ray_value_is_polynomial_root(ex1, ex2, v):
     for prof in (ex1, ex2):

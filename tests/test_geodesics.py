@@ -114,8 +114,16 @@ def test_closure_against_simpson_oracle(ex1_strong):
 
 
 def test_closure_rejects_equator(ex1):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="degenerate for"):
         closure_integrals(ex1, 1.0)
+
+
+def test_closure_names_a_clairaut_constant_outside_the_range(ex1):
+    """|c| > 1 is outside [0, 1], not the equator (the message said
+    "degenerate for |c| = 1" for c = 2)."""
+    for c in (2.0, -1.5, math.inf):
+        with pytest.raises(DomainError, match=rf"\|c\|={abs(c)} outside \[0, 1\]"):
+            closure_integrals(ex1, c)
 
 
 # -- trace integration -------------------------------------------------------------------

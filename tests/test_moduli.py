@@ -1,8 +1,10 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zollfins import (BandError, ConvexityViolation, DomainError,
                       GeodesicState, IndicatrixCurve, IndicatrixSample,
@@ -164,6 +166,16 @@ def test_pencil_chart_matches_coords_of_geodesic(all_good):
     for r_p in (-0.1, math.nan):
         with pytest.raises(BandError):
             pencil_chart(all_good[1], r_p, 0.0, [0.3])
+
+
+def test_pencil_chart_names_a_non_finite_input(ex1):
+    """A non-finite direction angle is named (it read "|c|=nan"), and a
+    non-finite longitude raises (Theta = nan came back)."""
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match=f"direction angle {bad} is not finite"):
+            pencil_chart(ex1, 1.1, 0.7, [0.3, bad, math.nan])
+        with pytest.raises(DomainError, match=f"longitude {bad} "):
+            pencil_chart(ex1, 1.1, bad, [0.3])
 
 
 def test_moduli_point_validation():
@@ -414,6 +426,28 @@ def test_implicit_polynomial_round_sphere(sphere):
     impl = implicit_polynomial(sphere, 0.7)
     assert impl.degree == -1
     assert impl.combined == ()
+
+
+@given(v1=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(0.5)),
+       v2=st.floats(allow_nan=True, allow_infinity=True))
+@example(v1=math.nan, v2=1.0)
+@example(v1=1e200, v2=1.0)
+@example(v1=0.5, v2=-math.inf)
+@settings(max_examples=200, deadline=None)
+def test_implicit_residual_is_finite_or_raises(v1, v2):
+    """A non-finite vector or an overflowing residual raises DomainError
+    (nan came back for (nan, 1) and (1e200, 1)); any other vector gives a
+    finite residual.  The array call names the first bad vector."""
+    prof = ZollProfile((1, -2, 1))
+    try:
+        out = implicit_residual(prof, 0.3, v1, v2)
+    except DomainError as err:
+        assert f"({v1}, {v2})" in str(err)
+        with pytest.raises(DomainError, match=re.escape(f"({v1}, {v2})")):
+            implicit_residual(prof, 0.3, [0.1, v1, 0.3, v1], [0.2, v2, 0.4, 1.0])
+    else:
+        assert math.isfinite(out)
+        assert math.isfinite(v1) and math.isfinite(v2)
 
 
 def test_implicit_residual_trivial_points(ex1, sphere):
