@@ -44,8 +44,11 @@ value or at an array of n chart values, one per column.  The block's rays
 go to array calls of CurveEval.solve_ray, one masked Newton over all of
 them, each ray with the constants of its own chart value's evaluator
 (moduli.curve_block), and each column keeps the bits of its single-vector
-call at its chart value; a single vector stays on the float solver, which
-is faster for few rays.
+call at its chart value.  fundamental_tensor treats a single vector as a
+one-column block, unwrapped to floats (profile.unwrap).  finsler_F keeps
+its float path for a single vector, with the same bits: one array pass
+costs as much as 20 to 40 float solves, and unit_direction (the start of
+a Finsler trace) and verify check 11 make single-vector calls.
 
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
@@ -71,7 +74,7 @@ from .errors import BandError, ChartExitError, DomainError, PoleProximityError, 
 from .geodesics import sample_times
 from .jacobi import PhaseKernel
 from .moduli import CurveEval, curve_block, curve_cache, implicit_polynomial, pencil_chart
-from .profile import ZollProfile, curvature_x, curvature_x_prime
+from .profile import ZollProfile, curvature_x, curvature_x_prime, unwrap
 
 #: Orientation of the fiber rotation relative to the geodesic flow of F, in
 #: the (e_r, e_theta) angle convention used by invariants_IJ.  Fixed once by
@@ -184,13 +187,13 @@ def fundamental_tensor(profile: ZollProfile, R, Theta: float, v,
 
     v may also be a block of n vectors, a 2 x n array or a pair of arrays,
     and R then a float or an array of n chart values, one per column; the
-    FinslerEval then holds arrays.  The block makes two array calls of
-    solve_ray: the n centre rays cold, then the 16 n off-centre rays, for
-    both steps, each seeded by its own column's centre root and solved at
-    its column's chart value.  Each column has the bits of its
-    single-vector call; one vector stays on the float solves, which are
-    faster below ~35 rays.  DomainError names the first column whose
-    tensor overflows (F^2 beyond the float range).
+    FinslerEval then holds arrays.  It makes two array calls of solve_ray:
+    the n centre rays cold, then the 16 n off-centre rays, for both steps,
+    each seeded by its own column's centre root and solved at its column's
+    chart value, so that no column depends on the others.  A single vector
+    is a one-column block, and its FinslerEval holds floats.  DomainError
+    names the first column whose tensor overflows (F^2 beyond the float
+    range).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or len(v) != 2:
@@ -198,20 +201,16 @@ def fundamental_tensor(profile: ZollProfile, R, Theta: float, v,
     columns = v.reshape(2, -1)
     h = _difference_steps(columns, step)
     cache = _curve(profile, R, columns.shape[1] if v.ndim == 2 else None)
-    F, u0 = cache.solve_ray(v[0], v[1])
+    F, u0 = cache.solve_ray(columns[0], columns[1])
     hh = np.stack((h, 2 * h))                                   # (step, column)
     a, b = _STENCIL[:, None, :, None] * hh[:, None, :]          # (step, point, column)
-    if v.ndim == 2:
-        column = np.broadcast_to(np.arange(len(u0)), a.shape).ravel()
-        Fs, _ = cache.take(column).solve_ray((v[0] + a).ravel(), (v[1] + b).ravel(),
-                                             u0[column])
-    else:
-        Fs = [cache.solve_ray(v[0] + da, v[1] + db, u0)[0]
-              for da, db in zip(a.ravel().tolist(), b.ravel().tolist())]
+    column = np.broadcast_to(np.arange(len(u0)), a.shape).ravel()
+    Fs, _ = cache.take(column).solve_ray((columns[0] + a).ravel(),
+                                         (columns[1] + b).ravel(), u0[column])
     # F ** 2 of a float is libm pow, which np.float_power calls too; F * F
     # differs from it in the last bit on ~1 in 1000 values.
     with np.errstate(over="ignore", invalid="ignore"):     # raised below
-        p = np.float_power(np.reshape(Fs, a.shape), 2)
+        p = np.float_power(Fs.reshape(a.shape), 2)
         f0 = F * F
         d11 = (p[:, 0] - 2 * f0 + p[:, 1]) / (hh * hh)
         d22 = (p[:, 2] - 2 * f0 + p[:, 3]) / (hh * hh)
@@ -222,10 +221,8 @@ def fundamental_tensor(profile: ZollProfile, R, Theta: float, v,
         k = int(np.argmax(overflow))
         raise DomainError(f"fundamental tensor overflows at v = "
                           f"({columns[0, k]}, {columns[1, k]})")
-    if v.ndim == 2:
-        return FinslerEval(R, Theta, v[0], v[1], F, g11=g11, g12=g12, g22=g22)
-    return FinslerEval(R, Theta, float(v[0]), float(v[1]), F,
-                       g11=float(g11[0]), g12=float(g12[0]), g22=float(g22[0]))
+    return FinslerEval(R, Theta, *(unwrap(x, v[0]) for x in (columns[0], columns[1], F,
+                                                               g11, g12, g22)))
 
 
 # -- invariants ------------------------------------------------------------------

@@ -75,6 +75,12 @@ def turning_latitudes(c: np.ndarray) -> np.ndarray:
     return np.arcsin(np.minimum(1.0, np.abs(c)))
 
 
+def in_band(r, rc: float):
+    """Whether the latitude r, or each of an array of them, lies in the band
+    [rc, pi - rc] of the turning latitude rc, to 1e-12; NaN does not."""
+    return (rc - 1e-12 <= r) & (r <= math.pi - rc + 1e-12)
+
+
 def band_radicand(c: float, r, rc: float | None = None) -> np.ndarray:
     """sin^2 r - c^2 in the cancellation-free form sin(r-r_c) sin(r+r_c).
 

@@ -37,10 +37,11 @@ valid on the whole band.  In the signed phase u (cos r = cos r_c cos u,
 sign u = branch, dt/du = 1 + h) they give the indicatrix coordinate
 v2 = -c1 y2 of the moduli module and its rate dv2/du = -c1 (1 + h) y2'.
 PhaseKernel evaluates both, once for jacobi_pair, the regularized samples,
-the ray solver and the Finsler spray.  jacobi_pair takes a latitude or a
-1-D array of them, one kernel pass for the array, each entry with the bits
-of its float call; the literal 1/y1' route through the
-Phi quadrature is the independent cross-check on r < pi/2.  The finite part
+the ray solver and the Finsler spray.  jacobi_pair takes a 1-D array of
+latitudes, one kernel pass for the array, and a float latitude is a
+one-entry call of that path, unwrapped to floats (profile.unwrap); the
+literal 1/y1' route through the Phi quadrature is the independent
+cross-check on r < pi/2.  The finite part
 of Phi over the whole band, -Psi(pi - r_c) / cos^2 r_c, is 0 for odd h (the
 phase integrand sin^2 u h''(cos r_c cos u) is odd about u = pi/2), so above
 the equator it is minus the tail integral.
@@ -57,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BandError, DomainError
-from .geodesics import band_radicand, signed_phase, turning_latitude
-from .profile import ZollProfile, curvature_x, elementwise, horner, horner_jet
+from .geodesics import band_radicand, in_band, signed_phase, turning_latitude
+from .profile import ZollProfile, curvature_x, elementwise, horner, horner_jet, unwrap
 from .quadrature import gl_adaptive, gl_fixed, gl_refined
 
 #: |r - pi/2| below which callers should prefer the regularized expressions.
@@ -80,8 +81,7 @@ ODE_CHECK_STEP = 1e-4
 @dataclass(frozen=True)
 class JacobiPair:
     """Values and t-derivatives of the normalized Jacobi fields at one
-    latitude, or at each of an array of latitudes (then every field is an
-    array)."""
+    latitude (floats), or at each of an array of latitudes (arrays)."""
 
     y1: float | np.ndarray
     y1_prime: float | np.ndarray
@@ -107,19 +107,14 @@ def _check_chart(R: float):
         raise DomainError(f"chart coordinate |R| = {abs(R)} too close to pi/2")
 
 
-def _check_band(c: float, r: float, slack: float = 1e-12):
+def _check_band(c: float, r):
+    """BandError naming the first latitude of r, a float or an array, outside
+    the band of c (NaN included)."""
     rc = turning_latitude(c)
-    if not rc - slack <= r <= math.pi - rc + slack:
-        raise BandError(f"latitude {r} outside the band [{rc}, {math.pi - rc}]")
-
-
-def _check_bands(c: float, r: np.ndarray):
-    """_check_band on each entry of an array: the first latitude outside the
-    band (NaN included) names the error."""
-    rc = turning_latitude(c)
-    bad = ~((rc - 1e-12 <= r) & (r <= math.pi - rc + 1e-12))
-    if bad.any():
-        _check_band(c, float(r.ravel()[np.argmax(bad.ravel())]))
+    rs = np.ravel(r)
+    outside = np.flatnonzero(~in_band(rs, rc))
+    if outside.size:
+        raise BandError(f"latitude {rs[outside[0]]} outside the band [{rc}, {math.pi - rc}]")
 
 
 def jacobi_y(profile: ZollProfile, c: float, r: float, sign: int = +1
@@ -187,7 +182,7 @@ def _pole_panels(profile: ZollProfile, c: float, r, below: bool):
     r = np.asarray(r, dtype=float)
     rc = turning_latitude(c)
     side = r < math.pi / 2 if below else r > math.pi / 2
-    bad = ~(side & (rc - 1e-12 <= r) & (r <= math.pi - rc + 1e-12))
+    bad = ~(side & in_band(r, rc))
     if bad.any():       # the first offending latitude names its error
         rk = float(r.ravel()[np.argmax(bad.ravel())])
         _check_band(c, rk)
@@ -312,29 +307,25 @@ def jacobi_pair(profile: ZollProfile, c: float, r, sign: int = +1) -> JacobiPair
 
     y2 = -v2/c1 and y2' = -(dv2/du)/(c1 (1 + h)) from one PhaseKernel call
     at cos u = cos r / cos r_c and sin u = sign y / cos r_c; valid on the
-    whole band, r = pi/2 included.  ``r`` may be a 1-D array of latitudes:
-    one kernel call serves them all, each entry of the JacobiPair of arrays
-    has the bits of its float call (cos r through math), and BandError
-    names the first latitude outside the band.
+    whole band, r = pi/2 included.  ``r`` is a 1-D array of latitudes, and
+    one kernel call serves them all, cos r through math so that no entry
+    depends on the others; a float r is a one-entry call, and its
+    JacobiPair holds floats.  BandError names the first latitude outside
+    the band.
     """
-    if isinstance(r, np.ndarray):
-        _check_bands(c, r)
-    else:
-        _check_band(c, r)
+    _check_band(c, r)
     if sign not in (-1, +1):
         raise DomainError(f"branch sign must be +-1, got {sign}")
     c1 = c1_coefficient(profile, c)
     rc = turning_latitude(c)
     cos_rc = math.cos(rc)
-    if isinstance(r, np.ndarray):
-        x = elementwise(math.cos, r)
-        y = np.sqrt(band_radicand(c, r, rc))
-    else:
-        x = math.cos(r)
-        y = math.sqrt(float(band_radicand(c, r, rc)))
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    x = elementwise(math.cos, rs)
+    y = np.sqrt(band_radicand(c, rs, rc))
     one_h = 1.0 + profile.h(x)
     v2, v2_u = PhaseKernel(profile, rc).v2_du(x / cos_rc, sign * y / cos_rc)
-    return JacobiPair(sign * c1 * y, c1 * x / one_h, -v2 / c1, -v2_u / (c1 * one_h))
+    return JacobiPair(*(unwrap(f, r) for f in (
+        sign * c1 * y, c1 * x / one_h, -v2 / c1, -v2_u / (c1 * one_h))))
 
 
 def jacobi_pair_direct(profile: ZollProfile, c: float, r: float) -> JacobiPair:
@@ -364,7 +355,8 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
     dt/du = 1 + h(cos r_c cos u) by short Gauss-Legendre panels, at the time
     step ODE_CHECK_STEP.  The stencil's three rows (the grid, the latitudes
     a step back and a step ahead) each go to one array call of jacobi_pair.
-    A NaN residual is returned, not dropped.
+    The grid's band is checked once, before the stencils.  A NaN residual
+    is returned, not dropped.
     """
     rc = turning_latitude(c)
     cos_rc = math.cos(rc)
@@ -374,8 +366,8 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
 
     rows = []                   # (r, r one step back, r one step ahead, a, b)
     rs = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    _check_band(c, rs)
     for r, u in zip(rs.tolist(), signed_phase(c, rs).tolist()):
-        _check_band(c, r)
         du = ODE_CHECK_STEP / float(dt_du(np.asarray(u)))
         if not du < u < math.pi - du:
             raise BandError(f"grid point {r} too close to a turning point")

@@ -39,10 +39,13 @@ ray solves, one safeguarded Newton on the bracket [0, pi] of the half-curve
 (CurveEval.newton_ray, or one masked array pass over many rays), warm
 from a seed or cold from pi/2.  A block (curve_block) holds one chart
 value per ray, so that one masked pass serves rays at many chart values,
-each with the constants of its own evaluator.  The jet,
-indicatrix_curvature and indicatrix_regularized take a phase or latitude
-or a 1-D array of them, one kernel pass for the array, each entry with
-the bits of its float call.  A ray within
+each with the constants of its own evaluator.  indicatrix_curvature and
+indicatrix_regularized take a 1-D array of latitudes, one kernel pass for
+the array; a float latitude is a one-entry call of that path, unwrapped to
+floats (profile.unwrap).  The jet and the ray solves keep a float path
+beside their array one, with the same bits: the spray and the cold solve
+of a Finsler trace run them on one point at a time, where an array pass
+costs many float ones.  A ray within
 1e-9 of the v2 axis is resolved to u = 0 or pi directly.  The curvature
 identity of indicatrix_curvature reads the same jet, so it checks the code
 the spray uses.  The parametric quadrature of Phi and the implicit polynomial stay as
@@ -79,7 +82,6 @@ longitude reflected about its start.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,11 +91,11 @@ from math import comb
 import numpy as np
 
 from .errors import BandError, ConvexityViolation, DomainError, NoBracketError
-from .geodesics import (GeodesicState, band_radicand, longitude_advance,
+from .geodesics import (GeodesicState, band_radicand, in_band, longitude_advance,
                         signed_phase, turning_latitude, turning_latitudes)
 from .jacobi import (CHART_GUARD, EQUATOR_GUARD, PhaseKernel, _check_chart,
                      curvature_integral, curvature_integral_tail)
-from .profile import ZollProfile, curvature_x, elementwise, horner_jet
+from .profile import ZollProfile, curvature_x, elementwise, horner_jet, unwrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,7 +116,7 @@ class ModuliPoint:
 class IndicatrixSample:
     """One point of the unit circle of the induced norm at chart point (R,
     Theta), or, from an array call of indicatrix_regularized, one per entry
-    of the arrays r, v1 and v2."""
+    of the arrays r, v1 and v2 (and of branch, when it is an array)."""
 
     R: float
     Theta: float
@@ -124,25 +126,21 @@ class IndicatrixSample:
     v2: float | np.ndarray
 
 
-def _check_sample_args(R: float, r: float, branch: int):
-    _check_chart(R)
-    if branch not in (-1, +1):
-        raise DomainError(f"branch must be +-1, got {branch}")
-    rc = abs(R)
-    if not rc - 1e-12 <= r <= math.pi - rc + 1e-12:
-        raise BandError(f"latitude {r} outside [{rc}, {math.pi - rc}]")
-
-
-def _check_samples(R: float, rs: np.ndarray, branches):
-    """_check_sample_args on an array of latitudes with a branch or an array
-    of branches: the first offending sample raises its own error."""
+def _check_samples(R: float, r, branch):
+    """The chart check, then the branch and band checks of the samples at the
+    latitudes r (a float or an array) on the branch or branches ``branch``:
+    the first offending sample raises its own error."""
     _check_chart(R)
     rc = abs(R)
-    b = np.broadcast_to(branches, rs.shape)
-    bad = ((b != 1) & (b != -1)) | ~((rc - 1e-12 <= rs) & (rs <= math.pi - rc + 1e-12))
-    if bad.any():
-        k = int(np.argmax(bad))
-        _check_sample_args(R, rs[k].item(), b[k].item())
+    rs = np.ravel(r)
+    b = np.broadcast_to(branch, rs.shape)
+    bad_branch = (b != 1) & (b != -1)
+    bad = np.flatnonzero(bad_branch | ~in_band(rs, rc))
+    if bad.size:
+        k = bad[0]
+        if bad_branch[k]:
+            raise DomainError(f"branch must be +-1, got {b[k].item()}")
+        raise BandError(f"latitude {rs[k].item()} outside [{rc}, {math.pi - rc}]")
 
 
 # -- chart coordinates ---------------------------------------------------------
@@ -245,9 +243,9 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
     finite part vanishes for odd h (see the jacobi module).  The latitudes
     below the equator go to one array call of curvature_integral, those
     above it to one of curvature_integral_tail.
-    Within EQUATOR_GUARD of r = pi/2 a sample is dispatched to the
-    regularized form, where the cancellation between 1/cos r terms would
-    otherwise cost precision.  The band is taken about |R|, so the glue
+    Within EQUATOR_GUARD of r = pi/2 the samples take their v2 from one
+    array call of the regularized form, where the cancellation between
+    1/cos r terms would otherwise cost precision.  The band is taken about |R|, so the glue
     points r = |R| and pi - |R| lie on the v2 axis exactly.
     """
     rs = [float(r) for r in rs]
@@ -267,11 +265,12 @@ def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
         phi[above] = -curvature_integral_tail(profile, c, r_arr[above])
     y = np.sqrt(band_radicand(c, r_arr, abs(R)))
     x = np.cos(r_arr)
-    v1 = (y / math.cos(R)).tolist()
-    v2 = (-(1.0 + profile.h(x)) / x + y * phi).tolist()
-    return [indicatrix_regularized(profile, R, r, branch, Theta=Theta) if is_near
-            else IndicatrixSample(R, Theta, branch, r, branch * v1k, v2k)
-            for r, branch, is_near, v1k, v2k in zip(rs, branches, near.tolist(), v1, v2)]
+    v1 = b_arr * y / math.cos(R)
+    v2 = -(1.0 + profile.h(x)) / x + y * phi
+    if near.any():
+        v2[near] = indicatrix_regularized(profile, R, r_arr[near], b_arr[near]).v2
+    return [IndicatrixSample(R, Theta, branch, r, v1k, v2k)
+            for r, branch, v1k, v2k in zip(rs, branches, v1.tolist(), v2.tolist())]
 
 
 def indicatrix_regularized(profile: ZollProfile, R: float, r,
@@ -280,23 +279,18 @@ def indicatrix_regularized(profile: ZollProfile, R: float, r,
     at cos u = cos r / cos R and sin u = v1 = branch y / cos R, with y taken
     on the band about |R|, so that the glue points lie on the v2 axis exactly.
 
-    ``r`` may be a 1-D array of latitudes: one kernel call serves them all,
-    the sample's r, v1 and v2 are arrays, each entry with the bits of its
-    float call (cos r through math), and the first offending latitude names
-    the error.
+    ``r`` is a 1-D array of latitudes, and ``branch`` a branch or an array of
+    them: one kernel call serves them all, cos r through math so that no
+    entry depends on the others, and the sample's v1 and v2 are arrays.  A
+    float r is a one-entry call, and its sample holds floats.  The first
+    offending latitude names the error.
     """
-    if isinstance(r, np.ndarray):
-        _check_samples(R, r, branch)
-        cos_r = elementwise(math.cos, r)
-        y = np.sqrt(band_radicand(math.sin(R), r, abs(R)))
-    else:
-        _check_sample_args(R, r, branch)
-        cos_r = math.cos(r)
-        y = math.sqrt(float(band_radicand(math.sin(R), r, abs(R))))
+    _check_samples(R, r, branch)
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
     cos_R = math.cos(R)
-    v1 = branch * y / cos_R
-    return IndicatrixSample(R, Theta, branch, r, v1,
-                            curve_cache(profile, R).v2_du(cos_r / cos_R, v1)[0])
+    v1 = branch * np.sqrt(band_radicand(math.sin(R), rs, abs(R))) / cos_R
+    v2 = curve_cache(profile, R).v2_du(elementwise(math.cos, rs) / cos_R, v1)[0]
+    return IndicatrixSample(R, Theta, branch, r, unwrap(v1, r), unwrap(v2, r))
 
 
 def indicatrix_curvature(profile: ZollProfile, R: float, r,
@@ -310,33 +304,25 @@ def indicatrix_curvature(profile: ZollProfile, R: float, r,
     Right: (dt/dr)^2 G(r).  Strict positivity of either side over the band
     certifies strong convexity; the two sides agreeing certifies the
     curvature identity itself.  Turning points are excluded (dt/dr diverges
-    there).  ``r`` may be a 1-D array of latitudes: one jet call serves
-    them all, and the two sides come back as arrays, each entry with the
-    bits of its float call (trig through math, squares and cubes through
-    libm pow); the first offending latitude names the error.
+    there).  ``r`` is a 1-D array of latitudes: one jet call serves them
+    all, and the two sides come back as arrays, trig through math and
+    squares and cubes through libm pow, so that no entry depends on the
+    others.  A float r is a one-entry call, and both sides are floats.  The
+    first offending latitude names the error.
     """
+    _check_samples(R, r, branch)
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
     rc = abs(R)
-    if isinstance(r, np.ndarray):
-        _check_samples(R, r, branch)
-        if (np.minimum(r - rc, math.pi - rc - r) < 1e-6).any():
-            raise DomainError("indicatrix curvature is singular at the turning points")
-        x, sr = elementwise(math.cos, r), elementwise(math.sin, r)
-        y = np.sqrt(band_radicand(math.sin(R), r))
-        u = elementwise(math.atan2, branch * y, x)     # signed_phase, through math
-        power = np.float_power
-    else:
-        _check_sample_args(R, r, branch)
-        if min(r - rc, math.pi - rc - r) < 1e-6:
-            raise DomainError("indicatrix curvature is singular at the turning points")
-        x = math.cos(r)
-        sr = math.sin(r)
-        y = math.sqrt(float(band_radicand(math.sin(R), r)))
-        u = signed_phase(math.sin(R), r, branch)
-        power = operator.pow
+    if (np.minimum(rs - rc, math.pi - rc - rs) < 1e-6).any():
+        raise DomainError("indicatrix curvature is singular at the turning points")
+    x, sr = elementwise(math.cos, rs), elementwise(math.sin, rs)
+    y = np.sqrt(band_radicand(math.sin(R), rs))
+    u = elementwise(math.atan2, branch * y, x)     # signed_phase, through math
     (p1, p2), (t1, t2), (a1, a2), _, _ = curve_cache(profile, R).jet(u)
-    left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * power(sr / y, 2)
-    right = power((1.0 + profile.h(x)) * sr / y, 2) * curvature_x(profile, x, power)
-    return left, (right if power is np.float_power else float(right))
+    left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * np.float_power(sr / y, 2)
+    right = (np.float_power((1.0 + profile.h(x)) * sr / y, 2)
+             * curvature_x(profile, x, np.float_power))
+    return unwrap(left, r), unwrap(right, r)
 
 
 # -- the closed curve -----------------------------------------------------------
@@ -437,6 +423,10 @@ class ImplicitIndicatrix:
     top coefficients cancel identically; ``combined`` keeps the general form,
     the cancellation is verified exactly, and ``degree`` reports the reduced
     degree (-1 for P = 0).
+
+    The three methods take floats or arrays.  Each raises DomainError for a
+    non-finite argument and for a value that overflows, naming the first
+    such argument, instead of returning NaN or inf.
     """
 
     R: float
@@ -447,24 +437,26 @@ class ImplicitIndicatrix:
     degree: int
     raw_top_exact: Fraction
 
-    def p_eval(self, w):
+    def _p(self, w: np.ndarray):
         if not self.combined:
-            return np.zeros_like(np.asarray(w, dtype=float))
-        return np.polynomial.polynomial.polyval(np.asarray(w, dtype=float),
-                                                np.asarray(self.combined))
+            return np.zeros_like(w)
+        return np.polynomial.polynomial.polyval(w, np.asarray(self.combined))
+
+    def p_eval(self, w):
+        """P(w), w = v1^2."""
+        return _guarded("P(w)", self._p, w)
 
     def residual(self, v1, v2):
         """(v2 + P(v1^2))^2 - (1 - v1^2)/cos^2 R; ~0 iff on the indicatrix."""
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        out = (v2 + self.p_eval(v1 * v1)) ** 2 - (1.0 - v1 * v1) / self.q
+        out = _guarded("implicit residual", lambda v1, v2: (
+            (v2 + self._p(v1 * v1)) ** 2 - (1.0 - v1 * v1) / self.q), v1, v2)
         return out if out.ndim else float(out)
 
     def branch_gap(self, v1, v2, hemisphere: int):
         """v2 + P(v1^2) + sign(cos r) sqrt(1-v1^2)/cos R on one hemisphere."""
-        v1 = np.asarray(v1, dtype=float)
-        root = np.sqrt(np.clip(1.0 - v1 * v1, 0.0, None)) / self.cos_R
-        return v2 + self.p_eval(v1 * v1) + hemisphere * root
+        return _guarded("branch gap", lambda v1, v2: (
+            v2 + self._p(v1 * v1)
+            + hemisphere * (np.sqrt(np.clip(1.0 - v1 * v1, 0.0, None)) / self.cos_R)), v1, v2)
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -533,20 +525,27 @@ def implicit_residual(profile: ZollProfile, R: float, v1, v2):
     """Value of the squared implicit identity at (v1, v2); ~0 on the curve.
     v1 and v2 may be arrays.  DomainError for a non-finite vector and for a
     residual that overflows, naming the first such vector."""
-    v1a, v2a = np.broadcast_arrays(np.asarray(v1, dtype=float), np.asarray(v2, dtype=float))
-    _raise_at(~(np.isfinite(v1a) & np.isfinite(v2a)), v1a, v2a,
-              "implicit residual needs a finite vector")
+    return implicit_polynomial(profile, R).residual(v1, v2)
+
+
+def _guarded(what: str, value, *args):
+    """value(*args) on the arguments as float arrays of one shape, with
+    numpy's overflow and invalid-value warnings off: DomainError names the
+    first arguments that are not finite or give a value that is not."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    _raise_at(~np.all(np.isfinite(args), axis=0), f"{what} needs a finite argument", args)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = implicit_polynomial(profile, R).residual(v1, v2)
-    _raise_at(~np.isfinite(out), v1a, v2a, "implicit residual overflows")
+        out = value(*args)
+    _raise_at(~np.isfinite(out), f"{what} overflows", args)
     return out
 
 
-def _raise_at(bad, v1: np.ndarray, v2: np.ndarray, what: str):
-    """DomainError naming the first vector (v1, v2) where ``bad`` holds."""
+def _raise_at(bad, what: str, args: list[np.ndarray]):
+    """DomainError naming the entries of ``args`` at the first index where
+    ``bad`` holds."""
     if np.any(bad):
         k = int(np.argmax(np.ravel(bad)))
-        raise DomainError(f"{what}: ({v1.ravel()[k]}, {v2.ravel()[k]})")
+        raise DomainError(f"{what}: ({', '.join(str(a.ravel()[k]) for a in args)})")
 
 
 # -- fast closed-form curve evaluation (shared with the finsler module) ---------

@@ -112,14 +112,8 @@ class ZollProfile:
             return
         # |h| < 1 scan: dense grid plus bisection refinement on sign changes
         # of h', which brackets every interior extremum of the polynomial.
-        xs = np.linspace(-1.0, 1.0, _SCAN_POINTS)
-        habs = np.abs(self.h(xs))
-        worst = float(habs.max())
-        dh = self.h_prime(xs)
-        sign_flip = np.nonzero(np.sign(dh[:-1]) * np.sign(dh[1:]) < 0)[0]
-        for i in sign_flip:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            x_ext = _bisect_root(self.h_prime, lo, hi)
+        worst = float(np.abs(self.h(np.linspace(-1.0, 1.0, _SCAN_POINTS))).max())
+        for x_ext in _sign_change_roots(self.h_prime):
             worst = max(worst, abs(float(self.h(x_ext))))
         if not worst < 1.0:
             raise ProfileError(f"|h| must stay below 1 on [-1,1]; max |h| = {worst}")
@@ -181,6 +175,22 @@ def elementwise(f, *arrays) -> np.ndarray:
     numpy's own transcendentals and powers need not give."""
     args = [np.asarray(a, dtype=float).ravel().tolist() for a in arrays]
     return np.fromiter(map(f, *args), float, len(args[0]))
+
+
+def unwrap(values, like):
+    """``values``, the result of an array path, as the Python float of its
+    one entry when the call's argument ``like`` is a float (a one-entry
+    call of the array path), else as it is."""
+    return values if np.ndim(like) else float(values[0])
+
+
+def _sign_change_roots(f) -> list[float]:
+    """The roots of f bracketed by its sign changes on the _SCAN_POINTS grid
+    over [-1, 1], each refined by _bisect_root; f takes a float or an array."""
+    xs = np.linspace(-1.0, 1.0, _SCAN_POINTS)
+    fs = np.asarray(f(xs))
+    flips = np.nonzero(np.sign(fs[:-1]) * np.sign(fs[1:]) < 0)[0]
+    return [_bisect_root(f, float(xs[i]), float(xs[i + 1])) for i in flips]
 
 
 def _bisect_root(f, lo: float, hi: float, iters: int = 80) -> float:
@@ -246,15 +256,8 @@ def curvature_critical_points(profile: ZollProfile) -> list[tuple[float, float]]
     Located by sampling dG/dx on the admissibility grid and bisecting each
     sign change.
     """
-    xs = np.linspace(-1.0, 1.0, _SCAN_POINTS)
-    dg = np.asarray(curvature_x_prime(profile, xs))
-    flips = np.nonzero(np.sign(dg[:-1]) * np.sign(dg[1:]) < 0)[0]
-    points = []
-    for i in flips:
-        x_star = _bisect_root(lambda x: curvature_x_prime(profile, x),
-                              float(xs[i]), float(xs[i + 1]))
-        points.append((x_star, float(curvature_x(profile, x_star))))
-    return points
+    return [(x_star, float(curvature_x(profile, x_star))) for x_star
+            in _sign_change_roots(lambda x: curvature_x_prime(profile, x))]
 
 
 def check_positive_curvature(profile: ZollProfile) -> tuple[bool, tuple[float, float]]:

@@ -1,12 +1,16 @@
-"""The array paths give each entry the bits of its float call.
+"""The array paths give each entry the bits of its own one-entry call.
 
-jacobi_pair, CurveEval.jet, indicatrix_curvature and indicatrix_regularized
-take arrays of latitudes or phases; finsler_F and fundamental_tensor take a
-block of vectors with one chart value per column.  Each property draws the
-Clairaut constant or chart values over the band, with the glue points, the
-EQUATOR_GUARD band about r = pi/2 and, for the norms, vertical rays among
-the draws, and compares every entry with its own float call, sign of zero
-included.  The typed errors name the first offending entry."""
+jacobi_pair, indicatrix_curvature and indicatrix_regularized take arrays of
+latitudes, and a float latitude is a one-entry call of that path; their
+properties compare an n-entry call with the n one-entry calls, so that no
+entry depends on the others.  fundamental_tensor treats a single vector as
+a one-column block in the same way.  CurveEval.jet and finsler_F keep a
+float path beside their array one: there each entry is compared with that
+float call.  Each property draws the Clairaut constant or chart values over
+the band, with the glue points, the EQUATOR_GUARD band about r = pi/2 and,
+for the norms, vertical rays among the draws, and compares bits, sign of
+zero included.  The typed errors name the first offending entry, and a
+float call returns Python floats."""
 
 import math
 import re
@@ -160,6 +164,19 @@ def test_latitude_arrays_name_the_first_bad_entry(ex1):
         indicatrix_curvature(ex1, R, np.array([1.0, R + 1e-7]))
     with pytest.raises(DomainError, match="branch sign"):
         jacobi_pair(ex1, c, rs[:2], 2)
+
+
+def test_float_calls_return_python_floats(ex1):
+    """A one-entry call made with a float (a single vector for the tensor)
+    returns Python floats, not numpy scalars or arrays."""
+    R, c = 0.4, math.sin(0.4)
+    pair = jacobi_pair(ex1, c, 1.0)
+    sample = indicatrix_regularized(ex1, R, 1.0)
+    tensor = fundamental_tensor(ex1, R, 0.0, (0.3, -0.5))
+    values = [pair.y1, pair.y1_prime, pair.y2, pair.y2_prime, sample.r, sample.v1, sample.v2,
+              *indicatrix_curvature(ex1, R, 1.0),
+              tensor.v1, tensor.v2, tensor.F, tensor.g11, tensor.g12, tensor.g22]
+    assert [type(x) for x in values] == [float] * len(values)
 
 
 # -- blocks across chart values ------------------------------------------------------

@@ -450,6 +450,33 @@ def test_implicit_residual_is_finite_or_raises(v1, v2):
         assert math.isfinite(v1) and math.isfinite(v2)
 
 
+@given(v1=st.floats(allow_nan=True, allow_infinity=True),
+       v2=st.floats(allow_nan=True, allow_infinity=True))
+@example(v1=math.nan, v2=1.0)
+@example(v1=1e200, v2=1.0)
+@example(v1=math.inf, v2=1.0)
+@example(v1=1e300, v2=1.0)
+@settings(max_examples=200, deadline=None)
+def test_implicit_methods_are_finite_or_raise(v1, v2):
+    """residual, branch_gap and p_eval (here of w = v1) of the implicit
+    polynomial give a finite value or raise DomainError naming their
+    argument, with numpy's overflow, invalid-value and division errors
+    raised (underflow is harmless here): residual(nan, 1) came back
+    nan, and residual(1e200, 1), branch_gap(inf, 1, 1) and p_eval(1e300)
+    warned."""
+    impl = implicit_polynomial(ZollProfile((1, -2, 1)), 0.3)
+    calls = [(impl.residual, (v1, v2)), (impl.branch_gap, (v1, v2, 1)), (impl.p_eval, (v1,))]
+    for call, args in calls:
+        named = "(" + ", ".join(map(str, args[:2])) + ")"
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                out = call(*args)
+        except DomainError as err:
+            assert named in str(err), call.__name__
+        else:
+            assert np.isfinite(out), call.__name__
+
+
 def test_implicit_residual_trivial_points(ex1, sphere):
     R = 0.6
     v2_bottom = -(1.0 + ex1.h(math.cos(R))) / math.cos(R)

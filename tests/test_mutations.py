@@ -21,9 +21,9 @@ from zollfins.moduli import CurveEval
 from zollfins.verify import CHECKS
 
 #: The checks that no planted fault guards yet.
-UNFAULTED = {"gauss_curvature_positive", "curvature_fd_agreement", "indicatrix_convexity",
-             "ellipse_degeneration", "finsler_homogeneity", "indicatrix_unit_norm",
-             "fundamental_tensor_pd", "invariants"}
+UNFAULTED = {"gauss_curvature_positive", "indicatrix_convexity", "ellipse_degeneration",
+             "finsler_homogeneity", "indicatrix_unit_norm", "fundamental_tensor_pd",
+             "invariants"}
 
 #: The checks that a planted fault below guards, filled by ``guards``.
 GUARDED = set()
@@ -58,6 +58,17 @@ def test_every_check_has_a_fault_or_is_listed():
     names = {name for row in CHECKS for name in row.bounds}
     assert GUARDED <= names, GUARDED - names
     assert names - GUARDED == UNFAULTED
+
+
+@guards("curvature_fd_agreement")
+def test_curvature_fault_fails_curvature_fd(monkeypatch):
+    """The closed-form Gauss curvature G, 1e-5 too large against the
+    finite-difference oracle.  G stays positive, so the positivity check
+    still passes: only the second route sees the fault."""
+    curvature_x = profile_mod.curvature_x
+    monkeypatch.setattr(profile_mod, "curvature_x",
+                        lambda *args: curvature_x(*args) * (1 + 1e-5))
+    assert _statuses("gauss_curvature_positive") == ["pass"]
 
 
 @guards("indicatrix_curvature_sides")
