@@ -17,8 +17,7 @@ from .jacobi import (JacobiPair, jacobi_ode_check, jacobi_pair,
 from .moduli import (ImplicitIndicatrix, IndicatrixCurve, IndicatrixSample,
                      ModuliPoint, coords_of_geodesic, implicit_polynomial,
                      implicit_residual, indicatrix_curvature, indicatrix_curve,
-                     indicatrix_parametric, indicatrix_parametric_samples,
-                     indicatrix_regularized, pencil_chart)
+                     indicatrix_parametric, indicatrix_regularized, pencil_chart)
 from .profile import (ZollProfile, check_positive_curvature,
                       curvature_critical_points, curvature_fd_check, example1,
                       example2, gauss_curvature, metric_coeffs, round_sphere)

@@ -41,10 +41,12 @@ the ray solver and the Finsler spray.  jacobi_pair takes a 1-D array of
 latitudes, one kernel pass for the array, and a float latitude is a
 one-entry call of that path, unwrapped to floats (profile.unwrap); the
 literal 1/y1' route through the Phi quadrature is the independent
-cross-check on r < pi/2.  The finite part
-of Phi over the whole band, -Psi(pi - r_c) / cos^2 r_c, is 0 for odd h (the
-phase integrand sin^2 u h''(cos r_c cos u) is odd about u = pi/2), so above
-the equator it is minus the tail integral.
+cross-check on r < pi/2.  The Phi quadratures take arrays of latitudes
+too: gl_refined integrates them all on order-16 panels with one call of
+the integrand, whose numerator 1 + h - x h' is one Horner in x^2.  The
+finite part of Phi over the whole band, -Psi(pi - r_c) / cos^2 r_c, is 0
+for odd h (the phase integrand sin^2 u h''(cos r_c cos u) is odd about
+u = pi/2), so above the equator it is minus the tail integral.
 
 y2 is even under t -> -t and y1 odd, so y2 at a given latitude does not
 depend on the branch while y1, y2' flip sign with it.
@@ -60,7 +62,7 @@ import numpy as np
 from .errors import BandError, DomainError
 from .geodesics import band_radicand, in_band, signed_phase, turning_latitude
 from .profile import ZollProfile, curvature_x, elementwise, horner, horner_jet, unwrap
-from .quadrature import gl_adaptive, gl_fixed, gl_refined
+from .quadrature import _leggauss, gl_adaptive, gl_refined
 
 #: |r - pi/2| below which callers should prefer the regularized expressions.
 EQUATOR_GUARD = 1e-3
@@ -70,8 +72,9 @@ CHART_GUARD = 1e-6
 
 #: The Phi quadratures stop halving their panels at this fraction of the
 #: distance from the refined end to the double pole at u = pi/2.  A panel a
-#: tenth of the pole distance wide already converges to roundoff at order 48;
-#: against a 30-digit reference, floors of 0.5 .. 1 lose a digit.
+#: tenth of the pole distance wide already converges to roundoff with the
+#: order-16 panels of gl_refined; against a 30-digit reference, floors of
+#: 0.5 .. 1 give 2 to 3.5 times the error.
 POLE_PANEL_FRACTION = 0.1
 
 #: Time step of the three-point stencil in jacobi_ode_check.
@@ -107,20 +110,31 @@ def _check_chart(R: float):
         raise DomainError(f"chart coordinate |R| = {abs(R)} too close to pi/2")
 
 
-def _check_band(c: float, r):
-    """BandError naming the first latitude of r, a float or an array, outside
-    the band of c (NaN included)."""
-    rc = turning_latitude(c)
-    rs = np.ravel(r)
-    outside = np.flatnonzero(~in_band(rs, rc))
-    if outside.size:
-        raise BandError(f"latitude {rs[outside[0]]} outside the band [{rc}, {math.pi - rc}]")
+def _check_band(rc: float, r, branch=+1):
+    """The shape, branch and band checks of samples at the latitudes r, a
+    float or a 1-D array, on the branch or branches ``branch``, +-1 or an
+    array of r's length, on the band [rc, pi - rc]: DomainError for a bad
+    shape, else the first offending sample raises its own error, DomainError
+    for its branch or BandError for its latitude (NaN included)."""
+    rs, b = np.asarray(r, dtype=float), np.asarray(branch)
+    if rs.ndim > 1 or b.shape not in ((), (rs.size,)):
+        raise DomainError(f"samples need a float or a 1-D array of latitudes and a branch "
+                          f"or one per latitude, got shapes {rs.shape} and {b.shape}")
+    rs = rs.ravel()
+    b = np.broadcast_to(b, rs.shape)
+    bad_branch = (b != 1) & (b != -1)
+    bad = np.flatnonzero(bad_branch | ~in_band(rs, rc))
+    if bad.size:
+        k = bad[0]
+        if bad_branch[k]:
+            raise DomainError(f"branch must be +-1, got {b[k].item()}")
+        raise BandError(f"latitude {rs[k].item()} outside the band [{rc}, {math.pi - rc}]")
 
 
 def jacobi_y(profile: ZollProfile, c: float, r: float, sign: int = +1
              ) -> tuple[float, float]:
     """(y, y') with y = sign sqrt(sin^2 r - c^2) and y' = cos r / (1+h(cos r))."""
-    _check_band(c, r)
+    _check_band(turning_latitude(c), r)
     y = math.sqrt(band_radicand(c, r))
     x = math.cos(r)
     return sign * y, x / (1.0 + profile.h(x))
@@ -152,8 +166,8 @@ def hpp_integral_quad(profile: ZollProfile, c: float, r: float) -> float:
 
         Psi = cos^2 r_c int_0^{u_r} sin^2 u h''(cos r_c cos u) du.
     """
-    _check_band(c, r)
     rc = turning_latitude(c)
+    _check_band(rc, r)
     cos_rc = math.cos(rc)
 
     def integrand(u):
@@ -166,12 +180,16 @@ def hpp_integral_quad(profile: ZollProfile, c: float, r: float) -> float:
 # -- the curvature integral Phi ----------------------------------------------
 
 def _phi_integrand(profile: ZollProfile, cos_rc: float):
+    """The Phi integrand [(1 + h(z)) - z h'(z)] / (cos r_c cos u)^2 in the
+    phase u, z = cos r_c cos u, with 1 + h - z h' = 1 - sum_k 2k a_k z^(2k+1)
+    as one Horner in z^2.  |z| <= 1 by construction: no domain check."""
     scale = cos_rc * cos_rc
+    table = tuple(2.0 * k * a for k, a in enumerate(profile.odd_coeffs))
 
     def f(u):
         cu = np.cos(u)
         z = cos_rc * cu
-        return (1.0 + profile.h(z) - z * profile.h_prime(z)) / (scale * cu ** 2)
+        return (1.0 - z * horner(table, z * z)) / (scale * cu ** 2)
 
     return f
 
@@ -185,7 +203,7 @@ def _pole_panels(profile: ZollProfile, c: float, r, below: bool):
     bad = ~(side & in_band(r, rc))
     if bad.any():       # the first offending latitude names its error
         rk = float(r.ravel()[np.argmax(bad.ravel())])
-        _check_band(c, rk)
+        _check_band(rc, rk)
         raise DomainError("Phi(r) diverges at r = pi/2; use the regularized forms" if below
                           else "tail integral requires r > pi/2")
     u_r = signed_phase(c, r)
@@ -310,14 +328,12 @@ def jacobi_pair(profile: ZollProfile, c: float, r, sign: int = +1) -> JacobiPair
     whole band, r = pi/2 included.  ``r`` is a 1-D array of latitudes, and
     one kernel call serves them all, cos r through math so that no entry
     depends on the others; a float r is a one-entry call, and its
-    JacobiPair holds floats.  BandError names the first latitude outside
-    the band.
+    JacobiPair holds floats.  The first offending latitude names the error
+    (_check_band).
     """
-    _check_band(c, r)
-    if sign not in (-1, +1):
-        raise DomainError(f"branch sign must be +-1, got {sign}")
-    c1 = c1_coefficient(profile, c)
     rc = turning_latitude(c)
+    _check_band(rc, r, sign)
+    c1 = c1_coefficient(profile, c)
     cos_rc = math.cos(rc)
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     x = elementwise(math.cos, rs)
@@ -334,7 +350,7 @@ def jacobi_pair_direct(profile: ZollProfile, c: float, r: float) -> JacobiPair:
     Valid for r < pi/2, where the accumulated integral int_0^t G/(y1')^2 ds
     is finite; evaluated through Phi by panel quadrature.
     """
-    _check_band(c, r)
+    _check_band(turning_latitude(c), r)
     if r >= math.pi / 2 - 1e-9:
         raise DomainError("direct Jacobi route valid only below the equator")
     c1 = c1_coefficient(profile, c)
@@ -353,10 +369,13 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
     Test oracle: y1, y2 come from jacobi_pair; the second t-derivative uses a
     non-uniform three-point stencil with the time offsets recovered from
     dt/du = 1 + h(cos r_c cos u) by short Gauss-Legendre panels, at the time
-    step ODE_CHECK_STEP.  The stencil's three rows (the grid, the latitudes
-    a step back and a step ahead) each go to one array call of jacobi_pair.
-    The grid's band is checked once, before the stencils.  A NaN residual
-    is returned, not dropped.
+    step ODE_CHECK_STEP.  One array pass over the grid: one dt/du call gives
+    the phase steps, one node array the order-8 rules of gl_fixed over the
+    backward and forward phase steps, each with the bits of its gl_fixed
+    call, and the stencil's three rows (the grid, the latitudes a step back
+    and a step ahead) each go to one array call of jacobi_pair.  The grid's
+    band is checked once, before the stencils.  A NaN residual is returned,
+    not dropped.
     """
     rc = turning_latitude(c)
     cos_rc = math.cos(rc)
@@ -364,20 +383,23 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
     def dt_du(u):
         return 1.0 + profile.h(cos_rc * np.cos(u))
 
-    rows = []                   # (r, r one step back, r one step ahead, a, b)
-    rs = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    _check_band(c, rs)
-    for r, u in zip(rs.tolist(), signed_phase(c, rs).tolist()):
-        du = ODE_CHECK_STEP / float(dt_du(np.asarray(u)))
-        if not du < u < math.pi - du:
-            raise BandError(f"grid point {r} too close to a turning point")
-        u_m, u_p = u - du, u + du
-        rows.append((r, math.acos(cos_rc * math.cos(u_m)), math.acos(cos_rc * math.cos(u_p)),
-                     gl_fixed(dt_du, u_m, u, 8),     # backward time offset
-                     gl_fixed(dt_du, u, u_p, 8)))    # forward time offset
-    if not rows:
+    r_0 = np.atleast_1d(np.asarray(r_grid, dtype=float))
+    _check_band(rc, r_0)
+    if not r_0.size:
         return 0.0
-    r_0, r_m, r_p, a, b = (np.array(col) for col in zip(*rows))
+    u = signed_phase(c, r_0)
+    du = ODE_CHECK_STEP / dt_du(u)
+    close = ~((du < u) & (u < math.pi - du))
+    if close.any():
+        raise BandError(f"grid point {r_0[np.argmax(close)]} too close to a turning point")
+    u_m, u_p = u - du, u + du
+    r_m, r_p = (elementwise(math.acos, cos_rc * elementwise(math.cos, v)) for v in (u_m, u_p))
+    lo, hi = np.concatenate((u_m, u)), np.concatenate((u, u_p))
+    x, w = _leggauss(8)
+    half = 0.5 * (hi - lo)
+    vals = dt_du((0.5 * (lo + hi))[:, None] + half[:, None] * x)
+    # np.dot row by row, as gl_fixed: a matrix product may round a row otherwise.
+    a, b = np.split(half * np.array([np.dot(w, row) for row in vals]), 2)
     g_val = curvature_x(profile, elementwise(math.cos, r_0), np.float_power)
     pair_0, pair_m, pair_p = (jacobi_pair(profile, c, rr, +1) for rr in (r_0, r_m, r_p))
     residuals = []

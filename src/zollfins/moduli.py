@@ -41,8 +41,9 @@ from a seed or cold from pi/2.  A block (curve_block) holds one chart
 value per ray, so that one masked pass serves rays at many chart values,
 each with the constants of its own evaluator.  indicatrix_curvature and
 indicatrix_regularized take a 1-D array of latitudes, one kernel pass for
-the array; a float latitude is a one-entry call of that path, unwrapped to
-floats (profile.unwrap).  The jet and the ray solves keep a float path
+the array, and indicatrix_parametric one, one quadrature on each side of
+the equator; a float latitude is a one-entry call of that path, unwrapped
+to floats (profile.unwrap).  The jet and the ray solves keep a float path
 beside their array one, with the same bits: the spray and the cold solve
 of a Finsler trace run them on one point at a time, where an array pass
 costs many float ones.  A ray within
@@ -56,8 +57,10 @@ curve into the implicit algebraic equation
 
     (v2 + P(v1^2))^2 = (1 - v1^2) / cos^2 R,
 
-where P combines the profile coefficients (see implicit_polynomial); the
-signed branch equation is
+where P combines the profile coefficients (see implicit_polynomial): its
+w-coefficients are polynomials in q = cos^2 R, held exactly once per
+profile (ZollProfile.p_table), so a chart value costs one exact Horner in q
+per coefficient.  The signed branch equation is
 
     v2 + P(v1^2) = -sigma * sqrt(1 - v1^2) / cos R,
 
@@ -85,15 +88,14 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import BandError, ConvexityViolation, DomainError, NoBracketError
-from .geodesics import (GeodesicState, band_radicand, in_band, longitude_advance,
+from .geodesics import (GeodesicState, band_radicand, longitude_advance,
                         signed_phase, turning_latitude, turning_latitudes)
-from .jacobi import (CHART_GUARD, EQUATOR_GUARD, PhaseKernel, _check_chart,
+from .jacobi import (CHART_GUARD, EQUATOR_GUARD, PhaseKernel, _check_band, _check_chart,
                      curvature_integral, curvature_integral_tail)
 from .profile import ZollProfile, curvature_x, elementwise, horner_jet, unwrap
 
@@ -115,8 +117,9 @@ class ModuliPoint:
 @dataclass(frozen=True)
 class IndicatrixSample:
     """One point of the unit circle of the induced norm at chart point (R,
-    Theta), or, from an array call of indicatrix_regularized, one per entry
-    of the arrays r, v1 and v2 (and of branch, when it is an array)."""
+    Theta), or, from an array call of indicatrix_parametric or
+    indicatrix_regularized, one per entry of the arrays r, v1 and v2 (and of
+    branch, when it is an array)."""
 
     R: float
     Theta: float
@@ -127,20 +130,11 @@ class IndicatrixSample:
 
 
 def _check_samples(R: float, r, branch):
-    """The chart check, then the branch and band checks of the samples at the
-    latitudes r (a float or an array) on the branch or branches ``branch``:
-    the first offending sample raises its own error."""
+    """The chart check, then the shape, branch and band checks of the samples
+    at the latitudes r on the branch or branches ``branch``, on the band
+    about |R| (jacobi._check_band)."""
     _check_chart(R)
-    rc = abs(R)
-    rs = np.ravel(r)
-    b = np.broadcast_to(branch, rs.shape)
-    bad_branch = (b != 1) & (b != -1)
-    bad = np.flatnonzero(bad_branch | ~in_band(rs, rc))
-    if bad.size:
-        k = bad[0]
-        if bad_branch[k]:
-            raise DomainError(f"branch must be +-1, got {b[k].item()}")
-        raise BandError(f"latitude {rs[k].item()} outside [{rc}, {math.pi - rc}]")
+    _check_band(abs(R), r, branch)
 
 
 # -- chart coordinates ---------------------------------------------------------
@@ -224,53 +218,44 @@ def _chart_point(theta, c, rc, theta_turn, sign):
 
 # -- parametric and regularized samples ----------------------------------------
 
-def indicatrix_parametric(profile: ZollProfile, R: float, r: float,
+def indicatrix_parametric(profile: ZollProfile, R: float, r,
                           branch: int = +1, Theta: float = 0.0) -> IndicatrixSample:
-    """Indicatrix sample from the direct quadrature of the curvature integral:
-    the one-sample call of indicatrix_parametric_samples, with its bits.
-    """
-    sample, = indicatrix_parametric_samples(profile, R, [r], [branch], Theta)
-    return sample
-
-
-def indicatrix_parametric_samples(profile: ZollProfile, R: float, rs, branches,
-                                  Theta: float = 0.0) -> list[IndicatrixSample]:
-    """Indicatrix samples at the latitudes ``rs`` on the given branches, from
-    the direct quadrature of the curvature integral, one quadrature per side.
+    """Indicatrix sample at latitude r from the direct quadrature of the
+    curvature integral.
 
     Below the equator Phi(r) is a plain (panel-refined) quadrature; above it
     the finite part bridged over the pole is -tail(r), since the full-band
-    finite part vanishes for odd h (see the jacobi module).  The latitudes
-    below the equator go to one array call of curvature_integral, those
-    above it to one of curvature_integral_tail.
-    Within EQUATOR_GUARD of r = pi/2 the samples take their v2 from one
-    array call of the regularized form, where the cancellation between
-    1/cos r terms would otherwise cost precision.  The band is taken about |R|, so the glue
-    points r = |R| and pi - |R| lie on the v2 axis exactly.
+    finite part vanishes for odd h (see the jacobi module).  Within
+    EQUATOR_GUARD of r = pi/2 the sample takes its v2 from the regularized
+    form, where the cancellation between 1/cos r terms would otherwise cost
+    precision.  The band is taken about |R|, so the glue points r = |R| and
+    pi - |R| lie on the v2 axis exactly.
+
+    ``r`` is a 1-D array of latitudes, and ``branch`` a branch or an array of
+    them: the latitudes below the equator go to one array call of
+    curvature_integral, those above it to one of curvature_integral_tail,
+    and the sample's v1 and v2 are arrays.  A float r is a one-entry call,
+    and its sample holds floats.  The first offending latitude names the
+    error.
     """
-    rs = [float(r) for r in rs]
-    branches = list(branches)
-    if len(rs) != len(branches):
-        raise DomainError(f"{len(rs)} latitudes but {len(branches)} branches")
-    r_arr, b_arr = np.array(rs), np.array(branches)
-    _check_samples(R, r_arr, b_arr)
+    _check_samples(R, r, branch)
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
     c = math.sin(R)
-    near = np.abs(r_arr - math.pi / 2) < EQUATOR_GUARD
-    below = ~near & (r_arr < math.pi / 2)
-    above = ~near & (r_arr > math.pi / 2)
+    near = np.abs(rs - math.pi / 2) < EQUATOR_GUARD
+    below = ~near & (rs < math.pi / 2)
+    above = ~near & (rs > math.pi / 2)
     phi = np.zeros(len(rs))
     if below.any():
-        phi[below] = curvature_integral(profile, c, r_arr[below])
+        phi[below] = curvature_integral(profile, c, rs[below])
     if above.any():
-        phi[above] = -curvature_integral_tail(profile, c, r_arr[above])
-    y = np.sqrt(band_radicand(c, r_arr, abs(R)))
-    x = np.cos(r_arr)
-    v1 = b_arr * y / math.cos(R)
+        phi[above] = -curvature_integral_tail(profile, c, rs[above])
+    y = np.sqrt(band_radicand(c, rs, abs(R)))
+    x = np.cos(rs)
+    v1 = branch * y / math.cos(R)
     v2 = -(1.0 + profile.h(x)) / x + y * phi
-    if near.any():
-        v2[near] = indicatrix_regularized(profile, R, r_arr[near], b_arr[near]).v2
-    return [IndicatrixSample(R, Theta, branch, r, v1k, v2k)
-            for r, branch, v1k, v2k in zip(rs, branches, v1.tolist(), v2.tolist())]
+    if near.any():      # v2 does not depend on the branch
+        v2[near] = indicatrix_regularized(profile, R, rs[near]).v2
+    return IndicatrixSample(R, Theta, branch, r, unwrap(v1, r), unwrap(v2, r))
 
 
 def indicatrix_regularized(profile: ZollProfile, R: float, r,
@@ -459,64 +444,29 @@ class ImplicitIndicatrix:
             + hemisphere * (np.sqrt(np.clip(1.0 - v1 * v1, 0.0, None)) / self.cos_R)), v1, v2)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else Fraction(0)) +
-            (b[i] if i < len(b) else Fraction(0)) for i in range(n)]
-
-
 @lru_cache(maxsize=1024)
 def implicit_polynomial(profile: ZollProfile, R: float) -> ImplicitIndicatrix:
     """Exact coefficient data of the implicit indicatrix equation at R.
 
-    Powers of cos R are computed once and all combinatorial factors enter as
-    exact rationals, so the degree collapse of the combined polynomial is an
-    exact cancellation, not a numerical one.
+    Each w-coefficient of P is one exact Horner in q = cos^2 R, a float and
+    so an exact rational, on its row of the profile's exact table
+    (ZollProfile.p_table), so the degree collapse of the combined polynomial
+    is an exact cancellation, not a numerical one.
     """
     _check_chart(R)
     q = Fraction(math.cos(R) ** 2)
-    a = [Fraction(ak) for ak in profile.odd_coeffs]
-    # a-part: sum_k a_k q^k (1 + 2k w)(1 - w)^k
-    a_sum: list[Fraction] = [Fraction(0)]
-    one_minus_w_pow: list[Fraction] = [Fraction(1)]
-    qk = Fraction(1)
-    for k, ak in enumerate(a):
-        term = _poly_mul([Fraction(1), Fraction(2 * k)], one_minus_w_pow)
-        a_sum = _poly_add(a_sum, [ak * qk * t for t in term])
-        one_minus_w_pow = _poly_mul(one_minus_w_pow, [Fraction(1), Fraction(-1)])
-        qk *= q
-    # b-part: S(w) = sum_k b_k q^k sum_p (-1)^p C(k,p)/(2p+3) w^p,
-    # with b_k = 2(k+1)(2k+3) a_{k+1}.
-    nb = max(0, len(a) - 1)
-    s_sum: list[Fraction] = [Fraction(0)] * max(1, nb)
-    qk = Fraction(1)
-    for k in range(nb):
-        bk = 2 * (k + 1) * (2 * k + 3) * a[k + 1]
-        for p in range(k + 1):
-            s_sum[p] += bk * qk * Fraction((-1) ** p * comb(k, p), 2 * p + 3)
-        qk *= q
-    combined = _poly_add(a_sum, [Fraction(0), Fraction(0)] + [q * s for s in s_sum])
-
-    raw_top = combined[-1] if combined else Fraction(0)
-    stripped = list(combined)
-    while stripped and stripped[-1] == 0:
-        stripped.pop()
-
+    combined = [reduce(lambda acc, coeff: acc * q + coeff, reversed(row), Fraction(0))
+                for row in profile.p_table]
+    raw_top = combined[-1]
+    while combined and combined[-1] == 0:
+        combined.pop()
     return ImplicitIndicatrix(
         R=R,
         cos_R=math.cos(R),
         q=float(q),
-        combined=tuple(float(x) for x in stripped),
-        combined_exact=tuple(stripped),
-        degree=len(stripped) - 1,
+        combined=tuple(float(x) for x in combined),
+        combined_exact=tuple(combined),
+        degree=len(combined) - 1,
         raw_top_exact=raw_top,
     )
 

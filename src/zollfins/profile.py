@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 from typing import Iterable
@@ -78,6 +80,28 @@ class ZollProfile:
                   for k in range(len(hpp)))
             for p in range(len(hpp))))
         self._validate()
+
+    @cached_property
+    def p_table(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The polynomial P(w; q) = A(w; q) + q w^2 S(w; q) of the implicit
+        indicatrix equation (moduli.implicit_polynomial), with S as in
+        s_table and A = sum_m a_m q^m (1 + 2m w)(1 - w)^m: row j holds the
+        ascending q-coefficients of w^j, exact rationals over the float
+        coefficients, for j = 0 .. max(len(odd_coeffs), 2), the formal degree.
+        Built on first use, not in __init__: only the implicit route reads it.
+        """
+        a = [Fraction(am) for am in self.odd_coeffs]
+        rows = [[Fraction(0)] * max(1, len(a)) for _ in range(max(len(a) + 1, 3))]
+        for m, am in enumerate(a):
+            for j in range(m + 1):
+                term = (-1) ** j * comb(m, j) * am
+                rows[j][m] += term
+                rows[j + 1][m] += 2 * m * term
+            # b_(m-1) = 2m (2m + 1) a_m, as in hpp_table.
+            for p in range(m):
+                rows[p + 2][m] += (2 * m * (2 * m + 1) * am
+                                   * Fraction((-1) ** p * comb(m - 1, p), 2 * p + 3))
+        return tuple(map(tuple, rows))
 
     # -- construction -----------------------------------------------------
 

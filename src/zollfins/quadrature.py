@@ -64,6 +64,11 @@ def gl_adaptive(f: Integrand, a: float, b: float, *,
     )
 
 
+#: Gauss-Legendre order of every gl_refined panel (its docstring bounds the
+#: error of one panel).
+PANEL_ORDER = 16
+
+
 def gl_refined(
     f: Integrand,
     a: float | np.ndarray,
@@ -72,8 +77,8 @@ def gl_refined(
     refine: Literal["a", "b"],
     min_width: float | np.ndarray = 1e-13,
 ) -> float | np.ndarray:
-    """Order-48 panel quadrature over [a, b], a <= b, with dyadic refinement
-    toward the end that ``refine`` names, "a" or "b".
+    """Order-PANEL_ORDER panel quadrature over [a, b], a <= b, with dyadic
+    refinement toward the end that ``refine`` names, "a" or "b".
 
     Used when the integrand is analytic inside (a, b) but has a pole just
     beyond the refined end: the curvature integral Phi below and above the
@@ -81,55 +86,53 @@ def gl_refined(
     ``min_width``, so every panel sees the pole at a distance comparable to
     its own width or more, and fixed-order Gauss-Legendre converges to
     machine precision on each panel.  A panel whose nearest pole lies a
-    panel width away or farther converges like rho^(-96) with
-    rho >= 3 + sqrt(8) (Trefethen, ATAP, ch. 19), so a caller that knows the
-    pole distance d can stop at ``min_width`` ~ d/10.
+    panel width away or farther converges like rho^(-32) with
+    rho >= 3 + sqrt(8), 3e-25 (Trefethen, ATAP, ch. 19), so a caller that
+    knows the pole distance d can stop at ``min_width`` ~ d/10.
 
     ``a``, ``b`` and ``min_width`` may be 1-D arrays, broadcast together: the
     result is then the array of the integrals over the intervals [a_i, b_i].
     The Gauss-Legendre nodes of all panels of all intervals go to ``f`` in
-    one flat array, in a single call, so ``f`` must act elementwise.  Each
-    interval's panel estimates are then added one by one, outward from the
-    unrefined end, so an interval gives the same bits in a batch as alone.
-    An empty interval gives 0.
+    one flat array, in a single call, so ``f`` must act elementwise.  The
+    panel estimates of all intervals form one rectangle, an interval's row
+    padded with zero-width panels of estimate 0, and its columns are added
+    one by one, outward from the unrefined end: each interval gives the same
+    bits in a batch as alone.  An empty interval gives 0.
     """
     toward_b = {"a": False, "b": True}[refine]
     a, b, min_width = np.broadcast_arrays(a, b, min_width)
     if np.any(b < a):
         raise DomainError("gl_refined needs a <= b")
-    edges, counts = _dyadic_panels(a.ravel(), b.ravel(), toward_b, min_width.ravel())
-    lo, hi = edges.T
+    lo, hi = _dyadic_panels(a.ravel(), b.ravel(), toward_b, min_width.ravel())
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    x, w = _leggauss(48)
+    x, w = _leggauss(PANEL_ORDER)
     nodes = mid[:, None] + half[:, None] * x
+    estimates = np.zeros(keep.shape)
     # Only empty intervals: no call, as integrands may refuse an empty array.
-    vals = f(nodes.ravel()).reshape(nodes.shape) if len(edges) else nodes
-    sums = []
-    start = 0
-    for count in counts.tolist():
-        stop = start + count
-        total = 0.0
-        # One product per interval: BLAS may round a row differently with
-        # the number of rows around it, and an interval keeps its own bits.
-        for estimate in (half[start:stop] * (vals[start:stop] @ w)).tolist():
-            total += estimate
-        start = stop
-        sums.append(total)
-    return np.array(sums) if a.ndim else sums[0]
+    if len(nodes):
+        # A per-row sum: one BLAS product over all rows may round a row
+        # differently with the number of rows around it.
+        estimates[keep] = half * (f(nodes.ravel()).reshape(nodes.shape) * w).sum(axis=1)
+    sums = np.zeros(len(keep))
+    for column in estimates.T:
+        sums += column
+    return sums if a.ndim else float(sums[0])
 
 
 def _dyadic_panels(a: np.ndarray, b: np.ndarray, toward_b: bool,
                    min_width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) rows of the panels that refine each [a_i, b_i] toward
-    one end, interval after interval, and each interval's panel count.
+    """(left, right) ends of the panels that refine each [a_i, b_i] toward
+    one end, as two rectangles with one row per interval.
 
     The breakpoints sit at the fractions 0.5**k of the length from the
-    refined end, k = 1 .. levels; the rows run outward from the unrefined
+    refined end, k = 1 .. levels; a row runs outward from the unrefined
     end.  All intervals are cut in one array pass: one with fewer levels
-    than the deepest is padded with its refined end, and those panels of
-    zero width are dropped, as are the ones rounding makes (far from the
-    origin).  An empty interval has no panel.
+    than the deepest is padded with its refined end.  Those panels of zero
+    width, and the ones rounding makes (far from the origin), have left ==
+    right; an empty interval has only such panels.
     """
     length = b - a
     levels = np.array([max(4, int(math.ceil(math.log2(span / width)))) if span else 0
@@ -138,9 +141,6 @@ def _dyadic_panels(a: np.ndarray, b: np.ndarray, toward_b: bool,
     offsets = length[:, None] * np.where(k <= levels[:, None], 0.5 ** k, 0.0)
     if toward_b:
         cuts = np.hstack((a[:, None], b[:, None] - offsets, b[:, None]))
-        lo, hi = cuts[:, :-1], cuts[:, 1:]
-    else:
-        cuts = np.hstack((b[:, None], a[:, None] + offsets, a[:, None]))
-        lo, hi = cuts[:, 1:], cuts[:, :-1]
-    keep = lo != hi
-    return np.column_stack((lo[keep], hi[keep])), keep.sum(axis=1)
+        return cuts[:, :-1], cuts[:, 1:]
+    cuts = np.hstack((b[:, None], a[:, None] + offsets, a[:, None]))
+    return cuts[:, 1:], cuts[:, :-1]

@@ -178,16 +178,15 @@ def _representation(prof, samples):
     """8. Parametric samples satisfy the implicit polynomial equation.  Each
     latitude is sampled once, the branches alternating: v2 does not depend on
     the branch, v1 only changes sign and the residual is even in v1, so the
-    other branch would repeat it bit for bit.  One batched call per chart
+    other branch would repeat it bit for bit.  One array call per chart
     value (one quadrature below and one above the equator), one residual."""
     u = np.linspace(0.0, math.pi, samples)
-    branches = [(+1, -1)[k % 2] for k in range(samples)]
+    branches = np.where(np.arange(samples) % 2, -1, 1)
     residuals = []
     for R in R_GRID:
         rs = np.arccos(np.clip(math.cos(abs(R)) * np.cos(u), -1.0, 1.0))
-        batch = moduli.indicatrix_parametric_samples(prof, float(R), rs, branches)
-        residuals.append(np.abs(moduli.implicit_residual(
-            prof, float(R), [s.v1 for s in batch], [s.v2 for s in batch])))
+        s = moduli.indicatrix_parametric(prof, float(R), rs, branches)
+        residuals.append(np.abs(moduli.implicit_residual(prof, float(R), s.v1, s.v2)))
     yield Result(_fold(residuals))
 
 
@@ -198,9 +197,9 @@ def _regularization(prof, samples):
     for R in (0.2, 0.8, 1.3):
         rs = _band_interior(R, 41)
         rs = rs[np.abs(rs - math.pi / 2) > 0.1]
-        batch = moduli.indicatrix_parametric_samples(prof, R, rs, [+1] * len(rs))
+        parametric = moduli.indicatrix_parametric(prof, R, rs, +1)
         regular = moduli.indicatrix_regularized(prof, R, rs, +1)
-        defects.append(np.abs(np.array([a.v2 for a in batch]) - regular.v2))
+        defects.append(np.abs(parametric.v2 - regular.v2))
     yield Result(_fold(np.hstack(defects)))
 
 

@@ -1,10 +1,11 @@
 """The array paths give each entry the bits of its own one-entry call.
 
-jacobi_pair, indicatrix_curvature and indicatrix_regularized take arrays of
-latitudes, and a float latitude is a one-entry call of that path; their
-properties compare an n-entry call with the n one-entry calls, so that no
-entry depends on the others.  fundamental_tensor treats a single vector as
-a one-column block in the same way.  CurveEval.jet and finsler_F keep a
+jacobi_pair, indicatrix_curvature, indicatrix_regularized and
+indicatrix_parametric take arrays of latitudes, and a float latitude is a
+one-entry call of that path; their properties compare an n-entry call with
+the n one-entry calls, so that no entry depends on the others.
+fundamental_tensor treats a single vector as a one-column block in the same
+way.  CurveEval.jet and finsler_F keep a
 float path beside their array one: there each entry is compared with that
 float call.  Each property draws the Clairaut constant or chart values over
 the band, with the glue points, the EQUATOR_GUARD band about r = pi/2 and,
@@ -20,12 +21,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zollfins import (BandError, DomainError, ZollProfile, example2, finsler_F,
-                      fundamental_tensor, indicatrix_curvature, indicatrix_regularized,
-                      jacobi_ode_check, jacobi_pair, turning_latitude)
+                      fundamental_tensor, indicatrix_curvature, indicatrix_parametric,
+                      indicatrix_regularized, jacobi_ode_check, jacobi_pair, turning_latitude)
 from zollfins.geodesics import signed_phase
-from zollfins.jacobi import EQUATOR_GUARD, ODE_CHECK_STEP, gl_fixed
+from zollfins.jacobi import EQUATOR_GUARD, ODE_CHECK_STEP
 from zollfins.moduli import curve_block, curve_cache
 from zollfins.profile import curvature_x
+from zollfins.quadrature import gl_fixed
 
 T21 = (0.01953125, -1.50390625, 32.484375, -321.75, 1751.75, -5733.0, 11760.0,
        -15232.0, 12096.0, -5376.0, 1024.0)
@@ -142,6 +144,20 @@ def test_indicatrix_regularized_array_matches_float_calls(prof, R, branch, data)
     assert (sample.R, sample.Theta, sample.branch) == (R, 0.5, branch)
 
 
+@settings(max_examples=60, deadline=None)
+@given(profiles, charts, st.data())
+def test_indicatrix_parametric_array_matches_float_calls(prof, R, data):
+    """Both quadrature sides and the regularized window about pi/2, with
+    the branches drawn per latitude."""
+    rs = data.draw(latitudes(abs(R)))
+    signs = np.array(data.draw(st.lists(branches, min_size=len(rs), max_size=len(rs))))
+    sample = indicatrix_parametric(prof, R, rs, signs, Theta=0.5)
+    one = [indicatrix_parametric(prof, R, r, b, Theta=0.5)
+           for r, b in zip(rs.tolist(), signs.tolist())]
+    same_entries(sample.v1, [s.v1 for s in one])
+    same_entries(sample.v2, [s.v2 for s in one])
+
+
 def test_latitude_arrays_name_the_first_bad_entry(ex1):
     """An array with a latitude off the band (or NaN) raises the error of
     that latitude's own call, naming the first one."""
@@ -162,8 +178,23 @@ def test_latitude_arrays_name_the_first_bad_entry(ex1):
             call(ex1, 1.5708, rs[:2])
     with pytest.raises(DomainError, match="singular at the turning points"):
         indicatrix_curvature(ex1, R, np.array([1.0, R + 1e-7]))
-    with pytest.raises(DomainError, match="branch sign"):
+    with pytest.raises(DomainError, match="branch must be"):
         jacobi_pair(ex1, c, rs[:2], 2)
+
+
+def test_bad_shapes_raise_domain_error(ex1):
+    """A latitude array that is not 1-D, or a branch array of another
+    length, raises DomainError from the shared band check, not numpy's
+    broadcast ValueError."""
+    square = np.full((2, 2), 1.2)
+    with pytest.raises(DomainError, match="1-D array of latitudes"):
+        jacobi_pair(ex1, 0.5, square)
+    for call in (indicatrix_regularized, indicatrix_curvature, indicatrix_parametric):
+        with pytest.raises(DomainError, match="1-D array of latitudes"):
+            call(ex1, 0.5, square)
+    for call in (indicatrix_regularized, indicatrix_parametric):
+        with pytest.raises(DomainError, match=re.escape("shapes (3,) and (2,)")):
+            call(ex1, 0.3, np.full(3, 1.2), np.array([1, -1]))
 
 
 def test_float_calls_return_python_floats(ex1):
@@ -172,8 +203,10 @@ def test_float_calls_return_python_floats(ex1):
     R, c = 0.4, math.sin(0.4)
     pair = jacobi_pair(ex1, c, 1.0)
     sample = indicatrix_regularized(ex1, R, 1.0)
+    parametric = indicatrix_parametric(ex1, R, 1.0)
     tensor = fundamental_tensor(ex1, R, 0.0, (0.3, -0.5))
     values = [pair.y1, pair.y1_prime, pair.y2, pair.y2_prime, sample.r, sample.v1, sample.v2,
+              parametric.v1, parametric.v2,
               *indicatrix_curvature(ex1, R, 1.0),
               tensor.v1, tensor.v2, tensor.F, tensor.g11, tensor.g12, tensor.g22]
     assert [type(x) for x in values] == [float] * len(values)

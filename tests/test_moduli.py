@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,8 +11,7 @@ from zollfins import (BandError, ConvexityViolation, DomainError,
                       GeodesicState, IndicatrixCurve, IndicatrixSample,
                       ModuliPoint, ZollProfile, closure_integrals,
                       coords_of_geodesic, implicit_polynomial, implicit_residual,
-                      indicatrix_curvature, indicatrix_curve,
-                      indicatrix_parametric, indicatrix_parametric_samples,
+                      indicatrix_curvature, indicatrix_curve, indicatrix_parametric,
                       indicatrix_regularized, integrate_geodesic, jacobi_pair,
                       pencil_chart, turning_latitude)
 from zollfins.geodesics import longitude_advance, signed_phase
@@ -238,19 +238,23 @@ def test_parametric_matches_regularized(all_good, R):
 
 
 def test_batched_samples_match_one_sample_calls(all_good):
-    """The batched parametric samples on verify's representation grid are the
-    one-sample calls bit for bit, on both sides of the equator and inside the
-    regularized dispatch window."""
+    """An array call of indicatrix_parametric on verify's representation grid
+    gives the float calls' samples bit for bit, on both sides of the equator
+    and inside the regularized dispatch window, and a float call returns
+    Python floats."""
     from zollfins.verify import R_GRID
     for prof in all_good:
         for R in R_GRID:
             u = np.linspace(0.0, math.pi, 64)
             rs = np.arccos(np.clip(math.cos(R) * np.cos(u), -1.0, 1.0))
-            rs = list(rs) + [math.pi / 2 - 0.5 * EQUATOR_GUARD]
-            branches = [(+1, -1)[k % 2] for k in range(len(rs))]
-            batch = indicatrix_parametric_samples(prof, float(R), rs, branches)
-            assert batch == [indicatrix_parametric(prof, float(R), float(r), b)
-                             for r, b in zip(rs, branches)]
+            rs = np.append(rs, math.pi / 2 - 0.5 * EQUATOR_GUARD)
+            branches = np.where(np.arange(len(rs)) % 2, -1, 1)
+            batch = indicatrix_parametric(prof, float(R), rs, branches)
+            one = [indicatrix_parametric(prof, float(R), r, b)
+                   for r, b in zip(rs.tolist(), branches.tolist())]
+            assert all(type(s.v1) is float and type(s.v2) is float for s in one)
+            assert batch.v1.tobytes() == np.array([s.v1 for s in one]).tobytes()
+            assert batch.v2.tobytes() == np.array([s.v2 for s in one]).tobytes()
 
 
 def test_parametric_branches_are_exact_mirrors(all_good):
@@ -428,6 +432,60 @@ def test_implicit_polynomial_round_sphere(sphere):
     assert impl.combined == ()
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _poly_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+
+def combined_at(profile, R):
+    """Oracle: P(w) built at one chart value in exact rationals, term by
+    term, as (combined coefficients, top coefficient before the collapse)."""
+    q = Fraction(math.cos(R) ** 2)
+    a = [Fraction(ak) for ak in profile.odd_coeffs]
+    a_sum, one_minus_w_pow = [Fraction(0)], [Fraction(1)]
+    for k, ak in enumerate(a):              # a_k q^k (1 + 2k w)(1 - w)^k
+        term = _poly_mul([Fraction(1), Fraction(2 * k)], one_minus_w_pow)
+        a_sum = _poly_add(a_sum, [ak * q ** k * t for t in term])
+        one_minus_w_pow = _poly_mul(one_minus_w_pow, [Fraction(1), Fraction(-1)])
+    s_sum = [Fraction(0)] * max(1, len(a) - 1)
+    for k in range(len(a) - 1):             # b_k q^k (-1)^p C(k, p) w^p / (2p + 3)
+        bk = 2 * (k + 1) * (2 * k + 3) * a[k + 1]
+        for p in range(k + 1):
+            s_sum[p] += bk * q ** k * Fraction((-1) ** p * math.comb(k, p), 2 * p + 3)
+    combined = _poly_add(a_sum, [Fraction(0), Fraction(0)] + [q * s for s in s_sum])
+    top = combined[-1]
+    while combined and combined[-1] == 0:
+        combined.pop()
+    return combined, top
+
+
+T21 = ("0.01953125,-1.50390625,32.484375,-321.75,1751.75,-5733.0,11760.0,"
+       "-15232.0,12096.0,-5376.0,1024.0")
+
+
+@pytest.mark.parametrize("coeffs", ["0", "0.25,-0.25", "1,-2,1", "-1.307,2.91,-1.603",
+                                    "0.5,-1,0.75,-0.25", T21])
+def test_implicit_table_matches_per_chart_value_build(coeffs):
+    """The profile's exact q-table evaluated at q = cos^2 R gives the exact
+    polynomial of a build at that chart value, and the same floats."""
+    profile = ZollProfile.from_string(coeffs)
+    for R in (0.0, 0.1625, 0.65, -0.7, 1.3):
+        impl = implicit_polynomial(profile, R)
+        combined, top = combined_at(profile, R)
+        assert impl.combined_exact == tuple(combined)
+        assert impl.degree == len(combined) - 1
+        assert impl.raw_top_exact == top
+        assert impl.combined == tuple(float(x) for x in combined)
+
+
 @given(v1=st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(0.5)),
        v2=st.floats(allow_nan=True, allow_infinity=True))
 @example(v1=math.nan, v2=1.0)
@@ -594,8 +652,6 @@ def test_phase_jet_regular_at_glue_points(ex2):
 RAY_PROFILES = ("0", "0.25,-0.25", "1,-2,1")
 RAY_CHARTS = (-1.2, 0.0, 0.7, 1.5600000100725198)
 RAY_DIRECTIONS = np.linspace(-math.pi, math.pi, 73)[:-1]
-T21 = ("0.01953125,-1.50390625,32.484375,-321.75,1751.75,-5733.0,11760.0,"
-       "-15232.0,12096.0,-5376.0,1024.0")
 
 
 @pytest.mark.parametrize("R", [1.4, 1.5600000100725198])

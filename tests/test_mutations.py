@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import zollfins.profile as profile_mod
@@ -134,13 +135,13 @@ def test_large_s_table_fault_fails_jacobi_ode(s_table_fault):
 def test_branch_minus_fault_fails_representation_agreement(monkeypatch):
     """Only branch -1 samples carry the fault: the check must still sample
     that branch."""
-    parametric = moduli.indicatrix_parametric_samples
+    parametric = moduli.indicatrix_parametric
 
     def faulty(*args):
-        return [dataclasses.replace(s, v2=s.v2 + 1e-6) if s.branch == -1 else s
-                for s in parametric(*args)]
+        s = parametric(*args)
+        return dataclasses.replace(s, v2=s.v2 + 1e-6 * (np.asarray(s.branch) == -1))
 
-    monkeypatch.setattr(moduli, "indicatrix_parametric_samples", faulty)
+    monkeypatch.setattr(moduli, "indicatrix_parametric", faulty)
 
 
 @guards("representation_agreement")

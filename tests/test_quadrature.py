@@ -7,10 +7,10 @@ import pytest
 from zollfins import (BandError, DomainError, ZollProfile, example1, example2, jacobi,
                       moduli, turning_latitude)
 from zollfins.jacobi import curvature_integral, curvature_integral_tail
-from zollfins.quadrature import _dyadic_panels, gl_fixed, gl_refined
+from zollfins.quadrature import PANEL_ORDER, _dyadic_panels, gl_fixed, gl_refined
 
 
-def serial_refined(f, a, b, refine_b, order=48, min_width=1e-13):
+def serial_refined(f, a, b, refine_b, order=PANEL_ORDER, min_width=1e-13):
     """Oracle: one gl_fixed call per dyadic panel, added in loop order."""
     if a == b:
         return 0.0
@@ -83,7 +83,7 @@ def test_gl_refined_calls_integrand_once(a, b, refine_a, refine_b):
 
     gl_refined(counting, a, b, refine="a" if refine_a else "b")
     assert len(calls) == 1
-    assert len(calls[0]) == 1 and calls[0][0] % 48 == 0
+    assert len(calls[0]) == 1 and calls[0][0] % PANEL_ORDER == 0
 
 
 def one_interval_panels(a, b, toward_b, min_width):
@@ -113,7 +113,9 @@ PANEL_BATCH = [(0.3, 0.3, 1e-13), (0.2, 1.3, 0.5), (0.2, 1.3, 1e-13),
 @pytest.mark.parametrize("refine_b", [True, False])
 def test_one_pass_panels_match_per_interval_calls(refine_b):
     a, b, w = (np.array(col) for col in zip(*PANEL_BATCH))
-    edges, counts = _dyadic_panels(a, b, refine_b, w)
+    lo, hi = _dyadic_panels(a, b, refine_b, w)
+    keep = lo != hi
+    edges, counts = np.column_stack((lo[keep], hi[keep])), keep.sum(axis=1)
     want = [one_interval_panels(*row[:2], refine_b, row[2]) for row in PANEL_BATCH]
     assert counts.tolist() == [len(rows) for rows in want]
     # Levels 0, 4, 44, 41, 0, 4, 54, 39, 0: the 54-level interval keeps 14
@@ -146,13 +148,13 @@ def test_batched_checks_name_the_first_bad_latitude():
     with pytest.raises(DomainError, match="requires r > pi/2"):
         curvature_integral_tail(profile, c, [2.0, 1.0, 3.0])
     with pytest.raises(BandError, match="latitude 0.2 outside"):
-        moduli.indicatrix_parametric_samples(profile, R, below, [1] * 5)
+        moduli.indicatrix_parametric(profile, R, below, [1] * 5)
     with pytest.raises(DomainError, match="branch must be"):
-        moduli.indicatrix_parametric_samples(profile, R, below, [1, 0, 1, 1, 1])
+        moduli.indicatrix_parametric(profile, R, below, [1, 0, 1, 1, 1])
     with pytest.raises(BandError, match="latitude 0.2 outside"):
-        moduli.indicatrix_parametric_samples(profile, R, below, [1, 1, 1, 0, 1])
+        moduli.indicatrix_parametric(profile, R, below, [1, 1, 1, 0, 1])
     with pytest.raises(BandError):
-        moduli.indicatrix_parametric_samples(profile, R, [0.5, math.nan], [1, 1])
+        moduli.indicatrix_parametric(profile, R, [0.5, math.nan], [1, 1])
 
 
 # -- the curvature integral Phi against a 30-digit reference ---------------------
@@ -180,12 +182,16 @@ def mp_phi(profile, c, u_lo, u_hi):
         return mpmath.quad(f, sorted([lo, hi] + inner))
 
 
-@pytest.mark.parametrize("profile", [example1(0.25), example2()], ids=["ex1", "ex2"])
+@pytest.mark.parametrize("profile", [example1(0.25), example2(), ZollProfile((-1.307, 2.91, -1.603))],
+                         ids=["ex1", "ex2", "quintic"])
 @pytest.mark.parametrize("c", [0.05, 0.3, 0.7, 0.95])
 @pytest.mark.parametrize("gap", [2e-4, 1e-3, 0.02, 0.3])
 def test_curvature_integral_matches_mpmath(profile, c, gap):
     """Panels that stop at a tenth of the pole distance keep 13 digits, from
-    next to the pole to far from it."""
+    next to the pole to far from it, below the equator and on the tail.
+    The worst is 8.0e-14 (7.5e-14 with order-48 panels), at gap 2e-4, where
+    rounding the nodes next to the pole costs it.  The degree-21 profile
+    2^-10 (T_21(x) - x) measures 1.1e-13 (2.3e-13 with order-48 panels)."""
     r = math.pi / 2 - gap
     want = mp_phi(profile, c, 0.0, jacobi._pole_panels(profile, c, r, True)[0])
     got = curvature_integral(profile, c, r)
@@ -237,7 +243,7 @@ def test_one_integrand_call_per_array_call(monkeypatch):
     R = 0.65
     u = np.linspace(0.0, math.pi, 64)
     rs = np.arccos(np.clip(math.cos(R) * np.cos(u), -1.0, 1.0))
-    moduli.indicatrix_parametric_samples(profile, R, rs, [(+1, -1)[k % 2] for k in range(64)])
+    moduli.indicatrix_parametric(profile, R, rs, np.where(np.arange(64) % 2, -1, 1))
     assert seen["array"] == 2
     assert seen["integrand"] == seen["array"]
     assert seen["nodes"] <= 130848 / 4
