@@ -21,17 +21,21 @@ row is the indicatrix point v = P(R, u) at the phase u of p on the row's
 geodesic (jacobi.PhaseKernel), so F(v) = 1 by construction; the only ray
 solve is the one at the start, for the phase of the initial velocity.
 
-The independent route is the flow on the indicatrix bundle, the unit
-tangent bundle of F (the 3-manifold of Bryant's structure equations,
-"Finsler structures on the 2-sphere satisfying K = 1", 1996), with state
-(R, Theta, u) (finsler_geodesic_ode):
+The independent route is the geodesic spray of F on the indicatrix
+bundle, the unit tangent bundle of F (the 3-manifold of Bryant's
+structure equations, "Finsler structures on the 2-sphere satisfying
+K = 1", 1996), with state (R, Theta, u) (_spray):
 
     Rdot = sin u,   Thetadot = v2(R, u),   udot = mu(a - P_R sin u),
 
 a the acceleration of the geodesic spray of F^2/2 at v, mu the covector
 with mu(P) = 0 and mu(P_u) = 1.  dF, the fundamental tensor g and their
 R-derivatives come in closed form (_fiber_terms) from one phase jet P,
-P_u, P_uu, P_R, P_uR (CurveEval.jet) per step.  The public
+P_u, P_uu, P_R, P_uR (CurveEval.jet), on one state (_spray_rhs, the
+right-hand side an ODE solver integrates) or on an array of states in
+one pass: verify check 15 plugs every row of a closed-form trace into
+these equations, and the tests integrate them (tests/oracles.py).  The
+public
 fundamental_tensor stays a central finite difference of F^2 with
 Richardson extrapolation: it is the independent oracle the closed form is
 tested against.  It solves its centre ray once, cold, and starts the
@@ -65,6 +69,7 @@ this angle convention (calibrated numerically, see SIGMA_ROTATION).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,10 +92,6 @@ FLOW_CHECK_DPHI = 1e-5
 
 #: Chart half-width at which Finsler traces abort.
 CHART_ABORT = math.pi / 2 - 1e-3
-
-#: Hard limits on the integrator tolerance of finsler_geodesic_ode, its only
-#: reader.
-TOL_RANGE = (1e-12, 1e-4)
 
 
 @dataclass(frozen=True)
@@ -159,17 +160,27 @@ _STENCIL = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
                      (1, 1), (1, -1), (-1, 1), (-1, -1)]).T
 
 
+#: The largest |v| whose |v|^2 stays in the float range.  F^2 grows like
+#: |v|^2, so fundamental_tensor refuses longer vectors before any ray solve,
+#: whose products with them would overflow first.
+_V_MAX = math.sqrt(sys.float_info.max)
+
+
 def _difference_steps(v: np.ndarray, step: float) -> np.ndarray:
     """The steps step * |v| of the columns of the 2 x n block v, after the
     checks; DomainError names the first column that fails one."""
-    vn = np.hypot(v[0], v[1])
+    with np.errstate(over="ignore"):                # |v| = inf is refused below
+        vn = np.hypot(v[0], v[1])
     h = step * vn
     zero = vn == 0.0
-    bad = zero | ~((1e-12 < h) & (h < 0.2 * vn))    # NaN fails too
+    huge = vn >= _V_MAX
+    bad = zero | huge | ~((1e-12 < h) & (h < 0.2 * vn))    # NaN fails too
     if bad.any():
         k = int(np.argmax(bad))
         if zero[k]:
             raise DomainError("fundamental tensor undefined at v = 0")
+        if huge[k]:
+            raise DomainError(f"fundamental tensor overflows at v = ({v[0, k]}, {v[1, k]})")
         raise DomainError(f"degenerate finite-difference step {h[k]}")
     return h
 
@@ -317,7 +328,8 @@ def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolyn
 
     of degree 4m in F (degree 2 when P is constant or zero).  Exact trailing
     zeros are stripped so the reported degree is the true one.  The vector
-    must be finite.
+    must be finite, and short enough that every coefficient has a float
+    (v1^(4m) and v2^2 enter them): DomainError otherwise.
     """
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise DomainError(f"F-equation needs a finite vector, got ({v1}, {v2})")
@@ -348,6 +360,8 @@ def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolyn
         coeffs[4 * m - 2] += v1f * v1f
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
+    if any(abs(c) > sys.float_info.max for c in coeffs):
+        raise DomainError(f"F-equation at ({v1}, {v2}) has coefficients beyond the float range")
     return FPolynomial(tuple(coeffs))
 
 
@@ -464,8 +478,9 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
     the rate v2.  Trajectories stay in one chart: a trace whose |R| reaches
     pi/2 - 1e-3 raises ChartExitError, with the partial trace ending at that
     time, which is in closed form too (_exit_time).  The start must be
-    finite; the rows are those of geodesics.sample_times.  The bundle ODE
-    (finsler_geodesic_ode) is the independent route.
+    finite; the rows are those of geodesics.sample_times.  The geodesic
+    spray on the indicatrix bundle (_spray) is the independent route: the
+    rows solve its equations.
     """
     t_eval, R0, Theta0, u0 = _start_state(profile, start, v0, t_end, samples_per_period)
     r_p, phi0, delta = _pencil_start(R0, u0)
@@ -522,77 +537,49 @@ def _fiber_terms(curve, u: float):
             (m1, m2))
 
 
-def _spray_rhs(profile: ZollProfile, state) -> np.ndarray:
-    """(Rdot, Thetadot, udot) of the unit-speed geodesic flow of F on the
-    indicatrix bundle, the state (R, Theta, u) with velocity v = P(R, u).
+def _spray(curve, u):
+    """(P, udot) of the unit-speed geodesic flow of F on the indicatrix
+    bundle at the states (curve.R, u), on floats or on arrays, one state
+    per entry: P = (Rdot, Thetadot) is the velocity.
 
     F does not depend on Theta, so only d/dR terms survive in the
     Euler-Lagrange equation of F^2/2: at F(v) = 1 the acceleration is
     a = g^{-1} (F_R dR - vR (F_R ell + dell/dR)), from _fiber_terms at u.
     Differentiating v = P(R, u) gives a = P_R Rdot + P_u udot, so udot =
-    mu(a - P_R sin u).  R is clamped just inside the chart so that trial
-    stages that overshoot the termination event stay evaluable; accepted
-    solution points never reach the clamp.
+    mu(a - P_R sin u).  udot is NaN where det g <= 0, where g is not
+    positive definite.
+    """
+    (p1, p2), (_, b2), (g11, g12, g22), F_R, (l1, l2), (dl1, dl2), (m1, m2) = \
+        _fiber_terms(curve, u)
+    rhs1 = F_R - p1 * (F_R * l1 + dl1)
+    rhs2 = -p1 * (F_R * l2 + dl2)
+    det = g11 * g22 - g12 * g12
+    if isinstance(det, np.ndarray):
+        det = np.where(det > 0, det, math.nan)
+    elif det <= 0:
+        return (p1, p2), math.nan
+    a1 = (g22 * rhs1 - g12 * rhs2) / det
+    a2 = (g11 * rhs2 - g12 * rhs1) / det
+    return (p1, p2), m1 * a1 + m2 * (a2 - b2 * p1)
+
+
+def _spray_rhs(profile: ZollProfile, state) -> np.ndarray:
+    """(Rdot, Thetadot, udot) of _spray at the one state (R, Theta, u), the
+    right-hand side of the bundle ODE.  R is clamped just inside the chart
+    so that trial stages that overshoot the termination event stay
+    evaluable; accepted solution points never reach the clamp.
     """
     R_raw, _, u = state.tolist()
     r_lim = math.pi / 2 - 8e-4
     R = min(max(R_raw, -r_lim), r_lim)
-    (p1, p2), (_, b2), (g11, g12, g22), F_R, (l1, l2), (dl1, dl2), (m1, m2) = \
-        _fiber_terms(CurveEval.inside(profile, R), u)
-    rhs1 = F_R - p1 * (F_R * l1 + dl1)
-    rhs2 = -p1 * (F_R * l2 + dl2)
-    det = g11 * g22 - g12 * g12
-    if det <= 0:
+    (p1, p2), u_dot = _spray(CurveEval.inside(profile, R), u)
+    if math.isnan(u_dot):
         if abs(R_raw) > CHART_ABORT:
             # Overshooting trial stage past the termination event: the step
             # will be cut back there, so any finite value serves.
             return np.array([p1, p2, 0.0])
         raise StepFailureError(f"fundamental tensor not positive definite at R={R}")
-    a1 = (g22 * rhs1 - g12 * rhs2) / det
-    a2 = (g11 * rhs2 - g12 * rhs1) / det
-    return np.array([p1, p2, m1 * a1 + m2 * (a2 - b2 * p1)])
-
-
-def finsler_geodesic_ode(profile: ZollProfile, start: tuple[float, float], v0,
-                         t_end: float, tol: float = 1e-8,
-                         samples_per_period: int = 256) -> FinslerTrace:
-    """The geodesic of finsler_geodesic, integrated on the indicatrix bundle
-    (R, Theta, u) of _spray_rhs: the independent route it is tested against.
-
-    F is 1 at every point by construction and the only ray solve is the cold
-    one at the start.  DOP853 runs at rtol = tol/10, atol = rtol * 1e-2: the
-    phase carries the whole error.  The chart exit is an integration event,
-    and the partial trace ends at it.  ``tol`` must lie in TOL_RANGE.
-    scipy is imported here, on the first call, so that the closed-form
-    traces never load it.
-    """
-    from scipy.integrate import solve_ivp
-
-    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:     # NaN fails too
-        raise DomainError(f"tolerance {tol} outside {TOL_RANGE}")
-    t_eval, R0, Theta0, u0 = _start_state(profile, start, v0, t_end, samples_per_period)
-
-    def chart_event(t, y):
-        return CHART_ABORT - abs(y[0])
-
-    chart_event.terminal = True
-    rtol = tol / 10
-    sol = solve_ivp(lambda t, y: _spray_rhs(profile, y), (0.0, t_end),
-                    [R0, Theta0, u0], method="DOP853", rtol=rtol, atol=rtol * 1e-2,
-                    t_eval=t_eval, events=chart_event, max_step=0.25)
-    if sol.status not in (0, 1) or not sol.success:
-        raise StepFailureError(f"Finsler geodesic integration failed: {sol.message}")
-    t, y = sol.t, sol.y
-    if sol.status == 1:  # chart exit: the event state is the last row
-        t_ev = float(sol.t_events[0][-1])
-        if t.size == 0 or t_ev > t[-1]:
-            t = np.append(t, t_ev)
-            y = np.hstack([y, sol.y_events[0][-1][:, None]])
-    v_r, v_theta = _velocities(profile, y[0], y[2])
-    trace = FinslerTrace(t, y[0], y[1], v_r, v_theta, np.ones(len(t)), sol.status == 0)
-    if not trace.complete:
-        raise _chart_exit(t_ev, trace)
-    return trace
+    return np.array([p1, p2, u_dot])
 
 
 def chart_distance(a: tuple[float, float], b: tuple[float, float]) -> float:

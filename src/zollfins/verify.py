@@ -29,6 +29,11 @@ C_GRID = (0.0, 0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9)
 #: The bound of a positivity floor: such a check passes when measured > 0.
 POSITIVE = "> 0"
 
+#: Step of the 8th-order central difference of the pencil's longitude in
+#: check 15, and its weights on the differences at 1..4 steps.
+_D8_STEP = 1e-3
+_D8_WEIGHTS = np.array([4 / 5, -1 / 5, 4 / 105, -1 / 280])
+
 
 @dataclass
 class Check:
@@ -257,27 +262,44 @@ def _invariants(prof, samples):
 
 def _finsler_closure(prof, samples):
     """15. The closed-form Finsler trace (finsler_geodesic, from the point
-    pencil) against the bundle ODE (finsler_geodesic_ode), row by row, in
-    position and in velocity, both in the chart metric of chart_distance.  The
-    start is the chart point of the geodesic through p = (r_p, th_p) in the
-    direction phi0, with the velocity of p on it: the indicatrix point at
-    latitude r_p on the branch sign(cos phi0) = +1.  The closed form starts
-    from (R0, Theta0, v0), so its map back to (p, phi0) is tested too; the
-    detail gives its distance from the pencil of p itself, with the longitude
-    reflected."""
+    pencil) plugged into the geodesic spray of F (finsler._spray) instead of
+    integrated: one array pass over the 257 rows, each at its state (R, u),
+    u the phase of p on the row's geodesic from this check's own (r_p,
+    phi0 + t).  The spray's udot must match the rate of that phase, its
+    Thetadot an 8th-order central difference of the pencil's longitude
+    (reflected), its velocity the trace's, and the first row the start
+    (R0, Theta0, v0), in the chart metric of chart_distance.  The start is
+    the chart point of the geodesic through p = (r_p, th_p) in the direction
+    phi0, with the indicatrix point at latitude r_p (branch +1) as velocity,
+    so the closed form's map back to (p, phi0) is tested too.  The detail
+    gives the trace's distance from the pencil of p and its return distance.
+    Bound: ~100x the worst defect over the named profiles and the cubic and
+    quintic families, 1.5e-12, set by the roundoff of the difference."""
     r_p, th_p, phi0 = 1.1, 0.7, 0.9
     R0, th0 = (float(a[0]) for a in moduli.pencil_chart(prof, r_p, th_p, [phi0]))
     s = moduli.indicatrix_regularized(prof, R0, r_p, +1)
     ftr = finsler.finsler_geodesic(prof, (R0, th0), (s.v1, s.v2), 2 * math.pi)
-    ode = finsler.finsler_geodesic_ode(prof, (R0, th0), (s.v1, s.v2), 2 * math.pi, tol=1e-7)
-    cos_r = np.cos(ode.R)
-    worst = _fold([np.hypot(ftr.R - ode.R, cos_r * (ftr.Theta - ode.Theta)),
-                   np.hypot(ftr.vR - ode.vR, cos_r * (ftr.vTheta - ode.vTheta))])
-    pen_R, pen_th = moduli.pencil_chart(prof, r_p, th_p, phi0 + ftr.t)
+    phi = phi0 + ftr.t
+    sin_rp, cos_rp = math.sin(r_p), math.cos(r_p)
+    s_u = np.cos(phi) * sin_rp                  # cos R sin u
+    (v_r, v_th), u_dot = finsler._spray(moduli.CurveEval(prof, ftr.R),
+                                        np.arctan2(s_u, cos_rp))
+    u_rate = -sin_rp * cos_rp * np.sin(phi) / (cos_rp * cos_rp + s_u * s_u)
+    pen_R, pen_th = moduli.pencil_chart(prof, r_p, th_p,
+                                        phi[:, None] + _D8_STEP * np.arange(-4, 5))
+    # theta(phi + k h) - theta(phi - k h), k = 1..4, across the wrap at 2 pi.
+    spread = (pen_th[:, 5:] - pen_th[:, 3::-1] + math.pi) % (2 * math.pi) - math.pi
+    th_rate = -(spread @ _D8_WEIGHTS) / _D8_STEP
+    cos_r, cos_0 = np.cos(ftr.R), math.cos(R0)
+    worst = _fold(np.hstack([
+        np.abs(u_dot - u_rate), cos_r * np.abs(v_th - th_rate),
+        np.hypot(ftr.vR - v_r, cos_r * (ftr.vTheta - v_th)),
+        [math.hypot(ftr.R[0] - R0, cos_0 * (ftr.Theta[0] - th0)),
+         math.hypot(ftr.vR[0] - s.v1, cos_0 * (ftr.vTheta[0] - s.v2))]]))
     pencil = _fold([finsler.chart_distance((R, 2 * th0 - th), (pr, pth)) for R, th, pr, pth
-                    in zip(*(a.tolist() for a in (ftr.R, ftr.Theta, pen_R, pen_th)))])
+                    in zip(*(a.tolist() for a in (ftr.R, ftr.Theta, pen_R[:, 4], pen_th[:, 4])))])
     dist = finsler.chart_distance((float(ftr.R[-1]), float(ftr.Theta[-1])), (R0, th0))
-    yield Result(worst, f"vs bundle ODE; pencil deviation {pencil:.2e}; "
+    yield Result(worst, f"spray residual; pencil deviation {pencil:.2e}; "
                  f"closure distance {dist:.2e}")
 
 
@@ -300,5 +322,5 @@ CHECKS = (
     Row({"indicatrix_unit_norm": 1e-9}, _unit_norm),
     Row({"fundamental_tensor_pd": POSITIVE}, _fundamental_tensor),
     Row({"invariants": None}, _invariants),
-    Row({"finsler_closure": 1e-6}, _finsler_closure),
+    Row({"finsler_closure": 2e-10}, _finsler_closure),
 )

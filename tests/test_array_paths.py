@@ -282,14 +282,20 @@ def test_block_errors_name_the_first_bad_column(ex1):
 
 @example(v=(1e300, 1.0))
 @example(v=(1.0, -1e200))
+@example(v=(1e308, 1.0))
+@example(v=(1.0, -1e308))
 @given(v=st.tuples(st.floats(1e156, 1e307), st.floats(-1.0, 1.0)).map(
     lambda v: v if v[1] > 0 else v[::-1]))
 @settings(max_examples=30, deadline=None)
 def test_tensor_overflow_raises(v):
     """F^2 beyond the float range: DomainError on the float and the block
-    path alike, naming the first such column (g11 = nan before)."""
+    path alike, naming the first such column (g11 = nan before).  Near
+    |v| = 1e308 at R = 1 the ray solve's products overflowed first, with a
+    numpy warning, which tier-1 turns into an error: such vectors are
+    refused before any solve."""
     prof = example2()
-    with pytest.raises(DomainError, match="overflows"):
-        fundamental_tensor(prof, 0.3, 0.0, v)
-    with pytest.raises(DomainError, match=re.escape(f"overflows at v = ({v[0]}, {v[1]})")):
-        fundamental_tensor(prof, 0.3, 0.0, np.array([[0.6, v[0], 2e300], [0.8, v[1], 1.0]]))
+    for R in (0.3, 1.0):
+        with pytest.raises(DomainError, match="overflows"):
+            fundamental_tensor(prof, R, 0.0, v)
+        with pytest.raises(DomainError, match=re.escape(f"overflows at v = ({v[0]}, {v[1]})")):
+            fundamental_tensor(prof, R, 0.0, np.array([[0.6, v[0], 2e300], [0.8, v[1], 1.0]]))

@@ -10,8 +10,10 @@ from zollfins import (BandError, ChartExitError, DomainError, SIGMA_ROTATION, Zo
                       indicatrix_parametric, indicatrix_regularized,
                       invariant_flow_check, invariants_IJ, pencil_chart,
                       round_sphere, unit_direction)
-from zollfins.finsler import CHART_ABORT, finsler_geodesic_ode
+from zollfins.finsler import CHART_ABORT
 from zollfins.profile import curvature_x, curvature_x_prime
+
+from oracles import finsler_geodesic_ode
 
 
 def ellipse_norm(R, v):
@@ -98,6 +100,15 @@ def test_f_equation_needs_a_finite_vector(ex1):
     for v in ((math.nan, 0.5), (0.3, math.inf), (-math.inf, math.nan)):
         with pytest.raises(DomainError, match="finite vector"):
             f_polynomial(ex1, 0.4, *v)
+
+
+@pytest.mark.parametrize("v", [(1e200, 0.5), (1e308, 1.0), (1.0, 1e308), (1e50, 1.0)])
+def test_f_equation_refuses_coefficients_beyond_floats(ex2, v):
+    """DomainError from f_polynomial itself, where the float of a huge exact
+    coefficient raised an untyped OverflowError from FPolynomial.coeffs."""
+    with pytest.raises(DomainError, match="beyond the float range"):
+        f_polynomial(ex2, 0.3, *v)
+    assert np.all(np.isfinite(f_polynomial(ex2, 0.3, 1e30, 1.0).coeffs))
 
 
 @pytest.mark.parametrize("v", [(0.3, -0.5), (0.8, 0.1), (-0.2, 1.4), (0.6, 0.6)])
@@ -609,6 +620,29 @@ def test_full_period_point_pencil(all_good):
             th_mirrored = (2 * Th0 - trace.Theta) % (2 * math.pi)
             diff = (th_mirrored - th_pred + math.pi) % (2 * math.pi) - math.pi
             assert np.abs(diff).max() < 1e-8, (prof, r_p, phi0)
+
+
+def test_array_spray_has_the_bits_of_the_float_rhs(ex2, bad_curvature):
+    """The spray on an array of bundle states (one jet, one _fiber_terms
+    pass), as verify check 15 runs it, gives each state the bits of its
+    float right-hand side _spray_rhs.  Where g is not positive definite (G
+    dips below 0 on bad_curvature) its udot is NaN, which fails the check,
+    and the float right-hand side raises."""
+    from zollfins import StepFailureError
+    from zollfins.finsler import _spray, _spray_rhs
+    from zollfins.moduli import CurveEval
+    R = np.repeat([-1.2, 0.05, 0.2, 0.6], 64)
+    u = np.tile(np.linspace(-math.pi, math.pi, 64), 4)
+    for prof in (ex2, bad_curvature):
+        (v_r, v_th), u_dot = _spray(CurveEval(prof, R), u)
+        for k, (Rk, uk) in enumerate(zip(R.tolist(), u.tolist())):
+            if math.isnan(u_dot[k]):
+                with pytest.raises(StepFailureError):
+                    _spray_rhs(prof, np.array([Rk, 0.0, uk]))
+            else:
+                assert _spray_rhs(prof, np.array([Rk, 0.0, uk])).tolist() == \
+                    [v_r[k], v_th[k], u_dot[k]]
+    assert np.isnan(u_dot).any() and not np.isnan(u_dot).all()
 
 
 # -- the closed form against the bundle ODE ------------------------------------------

@@ -194,17 +194,37 @@ def test_phase_time_fault_fails_geodesic_closure(monkeypatch):
     monkeypatch.setattr(geodesics, "_sin_series", faulty)
 
 
-@guards("finsler_closure")
-def test_f_r_fault_fails_finsler_closure(monkeypatch):
-    """F_R of the closed-form fiber terms, inside the bundle flow: the ODE
-    leaves the closed-form trace it must follow."""
+def _fiber_fault(monkeypatch, f_r=1.0, g11=1.0):
+    """Scales F_R and g11 of the closed-form fiber terms (finsler._fiber_terms),
+    which the spray's acceleration reads."""
     terms = finsler._fiber_terms
 
     def faulty(curve, u):
-        p, p_r, g, f_r, ell, dell, mu = terms(curve, u)
-        return p, p_r, g, f_r * (1 + 1e-6), ell, dell, mu
+        p, p_r, (a, b, c), f, ell, dell, mu = terms(curve, u)
+        return p, p_r, (a * g11, b, c), f * f_r, ell, dell, mu
 
     monkeypatch.setattr(finsler, "_fiber_terms", faulty)
+
+
+@guards("finsler_closure")
+def test_f_r_fault_fails_finsler_closure(monkeypatch):
+    """F_R of the closed-form fiber terms, inside the spray: the closed-form
+    trace no longer solves the spray's equation."""
+    _fiber_fault(monkeypatch, f_r=1 + 1e-6)
+
+
+@guards("finsler_closure")
+def test_small_f_r_fault_fails_finsler_closure(monkeypatch):
+    """F_R off by 1e-7, which the bundle ODE at tol 1e-7 missed: its trace
+    left the closed form by 3.5e-7 here, below that comparison's bound of
+    1e-6."""
+    _fiber_fault(monkeypatch, f_r=1 + 1e-7)
+
+
+@guards("finsler_closure")
+def test_g11_fault_fails_finsler_closure(monkeypatch):
+    """g11 of the fundamental tensor off by 1e-7, in the spray's acceleration."""
+    _fiber_fault(monkeypatch, g11=1 + 1e-7)
 
 
 @guards("finsler_closure")

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import zollfins
 from zollfins import ZollProfile, moduli
 from zollfins.verify import run_verification
 
@@ -40,3 +47,26 @@ def test_geodesic_closure_bound_follows_coefficient_size():
     check, = (c for c in run_verification(prof).checks if c.name == "geodesic_closure")
     assert check.status == "pass", (check.measured, check.tolerance)
     assert check.measured > 1e-13 and check.tolerance <= 1e-10
+
+
+def test_verify_runs_without_scipy(tmp_path):
+    """run_verification and the verify command in a process where scipy
+    cannot be imported: both succeed, and no scipy module is loaded."""
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        from zollfins import ZollProfile, cli
+        from zollfins.verify import run_verification
+        assert run_verification(ZollProfile.from_string("1,-2,1")).passed
+        code = cli.main(["--h=1,-2,1", "--out", sys.argv[1], "verify"])
+        loaded = sorted(m for m, v in sys.modules.items()
+                        if m.split(".")[0] == "scipy" and v is not None)
+        assert not loaded, loaded
+        sys.exit(code)
+    """)
+    path = os.pathsep.join(filter(None, [str(Path(zollfins.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
