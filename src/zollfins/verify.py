@@ -267,14 +267,18 @@ def _finsler_closure(prof, samples):
     u the phase of p on the row's geodesic from this check's own (r_p,
     phi0 + t).  The spray's udot must match the rate of that phase, its
     Thetadot an 8th-order central difference of the pencil's longitude
-    (reflected), its velocity the trace's, and the first row the start
-    (R0, Theta0, v0), in the chart metric of chart_distance.  The start is
-    the chart point of the geodesic through p = (r_p, th_p) in the direction
-    phi0, with the indicatrix point at latitude r_p (branch +1) as velocity,
-    so the closed form's map back to (p, phi0) is tested too.  The detail
-    gives the trace's distance from the pencil of p and its return distance.
-    Bound: ~100x the worst defect over the named profiles and the cubic and
-    quintic families, 1.5e-12, set by the roundoff of the difference."""
+    (reflected), and its velocity the trace's.  Each row (R, Theta) of the
+    trace must lie on the pencil of p, its longitude reflected about
+    Theta0, which gates the trace's longitude on every row (the spray's
+    Thetadot reads only R and u); the pencil's first row is the start
+    (R0, Theta0), and the first velocity must be v0.  Distances are in the
+    chart metric of chart_distance.  The start is the chart point of the
+    geodesic through p = (r_p, th_p) in the direction phi0, with the
+    indicatrix point at latitude r_p (branch +1) as velocity, so the closed
+    form's map back to (p, phi0) is tested too.  The detail gives the
+    largest pencil deviation and the trace's return distance.  Bound: ~100x
+    the worst defect over the named profiles and the cubic and quintic
+    families, 1.5e-12, set by the roundoff of the difference."""
     r_p, th_p, phi0 = 1.1, 0.7, 0.9
     R0, th0 = (float(a[0]) for a in moduli.pencil_chart(prof, r_p, th_p, [phi0]))
     s = moduli.indicatrix_regularized(prof, R0, r_p, +1)
@@ -291,15 +295,15 @@ def _finsler_closure(prof, samples):
     spread = (pen_th[:, 5:] - pen_th[:, 3::-1] + math.pi) % (2 * math.pi) - math.pi
     th_rate = -(spread @ _D8_WEIGHTS) / _D8_STEP
     cos_r, cos_0 = np.cos(ftr.R), math.cos(R0)
+    # The trace against the pencil of p, its longitude reflected about th0.
+    lon = (ftr.Theta - 2 * th0 + pen_th[:, 4] + math.pi) % (2 * math.pi) - math.pi
+    pencil = np.hypot(ftr.R - pen_R[:, 4], cos_r * lon)
     worst = _fold(np.hstack([
         np.abs(u_dot - u_rate), cos_r * np.abs(v_th - th_rate),
-        np.hypot(ftr.vR - v_r, cos_r * (ftr.vTheta - v_th)),
-        [math.hypot(ftr.R[0] - R0, cos_0 * (ftr.Theta[0] - th0)),
-         math.hypot(ftr.vR[0] - s.v1, cos_0 * (ftr.vTheta[0] - s.v2))]]))
-    pencil = _fold([finsler.chart_distance((R, 2 * th0 - th), (pr, pth)) for R, th, pr, pth
-                    in zip(*(a.tolist() for a in (ftr.R, ftr.Theta, pen_R[:, 4], pen_th[:, 4])))])
+        np.hypot(ftr.vR - v_r, cos_r * (ftr.vTheta - v_th)), pencil,
+        [math.hypot(ftr.vR[0] - s.v1, cos_0 * (ftr.vTheta[0] - s.v2))]]))
     dist = finsler.chart_distance((float(ftr.R[-1]), float(ftr.Theta[-1])), (R0, th0))
-    yield Result(worst, f"spray residual; pencil deviation {pencil:.2e}; "
+    yield Result(worst, f"spray residual; pencil deviation {_fold(pencil):.2e}; "
                  f"closure distance {dist:.2e}")
 
 

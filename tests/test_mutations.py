@@ -240,6 +240,21 @@ def test_phi0_fault_fails_finsler_closure(monkeypatch):
     monkeypatch.setattr(finsler, "_pencil_start", faulty)
 
 
+@guards("finsler_closure")
+def test_trace_longitude_fault_fails_finsler_closure(monkeypatch):
+    """The closed-form trace's longitude drifting by 1e-8 per unit of
+    direction angle, in the trace only: verify's own pencil reads
+    moduli.pencil_chart, which stays sound.  The spray residuals read R and
+    u alone, so only the trace's distance from the pencil sees it."""
+    pencil = finsler.pencil_chart
+
+    def faulty(prof, r_p, th_p, phi):
+        R, theta = pencil(prof, r_p, th_p, phi)
+        return R, theta + 1e-8 * np.asarray(phi)
+
+    monkeypatch.setattr(finsler, "pencil_chart", faulty)
+
+
 def _nan_on_third_call(fn, pick):
     """fn, except that its third call returns pick(out) for its output out."""
     calls = itertools.count(1)
