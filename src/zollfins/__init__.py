@@ -12,8 +12,7 @@ from .finsler import (FinslerEval, FinslerTrace, FPolynomial, InvariantPair,
                       invariants_IJ, unit_direction)
 from .geodesics import (GeodesicState, GeodesicTrace, closure_integrals,
                         integrate_geodesic, surface_distance, turning_latitude)
-from .jacobi import (JacobiPair, jacobi_ode_check, jacobi_pair,
-                     jacobi_pair_direct, jacobi_y)
+from .jacobi import JacobiPair, jacobi_ode_check, jacobi_pair
 from .moduli import (ImplicitIndicatrix, IndicatrixCurve, IndicatrixSample,
                      ModuliPoint, coords_of_geodesic, implicit_polynomial,
                      implicit_residual, indicatrix_curvature, indicatrix_curve,

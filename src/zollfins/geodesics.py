@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BandError, DomainError, PoleProximityError, StepFailureError
+from .errors import BandError, DomainError, StepFailureError
 from .profile import ZollProfile, horner, metric_coeffs
 from .quadrature import DEFAULT_ORDERS, gl_adaptive
 
@@ -61,18 +61,17 @@ MAX_TRACE_ROWS = 1_000_000
 
 def turning_latitude(c: float) -> float:
     """r_c = arcsin|c|, the extremal latitude reached by a geodesic."""
-    # Written so that NaN fails the test (min(1.0, nan) would be 1.0).
-    if not abs(c) <= 1.0 + 1e-12:
+    if not abs(c) <= 1.0:       # NaN fails too
         raise DomainError(f"Clairaut constant |c|={abs(c)} outside [0, 1]")
-    return math.asin(min(1.0, abs(c)))
+    return math.asin(abs(c))
 
 
 def turning_latitudes(c: np.ndarray) -> np.ndarray:
     """turning_latitude of each Clairaut constant in an array, through numpy.
     A function of its own, so that the float path tests no type."""
-    if not np.all(np.abs(c) <= 1.0 + 1e-12):
+    if not np.all(np.abs(c) <= 1.0):
         raise DomainError(f"Clairaut constants up to |c|={np.max(np.abs(c))} outside [0, 1]")
-    return np.arcsin(np.minimum(1.0, np.abs(c)))
+    return np.arcsin(np.abs(c))
 
 
 def in_band(r, rc: float):
@@ -122,20 +121,6 @@ class GeodesicState:
             raise BandError(
                 f"state unreachable: |c|={abs(self.c)} > sin r={math.sin(self.r)}"
             )
-
-    def xi1(self, profile: ZollProfile) -> float:
-        """Radial momentum sign * (1+h) sqrt(1 - c^2/sin^2 r)."""
-        sr = math.sin(self.r)
-        rad = max(0.0, 1.0 - (self.c / sr) ** 2) if sr > 0 else 0.0
-        return self.sign * (1.0 + profile.h(math.cos(self.r))) * math.sqrt(rad)
-
-    def energy_residual(self, profile: ZollProfile) -> float:
-        """|xi1^2/(1+h)^2 + c^2/sin^2 r - 1| (unit-energy defect)."""
-        sr = math.sin(self.r)
-        if sr < 1e-12:
-            raise PoleProximityError("energy undefined at the poles")
-        one_h = 1.0 + profile.h(math.cos(self.r))
-        return abs((self.xi1(profile) / one_h) ** 2 + (self.c / sr) ** 2 - 1.0)
 
 
 # -- closure integrals --------------------------------------------------------
@@ -251,10 +236,6 @@ class GeodesicTrace:
     def __post_init__(self):
         if np.any(np.diff(self.t) <= 0):
             raise DomainError("trace times must be strictly increasing")
-
-    def endpoint_state(self) -> GeodesicState:
-        return GeodesicState(float(self.r[-1]), float(self.theta[-1] % TWO_PI),
-                             self.c, int(self.sign[-1]))
 
 
 def signed_phase(c: float, r, sign: int = +1):

@@ -39,14 +39,15 @@ v2 = -c1 y2 of the moduli module and its rate dv2/du = -c1 (1 + h) y2'.
 PhaseKernel evaluates both, once for jacobi_pair, the regularized samples,
 the ray solver and the Finsler spray.  jacobi_pair takes a 1-D array of
 latitudes, one kernel pass for the array, and a float latitude is a
-one-entry call of that path, unwrapped to floats (profile.unwrap); the
-literal 1/y1' route through the Phi quadrature is the independent
-cross-check on r < pi/2.  The Phi quadratures take arrays of latitudes
-too: gl_refined integrates them all on order-16 panels with one call of
-the integrand, whose numerator 1 + h - x h' is one Horner in x^2.  The
-finite part of Phi over the whole band, -Psi(pi - r_c) / cos^2 r_c, is 0
-for odd h (the phase integrand sin^2 u h''(cos r_c cos u) is odd about
-u = pi/2), so above the equator it is minus the tail integral.
+one-entry call of that path, unwrapped to floats (profile.unwrap).  The
+literal 1/y1' route through the Phi quadrature, the independent
+cross-check on r < pi/2, lives with the tests (tests/oracles.py).  The
+Phi quadratures take arrays of latitudes too: gl_refined integrates them
+all on order-16 panels with one call of the integrand, whose numerator
+1 + h - x h' is one Horner in x^2.  The finite part of Phi over the whole
+band, -Psi(pi - r_c) / cos^2 r_c, is 0 for odd h (the phase integrand
+sin^2 u h''(cos r_c cos u) is odd about u = pi/2), so above the equator
+it is minus the tail integral.
 
 y2 is even under t -> -t and y1 odd, so y2 at a given latitude does not
 depend on the branch while y1, y2' flip sign with it.
@@ -129,15 +130,6 @@ def _check_band(rc: float, r, branch=+1):
         if bad_branch[k]:
             raise DomainError(f"branch must be +-1, got {b[k].item()}")
         raise BandError(f"latitude {rs[k].item()} outside the band [{rc}, {math.pi - rc}]")
-
-
-def jacobi_y(profile: ZollProfile, c: float, r: float, sign: int = +1
-             ) -> tuple[float, float]:
-    """(y, y') with y = sign sqrt(sin^2 r - c^2) and y' = cos r / (1+h(cos r))."""
-    _check_band(turning_latitude(c), r)
-    y = math.sqrt(band_radicand(c, r))
-    x = math.cos(r)
-    return sign * y, x / (1.0 + profile.h(x))
 
 
 # -- the h'' integral Psi -----------------------------------------------------
@@ -269,26 +261,13 @@ class PhaseKernel:
     def __init__(self, profile: ZollProfile, R):
         if isinstance(R, np.ndarray):
             _check_chart(float(np.max(np.abs(R), initial=0.0)))
-            self._set(profile, R, np.sin(R), np.cos(R))
+            self.c, self.cos_R = np.sin(R), np.cos(R)
         else:
             _check_chart(R)
-            self._set(profile, R, math.sin(R), math.cos(R))
-
-    @classmethod
-    def inside(cls, profile: ZollProfile, R: float):
-        """The kernel at a float R that the caller keeps inside the chart,
-        as the constructor builds it but without its type test and chart
-        check: the kernel of one step of the Finsler spray."""
-        kernel = cls.__new__(cls)
-        kernel._set(profile, R, math.sin(R), math.cos(R))
-        return kernel
-
-    def _set(self, profile: ZollProfile, R, c, cos_R):
+            self.c, self.cos_R = math.sin(R), math.cos(R)
         self.profile = profile
         self.R = R
-        self.c = c
-        self.cos_R = cos_R
-        self.q = q = cos_R ** 2
+        self.q = q = self.cos_R ** 2
         self.inv_q = 1.0 / q
         self.ca = profile.odd_coeffs
         self.cb = profile.hp_table
@@ -342,25 +321,6 @@ def jacobi_pair(profile: ZollProfile, c: float, r, sign: int = +1) -> JacobiPair
     v2, v2_u = PhaseKernel(profile, rc).v2_du(x / cos_rc, sign * y / cos_rc)
     return JacobiPair(*(unwrap(f, r) for f in (
         sign * c1 * y, c1 * x / one_h, -v2 / c1, -v2_u / (c1 * one_h))))
-
-
-def jacobi_pair_direct(profile: ZollProfile, c: float, r: float) -> JacobiPair:
-    """The literal 1/y1' route on the ascending branch, for cross-checks only.
-
-    Valid for r < pi/2, where the accumulated integral int_0^t G/(y1')^2 ds
-    is finite; evaluated through Phi by panel quadrature.
-    """
-    _check_band(turning_latitude(c), r)
-    if r >= math.pi / 2 - 1e-9:
-        raise DomainError("direct Jacobi route valid only below the equator")
-    c1 = c1_coefficient(profile, c)
-    x = math.cos(r)
-    one_h = 1.0 + profile.h(x)
-    y = math.sqrt(band_radicand(c, r))
-    phi = curvature_integral(profile, c, r)
-    y1 = c1 * y
-    y1p = c1 * x / one_h
-    return JacobiPair(y1, y1p, 1.0 / y1p - y * phi / c1, -(x / (c1 * one_h)) * phi)
 
 
 def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:

@@ -409,7 +409,7 @@ class ImplicitIndicatrix:
     the cancellation is verified exactly, and ``degree`` reports the reduced
     degree (-1 for P = 0).
 
-    The three methods take floats or arrays.  Each raises DomainError for a
+    ``residual`` takes floats or arrays.  It raises DomainError for a
     non-finite argument and for a value that overflows, naming the first
     such argument, instead of returning NaN or inf.
     """
@@ -427,21 +427,11 @@ class ImplicitIndicatrix:
             return np.zeros_like(w)
         return np.polynomial.polynomial.polyval(w, np.asarray(self.combined))
 
-    def p_eval(self, w):
-        """P(w), w = v1^2."""
-        return _guarded("P(w)", self._p, w)
-
     def residual(self, v1, v2):
         """(v2 + P(v1^2))^2 - (1 - v1^2)/cos^2 R; ~0 iff on the indicatrix."""
         out = _guarded("implicit residual", lambda v1, v2: (
             (v2 + self._p(v1 * v1)) ** 2 - (1.0 - v1 * v1) / self.q), v1, v2)
         return out if out.ndim else float(out)
-
-    def branch_gap(self, v1, v2, hemisphere: int):
-        """v2 + P(v1^2) + sign(cos r) sqrt(1-v1^2)/cos R on one hemisphere."""
-        return _guarded("branch gap", lambda v1, v2: (
-            v2 + self._p(v1 * v1)
-            + hemisphere * (np.sqrt(np.clip(1.0 - v1 * v1, 0.0, None)) / self.cos_R)), v1, v2)
 
 
 @lru_cache(maxsize=1024)

@@ -157,7 +157,7 @@ class ZollProfile:
             if not x.ndim:
                 x = float(x)
         # Written so that NaN fails the test (no separate isfinite pass).
-        bound = abs(x) if type(x) is float else np.max(np.abs(x))
+        bound = abs(x) if type(x) is float else np.abs(x).max(initial=0.0)
         if not bound <= 1.0 + X_DOMAIN_TOL:
             raise DomainError(f"profile argument outside [-1, 1]: {x!r}")
         return x
@@ -268,7 +268,7 @@ def curvature_x_prime(profile: ZollProfile, x):
 def gauss_curvature(profile: ZollProfile, r):
     """Gauss curvature G(r) of the surface at latitude r in [0, pi]."""
     r = np.asarray(r, dtype=float)
-    if not (np.min(r) >= -X_DOMAIN_TOL and np.max(r) <= math.pi + X_DOMAIN_TOL):
+    if not (r.min(initial=0.0) >= -X_DOMAIN_TOL and r.max(initial=0.0) <= math.pi + X_DOMAIN_TOL):
         raise DomainError(f"latitude outside [0, pi]: {r!r}")
     out = curvature_x(profile, np.cos(r))
     return out if np.ndim(out) else float(out)

@@ -21,8 +21,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zollfins import (BandError, DomainError, ZollProfile, example2, finsler_F,
-                      fundamental_tensor, indicatrix_curvature, indicatrix_parametric,
-                      indicatrix_regularized, jacobi_ode_check, jacobi_pair, turning_latitude)
+                      fundamental_tensor, gauss_curvature, indicatrix_curvature,
+                      indicatrix_parametric, indicatrix_regularized, jacobi_ode_check,
+                      jacobi_pair, turning_latitude)
 from zollfins.geodesics import signed_phase
 from zollfins.jacobi import EQUATOR_GUARD, ODE_CHECK_STEP
 from zollfins.moduli import curve_block, curve_cache
@@ -210,6 +211,24 @@ def test_float_calls_return_python_floats(ex1):
               *indicatrix_curvature(ex1, R, 1.0),
               tensor.v1, tensor.v2, tensor.F, tensor.g11, tensor.g12, tensor.g22]
     assert [type(x) for x in values] == [float] * len(values)
+
+
+def test_empty_latitude_arrays_give_empty_results(ex2):
+    """An empty latitude array passes the entry checks and comes back as
+    empty arrays; the max and min of the checks used to raise numpy's
+    untyped ValueError on it.  NaN still fails those checks."""
+    empty = np.array([])
+    pair = jacobi_pair(ex2, 0.3, empty)
+    sample = indicatrix_parametric(ex2, 0.3, empty)
+    outs = [pair.y1, pair.y1_prime, pair.y2, pair.y2_prime, sample.v1, sample.v2,
+            *indicatrix_curvature(ex2, 0.3, empty),
+            ex2.h(empty), ex2.h_prime(empty), ex2.h_second(empty),
+            gauss_curvature(ex2, []), gauss_curvature(ex2, empty)]
+    assert [np.shape(x) for x in outs] == [(0,)] * len(outs)
+    with pytest.raises(DomainError):
+        ex2.h(np.array([math.nan]))
+    with pytest.raises(DomainError):
+        gauss_curvature(ex2, [math.nan])
 
 
 # -- blocks across chart values ------------------------------------------------------

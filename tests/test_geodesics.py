@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import simpson, solve_ivp
 
 from zollfins import (BandError, DomainError, GeodesicState, StepFailureError,
-                      ZollProfile, closure_integrals, integrate_geodesic,
+                      ZollProfile, closure_integrals, integrate_geodesic, jacobi_pair,
                       surface_distance, turning_latitude)
 from zollfins import geodesics
 from zollfins.geodesics import band_radicand, phase_time, turning_latitudes
@@ -40,6 +40,21 @@ def test_turning_latitude():
     for bad in (1.1, math.nan):
         with pytest.raises(DomainError):
             turning_latitudes(np.array([0.5, bad]))
+
+
+def test_clairaut_constant_just_above_one_rejected(ex2):
+    """|c| = 1 + 1e-13 is refused, not clamped to the equator: jacobi_pair
+    raised a BandError for a band [pi/2, pi/2] and band_radicand returned 0."""
+    c = 1.0000000000001
+    with pytest.raises(DomainError, match="outside"):
+        turning_latitude(-c)
+    with pytest.raises(DomainError, match="outside"):
+        turning_latitudes(np.array([0.5, c]))
+    with pytest.raises(DomainError, match="Clairaut constant"):
+        jacobi_pair(ex2, c, 1.5)
+    with pytest.raises(DomainError, match="Clairaut constant"):
+        band_radicand(c, 1.0)
+    assert turning_latitude(1.0) == turning_latitudes(np.array([-1.0]))[0] == math.pi / 2
 
 
 def test_non_finite_clairaut_constant_rejected(ex1):
@@ -78,9 +93,27 @@ def test_state_rejects_non_finite_point(r, theta):
         GeodesicState(r, theta, 0.5, +1)
 
 
+def energy_defect(profile, trace):
+    """|(1+h)^2 rdot^2 + sin^2 r thetadot^2 - 1| on the inner rows of a trace,
+    rdot and thetadot from 4th-order central differences of its rows."""
+    dt = trace.t[1] - trace.t[0]
+
+    def rate(a):
+        return (-a[4:] + 8 * a[3:-1] - 8 * a[1:-3] + a[:-4]) / (12 * dt)
+
+    r = trace.r[2:-2]
+    one_h = 1.0 + profile.h(np.cos(r))
+    return np.abs((one_h * rate(trace.r)) ** 2 + (np.sin(r) * rate(trace.theta)) ** 2 - 1.0)
+
+
 def test_state_energy_residual(ex1):
+    """The trace from each state starts there and runs at unit speed."""
     for r, c, sg in [(1.0, 0.5, +1), (2.0, -0.3, -1), (math.pi / 2, 0.9, +1)]:
-        assert GeodesicState(r, 0.1, c, sg).energy_residual(ex1) < 1e-15
+        trace = integrate_geodesic(ex1, GeodesicState(r, 0.1, c, sg), 0.5,
+                                   samples_per_period=4096)
+        assert (trace.r[0], trace.theta[0], trace.sign[0]) == pytest.approx((r, 0.1, sg),
+                                                                            abs=1e-15)
+        assert energy_defect(ex1, trace).max() < 1e-10
 
 
 def test_band_radicand_exact_zeros():
@@ -285,13 +318,13 @@ def test_clairaut_conservation_fd(ex1_strong):
 
 
 def test_energy_conserved_along_trace(ex2):
+    """Unit energy (1+h)^2 rdot^2 + sin^2 r thetadot^2 = 1, with both rates
+    reconstructed from the rows by a 4th-order stencil, as in the Clairaut
+    test."""
     c = 0.4
     state = GeodesicState(turning_latitude(c), 0.0, c, +1)
     trace = integrate_geodesic(ex2, state, 2 * math.pi)
-    for k in range(0, len(trace.t), 37):
-        st = GeodesicState(float(np.clip(trace.r[k], turning_latitude(c), None)),
-                           float(trace.theta[k]), c, int(trace.sign[k]))
-        assert st.energy_residual(ex2) < 1e-10
+    assert energy_defect(ex2, trace).max() < 1e-5
 
 
 def test_trace_monotone_time_and_tol_guard(ex1):

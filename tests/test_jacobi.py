@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zollfins import (BandError, DomainError, ZollProfile, example1, example2,
-                      jacobi_ode_check, jacobi_pair, jacobi_pair_direct,
-                      jacobi_y, turning_latitude)
+                      jacobi_ode_check, jacobi_pair, turning_latitude)
 from zollfins import jacobi
 from zollfins.jacobi import (PhaseKernel, c1_coefficient, curvature_integral,
                              curvature_integral_full, curvature_integral_tail,
                              hpp_integral, hpp_integral_quad)
+
+from oracles import jacobi_pair_direct
 
 
 def interior(c, n=25, pad=1e-3):
@@ -21,29 +22,29 @@ def interior(c, n=25, pad=1e-3):
     return np.linspace(rc + pad, math.pi - rc - pad, n)
 
 
-# -- the basic field y ------------------------------------------------------------
+# -- the basic field y = y1 / c1, with y1' / c1 = cos r / (1 + h(cos r)) ------------
 
 def test_y_at_turning_point(ex1):
     rc = turning_latitude(0.5)
-    y, _ = jacobi_y(ex1, 0.5, rc, +1)
-    assert y == 0.0
+    assert jacobi_pair(ex1, 0.5, rc, +1).y1 == 0.0
 
 
 def test_y_round_sphere(sphere):
+    c1 = c1_coefficient(sphere, 0.0)
     for r in (0.3, 1.2, 2.7):
-        y, yp = jacobi_y(sphere, 0.0, r, +1)
-        assert y == pytest.approx(math.sin(r), abs=1e-15)
-        assert yp == pytest.approx(math.cos(r), abs=1e-15)
+        pair = jacobi_pair(sphere, 0.0, r, +1)
+        assert pair.y1 / c1 == pytest.approx(math.sin(r), abs=1e-15)
+        assert pair.y1_prime / c1 == pytest.approx(math.cos(r), abs=1e-15)
 
 
 def test_y_example1(ex1):
-    y, _ = jacobi_y(ex1, 0.5, math.pi / 2, +1)
-    assert y == pytest.approx(math.sqrt(0.75), abs=1e-15)
+    y1 = jacobi_pair(ex1, 0.5, math.pi / 2, +1).y1
+    assert y1 / c1_coefficient(ex1, 0.5) == pytest.approx(math.sqrt(0.75), abs=1e-15)
 
 
 def test_y_band_guard(ex1):
     with pytest.raises(BandError):
-        jacobi_y(ex1, 0.5, 0.1, +1)
+        jacobi_pair(ex1, 0.5, 0.1, +1)
 
 
 # -- initial conditions and round-sphere closed form --------------------------------
