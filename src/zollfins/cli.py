@@ -15,7 +15,12 @@ verify      run the cross-module verification suites; exit 3 if any check
 All numeric output uses 17 significant digits; files are written atomically
 (temp file + rename), and repeated runs with the same configuration produce
 byte-identical outputs.  Indicatrix curves come as arrays, and the writers
-format each column in one ``%`` pass over its values.
+format each column in one ``%`` pass over its values.  Two columns of an
+indicatrix do not depend on the chart value: v1 = sin u on the phase grid,
+and branch.  One indicatrix command formats each of them once (v1 at the
+CSV's and at the SVG's precision) and reuses the strings for every chart
+value; the key is the array's bytes, so a reuse never changes a digit.  The
+r and v2 columns change with R, so they are formatted afresh and not held.
 
 Each option is declared once, as a row of ``OPTIONS``: its flag, which
 without the dashes is also its ``--config`` key, its value parser, its
@@ -89,15 +94,29 @@ def _curve_column(values, spec: str = ".17g", sign: str = "") -> list[str]:
     return half + [sign + text for text in half[-2:0:-1]]
 
 
+def _shared_column(columns: dict, values: np.ndarray, spec: str, sign: str = "") -> list[str]:
+    """_curve_column of a column that every chart value of a command shares,
+    made once per ``columns`` dict; spec "d" formats the integer branch
+    column.  Keyed by the array's bytes: only a bit-equal array reuses."""
+    key = (values.tobytes(), spec, sign)
+    if key not in columns:
+        columns[key] = ([str(b) for b in values.tolist()] if spec == "d"
+                        else _curve_column(values, spec, sign))
+    return columns[key]
+
+
 def curvature_csv(xs, gs) -> str:
     return _csv("x,G", _column(xs), _column(gs))
 
 
-def indicatrix_csv(curve) -> str:
+def indicatrix_csv(curve, columns: dict | None = None) -> str:
+    """The rows of an IndicatrixCurve; ``columns`` holds the branch and v1
+    strings shared with the other chart values of a command."""
+    columns = {} if columns is None else columns
     m = len(curve)
     return _csv("R,Theta,branch,r,v1,v2", [fmt(curve.R)] * m,
-                [fmt(curve.Theta)] * m, [str(b) for b in curve.branch.tolist()],
-                _curve_column(curve.r), _curve_column(curve.v1, sign="-"),
+                [fmt(curve.Theta)] * m, _shared_column(columns, curve.branch, "d"),
+                _curve_column(curve.r), _shared_column(columns, curve.v1, ".17g", "-"),
                 _curve_column(curve.v2))
 
 
@@ -115,8 +134,10 @@ def finsler_trace_csv(trace) -> str:
 
 
 def indicatrices_svg(curves: list[tuple[float, moduli.IndicatrixCurve]],
-                     size: int = 640) -> str:
-    """Deterministic standalone SVG with one polyline per IndicatrixCurve."""
+                     size: int = 640, columns: dict | None = None) -> str:
+    """Deterministic standalone SVG with one polyline per IndicatrixCurve;
+    ``columns`` holds v1 strings shared with the rest of a command."""
+    columns = {} if columns is None else columns
     extent = max((float(np.max(np.abs(a))) for _, curve in curves
                   for a in (curve.v1, curve.v2)), default=0.0)
     half = math.ceil(extent * 1.08 * 20.0) / 20.0 or 1.0
@@ -132,7 +153,7 @@ def indicatrices_svg(curves: list[tuple[float, moduli.IndicatrixCurve]],
     ]
     for k, (r_value, curve) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
-        v1 = _curve_column(curve.v1, ".10g", "-")
+        v1 = _shared_column(columns, curve.v1, ".10g", "-")
         v2 = _curve_column(curve.v2, ".10g")
         pts = " ".join(map(",".join, zip(v1 + v1[:1], v2 + v2[:1])))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -180,10 +201,12 @@ def cmd_indicatrix(profile: ZollProfile, args) -> int:
     except ConvexityViolation as exc:
         print(f"convexity violation: {exc}")
         return 2
+    columns = {}                        # v1 and branch, the same for every R
     for path, curve in zip(paths, curves):
-        atomic_write(path, indicatrix_csv(curve))
+        atomic_write(path, indicatrix_csv(curve, columns))
     atomic_write(out_dir / "indicatrices.svg",
-                 indicatrices_svg(list(zip(r_values, curves)), size=args.plot_size))
+                 indicatrices_svg(list(zip(r_values, curves)), size=args.plot_size,
+                                  columns=columns))
     print(f"wrote {len(r_values)} curve file(s) and indicatrices.svg in {out_dir}")
     return 0
 

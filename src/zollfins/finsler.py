@@ -302,10 +302,6 @@ class FPolynomial:
     def coeffs(self) -> np.ndarray:
         return np.array([float(c) for c in self.coeffs_exact])
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs_exact) - 1
-
 
 def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolynomial:
     """Exact F-equation at the tangent vector (v1, v2) of chart point R.

@@ -165,11 +165,19 @@ def _geodesic_closure(prof, samples):
 
 def _wronskian(prof, samples):
     """6. Wronskian of the normalized Jacobi pair, one array call per
-    Clairaut constant and branch."""
-    yield Result(_fold(np.hstack([
-        np.abs(jacobi.jacobi_pair(prof, c, _band_interior(math.asin(c), 21), branch).wronskian()
-               + 1.0)
-        for c in (0.1, 0.3, 0.5, 0.7, 0.9) for branch in (+1, -1)])))
+    Clairaut constant and branch, and the pair's initial values y1 = 0,
+    y1' = 1, y2 = 1, y2' = 0 at the turning latitude, which heads the
+    branch +1 call.  A wrong c1 scales y1 by c1 and y2 by 1/c1: the
+    Wronskian does not see it, the initial values do."""
+    defects = []
+    for c in (0.1, 0.3, 0.5, 0.7, 0.9):
+        rs = _band_interior(math.asin(c), 21)
+        start = jacobi.jacobi_pair(prof, c, np.insert(rs, 0, geodesics.turning_latitude(c)), +1)
+        for pair in (start, jacobi.jacobi_pair(prof, c, rs, -1)):
+            defects.append(np.abs(pair.wronskian() + 1.0))
+        defects.append(np.abs([start.y1[0], start.y1_prime[0] - 1.0,
+                               start.y2[0] - 1.0, start.y2_prime[0]]))
+    yield Result(_fold(np.hstack(defects)))
 
 
 def _jacobi_ode(prof, samples):

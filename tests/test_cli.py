@@ -463,6 +463,33 @@ def test_writers_match_row_by_row_reference(h):
     assert cli.curvature_csv(xs, gs) == reference_curvature_csv(xs, gs)
 
 
+@pytest.mark.parametrize("samples", [16, 512])
+def test_indicatrix_command_matches_row_by_row_reference(tmp_path, monkeypatch, samples):
+    """One indicatrix command formats the v1 and branch columns once and
+    reuses them for every chart value.  Each CSV and the SVG still match the
+    row-by-row reference, and n chart values make 3n + 2 column passes: r
+    and v2 of each CSV, v2 of each polyline, v1 once at each precision."""
+    from zollfins import ZollProfile, indicatrix_curve
+    passes = []
+    column = cli._column
+
+    def counted(*args):
+        passes.append(args)
+        return column(*args)
+
+    monkeypatch.setattr(cli, "_column", counted)
+    r_values = (0.7, -0.7, 0.0, 1.3, -0.25)
+    assert main(["--h=1,-2,1", "--out", str(tmp_path), "--samples", str(samples), "indicatrix",
+                 "--R=" + ",".join(map(repr, r_values))]) == 0
+    assert len(passes) == 3 * len(r_values) + 2
+    prof = ZollProfile.from_string("1,-2,1")
+    curves = [(R, indicatrix_curve(prof, R, samples)) for R in r_values]
+    for R, curve in curves:
+        text = (tmp_path / f"indicatrix_R{format(R, 'g')}.csv").read_text()
+        assert text == reference_indicatrix_csv(curve)
+    assert (tmp_path / "indicatrices.svg").read_text() == reference_indicatrices_svg(curves)
+
+
 # -- the shared parser and config keys ------------------------------------------
 
 def _outputs(out_dir):

@@ -125,6 +125,19 @@ def test_v2_rate_fault_fails_wronskian(monkeypatch):
     monkeypatch.setattr(jacobi.PhaseKernel, "v2_du", faulty)
 
 
+@guards("wronskian")
+def test_c1_sign_fault_fails_wronskian(monkeypatch):
+    """c1 = (1 - h(cos r_c)) / cos r_c scales y1 by c1 and y2 by 1/c1, so
+    the Wronskian and the Jacobi equation keep their values: only the pair's
+    initial values at the turning latitude see it."""
+    def faulty(profile, c):
+        rc = geodesics.turning_latitude(c)
+        return (1.0 - profile.h(math.cos(rc))) / math.cos(rc)
+
+    monkeypatch.setattr(jacobi, "c1_coefficient", faulty)
+    assert _statuses("jacobi_ode") == ["pass"]
+
+
 @guards("jacobi_ode")
 def test_large_s_table_fault_fails_jacobi_ode(s_table_fault):
     """A fault the Jacobi equation sees at its stencil's resolution."""
