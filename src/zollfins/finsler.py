@@ -46,13 +46,14 @@ finsler_F and fundamental_tensor also take a block of n vectors, a 2 x n
 array or a pair of arrays, as verify's direction grids do, at one chart
 value or at an array of n chart values, one per column.  The block's rays
 go to array calls of CurveEval.solve_ray, one masked Newton over all of
-them, each ray with the constants of its own chart value's evaluator
-(moduli.curve_block), and each column keeps the bits of its single-vector
-call at its chart value.  fundamental_tensor treats a single vector as a
-one-column block, unwrapped to floats (profile.unwrap).  finsler_F keeps
-its float path for a single vector, with the same bits: one array pass
-costs as much as 20 to 40 float solves, and unit_direction (the start of
-a Finsler trace) and verify check 11 make single-vector calls.
+them, each ray with the constants of its own chart value's evaluator (a
+CurveEval built on the array of chart values), and each column keeps the
+bits of its single-vector call at its chart value.  fundamental_tensor
+treats a single vector as a one-column block, unwrapped to floats
+(profile.unwrap).  finsler_F keeps its float path for a single vector,
+with the same bits: one array pass costs as much as 20 to 40 float solves,
+and unit_direction (the start of a Finsler trace) and verify check 11 make
+single-vector calls.
 
 The two scalar invariants at a surface point (r) and fiber angle (phi)
 reduce, because the Gauss curvature depends on the latitude only, to
@@ -78,7 +79,7 @@ import numpy as np
 from .errors import BandError, ChartExitError, DomainError, PoleProximityError, StepFailureError
 from .geodesics import sample_times
 from .jacobi import PhaseKernel
-from .moduli import CurveEval, curve_block, curve_cache, implicit_polynomial, pencil_chart
+from .moduli import CurveEval, curve_cache, implicit_polynomial, pencil_chart
 from .profile import ZollProfile, curvature_x, curvature_x_prime, unwrap
 
 #: Orientation of the fiber rotation relative to the geodesic flow of F, in
@@ -89,6 +90,9 @@ SIGMA_ROTATION = -1.0
 
 #: Fiber-angle step of the central differences in invariant_flow_check.
 FLOW_CHECK_DPHI = 1e-5
+
+#: Relative step (of |v|) of the central differences in fundamental_tensor.
+TENSOR_STEP = 1e-5
 
 #: Chart half-width at which Finsler traces abort.
 CHART_ABORT = math.pi / 2 - 1e-3
@@ -128,13 +132,13 @@ class InvariantPair:
 
 
 def _curve(profile: ZollProfile, R, columns: int | None):
-    """The evaluator of a norm call: the one at a float R, or a block with
-    one chart value per column of a block of vectors (moduli.curve_block)."""
+    """The evaluator of a norm call: the one at a float R (a 0-d array too),
+    or a block with one chart value per column of a block of vectors."""
     if not np.ndim(R):
-        return curve_cache(profile, R)
+        return curve_cache(profile, float(R))
     if np.shape(R) != (columns,):
         raise DomainError(f"chart values of shape {np.shape(R)} need a block of as many vectors")
-    return curve_block(profile, R)
+    return CurveEval(profile, np.asarray(R, dtype=float))
 
 
 def finsler_F(profile: ZollProfile, R, Theta: float, v) -> FinslerEval:
@@ -166,12 +170,12 @@ _STENCIL = np.array([(1, 0), (-1, 0), (0, 1), (0, -1),
 _V_MAX = math.sqrt(sys.float_info.max)
 
 
-def _difference_steps(v: np.ndarray, step: float) -> np.ndarray:
-    """The steps step * |v| of the columns of the 2 x n block v, after the
-    checks; DomainError names the first column that fails one."""
+def _difference_steps(v: np.ndarray) -> np.ndarray:
+    """The steps TENSOR_STEP * |v| of the columns of the 2 x n block v, after
+    the checks; DomainError names the first column that fails one."""
     with np.errstate(over="ignore"):                # |v| = inf is refused below
         vn = np.hypot(v[0], v[1])
-    h = step * vn
+    h = TENSOR_STEP * vn
     zero = vn == 0.0
     huge = vn >= _V_MAX
     bad = zero | huge | ~((1e-12 < h) & (h < 0.2 * vn))    # NaN fails too
@@ -185,9 +189,8 @@ def _difference_steps(v: np.ndarray, step: float) -> np.ndarray:
     return h
 
 
-def fundamental_tensor(profile: ZollProfile, R, Theta: float, v,
-                       step: float = 1e-5) -> FinslerEval:
-    """g_ij = (1/2) d^2(F^2)/dv_i dv_j by central differences at step*|v|.
+def fundamental_tensor(profile: ZollProfile, R, Theta: float, v) -> FinslerEval:
+    """g_ij = (1/2) d^2(F^2)/dv_i dv_j by central differences at TENSOR_STEP |v|.
 
     The 9-point Hessian of F^2 is symmetric by construction.  Richardson
     extrapolation at twice the step removes the leading quadratic truncation
@@ -210,7 +213,7 @@ def fundamental_tensor(profile: ZollProfile, R, Theta: float, v,
     if v.ndim not in (1, 2) or len(v) != 2:
         raise DomainError(f"need one vector or a 2 x n block, got shape {v.shape}")
     columns = v.reshape(2, -1)
-    h = _difference_steps(columns, step)
+    h = _difference_steps(columns)
     cache = _curve(profile, R, columns.shape[1] if v.ndim == 2 else None)
     F, u0 = cache.solve_ray(columns[0], columns[1])
     hh = np.stack((h, 2 * h))                                   # (step, column)
@@ -318,7 +321,7 @@ def f_polynomial(profile: ZollProfile, R: float, v1: float, v2: float) -> FPolyn
     """
     if not (math.isfinite(v1) and math.isfinite(v2)):
         raise DomainError(f"F-equation needs a finite vector, got ({v1}, {v2})")
-    impl = implicit_polynomial(profile, R)
+    impl = implicit_polynomial(profile, float(R))
     q = Fraction(impl.q)
     p = impl.combined_exact
     v1f, v2f = Fraction(float(v1)), Fraction(float(v2))

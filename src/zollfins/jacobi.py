@@ -250,24 +250,31 @@ class PhaseKernel:
     and of dS/dq (sc, sc_q) are the values and q-derivatives of the rows of
     profile.s_table at this q, so building a kernel is arithmetic only.
     moduli.CurveEval adds the jet, which reads sc_q, and the ray solves.
-    R may be an array of chart values (through numpy), one per phase that
-    v2_du is then given, as for the rows of a Finsler trace.  The constants
-    R, c, cos_R, q, inv_q and the entries of sc and sc_q are per chart
-    value; profile, ca and cb belong to the profile.
+    The constants R, c, cos_R, q, inv_q and the entries of sc and sc_q are
+    per chart value; profile, ca and cb belong to the profile.  R may be an
+    array of chart values, one per phase that v2_du is then given (the rows
+    of a Finsler trace, the rays of a block); the first one off the chart
+    names the error, and each entry holds the bits of the kernel at its
+    float: np.sin and np.cos give math's bits (np.arcsin and np.arctan2 do
+    not), q = np.float_power(cos_R, 2) is libm's pow as the float ** 2 is
+    (numpy's square is not, on ~1 value in 1000), the rest is arithmetic.
     """
 
     __slots__ = ("profile", "R", "c", "cos_R", "q", "inv_q", "ca", "cb", "sc", "sc_q")
 
     def __init__(self, profile: ZollProfile, R):
         if isinstance(R, np.ndarray):
-            _check_chart(float(np.max(np.abs(R), initial=0.0)))
+            off = ~(np.abs(R) < math.pi / 2 - CHART_GUARD)      # NaN is off too
+            if off.any():
+                _check_chart(float(R.ravel()[np.argmax(off)]))
             self.c, self.cos_R = np.sin(R), np.cos(R)
+            self.q = q = np.float_power(self.cos_R, 2)
         else:
             _check_chart(R)
             self.c, self.cos_R = math.sin(R), math.cos(R)
+            self.q = q = self.cos_R ** 2
         self.profile = profile
         self.R = R
-        self.q = q = self.cos_R ** 2
         self.inv_q = 1.0 / q
         self.ca = profile.odd_coeffs
         self.cb = profile.hp_table

@@ -37,19 +37,19 @@ indicatrix_curve and CurveEval all read PhaseKernel.v2_du.  CurveEval is the
 one evaluator per chart value: the phase jet of the Finsler spray and the
 ray solves, one safeguarded Newton on the bracket [0, pi] of the half-curve
 (CurveEval.newton_ray, or one masked array pass over many rays), warm
-from a seed or cold from pi/2.  A block (curve_block) holds one chart
-value per ray, so that one masked pass serves rays at many chart values,
-each with the constants of its own evaluator.  indicatrix_curvature and
-indicatrix_regularized take a 1-D array of latitudes, one kernel pass for
-the array, and indicatrix_parametric one, one quadrature on each side of
-the equator; a float latitude is a one-entry call of that path, unwrapped
-to floats (profile.unwrap).  The jet and the ray solves keep a float path
-beside their array one, with the same bits: the spray and the cold solve
-of a Finsler trace run them on one point at a time, where an array pass
-costs many float ones.  A ray within
-1e-9 of the v2 axis is resolved to u = 0 or pi directly.  The curvature
-identity of indicatrix_curvature reads the same jet, so it checks the code
-the spray uses.  The parametric quadrature of Phi and the implicit polynomial stay as
+from a seed or cold from pi/2.  An evaluator built on an array of chart
+values holds one per ray, so that one masked pass serves rays at many chart
+values, each with the constants of its own float evaluator.
+indicatrix_curvature and indicatrix_regularized take a 1-D array of
+latitudes, one kernel pass for the array, and indicatrix_parametric one,
+one quadrature on each side of the equator; a float latitude is a
+one-entry call of that path, unwrapped to floats (profile.unwrap).  The jet
+and the ray solves keep a float path beside their array one, with the same
+bits: the spray and the cold solve of a Finsler trace run them on one point
+at a time, where an array pass costs many float ones.  A ray within 1e-9 of
+the v2 axis is resolved to u = 0 or pi directly.  The curvature identity of
+indicatrix_curvature reads the same jet, so it checks the code the spray
+uses.  The parametric quadrature of Phi and the implicit polynomial stay as
 the independent reference routes.
 
 For polynomial h, expanding Psi in closed form turns the
@@ -95,9 +95,9 @@ import numpy as np
 from .errors import BandError, ConvexityViolation, DomainError, NoBracketError
 from .geodesics import (GeodesicState, band_radicand, longitude_advance,
                         signed_phase, turning_latitude, turning_latitudes)
-from .jacobi import (CHART_GUARD, EQUATOR_GUARD, PhaseKernel, _check_band, _check_chart,
-                     curvature_integral, curvature_integral_tail)
-from .profile import ZollProfile, curvature_x, elementwise, horner_jet, unwrap
+from .jacobi import (EQUATOR_GUARD, PhaseKernel, _check_band, _check_chart, curvature_integral,
+                     curvature_integral_tail)
+from .profile import ZollProfile, curvature_x, elementwise, horner, horner_jet, unwrap
 
 TWO_PI = 2.0 * math.pi
 
@@ -274,7 +274,7 @@ def indicatrix_regularized(profile: ZollProfile, R: float, r,
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     cos_R = math.cos(R)
     v1 = branch * np.sqrt(band_radicand(math.sin(R), rs, abs(R))) / cos_R
-    v2 = curve_cache(profile, R).v2_du(elementwise(math.cos, rs) / cos_R, v1)[0]
+    v2 = curve_cache(profile, float(R)).v2_du(elementwise(math.cos, rs) / cos_R, v1)[0]
     return IndicatrixSample(R, Theta, branch, r, unwrap(v1, r), unwrap(v2, r))
 
 
@@ -303,7 +303,7 @@ def indicatrix_curvature(profile: ZollProfile, R: float, r,
     x, sr = elementwise(math.cos, rs), elementwise(math.sin, rs)
     y = np.sqrt(band_radicand(math.sin(R), rs))
     u = elementwise(math.atan2, branch * y, x)     # signed_phase, through math
-    (p1, p2), (t1, t2), (a1, a2), _, _ = curve_cache(profile, R).jet(u)
+    (p1, p2), (t1, t2), (a1, a2), _, _ = curve_cache(profile, float(R)).jet(u)
     left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * np.float_power(sr / y, 2)
     right = (np.float_power((1.0 + profile.h(x)) * sr / y, 2)
              * curvature_x(profile, x, np.float_power))
@@ -422,15 +422,15 @@ class ImplicitIndicatrix:
     degree: int
     raw_top_exact: Fraction
 
-    def _p(self, w: np.ndarray):
-        if not self.combined:
-            return np.zeros_like(w)
-        return np.polynomial.polynomial.polyval(w, np.asarray(self.combined))
-
     def residual(self, v1, v2):
         """(v2 + P(v1^2))^2 - (1 - v1^2)/cos^2 R; ~0 iff on the indicatrix."""
-        out = _guarded("implicit residual", lambda v1, v2: (
-            (v2 + self._p(v1 * v1)) ** 2 - (1.0 - v1 * v1) / self.q), v1, v2)
+        args = v1, v2 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (v1, v2)))
+        _raise_at(~(np.isfinite(v1) & np.isfinite(v2)),
+                  "implicit residual needs a finite argument", args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = v1 * v1
+            out = (v2 + horner(self.combined, w)) ** 2 - (1.0 - w) / self.q
+        _raise_at(~np.isfinite(out), "implicit residual overflows", args)
         return out if out.ndim else float(out)
 
 
@@ -465,22 +465,10 @@ def implicit_residual(profile: ZollProfile, R: float, v1, v2):
     """Value of the squared implicit identity at (v1, v2); ~0 on the curve.
     v1 and v2 may be arrays.  DomainError for a non-finite vector and for a
     residual that overflows, naming the first such vector."""
-    return implicit_polynomial(profile, R).residual(v1, v2)
+    return implicit_polynomial(profile, float(R)).residual(v1, v2)
 
 
-def _guarded(what: str, value, *args):
-    """value(*args) on the arguments as float arrays of one shape, with
-    numpy's overflow and invalid-value warnings off: DomainError names the
-    first arguments that are not finite or give a value that is not."""
-    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    _raise_at(~np.all(np.isfinite(args), axis=0), f"{what} needs a finite argument", args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = value(*args)
-    _raise_at(~np.isfinite(out), f"{what} overflows", args)
-    return out
-
-
-def _raise_at(bad, what: str, args: list[np.ndarray]):
+def _raise_at(bad, what: str, args: Sequence[np.ndarray]):
     """DomainError naming the entries of ``args`` at the first index where
     ``bad`` holds."""
     if np.any(bad):
@@ -505,9 +493,10 @@ class CurveEval(PhaseKernel):
     ray the bits of its float solve.  The array pass costs as much as 20 to
     40 float solves and grows slowly with the rays, so it pays for blocks
     of directions (verify's grids, the stencils of fundamental_tensor) and
-    not for the one cold solve of a Finsler trace.  A block (curve_block)
-    holds one chart value per ray, and its rays go to the same masked
-    Newton, each with the constants of its own chart value's evaluator.
+    not for the one cold solve of a Finsler trace.  An evaluator built on
+    an array of chart values (a block) holds one per ray, and its rays go to
+    the same masked Newton, each with the constants of its own chart value's
+    float evaluator (PhaseKernel).
     """
 
     __slots__ = ()
@@ -558,8 +547,8 @@ class CurveEval(PhaseKernel):
 
     def take(self, k):
         """The evaluator of the rays k (an index, an index array or a mask)
-        of a block with one chart value per ray (curve_block); an evaluator
-        at one chart value serves any rays as it is."""
+        of a block, built on an array with one chart value per ray; an
+        evaluator at one chart value serves any rays as it is."""
         if not isinstance(self.q, np.ndarray):
             return self
         out = object.__new__(type(self))
@@ -687,8 +676,8 @@ class CurveEval(PhaseKernel):
         v1 and v2 may be equal-length 1-D arrays, and seed_u then a float or
         an array: all rays go to one masked Newton (_newton_rays) and each
         gets the bits of its own float solve.  The input's shape picks the
-        path: the float solves are faster below ~35 rays.  A block
-        (curve_block) takes arrays only, one ray per chart value.
+        path: the float solves are faster below ~35 rays.  A block takes
+        arrays only, one ray per chart value.
         """
         if np.ndim(v1):
             return self._solve_rays(v1, v2, seed_u)
@@ -752,30 +741,6 @@ def curve_cache(profile: ZollProfile, R: float) -> CurveEval:
     """The evaluator at (profile, R), shared so that the norm evaluations at
     one chart value build its phase kernel once."""
     return CurveEval(profile, R)
-
-
-def curve_block(profile: ZollProfile, R) -> CurveEval:
-    """The evaluator of a block of rays at the chart values R, a 1-D array
-    with one chart value per ray.  Entry k carries the constants of the float
-    evaluator at R[k] (curve_cache), so that each ray solved on the block
-    (an array call of solve_ray) has the bits of its solve on that
-    evaluator.  DomainError names the first chart value off the chart."""
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 1:
-        raise DomainError(f"a block needs a 1-D array of chart values, got shape {R.shape}")
-    off = ~(np.abs(R) < math.pi / 2 - CHART_GUARD)      # NaN is off too
-    if off.any():
-        _check_chart(float(R[np.argmax(off)]))
-    values, index = np.unique(R, return_inverse=True)
-    curves = [curve_cache(profile, Rk) for Rk in values.tolist()]
-    block = object.__new__(CurveEval)
-    block.profile, block.ca, block.cb = profile, profile.odd_coeffs, profile.hp_table
-    for name in ("R", "c", "cos_R", "q", "inv_q"):
-        setattr(block, name, np.array([getattr(k, name) for k in curves], dtype=float))
-    rows = range(len(profile.s_table))
-    block.sc = [np.array([k.sc[j] for k in curves], dtype=float) for j in rows]
-    block.sc_q = [np.array([k.sc_q[j] for k in curves], dtype=float) for j in rows]
-    return block.take(index)
 
 
 # bench/tracing.py binds these two names until the benchmark is next

@@ -20,13 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zollfins import (BandError, DomainError, ZollProfile, example2, finsler_F,
-                      fundamental_tensor, gauss_curvature, indicatrix_curvature,
-                      indicatrix_parametric, indicatrix_regularized, jacobi_ode_check,
-                      jacobi_pair, turning_latitude)
+from zollfins import (BandError, DomainError, ZollProfile, example2, f_polynomial, finsler_F,
+                      fundamental_tensor, gauss_curvature, implicit_residual,
+                      indicatrix_curvature, indicatrix_parametric, indicatrix_regularized,
+                      jacobi_ode_check, jacobi_pair, turning_latitude, unit_direction)
 from zollfins.geodesics import signed_phase
 from zollfins.jacobi import EQUATOR_GUARD, ODE_CHECK_STEP
-from zollfins.moduli import curve_block, curve_cache
+from zollfins.moduli import CurveEval, curve_cache
 from zollfins.profile import curvature_x
 from zollfins.quadrature import gl_fixed
 
@@ -262,13 +262,14 @@ def test_tensor_block_across_charts_matches_float_calls(prof, columns):
 
 
 def test_block_solve_matches_each_charts_evaluator(ex2):
-    """curve_block gives each ray its own chart value's constants, those of
-    the float evaluator (at 0.0587..., numpy's square of cos R is not
-    libm's pow): the array solve on the block, cold and warm, equals the
-    float solves on each ray's evaluator, scale and phase."""
+    """A CurveEval built on an array of chart values gives each ray its own
+    chart value's constants, those of the float evaluator (at 0.0587...,
+    numpy's square of cos R is not libm's pow): the array solve on the
+    block, cold and warm, equals the float solves on each ray's evaluator,
+    scale and phase."""
     charts_ = np.array([0.3, -1.2, 0.05870435217608805, RIM, 0.0, -1.2])
     a = np.linspace(-3.0, 3.0, len(charts_))
-    block = curve_block(ex2, charts_)
+    block = CurveEval(ex2, charts_)
     for k, Rk in enumerate(charts_.tolist()):
         one = curve_cache(ex2, Rk)
         for name in ("R", "c", "cos_R", "q", "inv_q"):
@@ -279,6 +280,23 @@ def test_block_solve_matches_each_charts_evaluator(ex2):
         for k, (Rk, ak) in enumerate(zip(charts_.tolist(), a.tolist())):
             one = curve_cache(ex2, Rk).solve_ray(math.cos(ak), math.sin(ak), seed)
             assert (scale[k], u_star[k]) == one
+
+
+def test_zero_dim_chart_value_is_the_float_call(ex2):
+    """A chart value given as a 0-d array is the call at that float, bit for
+    bit, at every entry whose evaluator is cached per chart value."""
+    v = (0.6, -0.8)
+    calls = (lambda R: finsler_F(ex2, R, 0.0, v).F,
+             lambda R: [getattr(fundamental_tensor(ex2, R, 0.0, v), name)
+                        for name in ("F", "g11", "g12", "g22")],
+             lambda R: unit_direction(ex2, R, 0.0, 0.7),
+             lambda R: [getattr(indicatrix_regularized(ex2, R, 1.0), name)
+                        for name in ("v1", "v2")],
+             lambda R: indicatrix_curvature(ex2, R, 1.0),
+             lambda R: implicit_residual(ex2, R, 0.3, -1.2),
+             lambda R: [float(x) for x in f_polynomial(ex2, R, *v).coeffs_exact])
+    for call in calls:
+        assert bits(call(np.array(0.3))) == bits(call(0.3))
 
 
 def test_block_errors_name_the_first_bad_column(ex1):

@@ -10,6 +10,7 @@ from zollfins import (BandError, ChartExitError, DomainError, SIGMA_ROTATION, Zo
                       indicatrix_parametric, indicatrix_regularized,
                       invariant_flow_check, invariants_IJ, pencil_chart,
                       round_sphere, unit_direction)
+from zollfins import finsler
 from zollfins.finsler import CHART_ABORT
 from zollfins.profile import curvature_x, curvature_x_prime
 
@@ -141,10 +142,11 @@ def test_tensor_round_sphere_default_step(sphere):
     assert fe.g22 == pytest.approx(math.cos(0.7) ** 2, abs=1e-4)
 
 
-def test_tensor_round_sphere_wide_step(sphere):
+def test_tensor_round_sphere_wide_step(sphere, monkeypatch):
     # F^2 is exactly quadratic here, so a wide step is truncation-free and
     # the noise floor drops to ~1e-9.
-    fe = fundamental_tensor(sphere, 0.7, 0.0, (0.3, -0.5), step=1e-3)
+    monkeypatch.setattr(finsler, "TENSOR_STEP", 1e-3)
+    fe = fundamental_tensor(sphere, 0.7, 0.0, (0.3, -0.5))
     assert fe.g11 == pytest.approx(1.0, abs=1e-8)
     assert fe.g12 == pytest.approx(0.0, abs=1e-8)
     assert fe.g22 == pytest.approx(math.cos(0.7) ** 2, abs=1e-8)
@@ -329,8 +331,8 @@ def test_closed_form_chart_derivatives(ex1_strong, ex2):
 def test_tensor_guards(ex1):
     with pytest.raises(DomainError):
         fundamental_tensor(ex1, 0.3, 0.0, (0.0, 0.0))
-    with pytest.raises(DomainError):
-        fundamental_tensor(ex1, 0.3, 0.0, (1.0, 0.0), step=0.5)
+    with pytest.raises(DomainError, match="degenerate finite-difference step"):
+        fundamental_tensor(ex1, 0.3, 0.0, (1e-8, 0.0))
 
 
 # -- invariants -----------------------------------------------------------------------

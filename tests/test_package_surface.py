@@ -9,6 +9,10 @@ taken as an attribute, a function or class where its name is loaded; a
 string constant equal to the name counts as both.  Dunder methods run
 implicitly and are not checked.  What the tests alone read belongs in
 ``tests/oracles.py``, or on ``UNREAD`` with the reason it stays.
+
+Every name a module imports must be loaded in that module too, so that a
+deletion leaves no stale import behind; the re-exports of ``__init__.py``
+are exempt.
 """
 
 import ast
@@ -87,3 +91,22 @@ def test_every_definition_is_read_or_listed():
     tests/oracles.py or gains an UNREAD entry, and one that gains a reader
     must leave UNREAD."""
     assert _unread() == set(UNREAD)
+
+
+def _stale_imports(tree: ast.AST) -> set[str]:
+    """Names bound by the imports in ``tree`` (``from __future__`` aside)
+    that no expression in it loads."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bound - loaded
+
+
+def test_every_import_is_read():
+    stale = {f"{path.stem}.{name}" for path in SRC if path.name != "__init__.py"
+             for name in _stale_imports(ast.parse(path.read_text(), str(path)))}
+    assert stale == set()
