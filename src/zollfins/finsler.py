@@ -256,10 +256,10 @@ def invariants_IJ(profile: ZollProfile, r: float, phi: float) -> InvariantPair:
     if sr <= 1e-9:
         raise PoleProximityError(f"invariants undefined at the poles: r={r}")
     x = math.cos(r)
-    g_val = float(curvature_x(profile, x))
+    g_val = curvature_x(profile, x)
     if g_val <= 0.0:
         raise DomainError(f"invariants need positive curvature; G({r}) = {g_val}")
-    g_r = -sr * float(curvature_x_prime(profile, x))
+    g_r = -sr * curvature_x_prime(profile, x)
     one_h = 1.0 + profile.h(x)
     # Frame components of the velocity and its normal.
     gdot_r = math.cos(phi) / one_h

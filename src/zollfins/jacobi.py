@@ -39,7 +39,9 @@ v2 = -c1 y2 of the moduli module and its rate dv2/du = -c1 (1 + h) y2'.
 PhaseKernel evaluates both, once for jacobi_pair, the regularized samples,
 the ray solver and the Finsler spray.  jacobi_pair takes a 1-D array of
 latitudes, one kernel pass for the array, and a float latitude is a
-one-entry call of that path, unwrapped to floats (profile.unwrap).  The
+one-entry call of that path, unwrapped to floats (profile.unwrap).  It
+and jacobi_ode_check take one Clairaut constant or one per latitude, the
+kernel then built on the array of turning latitudes.  The
 literal 1/y1' route through the Phi quadrature, the independent
 cross-check on r < pi/2, lives with the tests (tests/oracles.py).  The
 Phi quadratures take arrays of latitudes too: gl_refined integrates them
@@ -97,12 +99,16 @@ class JacobiPair:
         return self.y1 * self.y2_prime - self.y2 * self.y1_prime
 
 
-def c1_coefficient(profile: ZollProfile, c: float) -> float:
-    """(1 + h(cos r_c)) / cos r_c; diverges for the equators c = +-1."""
-    if abs(c) >= 1.0 - 1e-12:
-        raise DomainError("normalized Jacobi fields degenerate at c = +-1")
-    rc = turning_latitude(c)
-    return (1.0 + profile.h(math.cos(rc))) / math.cos(rc)
+def c1_coefficient(profile: ZollProfile, c):
+    """(1 + h(cos r_c)) / cos r_c; diverges for the equators c = +-1.  An
+    array c, checked by the caller, gives one per entry, cos r_c through math."""
+    if np.ndim(c):
+        cos_rc = elementwise(lambda ck: math.cos(math.asin(abs(ck))), c)
+    elif abs(c) >= 1.0 - 1e-12:
+        raise DomainError(f"normalized Jacobi fields degenerate at c = {c}, too close to +-1")
+    else:
+        cos_rc = math.cos(turning_latitude(c))
+    return (1.0 + profile.h(cos_rc)) / cos_rc
 
 
 def _check_chart(R: float):
@@ -306,7 +312,35 @@ class PhaseKernel:
         return self._terms(cu, su)[:2]
 
 
-def jacobi_pair(profile: ZollProfile, c: float, r, sign: int = +1) -> JacobiPair:
+def _per_latitude(values, r, branch, what: str):
+    """values (one Clairaut constant or chart value per latitude), r and
+    branch as 1-D arrays of one length, else DomainError."""
+    values, rs, b = np.asarray(values, dtype=float), np.asarray(r, dtype=float), np.asarray(branch)
+    if values.ndim != 1 or rs.shape != values.shape or b.shape not in ((), values.shape):
+        raise DomainError(f"{what} need a 1-D array, one per latitude, and a branch or one "
+                          f"per latitude, got shapes {values.shape}, {rs.shape} and {b.shape}")
+    return values, rs, np.broadcast_to(b, values.shape)
+
+
+def _turning(profile: ZollProfile, c, r, sign):
+    """(r_c, cos r_c, c1) of the Clairaut constant c after the band checks
+    of the latitudes r on the branches ``sign``.  An array c holds one
+    constant per latitude, each taken through math as by its float call."""
+    if not np.ndim(c):
+        rc = turning_latitude(c)
+        _check_band(rc, r, sign)
+        return rc, math.cos(rc), c1_coefficient(profile, c)
+    c, rs, b = _per_latitude(c, r, sign, "Clairaut constants")
+    regular = np.abs(c) < 1.0 - 1e-12           # NaN is not
+    rc = elementwise(math.asin, np.abs(np.where(regular, c, 0.0)))
+    bad = ~regular | ~in_band(rs, rc) | (b != 1) & (b != -1)
+    if bad.any():       # the float call of the first bad entry raises its error
+        k = int(np.argmax(bad))
+        _turning(profile, c[k].item(), rs[k].item(), b[k].item())
+    return rc, elementwise(math.cos, rc), c1_coefficient(profile, c)
+
+
+def jacobi_pair(profile: ZollProfile, c, r, sign: int = +1) -> JacobiPair:
     """Normalized Jacobi data (y1, y1', y2, y2') at latitude r on the given branch.
 
     y2 = -v2/c1 and y2' = -(dv2/du)/(c1 (1 + h)) from one PhaseKernel call
@@ -314,13 +348,12 @@ def jacobi_pair(profile: ZollProfile, c: float, r, sign: int = +1) -> JacobiPair
     whole band, r = pi/2 included.  ``r`` is a 1-D array of latitudes, and
     one kernel call serves them all, cos r through math so that no entry
     depends on the others; a float r is a one-entry call, and its
-    JacobiPair holds floats.  The first offending latitude names the error
-    (_check_band).
+    JacobiPair holds floats.  ``c`` and ``sign`` are one constant and
+    branch or one per latitude: the kernel is then built on the array of
+    turning latitudes, each entry with the bits of its call at its own
+    constant.  The first offending entry names the error (_turning).
     """
-    rc = turning_latitude(c)
-    _check_band(rc, r, sign)
-    c1 = c1_coefficient(profile, c)
-    cos_rc = math.cos(rc)
+    rc, cos_rc, c1 = _turning(profile, c, r, sign)
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     x = elementwise(math.cos, rs)
     y = np.sqrt(band_radicand(c, rs, rc))
@@ -330,7 +363,7 @@ def jacobi_pair(profile: ZollProfile, c: float, r, sign: int = +1) -> JacobiPair
         sign * c1 * y, c1 * x / one_h, -v2 / c1, -v2_u / (c1 * one_h))))
 
 
-def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
+def jacobi_ode_check(profile: ZollProfile, c, r_grid) -> float:
     """max |y_i'' + G y_i| over the grid, differentiating twice in t numerically.
 
     Test oracle: y1, y2 come from jacobi_pair; the second t-derivative uses a
@@ -340,22 +373,20 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
     the phase steps, one node array the order-8 rules of gl_fixed over the
     backward and forward phase steps, each with the bits of its gl_fixed
     call, and the stencil's three rows (the grid, the latitudes a step back
-    and a step ahead) each go to one array call of jacobi_pair.  The grid's
-    band is checked once, before the stencils.  A NaN residual is returned,
-    not dropped.
+    and a step ahead) each go to one array call of jacobi_pair.  ``c`` is
+    one Clairaut constant or one per grid point, as in jacobi_pair, so that
+    one pass serves grids at many constants.  The grid's band is checked
+    once, before the stencils.  A NaN residual is returned, not dropped.
     """
-    rc = turning_latitude(c)
-    cos_rc = math.cos(rc)
-
-    def dt_du(u):
-        return 1.0 + profile.h(cos_rc * np.cos(u))
-
     r_0 = np.atleast_1d(np.asarray(r_grid, dtype=float))
-    _check_band(rc, r_0)
+    rc, cos_rc, _ = _turning(profile, c, r_0, +1)
     if not r_0.size:
         return 0.0
-    u = signed_phase(c, r_0)
-    du = ODE_CHECK_STEP / dt_du(u)
+    cos_rc = np.broadcast_to(cos_rc, r_0.shape)
+    # u = signed_phase(c, r_0) at each point's own turning latitude; the
+    # phase step of one time step at dt/du = 1 + h(cos r_c cos u).
+    u = np.arctan2(np.sqrt(band_radicand(c, r_0, rc)), np.cos(r_0))
+    du = ODE_CHECK_STEP / (1.0 + profile.h(cos_rc * np.cos(u)))
     close = ~((du < u) & (u < math.pi - du))
     if close.any():
         raise BandError(f"grid point {r_0[np.argmax(close)]} too close to a turning point")
@@ -364,7 +395,8 @@ def jacobi_ode_check(profile: ZollProfile, c: float, r_grid) -> float:
     lo, hi = np.concatenate((u_m, u)), np.concatenate((u, u_p))
     x, w = _leggauss(8)
     half = 0.5 * (hi - lo)
-    vals = dt_du((0.5 * (lo + hi))[:, None] + half[:, None] * x)
+    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * x
+    vals = 1.0 + profile.h(np.tile(cos_rc, 2)[:, None] * np.cos(nodes))
     # np.dot row by row, as gl_fixed: a matrix product may round a row otherwise.
     a, b = np.split(half * np.array([np.dot(w, row) for row in vals]), 2)
     g_val = curvature_x(profile, elementwise(math.cos, r_0), np.float_power)

@@ -43,7 +43,9 @@ values, each with the constants of its own float evaluator.
 indicatrix_curvature and indicatrix_regularized take a 1-D array of
 latitudes, one kernel pass for the array, and indicatrix_parametric one,
 one quadrature on each side of the equator; a float latitude is a
-one-entry call of that path, unwrapped to floats (profile.unwrap).  The jet
+one-entry call of that path, unwrapped to floats (profile.unwrap).
+indicatrix_curvature also takes one chart value per latitude, its jet
+then that of the evaluator built on the array.  The jet
 and the ray solves keep a float path beside their array one, with the same
 bits: the spray and the cold solve of a Finsler trace run them on one point
 at a time, where an array pass costs many float ones.  A ray within 1e-9 of
@@ -95,8 +97,8 @@ import numpy as np
 from .errors import BandError, ConvexityViolation, DomainError, NoBracketError
 from .geodesics import (GeodesicState, band_radicand, longitude_advance,
                         signed_phase, turning_latitude, turning_latitudes)
-from .jacobi import (EQUATOR_GUARD, PhaseKernel, _check_band, _check_chart, curvature_integral,
-                     curvature_integral_tail)
+from .jacobi import (CHART_GUARD, EQUATOR_GUARD, PhaseKernel, _check_band, _check_chart,
+                     _per_latitude, curvature_integral, curvature_integral_tail)
 from .profile import ZollProfile, curvature_x, elementwise, horner, horner_jet, unwrap
 
 TWO_PI = 2.0 * math.pi
@@ -278,8 +280,7 @@ def indicatrix_regularized(profile: ZollProfile, R: float, r,
     return IndicatrixSample(R, Theta, branch, r, unwrap(v1, r), unwrap(v2, r))
 
 
-def indicatrix_curvature(profile: ZollProfile, R: float, r,
-                         branch: int = +1) -> tuple[float, float]:
+def indicatrix_curvature(profile: ZollProfile, R, r, branch: int = +1) -> tuple[float, float]:
     """Both sides of the indicatrix curvature identity, computed independently.
 
     Left: the curvature k = cross(P_r, P_rr) / cross(P, P_r) of the curve in
@@ -292,18 +293,33 @@ def indicatrix_curvature(profile: ZollProfile, R: float, r,
     there).  ``r`` is a 1-D array of latitudes: one jet call serves them
     all, and the two sides come back as arrays, trig through math and
     squares and cubes through libm pow, so that no entry depends on the
-    others.  A float r is a one-entry call, and both sides are floats.  The
-    first offending latitude names the error.
+    others.  A float r is a one-entry call, and both sides are floats.
+    ``R`` is one chart value or one per latitude, and ``branch`` one branch
+    or one per latitude: the jet is then that of CurveEval built on the
+    array, each entry with the bits of its call at its own chart value.
+    The first offending entry names the error.
     """
-    _check_samples(R, r, branch)
     rs = np.atleast_1d(np.asarray(r, dtype=float))
-    rc = abs(R)
-    if (np.minimum(rs - rc, math.pi - rc - rs) < 1e-6).any():
-        raise DomainError("indicatrix curvature is singular at the turning points")
+    if np.ndim(R):
+        R, _, b = _per_latitude(R, r, branch, "chart values")
+        rc = np.abs(R)
+        bad = (~(rc < math.pi / 2 - CHART_GUARD) | (b != 1) & (b != -1)
+               | ~(np.minimum(rs - rc, math.pi - rc - rs) >= 1e-6))      # NaN is bad too
+        if bad.any():   # the float call of the first bad entry raises its error
+            k = int(np.argmax(bad))
+            indicatrix_curvature(profile, R[k].item(), rs[k].item(), b[k].item())
+        curve = CurveEval(profile, R)
+    else:
+        _check_samples(R, r, branch)
+        rc = abs(R)
+        if (np.minimum(rs - rc, math.pi - rc - rs) < 1e-6).any():
+            raise DomainError("indicatrix curvature is singular at the turning points")
+        curve = curve_cache(profile, float(R))
     x, sr = elementwise(math.cos, rs), elementwise(math.sin, rs)
-    y = np.sqrt(band_radicand(math.sin(R), rs))
+    # band_radicand(sin R, r): the band of turning_latitude(sin R), through math.
+    y = np.sqrt(band_radicand(curve.c, rs, elementwise(lambda a: math.asin(abs(math.sin(a))), R)))
     u = elementwise(math.atan2, branch * y, x)     # signed_phase, through math
-    (p1, p2), (t1, t2), (a1, a2), _, _ = curve_cache(profile, float(R)).jet(u)
+    (p1, p2), (t1, t2), (a1, a2), _, _ = curve.jet(u)
     left = (t1 * a2 - t2 * a1) / (p1 * t2 - p2 * t1) * np.float_power(sr / y, 2)
     right = (np.float_power((1.0 + profile.h(x)) * sr / y, 2)
              * curvature_x(profile, x, np.float_power))

@@ -152,10 +152,7 @@ class ZollProfile:
 
     def _check_domain(self, x):
         """x as a float (any scalar input) or a float array, checked in [-1, 1]."""
-        if type(x) is not float:
-            x = np.asarray(x, dtype=float)
-            if not x.ndim:
-                x = float(x)
+        x = float_or_array(x)
         # Written so that NaN fails the test (no separate isfinite pass).
         bound = abs(x) if type(x) is float else np.abs(x).max(initial=0.0)
         if not bound <= 1.0 + X_DOMAIN_TOL:
@@ -173,6 +170,15 @@ class ZollProfile:
     def h_second(self, x):
         x = self._check_domain(x)
         return x * horner(self.hpp_table, x * x)
+
+
+def float_or_array(x):
+    """x as a Python float (any scalar input) or a float array."""
+    if type(x) is not float:
+        x = np.asarray(x, dtype=float)
+        if not x.ndim:
+            x = float(x)
+    return x
 
 
 def horner(coeffs: tuple[float, ...], w):
@@ -245,33 +251,38 @@ def curvature_x(profile: ZollProfile, x, power=operator.pow):
 
         G = (1 + h(x) - x h'(x)) / (1 + h(x))^3.
 
-    Finite on [-1, 1] because admissible profiles keep |h| < 1.  ``power``
+    Finite on [-1, 1] because admissible profiles keep |h| < 1.  A scalar x
+    is evaluated in float arithmetic and gives a Python float.  ``power``
     takes the cube: np.float_power gives each entry of an array x the bits
     of its float call (libm pow), where numpy's ** may round differently.
     """
+    x = float_or_array(x)
     one_h = 1.0 + profile.h(x)
-    return (one_h - np.asarray(x) * profile.h_prime(x)) / power(one_h, 3)
+    return (one_h - x * profile.h_prime(x)) / power(one_h, 3)
 
 
-def curvature_x_prime(profile: ZollProfile, x):
-    """dG/dx, analytic."""
-    x = np.asarray(x, dtype=float)
+def curvature_x_prime(profile: ZollProfile, x, power=operator.pow):
+    """dG/dx, analytic; a scalar x and ``power`` as in curvature_x."""
+    x = float_or_array(x)
     h = profile.h(x)
     hp = profile.h_prime(x)
     hpp = profile.h_second(x)
     one_h = 1.0 + h
     num = -x * hpp * one_h - 3.0 * hp * (one_h - x * hp)
-    out = num / one_h**4
-    return out if out.ndim else float(out)
+    return num / power(one_h, 4)
 
 
 def gauss_curvature(profile: ZollProfile, r):
-    """Gauss curvature G(r) of the surface at latitude r in [0, pi]."""
-    r = np.asarray(r, dtype=float)
-    if not (r.min(initial=0.0) >= -X_DOMAIN_TOL and r.max(initial=0.0) <= math.pi + X_DOMAIN_TOL):
+    """Gauss curvature G(r) of the surface at latitude r in [0, pi]: a scalar
+    r as in curvature_x, and each entry of an array with its float call's
+    bits (np.float_power)."""
+    r = float_or_array(r)
+    lo, hi = (r, r) if type(r) is float else (r.min(initial=0.0), r.max(initial=0.0))
+    if not (lo >= -X_DOMAIN_TOL and hi <= math.pi + X_DOMAIN_TOL):
         raise DomainError(f"latitude outside [0, pi]: {r!r}")
-    out = curvature_x(profile, np.cos(r))
-    return out if np.ndim(out) else float(out)
+    if type(r) is float:
+        return curvature_x(profile, math.cos(r))
+    return curvature_x(profile, np.cos(r), np.float_power)
 
 
 def curvature_critical_points(profile: ZollProfile) -> list[tuple[float, float]]:
@@ -280,7 +291,7 @@ def curvature_critical_points(profile: ZollProfile) -> list[tuple[float, float]]
     Located by sampling dG/dx on the admissibility grid and bisecting each
     sign change.
     """
-    return [(x_star, float(curvature_x(profile, x_star))) for x_star
+    return [(x_star, curvature_x(profile, x_star)) for x_star
             in _sign_change_roots(lambda x: curvature_x_prime(profile, x))]
 
 
@@ -290,11 +301,10 @@ def check_positive_curvature(profile: ZollProfile) -> tuple[bool, tuple[float, f
     The minimum is searched among the endpoints, the bisection-refined
     critical points, and the dense sampling grid (safety net).
     """
-    candidates = [(-1.0, float(curvature_x(profile, -1.0))),
-                  (1.0, float(curvature_x(profile, 1.0)))]
+    candidates = [(-1.0, curvature_x(profile, -1.0)), (1.0, curvature_x(profile, 1.0))]
     candidates += curvature_critical_points(profile)
     xs = np.linspace(-1.0, 1.0, _SCAN_POINTS)
-    gs = np.asarray(curvature_x(profile, xs))
+    gs = curvature_x(profile, xs)
     i = int(np.argmin(gs))
     candidates.append((float(xs[i]), float(gs[i])))
     x_min, g_min = min(candidates, key=lambda p: p[1])

@@ -5,6 +5,7 @@ Each check compares an implemented quantity against an independent route
 construction must satisfy) and reports the measured defect against a fixed
 tolerance.  The checks are the rows of ``CHECKS``, in report order; every
 fold goes through ``_fold``, which keeps a NaN, so a NaN from an oracle fails.
+Checks 3, 6 and 7 make one array call each, a chart value or constant per latitude.
 """
 
 from __future__ import annotations
@@ -125,13 +126,12 @@ def _curvature_fd(prof, samples):
 
 def _indicatrix_curvature(prof, samples):
     """3. Indicatrix convexity <-> curvature identity, both from one scan,
-    one array call per chart value."""
-    sides = [moduli.indicatrix_curvature(prof, R, _band_interior(R, 41), +1)
-             for R in (0.1, 0.4, 0.9, 1.3)]
-    ratios = [np.abs(kl - kr) / np.maximum(np.maximum(np.abs(kl), np.abs(kr)), 1.0)
-              for kl, kr in sides]
-    yield Result(_fold(np.hstack(ratios)))
-    k_min = _fold(np.hstack([kl for kl, _ in sides]), floor=True)
+    one array call over the latitudes of the four chart values."""
+    charts = (0.1, 0.4, 0.9, 1.3)
+    kl, kr = moduli.indicatrix_curvature(prof, np.repeat(charts, 41),
+                                         np.hstack([_band_interior(R, 41) for R in charts]), +1)
+    yield Result(_fold(np.abs(kl - kr) / np.maximum(np.maximum(np.abs(kl), np.abs(kr)), 1.0)))
+    k_min = _fold(kl, floor=True)
     yield Result(k_min, f"min curve curvature = {k_min:.6f}")
 
 
@@ -164,27 +164,29 @@ def _geodesic_closure(prof, samples):
 
 
 def _wronskian(prof, samples):
-    """6. Wronskian of the normalized Jacobi pair, one array call per
-    Clairaut constant and branch, and the pair's initial values y1 = 0,
-    y1' = 1, y2 = 1, y2' = 0 at the turning latitude, which heads the
-    branch +1 call.  A wrong c1 scales y1 by c1 and y2 by 1/c1: the
-    Wronskian does not see it, the initial values do."""
-    defects = []
-    for c in (0.1, 0.3, 0.5, 0.7, 0.9):
-        rs = _band_interior(math.asin(c), 21)
-        start = jacobi.jacobi_pair(prof, c, np.insert(rs, 0, geodesics.turning_latitude(c)), +1)
-        for pair in (start, jacobi.jacobi_pair(prof, c, rs, -1)):
-            defects.append(np.abs(pair.wronskian() + 1.0))
-        defects.append(np.abs([start.y1[0], start.y1_prime[0] - 1.0,
-                               start.y2[0] - 1.0, start.y2_prime[0]]))
-    yield Result(_fold(np.hstack(defects)))
+    """6. Wronskian of the normalized Jacobi pair, and the pair's initial
+    values y1 = 0, y1' = 1, y2 = 1, y2' = 0 at the turning latitude, which
+    heads each constant's branch +1 row: one array call over the five
+    Clairaut constants and both branches.  A wrong c1 scales y1 by c1 and
+    y2 by 1/c1: the Wronskian does not see it, the initial values do."""
+    cs = (0.1, 0.3, 0.5, 0.7, 0.9)
+    inner = np.array([_band_interior(math.asin(c), 21) for c in cs])
+    rows = np.column_stack([[geodesics.turning_latitude(c) for c in cs], inner])
+    pair = jacobi.jacobi_pair(prof, np.concatenate([np.repeat(cs, 22), np.repeat(cs, 21)]),
+                              np.concatenate([rows.ravel(), inner.ravel()]),
+                              np.repeat((1, -1), (rows.size, inner.size)))
+    heads = slice(0, rows.size, 22)
+    yield Result(_fold(np.hstack([
+        np.abs(pair.wronskian() + 1.0), np.abs(pair.y1[heads]), np.abs(pair.y1_prime[heads] - 1.0),
+        np.abs(pair.y2[heads] - 1.0), np.abs(pair.y2_prime[heads])])))
 
 
 def _jacobi_ode(prof, samples):
-    """7. Jacobi ODE residual, three array calls of jacobi_pair per Clairaut
-    constant (jacobi_ode_check)."""
-    yield Result(_fold([jacobi.jacobi_ode_check(prof, c, _band_interior(math.asin(c), 9))
-                        for c in (0.2, 0.5, 0.8)]))
+    """7. Jacobi ODE residual, one stencil pass over the grids of three
+    Clairaut constants (jacobi_ode_check)."""
+    cs = (0.2, 0.5, 0.8)
+    yield Result(jacobi.jacobi_ode_check(
+        prof, np.repeat(cs, 9), np.hstack([_band_interior(math.asin(c), 9) for c in cs])))
 
 
 def _representation(prof, samples):

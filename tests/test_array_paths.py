@@ -4,6 +4,11 @@ jacobi_pair, indicatrix_curvature, indicatrix_regularized and
 indicatrix_parametric take arrays of latitudes, and a float latitude is a
 one-entry call of that path; their properties compare an n-entry call with
 the n one-entry calls, so that no entry depends on the others.
+jacobi_pair and jacobi_ode_check also take one Clairaut constant per
+latitude, and indicatrix_curvature one chart value per latitude: a mixed
+array is compared with the calls at each entry's own constant.  The float
+calls of curvature_x, curvature_x_prime and gauss_curvature stay in float
+arithmetic, with the bits of their one-entry array calls at np.float_power.
 fundamental_tensor treats a single vector as a one-column block in the same
 way.  CurveEval.jet and finsler_F keep a
 float path beside their array one: there each entry is compared with that
@@ -27,7 +32,7 @@ from zollfins import (BandError, DomainError, ZollProfile, example2, f_polynomia
 from zollfins.geodesics import signed_phase
 from zollfins.jacobi import EQUATOR_GUARD, ODE_CHECK_STEP
 from zollfins.moduli import CurveEval, curve_cache
-from zollfins.profile import curvature_x
+from zollfins.profile import curvature_x, curvature_x_prime
 from zollfins.quadrature import gl_fixed
 
 T21 = (0.01953125, -1.50390625, 32.484375, -321.75, 1751.75, -5733.0, 11760.0,
@@ -229,6 +234,100 @@ def test_empty_latitude_arrays_give_empty_results(ex2):
         ex2.h(np.array([math.nan]))
     with pytest.raises(DomainError):
         gauss_curvature(ex2, [math.nan])
+
+
+# -- one Clairaut constant or chart value per latitude ---------------------------------
+
+@st.composite
+def mixed(draw, values, band, pad=0.0, size=10):
+    """Arrays (constants, latitudes, branches), one entry per latitude,
+    each latitude drawn in the band of its own constant (band(value) is its
+    lower end) as by ``latitudes``: the band's ends, the turning-latitude
+    heads among them, the EQUATOR_GUARD band and uniform draws."""
+    entries = [(value, draw(latitudes(band(value), pad, size=1))[0], draw(branches))
+               for value in draw(st.lists(values, min_size=1, max_size=size))]
+    return tuple(np.array(column) for column in zip(*entries))
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles, mixed(clairaut, turning_latitude))
+def test_jacobi_pair_mixed_constants_match_per_constant_calls(prof, entries):
+    c, r, b = entries
+    pair = jacobi_pair(prof, c, r, b)
+    one = [jacobi_pair(prof, *entry) for entry in zip(c.tolist(), r.tolist(), b.tolist())]
+    for field in ("y1", "y1_prime", "y2", "y2_prime"):
+        same_entries(getattr(pair, field), [getattr(p, field) for p in one])
+
+
+@settings(max_examples=40, deadline=None)
+@given(profiles, mixed(st.sampled_from((0.0, 0.2, -0.5, 0.8, 0.95)), turning_latitude,
+                       pad=1e-3, size=6))
+def test_jacobi_ode_check_mixed_constants_match_per_constant_calls(prof, entries):
+    """The stencil pass over mixed constants: each point's residual is that
+    of the call at its own constant, and the pass returns their maximum."""
+    c, r, _ = entries
+    one = [jacobi_ode_check(prof, ck, r[k:k + 1]) for k, ck in enumerate(c.tolist())]
+    assert [jacobi_ode_check(prof, c[k:k + 1], r[k:k + 1]) for k in range(len(c))] == one
+    assert jacobi_ode_check(prof, c, r) == max(one)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles, mixed(charts, abs, pad=2e-6))
+def test_indicatrix_curvature_mixed_charts_match_per_chart_calls(prof, entries):
+    R, r, b = entries
+    left, right = indicatrix_curvature(prof, R, r, b)
+    one = [indicatrix_curvature(prof, *entry) for entry in zip(R.tolist(), r.tolist(), b.tolist())]
+    same_entries(left, [kl for kl, _ in one])
+    same_entries(right, [kr for _, kr in one])
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles, st.one_of(st.sampled_from((-1.0, 0.0, -0.0, 1.0)), st.floats(-1.0, 1.0)),
+       st.one_of(st.sampled_from((0.0, math.pi / 2, math.pi)), st.floats(0.0, math.pi)))
+def test_curvature_float_calls_are_one_entry_array_calls(prof, x, r):
+    """A float argument is computed in floats and gives a Python float, with
+    the bits of the one-entry array call that cubes (or takes the fourth
+    power) through libm pow, as the float ** does; gauss_curvature's array
+    path always does."""
+    floats = [curvature_x(prof, x), curvature_x_prime(prof, x), gauss_curvature(prof, r)]
+    arrays = [curvature_x(prof, np.array([x]), np.float_power),
+              curvature_x_prime(prof, np.array([x]), np.float_power),
+              gauss_curvature(prof, np.array([r]))]
+    assert [type(v) for v in floats] == [float] * 3
+    assert bits(floats) == bits(np.concatenate(arrays))
+
+
+def test_constant_arrays_name_the_first_bad_entry(ex1):
+    """One constant or chart value per latitude: the first entry whose own
+    float call fails raises that call's error, which names the entry; later
+    bad entries do not decide it.  Shapes that do not match one to one
+    raise DomainError."""
+    r = np.array([1.0, 1.2, 0.5, 1.4])
+    for call in (jacobi_pair, jacobi_ode_check):
+        for c, error, match in (
+                ([0.1, math.nan, 0.9, 2.0], DomainError, "nan outside"),
+                ([0.1, 0.3, 2.0, math.nan], DomainError, "2.0 outside"),
+                ([0.1, 0.3, 0.9, 2.0], BandError, "latitude 0.5 outside"),
+                ([0.1, 0.3, 0.9], DomainError, "one per latitude"),
+                ([[0.1, 0.3], [0.2, 0.4]], DomainError, "one per latitude")):
+            with pytest.raises(error, match=match):
+                call(ex1, np.array(c), r)
+    with pytest.raises(DomainError, match="degenerate at c = 1.0"):
+        jacobi_pair(ex1, np.array([0.1, 1.0]), np.array([1.0, math.pi / 2]))
+    with pytest.raises(DomainError, match="branch must be"):
+        jacobi_pair(ex1, np.full(4, 0.1), r, np.array([1, 0, 1, 1]))
+    with pytest.raises(DomainError, match="one per latitude"):
+        jacobi_pair(ex1, np.full(4, 0.1), r, np.array([1, -1]))
+    for R, rr, error, match in (
+            ([0.4, 1.5708, math.nan], [1.0, 1.0, 1.0], DomainError, "1.5708 too close"),
+            ([0.4, math.nan, 1.5708], [1.0, 1.0, 1.0], DomainError, "nan too close"),
+            ([0.4, 1.2, 1.5708], [1.0, 0.5, 1.0], BandError, "latitude 0.5 outside"),
+            ([0.4, 0.4, 1.2], [1.0, 0.4 + 1e-7, 0.5], DomainError, "singular"),
+            ([0.4, 0.4], [1.0, 1.0, 1.0], DomainError, "one per latitude")):
+        with pytest.raises(error, match=match):
+            indicatrix_curvature(ex1, np.array(R), np.array(rr))
+    with pytest.raises(DomainError, match="one per latitude"):
+        indicatrix_curvature(ex1, np.array([0.4, 0.4]), 1.0)
 
 
 # -- blocks across chart values ------------------------------------------------------

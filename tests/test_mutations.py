@@ -131,8 +131,8 @@ def test_c1_sign_fault_fails_wronskian(monkeypatch):
     the Wronskian and the Jacobi equation keep their values: only the pair's
     initial values at the turning latitude see it."""
     def faulty(profile, c):
-        rc = geodesics.turning_latitude(c)
-        return (1.0 - profile.h(math.cos(rc))) / math.cos(rc)
+        cos_rc = np.cos(np.arcsin(np.abs(c)))
+        return (1.0 - profile.h(cos_rc)) / cos_rc
 
     monkeypatch.setattr(jacobi, "c1_coefficient", faulty)
     assert _statuses("jacobi_ode") == ["pass"]
@@ -268,29 +268,39 @@ def test_trace_longitude_fault_fails_finsler_closure(monkeypatch):
     monkeypatch.setattr(finsler, "pencil_chart", faulty)
 
 
-def _nan_on_third_call(fn, pick):
-    """fn, except that its third call returns pick(out) for its output out."""
+def _nan_on_call(fn, call, pick):
+    """fn, except that its call number ``call`` returns pick(out) for its
+    output out."""
     calls = itertools.count(1)
 
     def faulty(*args, **kwargs):
         out = fn(*args, **kwargs)
-        return pick(out) if next(calls) == 3 else out
+        return pick(out) if next(calls) == call else out
     return faulty
 
 
-@pytest.mark.parametrize("owner, attr, names, pick", [
-    (profile_mod, "curvature_fd_check", ["curvature_fd_agreement"], lambda out: math.nan),
+def _nan_at_third_entry(values):
+    """A copy of the array ``values`` with its third entry NaN."""
+    out = np.array(values, dtype=float)
+    out[2] = math.nan
+    return out
+
+
+@pytest.mark.parametrize("owner, attr, names, call, pick", [
+    (profile_mod, "curvature_fd_check", ["curvature_fd_agreement"], 3, lambda out: math.nan),
     (moduli, "indicatrix_curvature", ["indicatrix_curvature_sides", "indicatrix_convexity"],
-     lambda out: (math.nan, out[1])),
-    (jacobi.JacobiPair, "wronskian", ["wronskian"], lambda out: math.nan),
-    (finsler, "invariant_flow_check", ["invariants"], lambda out: math.nan),
-    (jacobi, "jacobi_pair", ["jacobi_ode"], lambda out: dataclasses.replace(out, y1=math.nan)),
+     1, lambda out: (_nan_at_third_entry(out[0]), out[1])),
+    (jacobi.JacobiPair, "wronskian", ["wronskian"], 1, _nan_at_third_entry),
+    (finsler, "invariant_flow_check", ["invariants"], 3, lambda out: math.nan),
+    (jacobi, "jacobi_pair", ["jacobi_ode"], 3, lambda out: dataclasses.replace(out, y1=math.nan)),
 ], ids=["curvature_fd_check", "indicatrix_curvature", "wronskian", "invariant_flow_check",
         "jacobi_ode_check"])
-def test_nan_from_an_oracle_fails_its_check(monkeypatch, owner, attr, names, pick):
-    """One NaN among an oracle's values, on its third call, turns each check
-    that folds those values to FAIL: a fold that dropped it would PASS, on
-    the other values alone.  jacobi_ode_check folds its own residuals, over
-    the Jacobi pairs of its stencil."""
-    monkeypatch.setattr(owner, attr, _nan_on_third_call(getattr(owner, attr), pick))
+def test_nan_from_an_oracle_fails_its_check(monkeypatch, owner, attr, names, call, pick):
+    """One NaN among an oracle's values turns each check that folds those
+    values to FAIL: a fold that dropped it would PASS, on the other values
+    alone.  A scalar oracle returns it on its third call; indicatrix_curvature
+    and the Wronskian, one array call per check, at the third entry of
+    that call.  jacobi_ode_check folds its own residuals, over the Jacobi
+    pairs of its stencil."""
+    monkeypatch.setattr(owner, attr, _nan_on_call(getattr(owner, attr), call, pick))
     assert _statuses(*names) == ["fail"] * len(names)

@@ -1,13 +1,17 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import zollfins
-from zollfins import ZollProfile, moduli
+from zollfins import ProfileError, ZollProfile, moduli
+from zollfins.profile import check_positive_curvature
 from zollfins.verify import run_verification
 
 
@@ -22,6 +26,42 @@ def test_verification_passes(coeffs):
     report = run_verification(ZollProfile.from_string(coeffs))
     failed = [c.name for c in report.checks if c.status == "fail"]
     assert report.passed, failed
+
+
+def _admissible(coeffs) -> bool:
+    """Whether the profile is admissible (|h| < 1) and has G > 0."""
+    try:
+        return check_positive_curvature(ZollProfile(coeffs))[0]
+    except ProfileError:
+        return False
+
+
+def admissible_quintic(angle: float, fraction: float) -> ZollProfile:
+    """The quintic t (d1, d2, -d1 - d2), d = (cos angle, sin angle), at the
+    fraction ``fraction`` of the largest admissible t > 0 with G > 0.
+    1 + h, 1 - h and the numerator 1 + h - x h' of G are affine in t, so
+    the admissible t of a direction form an interval about 0, and every
+    fraction in [0, 1) of its end lies inside: the end is found by
+    bisection from a t where |h| reaches 2 on a grid."""
+    d = (math.cos(angle), math.sin(angle), -math.cos(angle) - math.sin(angle))
+    xs = np.linspace(-1.0, 1.0, 2001)
+    lo, hi = 0.0, 2.0 / np.abs(xs * (d[0] + xs ** 2 * (d[1] + xs ** 2 * d[2]))).max()
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _admissible(tuple(mid * a for a in d)) else (lo, mid)
+    t = fraction * lo
+    return ZollProfile((t * d[0], t * d[1], -(t * d[0]) - t * d[1]))
+
+
+@settings(max_examples=25, deadline=None)
+@example(angle=0.0, fraction=0.999999)
+@example(angle=2.0, fraction=0.999999)
+@given(angle=st.floats(0.0, 2 * math.pi), fraction=st.floats(0.0, 1.0, exclude_max=True))
+def test_verification_passes_on_admissible_quintics(angle, fraction):
+    """Every check passes on the quintics (a1, a3, -a1 - a3) with G > 0,
+    drawn inside that region up to its edge, where min G reaches 0."""
+    report = run_verification(admissible_quintic(angle, fraction))
+    assert report.passed, [(c.name, c.measured) for c in report.checks if c.status == "fail"]
 
 
 def test_verification_repeats_bit_for_bit_with_warm_caches():
