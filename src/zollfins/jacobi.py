@@ -99,15 +99,17 @@ class JacobiPair:
         return self.y1 * self.y2_prime - self.y2 * self.y1_prime
 
 
-def c1_coefficient(profile: ZollProfile, c):
-    """(1 + h(cos r_c)) / cos r_c; diverges for the equators c = +-1.  An
-    array c, checked by the caller, gives one per entry, cos r_c through math."""
-    if np.ndim(c):
-        cos_rc = elementwise(lambda ck: math.cos(math.asin(abs(ck))), c)
-    elif abs(c) >= 1.0 - 1e-12:
-        raise DomainError(f"normalized Jacobi fields degenerate at c = {c}, too close to +-1")
-    else:
-        cos_rc = math.cos(turning_latitude(c))
+def c1_coefficient(profile: ZollProfile, c, cos_rc=None):
+    """(1 + h(cos r_c)) / cos r_c; diverges for the equators c = +-1.  ``c``
+    is a float or an array, one coefficient per entry, and the first entry
+    within 1e-12 of +-1 (NaN included) names the DomainError.  ``cos_rc``,
+    cos r_c of each entry, is computed through math unless given."""
+    near = np.flatnonzero(~(np.abs(c) < 1.0 - 1e-12))
+    if near.size:
+        raise DomainError(f"normalized Jacobi fields degenerate at c = "
+                          f"{np.ravel(c)[near[0]]}, too close to +-1")
+    if cos_rc is None:
+        cos_rc = unwrap(elementwise(lambda ck: math.cos(turning_latitude(ck)), c), c)
     return (1.0 + profile.h(cos_rc)) / cos_rc
 
 
@@ -117,12 +119,13 @@ def _check_chart(R: float):
         raise DomainError(f"chart coordinate |R| = {abs(R)} too close to pi/2")
 
 
-def _check_band(rc: float, r, branch=+1):
+def _check_band(rc, r, branch=+1):
     """The shape, branch and band checks of samples at the latitudes r, a
     float or a 1-D array, on the branch or branches ``branch``, +-1 or an
-    array of r's length, on the band [rc, pi - rc]: DomainError for a bad
-    shape, else the first offending sample raises its own error, DomainError
-    for its branch or BandError for its latitude (NaN included)."""
+    array of r's length, on the band [rc, pi - rc] of the turning latitude
+    rc, one or one per latitude: DomainError for a bad shape, else the first
+    offending sample raises its own error, DomainError for its branch or
+    BandError for its latitude (NaN included)."""
     rs, b = np.asarray(r, dtype=float), np.asarray(branch)
     if rs.ndim > 1 or b.shape not in ((), (rs.size,)):
         raise DomainError(f"samples need a float or a 1-D array of latitudes and a branch "
@@ -135,7 +138,8 @@ def _check_band(rc: float, r, branch=+1):
         k = bad[0]
         if bad_branch[k]:
             raise DomainError(f"branch must be +-1, got {b[k].item()}")
-        raise BandError(f"latitude {rs[k].item()} outside the band [{rc}, {math.pi - rc}]")
+        rck = np.broadcast_to(rc, rs.shape)[k].item()
+        raise BandError(f"latitude {rs[k].item()} outside the band [{rck}, {math.pi - rck}]")
 
 
 # -- the h'' integral Psi -----------------------------------------------------
@@ -313,31 +317,31 @@ class PhaseKernel:
 
 
 def _per_latitude(values, r, branch, what: str):
-    """values (one Clairaut constant or chart value per latitude), r and
-    branch as 1-D arrays of one length, else DomainError."""
-    values, rs, b = np.asarray(values, dtype=float), np.asarray(r, dtype=float), np.asarray(branch)
+    """values, one Clairaut constant or chart value per latitude, as a 1-D
+    float array of r's shape, with one branch or one per latitude; else
+    DomainError."""
+    values, rs, b = np.asarray(values, dtype=float), np.asarray(r), np.asarray(branch)
     if values.ndim != 1 or rs.shape != values.shape or b.shape not in ((), values.shape):
         raise DomainError(f"{what} need a 1-D array, one per latitude, and a branch or one "
                           f"per latitude, got shapes {values.shape}, {rs.shape} and {b.shape}")
-    return values, rs, np.broadcast_to(b, values.shape)
+    return values
 
 
 def _turning(profile: ZollProfile, c, r, sign):
     """(r_c, cos r_c, c1) of the Clairaut constant c after the band checks
     of the latitudes r on the branches ``sign``.  An array c holds one
-    constant per latitude, each taken through math as by its float call."""
-    if not np.ndim(c):
+    constant per latitude, each taken through math as by its float call,
+    and each check of the float call, in its order, names the first entry
+    that fails it."""
+    if np.ndim(c):
+        c = _per_latitude(c, r, sign, "Clairaut constants")
+        rc = elementwise(turning_latitude, c)
+        cos_rc = elementwise(math.cos, rc)
+    else:
         rc = turning_latitude(c)
-        _check_band(rc, r, sign)
-        return rc, math.cos(rc), c1_coefficient(profile, c)
-    c, rs, b = _per_latitude(c, r, sign, "Clairaut constants")
-    regular = np.abs(c) < 1.0 - 1e-12           # NaN is not
-    rc = elementwise(math.asin, np.abs(np.where(regular, c, 0.0)))
-    bad = ~regular | ~in_band(rs, rc) | (b != 1) & (b != -1)
-    if bad.any():       # the float call of the first bad entry raises its error
-        k = int(np.argmax(bad))
-        _turning(profile, c[k].item(), rs[k].item(), b[k].item())
-    return rc, elementwise(math.cos, rc), c1_coefficient(profile, c)
+        cos_rc = math.cos(rc)
+    _check_band(rc, r, sign)
+    return rc, cos_rc, c1_coefficient(profile, c, cos_rc)
 
 
 def jacobi_pair(profile: ZollProfile, c, r, sign: int = +1) -> JacobiPair:

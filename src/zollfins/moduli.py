@@ -97,7 +97,7 @@ import numpy as np
 from .errors import BandError, ConvexityViolation, DomainError, NoBracketError
 from .geodesics import (GeodesicState, band_radicand, longitude_advance,
                         signed_phase, turning_latitude, turning_latitudes)
-from .jacobi import (CHART_GUARD, EQUATOR_GUARD, PhaseKernel, _check_band, _check_chart,
+from .jacobi import (EQUATOR_GUARD, PhaseKernel, _check_band, _check_chart,
                      _per_latitude, curvature_integral, curvature_integral_tail)
 from .profile import ZollProfile, curvature_x, elementwise, horner, horner_jet, unwrap
 
@@ -301,20 +301,14 @@ def indicatrix_curvature(profile: ZollProfile, R, r, branch: int = +1) -> tuple[
     """
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     if np.ndim(R):
-        R, _, b = _per_latitude(R, r, branch, "chart values")
-        rc = np.abs(R)
-        bad = (~(rc < math.pi / 2 - CHART_GUARD) | (b != 1) & (b != -1)
-               | ~(np.minimum(rs - rc, math.pi - rc - rs) >= 1e-6))      # NaN is bad too
-        if bad.any():   # the float call of the first bad entry raises its error
-            k = int(np.argmax(bad))
-            indicatrix_curvature(profile, R[k].item(), rs[k].item(), b[k].item())
-        curve = CurveEval(profile, R)
+        R = _per_latitude(R, r, branch, "chart values")
+        curve = CurveEval(profile, R)       # the chart check of each entry
     else:
-        _check_samples(R, r, branch)
-        rc = abs(R)
-        if (np.minimum(rs - rc, math.pi - rc - rs) < 1e-6).any():
-            raise DomainError("indicatrix curvature is singular at the turning points")
-        curve = curve_cache(profile, float(R))
+        curve = curve_cache(profile, float(R))      # the chart check of R, if new
+    rc = abs(R)
+    _check_band(rc, r, branch)
+    if (np.minimum(rs - rc, math.pi - rc - rs) < 1e-6).any():
+        raise DomainError("indicatrix curvature is singular at the turning points")
     x, sr = elementwise(math.cos, rs), elementwise(math.sin, rs)
     # band_radicand(sin R, r): the band of turning_latitude(sin R), through math.
     y = np.sqrt(band_radicand(curve.c, rs, elementwise(lambda a: math.asin(abs(math.sin(a))), R)))

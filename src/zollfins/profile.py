@@ -261,28 +261,24 @@ def curvature_x(profile: ZollProfile, x, power=operator.pow):
     return (one_h - x * profile.h_prime(x)) / power(one_h, 3)
 
 
-def curvature_x_prime(profile: ZollProfile, x, power=operator.pow):
-    """dG/dx, analytic; a scalar x and ``power`` as in curvature_x."""
+def curvature_x_prime(profile: ZollProfile, x):
+    """dG/dx, analytic; a scalar x as in curvature_x."""
     x = float_or_array(x)
     h = profile.h(x)
     hp = profile.h_prime(x)
     hpp = profile.h_second(x)
     one_h = 1.0 + h
     num = -x * hpp * one_h - 3.0 * hp * (one_h - x * hp)
-    return num / power(one_h, 4)
+    return num / one_h**4
 
 
 def gauss_curvature(profile: ZollProfile, r):
-    """Gauss curvature G(r) of the surface at latitude r in [0, pi]: a scalar
-    r as in curvature_x, and each entry of an array with its float call's
-    bits (np.float_power)."""
-    r = float_or_array(r)
-    lo, hi = (r, r) if type(r) is float else (r.min(initial=0.0), r.max(initial=0.0))
-    if not (lo >= -X_DOMAIN_TOL and hi <= math.pi + X_DOMAIN_TOL):
+    """Gauss curvature G(r) of the surface at latitude r in [0, pi]; a scalar
+    r as in curvature_x."""
+    r = np.asarray(r, dtype=float)
+    if not (r.min(initial=0.0) >= -X_DOMAIN_TOL and r.max(initial=0.0) <= math.pi + X_DOMAIN_TOL):
         raise DomainError(f"latitude outside [0, pi]: {r!r}")
-    if type(r) is float:
-        return curvature_x(profile, math.cos(r))
-    return curvature_x(profile, np.cos(r), np.float_power)
+    return curvature_x(profile, np.cos(r))
 
 
 def curvature_critical_points(profile: ZollProfile) -> list[tuple[float, float]]:

@@ -8,7 +8,7 @@ jacobi_pair and jacobi_ode_check also take one Clairaut constant per
 latitude, and indicatrix_curvature one chart value per latitude: a mixed
 array is compared with the calls at each entry's own constant.  The float
 calls of curvature_x, curvature_x_prime and gauss_curvature stay in float
-arithmetic, with the bits of their one-entry array calls at np.float_power.
+arithmetic, with the bits of their one-entry array expressions at libm pow.
 fundamental_tensor treats a single vector as a one-column block in the same
 way.  CurveEval.jet and finsler_F keep a
 float path beside their array one: there each entry is compared with that
@@ -286,28 +286,34 @@ def test_indicatrix_curvature_mixed_charts_match_per_chart_calls(prof, entries):
        st.one_of(st.sampled_from((0.0, math.pi / 2, math.pi)), st.floats(0.0, math.pi)))
 def test_curvature_float_calls_are_one_entry_array_calls(prof, x, r):
     """A float argument is computed in floats and gives a Python float, with
-    the bits of the one-entry array call that cubes (or takes the fourth
-    power) through libm pow, as the float ** does; gauss_curvature's array
-    path always does."""
+    the bits of the one-entry array expression that cubes (or takes the
+    fourth power) through libm pow, as the float ** does: curvature_x's own
+    array call at np.float_power, dG/dx's expression written out, and
+    gauss_curvature that of curvature_x at cos r (np.cos has math's bits)."""
     floats = [curvature_x(prof, x), curvature_x_prime(prof, x), gauss_curvature(prof, r)]
-    arrays = [curvature_x(prof, np.array([x]), np.float_power),
-              curvature_x_prime(prof, np.array([x]), np.float_power),
-              gauss_curvature(prof, np.array([r]))]
+    xa = np.array([x])
+    one_h, hp = 1.0 + prof.h(xa), prof.h_prime(xa)
+    num = -xa * prof.h_second(xa) * one_h - 3.0 * hp * (one_h - xa * hp)
+    prime = num / np.float_power(one_h, 4)
+    arrays = [curvature_x(prof, xa, np.float_power), prime,
+              curvature_x(prof, np.array([math.cos(r)]), np.float_power)]
     assert [type(v) for v in floats] == [float] * 3
     assert bits(floats) == bits(np.concatenate(arrays))
 
 
 def test_constant_arrays_name_the_first_bad_entry(ex1):
-    """One constant or chart value per latitude: the first entry whose own
-    float call fails raises that call's error, which names the entry; later
-    bad entries do not decide it.  Shapes that do not match one to one
-    raise DomainError."""
+    """One constant or chart value per latitude: each check of the float
+    call, in its order, raises its error for the first entry that fails it
+    and names that entry; later bad entries do not decide it, and a bad
+    constant is found before a latitude off its band, as in the float call.
+    Shapes that do not match one to one raise DomainError."""
     r = np.array([1.0, 1.2, 0.5, 1.4])
     for call in (jacobi_pair, jacobi_ode_check):
         for c, error, match in (
                 ([0.1, math.nan, 0.9, 2.0], DomainError, "nan outside"),
                 ([0.1, 0.3, 2.0, math.nan], DomainError, "2.0 outside"),
-                ([0.1, 0.3, 0.9, 2.0], BandError, "latitude 0.5 outside"),
+                ([0.1, 0.3, 0.9, 0.2], BandError, "latitude 0.5 outside the band \\[1.11"),
+                ([0.1, 0.3, 0.9, 2.0], DomainError, "2.0 outside"),
                 ([0.1, 0.3, 0.9], DomainError, "one per latitude"),
                 ([[0.1, 0.3], [0.2, 0.4]], DomainError, "one per latitude")):
             with pytest.raises(error, match=match):
@@ -321,8 +327,10 @@ def test_constant_arrays_name_the_first_bad_entry(ex1):
     for R, rr, error, match in (
             ([0.4, 1.5708, math.nan], [1.0, 1.0, 1.0], DomainError, "1.5708 too close"),
             ([0.4, math.nan, 1.5708], [1.0, 1.0, 1.0], DomainError, "nan too close"),
-            ([0.4, 1.2, 1.5708], [1.0, 0.5, 1.0], BandError, "latitude 0.5 outside"),
-            ([0.4, 0.4, 1.2], [1.0, 0.4 + 1e-7, 0.5], DomainError, "singular"),
+            ([0.4, 1.2, 0.4], [1.0, 0.5, 0.3], BandError, "latitude 0.5 outside the band \\[1.2"),
+            ([0.4, 1.2, 1.5708], [1.0, 0.5, 1.0], DomainError, "1.5708 too close"),
+            ([0.4, 0.4, 1.2], [1.0, 0.4 + 1e-7, 1.5], DomainError, "singular"),
+            ([0.4, 0.4, 1.2], [1.0, 0.4 + 1e-7, 0.5], BandError, "latitude 0.5 outside"),
             ([0.4, 0.4], [1.0, 1.0, 1.0], DomainError, "one per latitude")):
         with pytest.raises(error, match=match):
             indicatrix_curvature(ex1, np.array(R), np.array(rr))

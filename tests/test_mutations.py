@@ -130,8 +130,7 @@ def test_c1_sign_fault_fails_wronskian(monkeypatch):
     """c1 = (1 - h(cos r_c)) / cos r_c scales y1 by c1 and y2 by 1/c1, so
     the Wronskian and the Jacobi equation keep their values: only the pair's
     initial values at the turning latitude see it."""
-    def faulty(profile, c):
-        cos_rc = np.cos(np.arcsin(np.abs(c)))
+    def faulty(profile, c, cos_rc):
         return (1.0 - profile.h(cos_rc)) / cos_rc
 
     monkeypatch.setattr(jacobi, "c1_coefficient", faulty)
